@@ -24,6 +24,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite(a, what: str) -> np.ndarray:
+    """a as a float array; NaN or infinite entries are rejected."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise GeometryError(f"{what} must be finite")
+    return a
+
+
 def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
@@ -81,16 +89,18 @@ class ConvexBody:
 
     @staticmethod
     def disk(center, radius: float) -> "ConvexBody":
-        center = _freeze(np.atleast_1d(center))
+        center = _freeze(np.atleast_1d(_finite(center, "disk center")))
         if center.shape != (2,):
             raise GeometryError("disk center must be planar")
+        if not math.isfinite(radius):
+            raise GeometryError("disk radius must be finite")
         if radius <= 0:
             raise GeometryError("disk radius must be positive")
         return ConvexBody(kind="disk", center=center, radius=float(radius))
 
     @staticmethod
     def polygon(vertices) -> "ConvexBody":
-        verts = np.asarray(vertices, dtype=float)
+        verts = _finite(vertices, "polygon vertices")
         if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
             raise GeometryError("polygon needs at least 3 planar vertices")
         hull = _strict_hull(verts)
@@ -102,14 +112,14 @@ class ConvexBody:
 
     @staticmethod
     def polytope(vertices) -> "ConvexBody":
-        verts = np.asarray(vertices, dtype=float)
+        verts = _finite(vertices, "polytope vertices")
         if verts.ndim != 2 or verts.shape[1] < 3:
             raise GeometryError("polytope needs vertices in dimension >= 3")
         return ConvexBody(kind="polytope", vertices=_freeze(verts))
 
     @staticmethod
     def segment(a, b) -> "ConvexBody":
-        verts = np.array([a, b], dtype=float)
+        verts = _finite([a, b], "segment endpoints")
         if np.linalg.norm(verts[1] - verts[0]) <= 0:
             raise GeometryError("segment endpoints coincide")
         return ConvexBody(kind="segment", vertices=_freeze(verts), degenerate=True)
@@ -290,11 +300,11 @@ class HomothetFamily:
     ratios: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        centers = np.atleast_2d(_finite(self.centers, "homothet centers"))
         ratios = (
             np.ones(len(centers))
             if self.ratios is None
-            else np.atleast_1d(np.asarray(self.ratios, dtype=float))
+            else np.atleast_1d(_finite(self.ratios, "homothety ratios"))
         )
         if len(ratios) != len(centers):
             raise GeometryError("one ratio per center required")

@@ -59,12 +59,56 @@ def perimeter(body: ConvexBody) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _triple_candidates(cs, rs, idx, scale: float, tol: float):
+    """Disks internally tangent to the three members of each row of idx.
+
+    |c - m_k| = R - r_k, linearized pairwise then solved in R; returns the
+    centers and radii of the roots, in row order, smaller root first.
+    """
+    m, r = cs[idx], rs[idx]
+    a_mat = 2.0 * (m[:, 1:] - m[:, :1])
+    keep = np.abs(np.linalg.det(a_mat)) > 1e-12 * scale * scale
+    m, r, a_mat = m[keep], r[keep], a_mat[keep]
+    sq = np.einsum("tij,tij->ti", m, m)
+    u_vec = sq[:, 1:] - sq[:, :1] + r[:, :1] ** 2 - r[:, 1:] ** 2
+    v_vec = -2.0 * (r[:, :1] - r[:, 1:])
+    inv = np.linalg.inv(a_mat)
+    p = (inv @ u_vec[:, :, None])[:, :, 0]  # c(R) = p + R*q
+    q = (inv @ v_vec[:, :, None])[:, :, 0]
+    # |p + R q - m0|^2 = (R - r0)^2
+    w = p - m[:, 0]
+    r0 = r[:, 0]
+    aa = np.einsum("ti,ti->t", q, q) - 1.0
+    bb = 2.0 * (np.einsum("ti,ti->t", w, q) + r0)
+    cc = np.einsum("ti,ti->t", w, w) - r0**2
+    linear = np.abs(aa) < 1e-14
+    disc = bb * bb - 4 * aa * cc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sdisc = np.sqrt(disc)
+        roots = np.where(
+            linear[:, None],
+            np.stack([-cc / bb, np.full_like(bb, np.nan)], axis=1),
+            np.stack([(-bb - sdisc) / (2 * aa), (-bb + sdisc) / (2 * aa)], axis=1),
+        )
+    valid = np.where(
+        linear[:, None],
+        np.stack([np.abs(bb) > 1e-14, np.zeros_like(linear)], axis=1),
+        (disc >= 0)[:, None],
+    )
+    valid &= roots > r.max(axis=1)[:, None] - tol
+    t, k = np.nonzero(valid)
+    return p[t] + roots[t, k, None] * q[t], roots[t, k]
+
+
 def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
     """Smallest disk containing every disk (c_i, r_i). Points allowed (r=0).
 
     The optimum is internally tangent to at most three members, so all
     singleton, pair, and triple support sets are solved in closed form and
-    the best feasible candidate returned.
+    the best feasible candidate returned (the first one listed among equal
+    radii). Candidates are solved and tested in numpy batches: the
+    singletons, the pairs, then the triples in blocks of about 2^15 by first
+    member, which bounds memory at O(n^2).
     """
     cs = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -72,64 +116,42 @@ def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
     scale = max(1.0, float(np.abs(cs).max()), float(rs.max()))
     tol = 1e-11 * scale
 
-    def covers(c, R):
-        return bool((np.linalg.norm(cs - c, axis=1) + rs <= R + tol).all())
-
+    # pairs: center on the segment, tangent to both
+    i, j = np.triu_indices(n, 1)
+    diff = cs[j] - cs[i]
+    d = np.linalg.norm(diff, axis=1)
+    keep = d > tol
+    pair_r = 0.5 * (d + rs[i] + rs[j])[keep]
+    pair_c = cs[i][keep] + (pair_r - rs[i][keep])[:, None] * (diff[keep] / d[keep, None])
+    # a disk covering members i and j within tol has R >= (d_ij + r_i + r_j)/2 - tol,
+    # so smaller candidates cannot pass the covers test
+    lower = max(float(rs.max()), float(pair_r.max(initial=0.0))) - 2.0 * tol
+    step = max(1, (1 << 16) // n)
     best_c, best_r = None, math.inf
 
-    # singletons
-    for i in range(n):
-        if rs[i] < best_r and covers(cs[i], rs[i]):
-            best_c, best_r = cs[i], float(rs[i])
+    def consider(cand_c, cand_r):
+        nonlocal best_c, best_r
+        sel = np.flatnonzero((cand_r < best_r) & (cand_r >= lower))
+        sel = sel[np.argsort(cand_r[sel], kind="stable")]
+        for start in range(0, len(sel), step):
+            part = sel[start : start + step]
+            dist = np.linalg.norm(cs[None, :, :] - cand_c[part, None, :], axis=2)
+            covers = (dist + rs <= cand_r[part, None] + tol).all(axis=1)
+            if covers.any():
+                best = part[int(np.argmax(covers))]
+                best_c, best_r = cand_c[best], float(cand_r[best])
+                return
 
-    # pairs: center on the segment, tangent to both
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.linalg.norm(cs[j] - cs[i]))
-            if d <= tol:
-                continue
-            R = 0.5 * (d + rs[i] + rs[j])
-            if R >= best_r:
-                continue
-            u = (cs[j] - cs[i]) / d
-            c = cs[i] + (R - rs[i]) * u
-            if covers(c, R):
-                best_c, best_r = c, R
-
-    # triples: |c - m_k| = R - r_k, linearized pairwise then solved in R
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                m = cs[[i, j, k]]
-                r = rs[[i, j, k]]
-                a_mat = 2.0 * (m[1:] - m[0])
-                if abs(np.linalg.det(a_mat)) <= 1e-12 * scale * scale:
-                    continue
-                sq = np.einsum("ij,ij->i", m, m)
-                u_vec = sq[1:] - sq[0] + r[0] ** 2 - r[1:] ** 2
-                v_vec = -2.0 * (r[0] - r[1:])
-                inv = np.linalg.inv(a_mat)
-                p = inv @ u_vec  # c(R) = p + R*q
-                q = inv @ v_vec
-                # |p + R q - m0|^2 = (R - r0)^2
-                w = p - m[0]
-                aa = q @ q - 1.0
-                bb = 2.0 * (w @ q + r[0])
-                cc = w @ w - r[0] ** 2
-                if abs(aa) < 1e-14:
-                    roots = [-cc / bb] if abs(bb) > 1e-14 else []
-                else:
-                    disc = bb * bb - 4 * aa * cc
-                    if disc < 0:
-                        continue
-                    sdisc = math.sqrt(disc)
-                    roots = [(-bb - sdisc) / (2 * aa), (-bb + sdisc) / (2 * aa)]
-                for R in roots:
-                    if R <= max(r) - tol or R >= best_r:
-                        continue
-                    c = p + R * q
-                    if covers(c, R):
-                        best_c, best_r = c, float(R)
+    consider(cs, rs)
+    consider(pair_c, pair_r)
+    rows, size = [], 0
+    for first in range(n - 2):
+        rest = i > first
+        rows.append(np.column_stack([np.full(int(rest.sum()), first), i[rest], j[rest]]))
+        size += len(rows[-1])
+        if size >= 1 << 15 or first == n - 3:
+            consider(*_triple_candidates(cs, rs, np.vstack(rows), scale, tol))
+            rows, size = [], 0
 
     if best_c is None:
         raise GeometryError("enclosing disk search failed")

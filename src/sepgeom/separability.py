@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import gap_profile
 from .bodies import (
     EPS,
     ConvexBody,
@@ -216,73 +215,136 @@ def _fibonacci_sphere(m: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
+    """Feature points per member, (n, k, 2), and each member's radius.
+
+    Disks contribute their center, other bodies their vertices. Members with
+    fewer than k features repeat their first one, which leaves every max and
+    min over a member's features unchanged.
+    """
+    feats = [b.center[None, :] if b.kind == "disk" else b.vertices for b in bodies]
+    k = max(len(f) for f in feats)
+    pts = np.stack([np.vstack([f, np.repeat(f[:1], k - len(f), axis=0)]) for f in feats])
+    rad = np.array([b.radius if b.kind == "disk" else 0.0 for b in bodies])
+    return pts, rad
+
+
+def _scaled_tol(pts: np.ndarray, rad: np.ndarray, tol: float) -> float:
+    """tol times min(1, largest coordinate range of the members' union)."""
+    hi = (pts.max(axis=1) + rad[:, None]).max(axis=0)
+    lo = (pts.min(axis=1) - rad[:, None]).min(axis=0)
+    return tol * min(1.0, float((hi - lo).max()))
+
+
+def _arcs(p: np.ndarray, rad) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of p (m, k, 2), the open arc (lo, hi) of angles of unit u with
+    <u, p_i> > rad_i for every i; the arc is empty when lo >= hi.
+
+    Each constraint holds on the arc of half-width acos(rad/|p|) around the
+    angle phi of p, so the intersection is (max(phi + asin(rad/|p|)) - pi/2,
+    min(phi - asin(rad/|p|)) + pi/2). Every p and the row sum lie within
+    pi/2 of a feasible u, so angles unwrapped around the sum's angle are
+    consistent whenever the arc is not empty.
+    """
+    norm = np.hypot(p[..., 0], p[..., 1])
+    rad = np.broadcast_to(rad, norm.shape)
+    ratio = np.ones_like(norm)
+    np.divide(rad, norm, out=ratio, where=norm > rad)
+    half = np.arcsin(ratio)
+    s = p.sum(axis=1)
+    ref = np.arctan2(s[:, 1], s[:, 0])[:, None]
+    phi = ref + np.remainder(np.arctan2(p[..., 1], p[..., 0]) - ref + math.pi, TWO_PI) - math.pi
+    lo = (phi + half).max(axis=1) - 0.5 * math.pi
+    hi = (phi - half).min(axis=1) + 0.5 * math.pi
+    return lo, hi
+
+
+def _separating_arc(pts, rad, left, right, thr: float):
+    """Arc (lo, hi) of angles of unit u along which members ``right`` lie
+    more than thr above members ``left`` (pts, rad from _member_features).
+
+    Also returns the feature differences p = b - a and radius sums r that
+    give the gap along u as min(<u, p> - r).
+    """
+    k = pts.shape[1]
+    a, b = pts[left].reshape(-1, 2), pts[right].reshape(-1, 2)
+    ra, rb = np.repeat(rad[left], k), np.repeat(rad[right], k)
+    p = (b[None, :, :] - a[:, None, :]).reshape(-1, 2)
+    r = (ra[:, None] + rb[None, :]).reshape(-1)
+    lo, hi = _arcs(p[None], r[None] + thr)
+    return float(lo[0]), float(hi[0]), p, r
+
+
 def find_separating_hyperplane(
     family1,
     family2,
     tol: float = EPS,
     samples: int = 4096,
-    refine: bool = True,
 ) -> SeparationCertificate | None:
     """Best-margin hyperplane with family1 left of family2, None if margin <= tol.
 
-    In the plane the candidate directions are provably sufficient, the grid
-    and golden-section refinement only polish the margin. In dimension 3 and
-    up the search is sampled and None means no direction found, not a proof.
+    In the plane the answer is exact. The directions with a gap above
+    2 tol (tol scaled by min(1, extent of the two families)) form one arc,
+    the intersection of the arcs of all feature pairs; the gap is concave on
+    it, so one golden-section search finds the best margin. ``samples`` only
+    applies in dimension 3 and up, where the search is sampled and None
+    means no direction found, not a proof.
     """
     f1 = _as_bodies(family1)
     f2 = _as_bodies(family2)
     if not f1 or not f2:
         raise GeometryError("separation needs a member on both sides")
-    d = f1[0].dim
-    cand = candidate_directions(f1, f2)
-    if d == 2:
-        if samples:
-            t = np.linspace(0.0, TWO_PI, samples, endpoint=False)
-            cand = np.vstack([cand, np.stack([np.cos(t), np.sin(t)], axis=1)])
-        dirs = np.vstack([cand, -cand])
+    n1 = len(f1)
+    if f1[0].dim == 2:
+        pts, rad = _member_features(f1 + f2)
+        thr = 2.0 * _scaled_tol(pts, rad, tol)
+        lo, hi, p, r = _separating_arc(pts, rad, slice(0, n1), slice(n1, None), thr)
+        if not lo < hi:
+            return None
+        theta, _ = _golden_max(
+            lambda t: float((p @ np.array([math.cos(t), math.sin(t)]) - r).min()), lo, hi
+        )
+        u = np.array([math.cos(theta), math.sin(theta)])
     else:
+        thr = 2.0 * tol
+        cand = candidate_directions(f1, f2)
         dirs = np.vstack([cand, -cand, _fibonacci_sphere(max(samples, 1024))])
+        los2, _ = _family_bounds(f2, dirs)
+        _, his1 = _family_bounds(f1, dirs)
+        u = dirs[int(np.argmax(los2 - his1))]
 
-    los2, _ = _family_bounds(f2, dirs)
-    _, his1 = _family_bounds(f1, dirs)
-    gaps = los2 - his1
-    k = int(np.argmax(gaps))
-    gap, u = float(gaps[k]), dirs[k]
-
-    def one_dir(v):
-        lo2, _ = _family_bounds(f2, v[None, :])
-        _, hi1 = _family_bounds(f1, v[None, :])
-        return float(lo2[0] - hi1[0])
-
-    if refine and d == 2:
-        # a feasible window with all candidates on its zero boundary is
-        # only seen by stepping inside, so polish the best few candidates
-        half = math.pi / max(samples, 1024)
-        order = np.argsort(-gaps)
-        for rank, idx in enumerate(order[:12]):
-            if rank > 0 and gaps[idx] < -1e-7:
-                break
-            theta = math.atan2(dirs[idx][1], dirs[idx][0])
-            tt, gg = _golden_max(
-                lambda t: one_dir(np.array([math.cos(t), math.sin(t)])),
-                theta - half,
-                theta + half,
-            )
-            if gg > gap:
-                gap, u = gg, np.array([math.cos(tt), math.sin(tt)])
-
-    if gap <= 2.0 * tol:
-        return None
     _, hi1 = _family_bounds(f1, u[None, :])
     lo2, _ = _family_bounds(f2, u[None, :])
+    gap = float(lo2[0] - hi1[0])
+    if gap <= thr:
+        return None
     plane = Hyperplane(u, 0.5 * (hi1[0] + lo2[0]))
-    n1 = len(f1)
     return SeparationCertificate(
         plane,
         tuple(range(n1)),
         tuple(range(n1, n1 + len(f2))),
         0.5 * gap,
     )
+
+
+def _separation_test(bodies, tol: float):
+    """Decision-only test "members left strictly separable from members
+    right" for index lists into bodies, with the tolerance of the whole.
+
+    In the plane it only asks whether the separating arc is empty.
+    """
+    if bodies[0].dim == 2:
+        pts, rad = _member_features(bodies)
+        thr = 2.0 * _scaled_tol(pts, rad, tol)
+
+        def planar(left, right) -> bool:
+            lo, hi, _, _ = _separating_arc(pts, rad, left, right, thr)
+            return lo < hi
+
+        return planar
+    return lambda left, right: find_separating_hyperplane(
+        [bodies[i] for i in left], [bodies[j] for j in right], tol=tol, samples=0
+    ) is not None
 
 
 @dataclass(frozen=True)
@@ -304,6 +366,7 @@ def kirchberger_reduce(family1, family2, tol: float = EPS) -> KirchbergerResult:
     if not f1 or not f2:
         return KirchbergerResult(True, None, 0)
     d = f1[0].dim
+    separable = _separation_test(f1 + f2, tol)
     tagged = [(0, i) for i in range(len(f1))] + [(1, j) for j in range(len(f2))]
     size = min(len(tagged), d + 2)
     checked = 0
@@ -313,9 +376,7 @@ def kirchberger_reduce(family1, family2, tol: float = EPS) -> KirchbergerResult:
         if not idx1 or not idx2:
             continue  # one-sided subfamilies are separable outright
         checked += 1
-        sub1 = [f1[i] for i in idx1]
-        sub2 = [f2[j] for j in idx2]
-        if find_separating_hyperplane(sub1, sub2, tol=tol, samples=0) is None:
+        if not separable(idx1, [len(f1) + j for j in idx2]):
             return KirchbergerResult(False, (tuple(idx1), tuple(idx2)), checked)
     return KirchbergerResult(True, None, checked)
 
@@ -360,9 +421,16 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     """Decide whether no hyperplane splits the family while missing every member.
 
     A family is separable when some hyperplane disjoint from the union has
-    members strictly on both sides. Planar families are decided over the
-    candidate directions (exact for disks, polygons, segments) plus an angle
-    grid; higher dimensions are sampled and flagged approximate.
+    members strictly on both sides, with a gap above tol (in the plane, tol
+    scaled by min(1, extent of the family)).
+
+    Planar families are decided exactly. Members i and j are split by a gap
+    above tol along the directions of one open arc and its opposite; the
+    graph of members not split is constant between consecutive arc endpoints
+    taken mod pi, so the gap at the midpoints between them decides the
+    question, and ``directions_checked`` is at most n(n - 1). ``samples``
+    only applies in dimension 3 and up, where directions are sampled and the
+    decision is flagged approximate.
     """
     bodies = _as_bodies(family)
     n = len(bodies)
@@ -371,60 +439,24 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     d = bodies[0].dim
 
     if d == 2:
-        cand = candidate_directions(bodies)
-        cang = np.arctan2(cand[:, 1], cand[:, 0])
-        thetas = np.concatenate(
-            [np.linspace(0.0, math.pi, max(samples, 8), endpoint=False), cang]
-        )
-        if isinstance(family, HomothetFamily) and family.reference.dim == 2:
-            ref = family.reference
-            centers = np.asarray(family.centers, dtype=float)
-            ratios = np.asarray(family.ratios, dtype=float)
-
-            def eval_gaps(ts):
-                ts = np.ascontiguousarray(ts, dtype=np.float64)
-                ct, st = np.cos(ts), np.sin(ts)
-                ds = np.stack([ct, st], axis=1)
-                hplus = support_batch(ref, ds)
-                hminus = support_batch(ref, -ds)
-                return gap_profile(
-                    np.ascontiguousarray(centers[:, 0]),
-                    np.ascontiguousarray(centers[:, 1]),
-                    np.ascontiguousarray(ratios),
-                    np.ascontiguousarray(hplus),
-                    np.ascontiguousarray(hminus),
-                    np.ascontiguousarray(ct),
-                    np.ascontiguousarray(st),
-                )
-
-        else:
-
-            def eval_gaps(ts):
-                ds = np.stack([np.cos(ts), np.sin(ts)], axis=1)
-                los, his = _interval_matrices(bodies, ds)
-                return _sweep_gaps(los, his)
-
-        gaps = np.asarray(eval_gaps(thetas))
-        k = int(np.argmax(gaps))
-        gap, theta = float(gaps[k]), float(thetas[k])
-        half = math.pi / max(samples, 8)
-        # candidates sitting on a window boundary evaluate to zero, so
-        # polish the best few of them, not only the global argmax
-        order = np.argsort(-gaps)
-        for rank, idx in enumerate(order[:12]):
-            if rank > 0 and gaps[idx] < -1e-7:
-                break
-            tt, gg = _golden_max(
-                lambda t: float(eval_gaps(np.array([t]))[0]),
-                float(thetas[idx]) - half,
-                float(thetas[idx]) + half,
-            )
-            if gg > gap:
-                gap, theta = gg, tt
-        if gap > tol:
-            u = np.array([math.cos(theta), math.sin(theta)])
-            return NSDecision(False, _split_certificate(bodies, u), len(thetas), False)
-        return NSDecision(True, None, len(thetas), False)
+        pts, rad = _member_features(bodies)
+        t = _scaled_tol(pts, rad, tol)
+        i, j = np.triu_indices(n, 1)
+        k = pts.shape[1]
+        p = (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), k * k, 2)
+        lo, hi = _arcs(p, (rad[i] + rad[j] + t)[:, None])
+        split = lo < hi
+        ends = np.unique(np.remainder(np.concatenate([lo[split], hi[split]]), math.pi))
+        if len(ends) == 0:
+            return NSDecision(True, None, 0, False)
+        mids = 0.5 * (ends + np.append(ends[1:], ends[0] + math.pi))
+        mids = np.remainder(mids + 0.5 * math.pi, math.pi) - 0.5 * math.pi
+        dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+        gaps = _sweep_gaps(*_interval_matrices(bodies, dirs))
+        best = int(np.argmax(gaps))
+        if gaps[best] > t:
+            return NSDecision(False, _split_certificate(bodies, dirs[best]), len(dirs), False)
+        return NSDecision(True, None, len(dirs), False)
 
     dirs = _fibonacci_sphere(max(samples, 1024))
     cand = candidate_directions(bodies)
@@ -451,16 +483,13 @@ def is_sns(family, tol: float = EPS) -> SNSResult:
         raise GeometryError("empty family")
     if n == 1:
         return SNSResult(True, (0,))
+    separable = _separation_test(bodies, tol)
     for start in range(n):
         chosen = [start]
         rest = [k for k in range(n) if k != start]
         while rest:
             for pos, j in enumerate(rest):
-                prefix = [bodies[k] for k in chosen]
-                cert = find_separating_hyperplane(
-                    prefix, [bodies[j]], tol=tol, samples=0
-                )
-                if cert is None:
+                if not separable(chosen, [j]):
                     chosen.append(j)
                     rest.pop(pos)
                     break

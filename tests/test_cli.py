@@ -278,3 +278,18 @@ def test_bad_inputs(tmp_path, capsys):
     assert code == 3
     code, _ = run(["unknown-command"], capsys)
     assert code == 3
+
+
+def test_non_finite_input_exits_3(tmp_path, capsys):
+    nan_center = write_json(
+        tmp_path / "nan.json", {"body": DISK, "centers": [[float("nan"), 0.0], [2.0, 0.0]]}
+    )
+    code, payload = run(["check-ns", nan_center], capsys)
+    assert code == 3 and payload is None
+    inf_radius = write_json(
+        tmp_path / "inf.json",
+        {"body": {"type": "disk", "center": [0.0, 0.0], "radius": float("inf")},
+         "centers": [[0.0, 0.0], [2.0, 0.0]]},
+    )
+    code, _ = run(["check-ns", inf_radius], capsys)
+    assert code == 3

@@ -53,6 +53,25 @@ def test_constructor_rejects_bad_input():
         ConvexBody.segment((1, 2), (1, 2))
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite(bad):
+    with pytest.raises(GeometryError):
+        ConvexBody.disk((bad, 0.0), 1.0)
+    with pytest.raises(GeometryError):
+        ConvexBody.disk((0.0, 0.0), bad)
+    with pytest.raises(GeometryError):
+        ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (0.0, bad)])
+    with pytest.raises(GeometryError):
+        ConvexBody.segment((0.0, 0.0), (bad, 1.0))
+    with pytest.raises(GeometryError):
+        ConvexBody.polytope([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, bad)])
+    disk = ConvexBody.disk((0.0, 0.0), 1.0)
+    with pytest.raises(GeometryError):
+        HomothetFamily(disk, [(bad, 0.0), (2.0, 0.0)])
+    with pytest.raises(GeometryError):
+        HomothetFamily(disk, [(0.0, 0.0), (2.0, 0.0)], [1.0, bad])
+
 def test_support_disk_and_polygon():
     d = ConvexBody.disk((1.0, -2.0), 3.0)
     u = np.array([0.6, 0.8])
@@ -173,6 +192,87 @@ def test_enclosing_disk_of_disks(rng):
         assert (cover <= r + 1e-7).all()
         assert r <= cover.max() + 1e-7 or np.isclose(r, cover.max(), atol=1e-6)
 
+
+
+def _enclosing_disk_reference(centers, radii):
+    """The closed-form candidate search of enclosing_disk_of_disks, one
+    candidate at a time in plain Python."""
+    cs = [tuple(map(float, c)) for c in centers]
+    rs = [float(r) for r in radii]
+    n = len(cs)
+    scale = max(1.0, max(abs(x) for c in cs for x in c), max(rs))
+    tol = 1e-11 * scale
+
+    def covers(c, big_r):
+        return all(math.dist(m, c) + r <= big_r + tol for m, r in zip(cs, rs))
+
+    best_c, best_r = None, math.inf
+    for i in range(n):
+        if rs[i] < best_r and covers(cs[i], rs[i]):
+            best_c, best_r = cs[i], rs[i]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = math.dist(cs[i], cs[j])
+            big_r = 0.5 * (d + rs[i] + rs[j])
+            if d <= tol or big_r >= best_r:
+                continue
+            s = (big_r - rs[i]) / d
+            c = tuple(a + s * (b - a) for a, b in zip(cs[i], cs[j]))
+            if covers(c, big_r):
+                best_c, best_r = c, big_r
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                (x0, y0), (x1, y1), (x2, y2) = cs[i], cs[j], cs[k]
+                r0, r1, r2 = rs[i], rs[j], rs[k]
+                a, b = 2.0 * (x1 - x0), 2.0 * (y1 - y0)
+                c_, d_ = 2.0 * (x2 - x0), 2.0 * (y2 - y0)
+                det = a * d_ - b * c_
+                if abs(det) <= 1e-12 * scale * scale:
+                    continue
+                s0 = x0 * x0 + y0 * y0
+                u1 = x1 * x1 + y1 * y1 - s0 + r0 * r0 - r1 * r1
+                u2 = x2 * x2 + y2 * y2 - s0 + r0 * r0 - r2 * r2
+                v1, v2 = -2.0 * (r0 - r1), -2.0 * (r0 - r2)
+                # c(R) = p + R q solves the two linearized tangency equations
+                p = ((d_ * u1 - b * u2) / det, (a * u2 - c_ * u1) / det)
+                q = ((d_ * v1 - b * v2) / det, (a * v2 - c_ * v1) / det)
+                w = (p[0] - x0, p[1] - y0)
+                aa = q[0] * q[0] + q[1] * q[1] - 1.0
+                bb = 2.0 * (w[0] * q[0] + w[1] * q[1] + r0)
+                cc = w[0] * w[0] + w[1] * w[1] - r0 * r0
+                if abs(aa) < 1e-14:
+                    roots = [-cc / bb] if abs(bb) > 1e-14 else []
+                else:
+                    disc = bb * bb - 4.0 * aa * cc
+                    if disc < 0:
+                        continue
+                    roots = [(-bb - math.sqrt(disc)) / (2 * aa), (-bb + math.sqrt(disc)) / (2 * aa)]
+                for big_r in roots:
+                    if big_r <= max(r0, r1, r2) - tol or big_r >= best_r:
+                        continue
+                    c = (p[0] + big_r * q[0], p[1] + big_r * q[1])
+                    if covers(c, big_r):
+                        best_c, best_r = c, big_r
+    return best_c, best_r
+
+
+def test_enclosing_disk_matches_plain_python(rng):
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        centers = rng.normal(size=(n, 2)) * rng.uniform(0.5, 20.0)
+        if trial % 3 == 0:
+            radii = np.zeros(n)  # points
+        elif trial % 3 == 1:
+            radii = rng.uniform(0.1, 3.0, n)
+        else:
+            centers = np.round(centers)  # repeated centers, ties, nested disks
+            radii = np.round(rng.uniform(0.0, 3.0, n))
+        c, r = enclosing_disk_of_disks(centers, radii)
+        c_ref, r_ref = _enclosing_disk_reference(centers, radii)
+        scale = max(1.0, float(np.abs(centers).max()), float(radii.max()))
+        assert abs(r - r_ref) <= 1e-12 * scale, trial
+        assert np.abs(c - np.array(c_ref)).max() <= 1e-12 * scale, trial
 
 def test_inscribed_disk_triangle():
     c, r = inscribed_disk(TRIANGLE)

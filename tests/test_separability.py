@@ -9,6 +9,7 @@ from helpers import (
     disk_bodies,
     house7_centers,
     ns_family,
+    random_convex_polygon,
     random_reference,
     thirteen_pentagon_centers,
     thirteen_ts_centers,
@@ -209,3 +210,94 @@ def test_homothet_family_input():
     ref = ConvexBody.disk((0.0, 0.0), 1.0)
     fam = HomothetFamily(ref, [(0.0, 0.0), (1.5, 0.0)], [1.0, 1.0])
     assert is_non_separable(fam, samples=512).non_separable
+
+
+def test_tiny_disks_are_separable():
+    # the tolerance scales with the family, so disks of radius 1e-12 three
+    # radii apart are split like unit disks three radii apart
+    fam = [ConvexBody.disk((0.0, 0.0), 1e-12), ConvexBody.disk((3e-12, 0.0), 1e-12)]
+    dec = is_non_separable(fam)
+    assert not dec.non_separable
+    cert = dec.witness
+    assert strictly_separates(
+        cert.plane, [fam[i] for i in cert.left], [fam[i] for i in cert.right], tol=0.0
+    )
+    direct = find_separating_hyperplane(fam[:1], fam[1:])
+    assert direct is not None
+    assert direct.margin == pytest.approx(0.5e-12, rel=1e-9)
+    assert kirchberger_reduce(fam[:1], fam[1:]).separable
+
+
+def test_narrow_separating_arc_is_found():
+    # the lines splitting the two thin triangles tilt by at most ~5e-6 rad
+    # from the x-axis, far below an angle grid of 2 pi / 4096
+    rot = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    below = ConvexBody.polygon(np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, -0.1)]) @ rot.T)
+    above = ConvexBody.polygon(np.array([(-1.0, 1e-5), (1.0, 1e-5), (0.0, 0.1)]) @ rot.T)
+    far = ConvexBody.disk(rot @ np.array([0.0, -0.1]), 0.05)  # overlaps `below`
+    fam = [below, above, far]
+    dec = is_non_separable(fam)
+    assert not dec.non_separable and not dec.approximate
+    cert = dec.witness
+    assert {cert.left, cert.right} == {(0, 2), (1,)}
+    assert strictly_separates(
+        cert.plane, [fam[i] for i in cert.left], [fam[i] for i in cert.right]
+    )
+    direct = find_separating_hyperplane([below, far], [above])
+    assert direct is not None
+    assert direct.margin == pytest.approx(0.5e-5, rel=1e-6)
+    assert strictly_separates(direct.plane, [below, far], [above])
+    assert kirchberger_reduce([below, far], [above]).separable
+    # pushed together by 2e-5 the triangles overlap and the family is non-separable
+    touching = ConvexBody.polygon(np.array([(-1.0, -1e-5), (1.0, -1e-5), (0.0, 0.1)]) @ rot.T)
+    assert is_non_separable([below, touching, far]).non_separable
+
+
+def test_planar_directions_checked_bounded(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        fam = []
+        for c in rng.uniform(-3.0, 3.0, (n, 2)):
+            if rng.random() < 0.5:
+                fam.append(ConvexBody.disk(c, float(rng.uniform(0.2, 1.0))))
+            else:
+                fam.append(random_convex_polygon(rng, k=6, scale=0.5).translate(c))
+        dec = is_non_separable(fam)
+        assert dec.directions_checked <= n * (n - 1)
+        assert not dec.approximate
+
+
+def test_two_disk_margin_is_exact(rng):
+    for _ in range(50):
+        c1, c2 = rng.uniform(-5.0, 5.0, (2, 2))
+        r1, r2 = rng.uniform(0.1, 1.0, 2)
+        gap = float(np.linalg.norm(c2 - c1)) - r1 - r2
+        cert = find_separating_hyperplane(
+            [ConvexBody.disk(c1, r1)], [ConvexBody.disk(c2, r2)]
+        )
+        if gap <= 1e-6:
+            assert cert is None
+            continue
+        assert cert.margin == pytest.approx(0.5 * gap, abs=1e-12)
+
+
+def test_kirchberger_matches_direct_mixed_bodies(rng):
+    separable = 0
+    for _ in range(60):
+        bodies = []
+        for c in rng.uniform(0.0, 3.0, (int(rng.integers(3, 6)), 2)):
+            kind = rng.random()
+            if kind < 0.4:
+                bodies.append(ConvexBody.disk(c, float(rng.uniform(0.2, 0.5))))
+            elif kind < 0.8:
+                bodies.append(random_convex_polygon(rng, k=6, scale=0.4).translate(c))
+            else:
+                bodies.append(ConvexBody.segment(c, c + rng.uniform(-0.6, 0.6, 2)))
+        n1 = int(rng.integers(1, len(bodies)))
+        direct = find_separating_hyperplane(bodies[:n1], bodies[n1:])
+        red = kirchberger_reduce(bodies[:n1], bodies[n1:])
+        assert red.separable == (direct is not None)
+        if direct is not None:
+            assert strictly_separates(direct.plane, bodies[:n1], bodies[n1:])
+        separable += red.separable
+    assert 0 < separable < 60
