@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND, warmup
 from .bodies import (
     ConvexBody,
     GeometryError,

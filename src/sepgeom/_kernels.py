@@ -1,118 +1,74 @@
-"""Hot numeric kernels with twin implementations.
+"""Shared numeric kernels and helpers, all vectorized numpy.
 
-Each kernel has a numba-compiled loop version and a vectorized numpy
-version computing identical results from identical inputs. The public
-names dispatch on the selected backend (see _jit). Keeping the math in
-one place lets the test suite assert bitwise agreement between paths.
+One home for the pieces several modules use: the interval sweep behind
+every gap computation over directions, the golden-section maximiser, the
+Fibonacci sphere, the homothet gap profile, the sample count of Rogers'
+simplex density and the pole margins of the spherical searches.
 """
+
+import math
 
 import numpy as np
 
-from ._jit import HAS_NUMBA, njit
 
-# ---------------------------------------------------------------------------
-# projection gap profile
-#
-# For direction angles theta_k, every member i of a homothet family projects
-# to the interval
-#     [ c_i . u(theta) - tau_i * hminus_k ,  c_i . u(theta) + tau_i * hplus_k ]
-# where hplus_k = h_K(u), hminus_k = h_K(-u) are the reference supports.
-# The profile value at theta_k is the largest gap left uncovered between
-# consecutive intervals of the merged union (negative = overlap depth).
-# A positive value certifies a strict separation perpendicular to u.
-# ---------------------------------------------------------------------------
+def sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Per column, widest gap left open by the union of intervals.
 
-
-@njit
-def _gap_profile_loop(cx, cy, tau, hplus, hminus, cos_t, sin_t):
-    m = cos_t.shape[0]
-    n = cx.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    lo = np.empty(n, dtype=np.float64)
-    hi = np.empty(n, dtype=np.float64)
-    for k in range(m):
-        c, s = cos_t[k], sin_t[k]
-        for i in range(n):
-            p = cx[i] * c + cy[i] * s
-            lo[i] = p - tau[i] * hminus[k]
-            hi[i] = p + tau[i] * hplus[k]
-        # insertion sort by lo, dragging hi along (n is small)
-        for i in range(1, n):
-            a, b = lo[i], hi[i]
-            j = i - 1
-            while j >= 0 and lo[j] > a:
-                lo[j + 1] = lo[j]
-                hi[j + 1] = hi[j]
-                j -= 1
-            lo[j + 1] = a
-            hi[j + 1] = b
-        best = -np.inf
-        cover = hi[0]
-        for i in range(1, n):
-            g = lo[i] - cover
-            if g > best:
-                best = g
-            if hi[i] > cover:
-                cover = hi[i]
-        out[k] = best
-    return out
+    Row i of column k is the interval [los[i, k], his[i, k]]; the gap is
+    negative (an overlap depth) when the union is connected.
+    """
+    order = np.argsort(los, axis=0, kind="stable")
+    lo_s = np.take_along_axis(los, order, axis=0)
+    hi_s = np.take_along_axis(his, order, axis=0)
+    cover = np.maximum.accumulate(hi_s, axis=0)
+    return (lo_s[1:] - cover[:-1]).max(axis=0)
 
 
-def _gap_profile_numpy(cx, cy, tau, hplus, hminus, cos_t, sin_t):
+def golden_max(f, a: float, b: float, tol: float = 1e-13) -> tuple[float, float]:
+    """Golden-section maximum (x, f(x)) of a unimodal scalar f on [a, b]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def fibonacci_sphere(m: int) -> np.ndarray:
+    """m nearly uniform points on the unit sphere."""
+    i = np.arange(m, dtype=float) + 0.5
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+    z = 1.0 - 2.0 * i / m
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def gap_profile(cx, cy, tau, hplus, hminus, cos_t, sin_t):
+    """Widest gap of a planar homothet family along each direction angle.
+
+    Member i projects onto u = (cos_t[k], sin_t[k]) as the interval
+    [c_i . u - tau_i * hminus[k], c_i . u + tau_i * hplus[k]], where hplus
+    and hminus are the reference supports h_K(u) and h_K(-u). A positive
+    value certifies a strict separation perpendicular to u.
+    """
     proj = np.outer(cx, cos_t) + np.outer(cy, sin_t)  # (n, m)
-    lo = proj - tau[:, None] * hminus[None, :]
-    hi = proj + tau[:, None] * hplus[None, :]
-    order = np.argsort(lo, axis=0, kind="stable")
-    lo = np.take_along_axis(lo, order, axis=0)
-    hi = np.take_along_axis(hi, order, axis=0)
-    cover = np.maximum.accumulate(hi, axis=0)
-    gaps = lo[1:, :] - cover[:-1, :]
-    return gaps.max(axis=0)
+    return sweep_gaps(proj - tau[:, None] * hminus[None, :], proj + tau[:, None] * hplus[None, :])
 
 
-# ---------------------------------------------------------------------------
-# simplex coverage counting (Rogers sigma)
-#
-# uniform01 has shape (chunk, d+1); each row becomes a Dirichlet weight
-# vector via -log, the weighted vertex combination is the sample point, and
-# the point counts as covered when within distance 1 of some vertex.
-# Both paths consume the same uniform stream, so counts agree exactly.
-# ---------------------------------------------------------------------------
+def simplex_covered(verts, uniform01):
+    """How many sample points of the simplex lie within distance 1 of a vertex.
 
-
-@njit
-def _simplex_covered_loop(verts, uniform01):
-    n, k = uniform01.shape
-    d = verts.shape[1]
-    covered = 0
-    w = np.empty(k, dtype=np.float64)
-    p = np.empty(d, dtype=np.float64)
-    for s in range(n):
-        tot = 0.0
-        for j in range(k):
-            e = -np.log(uniform01[s, j])
-            w[j] = e
-            tot += e
-        for a in range(d):
-            acc = 0.0
-            for j in range(k):
-                acc += w[j] * verts[j, a]
-            p[a] = acc / tot
-        hit = False
-        for j in range(k):
-            dist2 = 0.0
-            for a in range(d):
-                diff = p[a] - verts[j, a]
-                dist2 += diff * diff
-            if dist2 <= 1.0:
-                hit = True
-                break
-        if hit:
-            covered += 1
-    return covered
-
-
-def _simplex_covered_numpy(verts, uniform01):
+    Row s of uniform01, shape (samples, d + 1), becomes the Dirichlet weights
+    -log(u) / sum(-log(u)) of the vertices verts, shape (d + 1, d).
+    """
     w = -np.log(uniform01)
     w /= w.sum(axis=1, keepdims=True)
     pts = w @ verts  # (n, d)
@@ -121,75 +77,13 @@ def _simplex_covered_numpy(verts, uniform01):
     return int((dist2.min(axis=1) <= 1.0).sum())
 
 
-# ---------------------------------------------------------------------------
-# pole feasibility margins (spherical searches)
-#
-# For each candidate pole p: margin = min_i ( |p . c_i| - sinr_i ).
-# A pole with positive margin carries a great circle avoiding every cap.
-# split[k] says whether the cap centers fall on both sides of the circle.
-# ---------------------------------------------------------------------------
+def pole_margins(poles, centers, sinr):
+    """Margin min_i(|p . c_i| - sinr_i) of each candidate pole p, and whether
+    the cap centers fall on both sides of its great circle.
 
-
-@njit
-def _pole_margins_loop(poles, centers, sinr):
-    m = poles.shape[0]
-    n = centers.shape[0]
-    margins = np.empty(m, dtype=np.float64)
-    split = np.zeros(m, dtype=np.bool_)
-    for k in range(m):
-        worst = np.inf
-        pos = False
-        neg = False
-        for i in range(n):
-            dot = (
-                poles[k, 0] * centers[i, 0]
-                + poles[k, 1] * centers[i, 1]
-                + poles[k, 2] * centers[i, 2]
-            )
-            v = abs(dot) - sinr[i]
-            if v < worst:
-                worst = v
-            if dot > 0.0:
-                pos = True
-            elif dot < 0.0:
-                neg = True
-        margins[k] = worst
-        split[k] = pos and neg
-    return margins, split
-
-
-def _pole_margins_numpy(poles, centers, sinr):
+    A pole with positive margin carries a great circle avoiding every cap.
+    """
     dots = poles @ centers.T  # (m, n)
     margins = (np.abs(dots) - sinr[None, :]).min(axis=1)
     split = (dots > 0.0).any(axis=1) & (dots < 0.0).any(axis=1)
     return margins, split
-
-
-if HAS_NUMBA:
-    gap_profile = _gap_profile_loop
-    simplex_covered = _simplex_covered_loop
-    pole_margins = _pole_margins_loop
-    BACKEND = "numba"
-else:
-    gap_profile = _gap_profile_numpy
-    simplex_covered = _simplex_covered_numpy
-    pole_margins = _pole_margins_numpy
-    BACKEND = "numpy"
-
-
-def warmup():
-    """Trigger jit compilation once so timed paths run warm."""
-    if not HAS_NUMBA:
-        return
-    t = np.linspace(0.0, np.pi, 4)
-    gap_profile(
-        np.array([0.0, 3.0]),
-        np.array([0.0, 0.0]),
-        np.array([1.0, 1.0]),
-        np.ones(4),
-        np.ones(4),
-        np.cos(t),
-        np.sin(t),
-    )
-    simplex_covered(np.eye(3), np.full((4, 3), 0.5))
-    pole_margins(np.eye(3), np.eye(3), np.zeros(3))

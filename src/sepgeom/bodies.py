@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EPS = 1e-9
+# first-order error of a cross product of differences of rounded
+# coordinates, per unit of largest |coordinate| times extent
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 class GeometryError(ValueError):
@@ -46,14 +49,23 @@ def perp(v) -> np.ndarray:
 
 
 def _strict_hull(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """CCW convex hull with collinear points dropped (monotone chain)."""
+    """CCW convex hull with collinear points dropped (monotone chain).
+
+    Each orientation is measured from a point of the chain, never from the
+    origin. A turn counts only above tol times the squared extent of the
+    points about the first of them, and above the error that rounding
+    coordinates of their magnitude can put into it, so a polygon keeps its
+    vertices when it is scaled or moved, and points that are collinear up to
+    that rounding are dropped wherever they lie.
+    """
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) < 3:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
-    scale = max(1.0, float(np.abs(pts).max()))
-    t = tol * scale * scale
+    scale = float(np.abs(pts - pts[0]).max())
+    size = float(np.abs(pts).max())
+    t = scale * (tol * scale + _ROUNDING * size)
 
     def build(seq):
         out = []

@@ -110,7 +110,11 @@ def cmd_check_ns(args) -> int:
         "approximate": dec.approximate,
         "directions_checked": dec.directions_checked,
         "witness": None,
-        "provenance": {"method": "direction-search", "samples": args.samples},
+        "provenance": (
+            {"method": "direction-search", "samples": args.samples}
+            if dec.approximate
+            else {"method": "pair-arc", "exact": True}
+        ),
     }
     if dec.witness is not None:
         payload["witness"] = {
@@ -122,7 +126,8 @@ def cmd_check_ns(args) -> int:
     if args.sns:
         r = separability.is_sns(fam, tol=args.tolerance)
         payload["sns"] = {"is_sns": r.is_sns, "ordering": list(r.ordering or ())}
-    _emit(args, payload, svg.family_drawing(fam))
+    drawing = svg.family_drawing(fam) if fam.reference.dim == 2 else None
+    _emit(args, payload, drawing)
     return EXIT_OK if dec.non_separable else EXIT_VIOLATED
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from ._kernels import sweep_gaps
 from .bodies import (
     EPS,
     ConvexBody,
@@ -28,7 +29,7 @@ from .measures import (
     hull_perimeter,
     perimeter,
 )
-from .separability import _sweep_gaps, is_non_separable
+from .separability import is_non_separable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -247,7 +248,7 @@ def facet_parallel_cover_check(family: HomothetFamily, tol: float = EPS) -> Face
         proj = centers @ nf
         his = (proj + ratios * raw_support(k, nf))[:, None]
         los = (proj - ratios * raw_support(k, -nf))[:, None]
-        gaps.append(float(_sweep_gaps(los, his)[0]) if len(centers) > 1 else -math.inf)
+        gaps.append(float(sweep_gaps(los, his)[0]) if len(centers) > 1 else -math.inf)
     condition = all(g <= tol for g in gaps)
     cover = min_cover_ratio(family, tol)
     bound = (d + 1) / 2.0

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
+from ._kernels import golden_max
 from .bodies import (
     EPS,
     ConvexBody,
@@ -275,23 +276,6 @@ def _pgram_area(body: ConvexBody, t1: float, t2: float) -> float:
     return w1 * w2 / s
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> ParallelogramFit:
     """Smallest-area circumscribed parallelogram.
 
@@ -322,9 +306,9 @@ def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> Parallelogra
         for idx in order:
             a = phis[max(0, idx - 1)]
             b = phis[min(grid - 1, idx + 1)]
-            x, fx = _golden_min(lambda p: _pgram_area(body, t1, p), a, b, tol)
-            if fx < best[0]:
-                best = (fx, t1, x)
+            x, neg_area = golden_max(lambda p: -_pgram_area(body, t1, p), a, b, tol)
+            if -neg_area < best[0]:
+                best = (-neg_area, t1, x)
 
     _, t1, t2 = best
     n1 = np.array([math.cos(t1), math.sin(t1)])

@@ -27,7 +27,7 @@ from .measures import (
     sum_area,
 )
 from .separability import TSResult, is_ts_packing
-from ._kernels import simplex_covered
+from ._kernels import golden_max, simplex_covered
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -246,7 +246,7 @@ def _loop_is_simple(poly: np.ndarray) -> bool:
     return True
 
 
-def _point_in_loop(p, poly: np.ndarray, tol: float) -> bool:
+def _point_in_polygon(p, poly: np.ndarray, tol: float) -> bool:
     """Membership in the closed region bounded by a simple loop."""
     m = len(poly)
     for i in range(m):
@@ -317,7 +317,7 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
             raise GeometryError("the curve must be simple")
         enclosed = abs(polygon_area(poly))
         scale = max(1.0, float(np.abs(poly).max()))
-        if any(not _point_in_loop(p, poly, 1e-7 * scale) for p in c):
+        if any(not _point_in_polygon(p, poly, 1e-7 * scale) for p in c):
             raise GeometryError("all centers must lie in the region bounded by the curve")
 
     pg = min_area_parallelogram(reference).area
@@ -523,25 +523,6 @@ def _acute_branch(g: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _refine_max(f, a: float, b: float) -> tuple[float, float]:
-    """Golden-section maximum of a scalar unimodal function on [a, b]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > 1e-13:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 @dataclass(frozen=True)
 class BranchExtremum:
     quantity: str
@@ -579,7 +560,7 @@ def three_disk_extrema(samples: int = 4096) -> ThreeDiskReport:
             k = int(np.argmax(vals))
             lo = g[max(0, k - 1)]
             hi = g[min(samples - 1, k + 1)]
-            x, v = _refine_max(lambda t: float(fn(np.array([t]))[qty][0]), lo, hi)
+            x, v = golden_max(lambda t: float(fn(np.array([t]))[qty][0]), lo, hi)
             if best is None or v > best.value:
                 best = BranchExtremum(qty, v, x, name)
         out[qty] = best

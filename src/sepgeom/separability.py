@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import fibonacci_sphere, golden_max, sweep_gaps
 from .bodies import (
     EPS,
     ConvexBody,
@@ -190,31 +191,6 @@ def strictly_separates(plane, left_bodies, right_bodies, tol: float = EPS) -> bo
     return separation_margin(plane, left_bodies, right_bodies) > tol
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-13) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _fibonacci_sphere(m: int) -> np.ndarray:
-    k = np.arange(m) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * k
-    z = 1.0 - 2.0 * k / m
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
     """Feature points per member, (n, k, 2), and each member's radius.
 
@@ -301,14 +277,14 @@ def find_separating_hyperplane(
         lo, hi, p, r = _separating_arc(pts, rad, slice(0, n1), slice(n1, None), thr)
         if not lo < hi:
             return None
-        theta, _ = _golden_max(
+        theta, _ = golden_max(
             lambda t: float((p @ np.array([math.cos(t), math.sin(t)]) - r).min()), lo, hi
         )
         u = np.array([math.cos(theta), math.sin(theta)])
     else:
         thr = 2.0 * tol
         cand = candidate_directions(f1, f2)
-        dirs = np.vstack([cand, -cand, _fibonacci_sphere(max(samples, 1024))])
+        dirs = np.vstack([cand, -cand, fibonacci_sphere(max(samples, 1024))])
         los2, _ = _family_bounds(f2, dirs)
         _, his1 = _family_bounds(f1, dirs)
         u = dirs[int(np.argmax(los2 - his1))]
@@ -395,15 +371,6 @@ def _interval_matrices(bodies, dirs) -> tuple[np.ndarray, np.ndarray]:
     return los, his
 
 
-def _sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Per column, widest gap left open by the union of intervals."""
-    order = np.argsort(los, axis=0, kind="stable")
-    lo_s = np.take_along_axis(los, order, axis=0)
-    hi_s = np.take_along_axis(his, order, axis=0)
-    cover = np.maximum.accumulate(hi_s, axis=0)
-    return (lo_s[1:] - cover[:-1]).max(axis=0)
-
-
 def _split_certificate(bodies, u: np.ndarray) -> SeparationCertificate:
     los, his = _interval_matrices(bodies, u[None, :])
     los, his = los[:, 0], his[:, 0]
@@ -452,17 +419,17 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         mids = 0.5 * (ends + np.append(ends[1:], ends[0] + math.pi))
         mids = np.remainder(mids + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
-        gaps = _sweep_gaps(*_interval_matrices(bodies, dirs))
+        gaps = sweep_gaps(*_interval_matrices(bodies, dirs))
         best = int(np.argmax(gaps))
         if gaps[best] > t:
             return NSDecision(False, _split_certificate(bodies, dirs[best]), len(dirs), False)
         return NSDecision(True, None, len(dirs), False)
 
-    dirs = _fibonacci_sphere(max(samples, 1024))
+    dirs = fibonacci_sphere(max(samples, 1024))
     cand = candidate_directions(bodies)
     dirs = np.vstack([dirs, cand])
     los, his = _interval_matrices(bodies, dirs)
-    gaps = _sweep_gaps(los, his)
+    gaps = sweep_gaps(los, his)
     k = int(np.argmax(gaps))
     if gaps[k] > tol:
         return NSDecision(False, _split_certificate(bodies, dirs[k]), len(dirs), True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import GeometryError
-from ._kernels import pole_margins
+from ._kernels import fibonacci_sphere, pole_margins
 
 PI = math.pi
 
@@ -27,15 +27,6 @@ def angular_distance(a, b) -> float:
     """Geodesic distance between two unit vectors."""
     d = float(np.clip(np.asarray(a) @ np.asarray(b), -1.0, 1.0))
     return math.acos(d)
-
-
-def fibonacci_sphere(m: int) -> np.ndarray:
-    """m nearly uniform points on the unit sphere."""
-    i = np.arange(m, dtype=float) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / m
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
 @dataclass(frozen=True)

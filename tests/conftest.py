@@ -1,14 +1,7 @@
-"""Test-wide fixtures: warm the jit kernels once, give each test its own rng."""
+"""Test-wide fixtures: give each test its own rng."""
 
 import numpy as np
 import pytest
-
-from sepgeom import warmup
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    warmup()
 
 
 @pytest.fixture

@@ -82,6 +82,23 @@ def test_check_ns(grid_file, chain_file, tmp_path, capsys):
     assert sorted(payload["sns"]["ordering"]) == [0, 1, 2, 3]
 
 
+def test_check_ns_provenance_planar_is_exact(chain_file, capsys):
+    code, payload = run(["check-ns", chain_file, "--samples", "512"], capsys)
+    assert code == 0 and not payload["approximate"]
+    assert payload["provenance"] == {"method": "pair-arc", "exact": True}
+
+
+def test_check_ns_provenance_sampled_in_3d(tmp_path, capsys):
+    cube = {"type": "polytope",
+            "vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]}
+    touching = write_json(
+        tmp_path / "cubes.json", {"body": cube, "centers": [[0, 0, 0], [2, 0, 0], [4, 0, 0]]}
+    )
+    code, payload = run(["check-ns", touching, "--samples", "256"], capsys)
+    assert code == 0 and payload["approximate"]
+    assert payload["provenance"] == {"method": "direction-search", "samples": 256}
+
+
 def test_cover(chain_file, capsys):
     code, payload = run(["cover", chain_file], capsys)
     assert code == 0

@@ -72,6 +72,16 @@ def test_constructors_reject_non_finite(bad):
     with pytest.raises(GeometryError):
         HomothetFamily(disk, [(0.0, 0.0), (2.0, 0.0)], [1.0, bad])
 
+
+@pytest.mark.parametrize("scale, shift", [(1e-6, 0.0), (1.0, 1e6), (1e6, 0.0)])
+def test_polygon_hull_ignores_scale_and_position(scale, shift):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * scale + shift
+    assert np.array_equal(ConvexBody.polygon(square).vertices, square)
+    collinear = np.array([[0.0, 0.0], [0.3, 0.7], [0.6, 1.4]]) * scale + shift
+    with pytest.raises(GeometryError, match="collinear"):
+        ConvexBody.polygon(collinear)
+
+
 def test_support_disk_and_polygon():
     d = ConvexBody.disk((1.0, -2.0), 3.0)
     u = np.array([0.6, 0.8])

@@ -1,34 +1,10 @@
-"""Numba and numpy kernel paths must agree on identical inputs."""
+"""Known values of the shared numeric kernels."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 
 from sepgeom import _kernels
-
-
-def random_gap_inputs(rng, n, m):
-    cx = rng.normal(size=n) * 3.0
-    cy = rng.normal(size=n) * 3.0
-    tau = 0.5 + rng.random(n)
-    hplus = 0.5 + rng.random(m)
-    hminus = 0.5 + rng.random(m)
-    t = rng.random(m) * np.pi
-    return cx, cy, tau, hplus, hminus, np.cos(t), np.sin(t)
-
-
-def test_backend_flag():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def test_gap_profile_paths_agree(rng):
-    for _ in range(10):
-        args = random_gap_inputs(rng, int(rng.integers(2, 9)), int(rng.integers(1, 40)))
-        a = _kernels._gap_profile_loop(*args)
-        b = _kernels._gap_profile_numpy(*args)
-        assert np.allclose(a, b, atol=1e-12, rtol=0.0)
 
 
 def test_gap_profile_known_values():
@@ -42,43 +18,40 @@ def test_gap_profile_known_values():
         np.array([1.0]),
         np.array([0.0]),
     )
-    assert _kernels._gap_profile_loop(*args)[0] == 1.0
-    assert _kernels._gap_profile_numpy(*args)[0] == 1.0
+    assert _kernels.gap_profile(*args)[0] == 1.0
 
 
-def test_simplex_covered_paths_agree(rng):
-    for d in (2, 3, 4):
-        verts = rng.normal(size=(d + 1, d)) * 1.5
-        u = rng.random((4096, d + 1))
-        assert _kernels._simplex_covered_loop(verts, u) == _kernels._simplex_covered_numpy(
-            verts, u
-        )
+def test_sweep_gaps_known_values():
+    # per column: a gap of 1 after [1.5, 2]; nested intervals overlapping by
+    # at least 5; three intervals that only touch
+    los = np.array([[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [1.5, 5.0, 2.0]])
+    his = np.array([[1.0, 10.0, 1.0], [4.0, 3.0, 2.0], [2.0, 6.0, 2.5]])
+    assert _kernels.sweep_gaps(los, his).tolist() == [1.0, -5.0, 0.0]
 
 
-def test_pole_margins_paths_agree(rng):
-    for _ in range(10):
-        m, n = int(rng.integers(1, 200)), int(rng.integers(1, 12))
-        poles = rng.normal(size=(m, 3))
-        poles /= np.linalg.norm(poles, axis=1)[:, None]
-        centers = rng.normal(size=(n, 3))
-        centers /= np.linalg.norm(centers, axis=1)[:, None]
-        sinr = rng.random(n) * 0.8
-        ma, sa = _kernels._pole_margins_loop(poles, centers, sinr)
-        mb, sb = _kernels._pole_margins_numpy(poles, centers, sinr)
-        assert np.allclose(ma, mb, atol=1e-14, rtol=0.0)
-        assert (sa == sb).all()
+def test_golden_max_known_values():
+    x, v = _kernels.golden_max(lambda t: -abs(t - 0.7), 0.0, 1.0)
+    assert abs(x - 0.7) < 1e-12 and -1e-12 < v <= 0.0
+    x, v = _kernels.golden_max(math.sin, 0.0, math.pi)
+    assert abs(x - 0.5 * math.pi) < 1e-7 and 0.0 <= 1.0 - v < 1e-14
 
 
-def test_numpy_fallback_env_flag():
-    code = (
-        "import sepgeom._kernels as k; "
-        "assert k.BACKEND == 'numpy', k.BACKEND; "
-        "import numpy as np; "
-        "print(int(k.simplex_covered(np.eye(3), np.full((8, 3), 0.5))))"
-    )
-    env = dict(os.environ, SEPGEOM_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "8"
+def test_simplex_covered_known_values():
+    # equal weights put every sample at the centroid (1/3, 1/3, 1/3), at
+    # distance sqrt(6)/3 < 1 from each vertex of eye(3), and at distance
+    # sqrt(6) > 1 from each vertex of 3 * eye(3)
+    u = np.full((8, 3), 0.5)
+    assert _kernels.simplex_covered(np.eye(3), u) == 8
+    assert _kernels.simplex_covered(3.0 * np.eye(3), u) == 0
+
+
+def test_pole_margins_known_values():
+    centers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    sinr = np.array([0.25, 0.5, 0.125])
+    poles = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.48, 0.6, 0.64]])
+    margins, split = _kernels.pole_margins(poles, centers, sinr)
+    # |p . c_i| - sinr_i: (-0.25, -0.5, 0.875), (0.75, -0.5, -0.125) and
+    # (0.23, 0.1, 0.515); only the last pole has centers on both sides
+    assert margins[:2].tolist() == [-0.5, -0.5]
+    assert abs(margins[2] - 0.1) < 1e-15
+    assert split.tolist() == [False, False, True]
