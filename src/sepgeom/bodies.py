@@ -240,16 +240,31 @@ def project_interval(body: ConvexBody, u) -> tuple[float, float]:
     return (-raw_support(body, -v), raw_support(body, v))
 
 
+def _gauges(body: ConvexBody, deltas) -> np.ndarray:
+    """Gauges |x|_K of the rows x of an (m, 2) array; the caller has checked
+    that K is o-symmetric. Each row is evaluated on its own, so a row's
+    gauge does not depend on the other rows."""
+    d = np.asarray(deltas, dtype=float)
+    if body.dim != 2 or d.shape[1] != 2:
+        raise GeometryError("the gauge supports planar bodies only")
+    if body.kind == "disk":
+        return np.hypot(d[:, 0], d[:, 1]) / body.radius
+    normals, offsets = polygon_facets(body)
+    vals = (d[:, :1] * normals[:, 0] + d[:, 1:] * normals[:, 1]) / offsets
+    return np.maximum(0.0, vals.max(axis=1))
+
+
 def minkowski_norm(body: ConvexBody, x) -> float:
     """Gauge |x|_K of an o-symmetric body K (unit ball of the induced norm)."""
     if not body.is_origin_symmetric():
         raise GeometryError("norm requires o-symmetric body")
-    x = np.asarray(x, dtype=float)
-    if body.kind == "disk":
-        return float(np.linalg.norm(x) / body.radius)
-    normals, offsets = polygon_facets(body)
-    vals = normals @ x
-    return float(max(0.0, (vals / offsets).max()))
+    return float(_gauges(body, np.asarray(x, dtype=float)[None, :])[0])
+
+
+def _require_planar(bodies, op: str) -> None:
+    """Raise unless every body is planar."""
+    if any(b.dim != 2 for b in bodies):
+        raise GeometryError(f"{op} supports planar bodies only")
 
 
 def polygon_facets(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:

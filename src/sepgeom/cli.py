@@ -73,6 +73,8 @@ def _plane_json(plane) -> dict:
 
 
 def _emit(args, payload: dict, drawing=None) -> None:
+    """Write payload as JSON and, for svg output, the figure that the
+    zero-argument callable drawing builds."""
     text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
     fmt = getattr(args, "format", "json")
     out = getattr(args, "out", None)
@@ -85,7 +87,7 @@ def _emit(args, payload: dict, drawing=None) -> None:
     if fmt in ("svg", "both"):
         if drawing is None:
             raise GeometryError("this command has no drawing; use --format json")
-        body = drawing.to_svg()
+        body = drawing().to_svg()
         if out:
             path = out if fmt == "svg" else out + ".svg"
             with open(path, "w") as fh:
@@ -126,7 +128,7 @@ def cmd_check_ns(args) -> int:
     if args.sns:
         r = separability.is_sns(fam, tol=args.tolerance)
         payload["sns"] = {"is_sns": r.is_sns, "ordering": list(r.ordering or ())}
-    drawing = svg.family_drawing(fam) if fam.reference.dim == 2 else None
+    drawing = (lambda: svg.family_drawing(fam)) if fam.reference.dim == 2 else None
     _emit(args, payload, drawing)
     return EXIT_OK if dec.non_separable else EXIT_VIOLATED
 
@@ -148,8 +150,8 @@ def cmd_cover(args) -> int:
     }
     from .bodies import Homothet
 
-    cover_body = Homothet(best.center, best.ratio, fam.reference).as_body()
-    _emit(args, payload, svg.family_drawing(fam, cover=cover_body))
+    cover = Homothet(best.center, best.ratio, fam.reference)
+    _emit(args, payload, lambda: svg.family_drawing(fam, cover=cover.as_body()))
     return EXIT_OK if gg.contains_all and best.contains_all else EXIT_VIOLATED
 
 
@@ -166,7 +168,7 @@ def cmd_verify_ts(args) -> int:
         },
         "provenance": {"method": "tangent-line-search"},
     }
-    _emit(args, payload, svg.family_drawing(fam))
+    _emit(args, payload, lambda: svg.family_drawing(fam))
     if res.is_ts:
         return EXIT_OK
     return EXIT_UNRESOLVED if res.unresolved else EXIT_VIOLATED
@@ -180,7 +182,7 @@ def cmd_verify_ls(args) -> int:
         "failing_members": list(res.failing_members),
         "provenance": {"method": "neighbourhood-ts"},
     }
-    _emit(args, payload, svg.family_drawing(fam))
+    _emit(args, payload, lambda: svg.family_drawing(fam))
     return EXIT_OK if res.is_ls else EXIT_VIOLATED
 
 
@@ -194,7 +196,7 @@ def cmd_rho_sep(args) -> int:
         "failing_member": res.failing_member,
         "provenance": {"method": "neighbourhood-ts"},
     }
-    _emit(args, payload, svg.family_drawing(fam))
+    _emit(args, payload, lambda: svg.family_drawing(fam))
     return EXIT_OK if res.separable else EXIT_VIOLATED
 
 
@@ -215,10 +217,13 @@ def cmd_oler(args) -> int:
         "holds": rep.holds(),
         "provenance": {"method": "closed-form"},
     }
-    dr = svg.family_drawing(fam)
-    loop_pts = fam.centers[np.asarray(obj["loop"], dtype=int)]
-    dr.polygon(loop_pts, stroke="#d62728", dash="on")
-    _emit(args, payload, dr)
+
+    def drawing():
+        dr = svg.family_drawing(fam)
+        dr.polygon(fam.centers[np.asarray(obj["loop"], dtype=int)], stroke="#d62728", dash="on")
+        return dr
+
+    _emit(args, payload, drawing)
     return EXIT_OK if rep.holds() else EXIT_VIOLATED
 
 
@@ -244,7 +249,7 @@ def cmd_density(args) -> int:
         "area": area(body),
         "pgram_area": fit.area,
         "separable_density": packing.separable_packing_density(body),
-        "provenance": {"method": "golden-search"},
+        "provenance": {"method": "edge-normal-pairs", "exact": True},
     }
     _emit(args, payload)
     return EXIT_OK
@@ -264,7 +269,7 @@ def cmd_contact(args) -> int:
         "within_bound": g.count <= bound,
         "provenance": {"method": "gauge-distance"},
     }
-    _emit(args, payload, svg.family_drawing(fam, contacts=g.edges))
+    _emit(args, payload, lambda: svg.family_drawing(fam, contacts=g.edges))
     return EXIT_OK if g.count <= bound else EXIT_VIOLATED
 
 
@@ -379,7 +384,7 @@ def cmd_caps(args) -> int:
             }
             if not rep.holds():
                 rc = max(rc, EXIT_VIOLATED)
-    _emit(args, payload, svg.caps_drawing(caps))
+    _emit(args, payload, lambda: svg.caps_drawing(caps))
     return rc
 
 

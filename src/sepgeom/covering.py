@@ -19,6 +19,7 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     HomothetFamily,
+    _require_planar,
     polygon_facets,
     raw_support,
 )
@@ -72,6 +73,7 @@ def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomo
     of positive homothets; containment is validated exactly and reported.
     """
     k = family.reference
+    _require_planar([k], "goodman_goodman_cover")
     if not k.is_origin_symmetric(1e-9):
         raise GeometryError("weighted-centroid cover requires an o-symmetric reference")
     ratios = np.asarray(family.ratios, dtype=float)
@@ -92,6 +94,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     to the exact smallest disk enclosing the member disks.
     """
     k = family.reference
+    _require_planar([k], "min_cover_ratio")
     k.require_full_dimensional("min_cover_ratio")
     centers = np.asarray(family.centers, dtype=float)
     ratios = np.asarray(family.ratios, dtype=float)
@@ -107,8 +110,6 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
         viol = _containment_violation(family, t, mu)
         return CoverHomothet(t, float(mu), float(mu / total), "enclosing-disk", viol <= tol, viol)
 
-    if k.kind != "polygon":
-        raise GeometryError("min_cover_ratio supports planar references")
     g = k.centroid()
     kc = ConvexBody.polygon(k.vertices - g)
     normals, offsets = polygon_facets(kc)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from ._kernels import golden_max
 from .bodies import (
     EPS,
     ConvexBody,
@@ -265,23 +264,15 @@ class ParallelogramFit:
         return True
 
 
-def _pgram_area(body: ConvexBody, t1: float, t2: float) -> float:
-    s = abs(math.sin(t2 - t1))
-    if s < 1e-12:
-        return math.inf
-    n1 = np.array([math.cos(t1), math.sin(t1)])
-    n2 = np.array([math.cos(t2), math.sin(t2)])
-    w1 = raw_support(body, n1) + raw_support(body, -n1)
-    w2 = raw_support(body, n2) + raw_support(body, -n2)
-    return w1 * w2 / s
-
-
 def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> ParallelogramFit:
-    """Smallest-area circumscribed parallelogram.
+    """Smallest-area circumscribed parallelogram, exact for polygons.
 
-    Some optimal parallelogram has a side pair flush with a polygon edge, so
-    each edge direction anchors one normal and the partner normal's angle is
-    minimized by a coarse scan plus golden-section refinement.
+    With unit side normals n1, n2 the area is w(n1) w(n2) / |sin(n1, n2)|,
+    w the width. For a fixed n1 it has the form A cot + B between the angles
+    where the antipodal vertex pair of n2 changes, so it is monotone there,
+    and some optimum has both side pairs flush with polygon edges
+    (Schwarz, Teich, Vainshtein, Welzl and Evans, SoCG 1995). Every pair of
+    edge normals with |sin| above tol is tried.
     """
     body.require_full_dimensional("min_area_parallelogram")
     if body.kind == "disk":
@@ -293,30 +284,18 @@ def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> Parallelogra
     if body.kind != "polygon":
         raise GeometryError("min_area_parallelogram supports planar bodies")
 
-    v = body.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    anchor_angles = np.arctan2(-edges[:, 0], edges[:, 1])  # outward normal angles
-
-    best = (math.inf, 0.0, 0.0)
-    grid = 720
-    for t1 in anchor_angles:
-        phis = t1 + np.linspace(0.05, math.pi - 0.05, grid)
-        vals = np.array([_pgram_area(body, t1, p) for p in phis])
-        order = np.argsort(vals)[:3]
-        for idx in order:
-            a = phis[max(0, idx - 1)]
-            b = phis[min(grid - 1, idx + 1)]
-            x, neg_area = golden_max(lambda p: -_pgram_area(body, t1, p), a, b, tol)
-            if -neg_area < best[0]:
-                best = (-neg_area, t1, x)
-
-    _, t1, t2 = best
-    n1 = np.array([math.cos(t1), math.sin(t1)])
-    n2 = np.array([math.cos(t2), math.sin(t2)])
-    normals = np.stack([n1, n2])
-    his = np.array([raw_support(body, n1), raw_support(body, n2)])
-    los = np.array([-raw_support(body, -n1), -raw_support(body, -n2)])
-    return ParallelogramFit(normals, los, his, best[0])
+    normals, _ = polygon_facets(body)
+    widths = support_width(body, normals)
+    # sin of the counterclockwise turn from n1 (rows) to n2 (columns)
+    sin = normals[:, None, 0] * normals[None, :, 1] - normals[:, None, 1] * normals[None, :, 0]
+    areas = np.full(sin.shape, math.inf)
+    turn = sin > tol
+    areas[turn] = (widths[:, None] * widths[None, :])[turn] / sin[turn]
+    k1, k2 = np.unravel_index(int(np.argmin(areas)), areas.shape)
+    pair = normals[[k1, k2]]
+    his = np.array([raw_support(body, n) for n in pair])
+    los = np.array([-raw_support(body, -n) for n in pair])
+    return ParallelogramFit(pair, los, his, float(areas[k1, k2]))
 
 
 def min_area_quadrilateral(body: ConvexBody, starts: int = 12, seed: int = 7) -> tuple[np.ndarray, float]:

@@ -12,7 +12,7 @@ from .bodies import (
     EPS,
     ConvexBody,
     GeometryError,
-    minkowski_norm,
+    _gauges,
     unit,
 )
 from .measures import (
@@ -26,7 +26,7 @@ from .measures import (
     polygon_perimeter,
     sum_area,
 )
-from .separability import TSResult, is_ts_packing
+from .separability import TSResult, _require_disjoint, is_ts_packing
 from ._kernels import golden_max, simplex_covered
 
 PI = math.pi
@@ -53,7 +53,14 @@ def translate_gauge(reference: ConvexBody, delta) -> float:
     disjoint, < 2 when their interiors overlap. For o-symmetric K this is the
     Minkowski norm |delta|_K.
     """
-    return 2.0 * minkowski_norm(difference_body(reference), delta)
+    delta = np.asarray(delta, dtype=float)
+    return 2.0 * float(_gauges(difference_body(reference), delta[None, :])[0])
+
+
+def _pair_gauges(reference: ConvexBody, centers: np.ndarray) -> np.ndarray:
+    """translate_gauge of every pair i < j of centers, in np.triu_indices order."""
+    i, j = np.triu_indices(len(centers), 1)
+    return 2.0 * _gauges(difference_body(reference), centers[j] - centers[i])
 
 
 @dataclass(frozen=True)
@@ -77,12 +84,7 @@ class TranslatePacking:
 
     def validate(self, tol: float = EPS) -> None:
         """Raise if any two translates have overlapping interiors."""
-        diff = difference_body(self.reference)
-        c = self.centers
-        for i in range(len(c)):
-            for j in range(i + 1, len(c)):
-                if 2.0 * minkowski_norm(diff, c[j] - c[i]) < 2.0 - tol:
-                    raise GeometryError(f"not a packing: members {i} and {j} overlap")
+        _require_disjoint(_pair_gauges(self.reference, self.centers) < 2.0 - tol, len(self))
 
     def contact_graph(self, tol: float = EPS) -> "ContactGraph":
         return contact_graph(self.reference, self.centers, tol)
@@ -196,11 +198,12 @@ def minkowski_length(reference: ConvexBody, points, closed: bool = True) -> floa
     if pts.ndim != 2 or len(pts) == 0:
         raise GeometryError("path needs an (m, 2) array of vertices")
     steps = np.roll(pts, -1, axis=0) - pts if closed else pts[1:] - pts[:-1]
-    total = 0.0
-    for s in steps:
-        if s @ s > 0.0:
-            total += minkowski_norm(reference, s)
-    return total
+    steps = steps[(steps * steps).sum(axis=1) > 0.0]
+    if len(steps) == 0:
+        return 0.0
+    if not reference.is_origin_symmetric():
+        raise GeometryError("norm requires o-symmetric body")
+    return float(_gauges(reference, steps).sum())
 
 
 def _seg_dist(p, a, b) -> float:
@@ -294,10 +297,8 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
     idx = np.asarray(loop, dtype=int)
     if idx.ndim != 1 or len(idx) < 1 or idx.min() < 0 or idx.max() >= n:
         raise GeometryError("loop must index rows of centers")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if minkowski_norm(reference, c[j] - c[i]) < 2.0 - tol:
-                raise GeometryError(f"not a packing: members {i} and {j} overlap")
+    i, j = np.triu_indices(n, 1)
+    _require_disjoint(_gauges(reference, c[j] - c[i]) < 2.0 - tol, n)
 
     poly = c[idx]
     span = poly - poly[0]
@@ -596,8 +597,7 @@ def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGr
     """Touching pairs among the translates reference + c."""
     c = np.asarray(centers, dtype=float)
     n = len(c)
-    edges = []
-    degrees = np.zeros(n, dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
     rounded = np.round(c)
     integral = (
         reference.kind == "disk"
@@ -607,28 +607,16 @@ def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGr
     if integral:
         # unit-diameter disks on lattice points: exact integer arithmetic
         pts = rounded.astype(np.int64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d2 = int(((pts[i] - pts[j]) ** 2).sum())
-                if d2 == 0:
-                    raise GeometryError(f"not a packing: members {i} and {j} overlap")
-                if d2 == 1:
-                    edges.append((i, j))
-                    degrees[i] += 1
-                    degrees[j] += 1
-        return ContactGraph(tuple(edges), len(edges), degrees)
-
-    diff = difference_body(reference)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = 2.0 * minkowski_norm(diff, c[j] - c[i])
-            if g < 2.0 - tol:
-                raise GeometryError(f"not a packing: members {i} and {j} overlap")
-            if g <= 2.0 + tol:
-                edges.append((i, j))
-                degrees[i] += 1
-                degrees[j] += 1
-    return ContactGraph(tuple(edges), len(edges), degrees)
+        d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+        _require_disjoint(d2 == 0, n)
+        touch = d2 == 1
+    else:
+        g = _pair_gauges(reference, c)
+        _require_disjoint(g < 2.0 - tol, n)
+        touch = g <= 2.0 + tol
+    edges = tuple(zip(i[touch].tolist(), j[touch].tolist()))
+    degrees = np.bincount(np.concatenate([i[touch], j[touch]]), minlength=n).astype(np.int64)
+    return ContactGraph(edges, len(edges), degrees)
 
 
 def crystallization_bound(

@@ -19,7 +19,8 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     HomothetFamily,
-    minkowski_norm,
+    _gauges,
+    _require_planar,
     perp,
     polygon_facets,
     raw_support,
@@ -117,50 +118,21 @@ def _body_features(b: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     return b.vertices, np.zeros((0, b.vertices.shape[1]))
 
 
-def _feature_radii(bodies) -> tuple[np.ndarray, np.ndarray]:
-    """Feature points with a radius each: disk centers carry r, vertices 0."""
-    pts, rad = [], []
-    for b in bodies:
-        p, _ = _body_features(b)
-        pts.append(p)
-        rad.append(np.full(len(p), b.radius if b.kind == "disk" else 0.0))
-    return np.vstack(pts), np.concatenate(rad)
-
-
 def candidate_directions(family1, family2=None) -> np.ndarray:
     """Unit directions that contain every locally optimal separation normal.
 
-    In the plane the angular window of normals separating one pair is
-    bounded by the pair's inner tangent directions, phi +- arccos((r_i +
-    r_j)/d) around the center difference (vertices count as radius-0
-    disks, turning the bound into the perpendicular). Stationary margins
-    run along point differences or facet normals. All of these are
-    enumerated, so every boundary of a feasible angular window and every
-    smooth optimum is a candidate.
+    Stationary margins run along differences of feature points (disk
+    centers, vertices) or along facet normals; all of these are enumerated.
     """
     f1 = _as_bodies(family1)
-    pts1, rad1 = _feature_radii(f1)
-    normals = [_body_features(b)[1] for b in f1]
-    if family2 is None:
-        pts2, rad2 = pts1, rad1
-    else:
-        f2 = _as_bodies(family2)
-        pts2, rad2 = _feature_radii(f2)
-        normals += [_body_features(b)[1] for b in f2]
+    f2 = f1 if family2 is None else _as_bodies(family2)
+    pts1 = np.vstack([_body_features(b)[0] for b in f1])
+    pts2 = np.vstack([_body_features(b)[0] for b in f2])
+    normals = [_body_features(b)[1] for b in (f1 if family2 is None else f1 + f2)]
     diffs = (pts2[None, :, :] - pts1[:, None, :]).reshape(-1, pts1.shape[1])
     lens = np.linalg.norm(diffs, axis=1)
     keep = lens > 1e-12
-    dirs = [diffs[keep] / lens[keep, None]] + normals
-    if pts1.shape[1] == 2:
-        # tangent-window boundary angles of every feature pair
-        seps = (rad1[:, None] + rad2[None, :]).reshape(-1)
-        tang = keep & (lens > seps + 1e-12)
-        if tang.any():
-            phi = np.arctan2(diffs[tang, 1], diffs[tang, 0])
-            alpha = np.arccos(np.clip(seps[tang] / lens[tang], -1.0, 1.0))
-            for t in (phi + alpha, phi - alpha):
-                dirs.append(np.stack([np.cos(t), np.sin(t)], axis=1))
-    out = np.vstack(dirs)
+    out = np.vstack([diffs[keep] / lens[keep, None]] + normals)
     if len(out) == 0:
         out = np.array([[1.0, 0.0]])
     return np.unique(out, axis=0)
@@ -472,102 +444,174 @@ def is_sns(family, tol: float = EPS) -> SNSResult:
 # ---------------------------------------------------------------------------
 
 
+# pair temporaries are built in blocks of about this many entries
+_BLOCK = 1 << 16
+
+
+def _pair_gaps(bodies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-line clearance of every pair i < j, in np.triu_indices order, with
+    its unit direction u and mid-gap offset s: member i lies below the line
+    <u, x> = s and member j above it. The clearance is negative on overlap.
+
+    Along a unit u the gap is min over feature pairs of <u, b - a> - r_i -
+    r_j, and its maximum over u is attained along a feature difference b - a
+    or a facet normal of either member, so only those directions and their
+    opposites are evaluated. Directions that are not defined (coincident
+    features, the padding of members with fewer normals) are set to (1, 0);
+    any unit direction only gives a lower gap.
+    """
+    _require_planar(bodies, "packing checks")
+    n = len(bodies)
+    i, j = np.triu_indices(n, 1)
+    gaps, dirs, offs = np.empty(len(i)), np.empty((len(i), 2)), np.empty(len(i))
+    if len(i) == 0:
+        return gaps, dirs, offs
+    pts, rad = _member_features(bodies)
+    k = pts.shape[1]
+    normals = [_body_features(b)[1] for b in bodies]
+    kn = max(len(m) for m in normals)
+    normals = np.stack([np.vstack([m, np.tile((1.0, 0.0), (kn - len(m), 1))]) for m in normals])
+    step = max(1, _BLOCK // (2 * (k * k + 2 * kn) * k))
+    for lo in range(0, len(i), step):
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        a, b = pts[bi], pts[bj]
+        p = (b[:, None, :, :] - a[:, :, None, :]).reshape(len(bi), k * k, 2)
+        length = np.hypot(p[..., 0], p[..., 1])[..., None]
+        u = np.broadcast_to((1.0, 0.0), p.shape).copy()
+        np.divide(p, length, out=u, where=length > 0.0)
+        u = np.concatenate([u, normals[bi], normals[bj]], axis=1)
+        u = np.concatenate([u, -u], axis=1)
+        hi = (u @ a.transpose(0, 2, 1)).max(axis=2) + rad[bi, None]
+        top = (u @ b.transpose(0, 2, 1)).min(axis=2) - rad[bj, None]
+        best = np.argmax(top - hi, axis=1)
+        rows = np.arange(len(bi))
+        hi, top = hi[rows, best], top[rows, best]
+        gaps[lo : lo + step] = top - hi
+        dirs[lo : lo + step] = u[rows, best]
+        offs[lo : lo + step] = 0.5 * (top + hi)
+    return gaps, dirs, offs
+
+
+def _require_disjoint(overlap: np.ndarray, n: int) -> None:
+    """Raise naming the first pair flagged in overlap, a mask over the pairs
+    i < j of n members in np.triu_indices order."""
+    if overlap.any():
+        i, j = np.triu_indices(n, 1)
+        k = int(np.argmax(overlap))
+        raise GeometryError(f"not a packing: members {i[k]} and {j[k]} overlap")
+
+
+def _packing_pairs(bodies, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_pair_gaps of bodies, raising unless their interiors are disjoint."""
+    pairs = _pair_gaps(bodies)
+    _require_disjoint(pairs[0] < -tol, len(bodies))
+    return pairs
+
+
+def _sub_pairs(idx, n: int) -> np.ndarray:
+    """Positions among the pairs of n members (np.triu_indices order) of the
+    pairs of members idx, listed in np.triu_indices(len(idx), 1) order."""
+    idx = np.asarray(idx)
+    a, b = np.triu_indices(len(idx), 1)
+    p, q = np.minimum(idx[a], idx[b]), np.maximum(idx[a], idx[b])
+    return p * n - p * (p + 1) // 2 + q - p - 1
+
+
 def pair_separation(a: ConvexBody, b: ConvexBody) -> float:
     """Largest one-line clearance between two bodies, negative on overlap."""
-    cand = candidate_directions([a], [b])
-    dirs = np.vstack([cand, -cand])
-    g = (-support_batch(b, -dirs)) - support_batch(a, dirs)
-    return float(g.max())
+    return float(_pair_gaps([a, b])[0][0])
 
 
 def validate_packing(bodies, tol: float = EPS) -> None:
     """Raise unless all interiors are pairwise disjoint (touching allowed)."""
-    for i in range(len(bodies)):
-        for j in range(i + 1, len(bodies)):
-            if pair_separation(bodies[i], bodies[j]) < -tol:
-                raise GeometryError(f"not a packing: members {i} and {j} overlap")
+    _packing_pairs(bodies, tol)
 
 
-def _tangent_line_solutions(w: np.ndarray, t: float) -> list[np.ndarray]:
-    """Unit u with <u, w> = t, the normals of lines meeting two tangency constraints."""
-    big = float(np.linalg.norm(w))
-    if big < 1e-12:
-        return []
-    a = t / big
-    if abs(a) > 1.0 + 1e-9:
-        return []
-    a = max(-1.0, min(1.0, a))
-    b = math.sqrt(max(0.0, 1.0 - a * a))
-    what = w / big
-    wperp = perp(what)
-    if b < 1e-12:
-        return [a * what]
-    return [a * what + b * wperp, a * what - b * wperp]
-
-
-def _ts_line_pool(bodies, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate separating lines: two-contact tangents, edge lines, midlines.
+def _ts_line_pool(bodies, mids) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate separating lines (normals, offsets): edge lines, the common
+    tangents of two features of different members, and the pair midlines
+    mids.
 
     A line avoiding every interior can be slid and rotated until it touches
     two members or lies flush with an edge, so these candidates exhaust the
-    search for disk and polygon packings.
+    search for disk and polygon packings. Each feature is a circle: a disk
+    its center with its radius, a vertex a point of radius 0.
     """
-    feats = []
-    for b in bodies:
-        if b.kind == "disk":
-            feats.append(("disk", b.center, b.radius))
-        else:
-            feats.append(("pts", b.vertices, 0.0))
-    lines: list[tuple[np.ndarray, float]] = []
+    feats = [_body_features(b) for b in bodies]
+    us = [f[1] for f in feats]
+    ss = [support_batch(b, u) for b, u in zip(bodies, us)]
+    pts = np.vstack([f[0] for f in feats])
+    rad = np.concatenate([np.full(len(f[0]), b.radius if b.kind == "disk" else 0.0)
+                          for b, f in zip(bodies, feats)])
+    owner = np.repeat(np.arange(len(bodies)), [len(f[0]) for f in feats])
+    a, b = np.triu_indices(len(pts), 1)
+    w = pts[a] - pts[b]
+    big = np.hypot(w[:, 0], w[:, 1])
+    keep = (owner[a] != owner[b]) & (big >= 1e-12)
+    a, b, w, big = a[keep], b[keep], w[keep], big[keep]
+    # lines <u, x> = s tangent to both circles: <u, c_a> - r_a = <u, c_b> -+ r_b
+    ra, rb = rad[a], rad[b]
+    what = w / big[:, None]
+    wperp = np.stack([-what[:, 1], what[:, 0]], axis=1)
+    for sign in (1.0, -1.0):
+        cos = (ra - sign * rb) / big
+        # the signs give one line twice when r_b = 0, and one line in two
+        # orientations when both radii are 0
+        ok = (np.abs(cos) <= 1.0 + 1e-9) & ((sign > 0) | (rb > 0))
+        cos = np.clip(cos, -1.0, 1.0)
+        sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+        for side, use in ((1.0, ok), (-1.0, ok & (sin >= 1e-12) & ((ra > 0) | (rb > 0)))):
+            u = cos[use, None] * what[use] + side * sin[use, None] * wperp[use]
+            us.append(u)
+            ss.append(np.einsum("ij,ij->i", u, pts[a[use]]) - ra[use])
+    us.append(mids[0])
+    ss.append(mids[1])
+    return np.vstack(us), np.concatenate(ss)
 
-    for kind, data, _r in feats:
-        if kind == "pts" and len(data) >= 2:
-            vs = data
-            m = len(vs)
-            for e in range(m if m > 2 else 1):
-                edge = vs[(e + 1) % m] - vs[e]
-                if np.linalg.norm(edge) < 1e-12:
-                    continue
-                u = unit(perp(edge))
-                lines.append((u, float(u @ vs[e])))
 
+def _ts_certificates(bodies, mids, tol: float) -> TSResult:
+    """The total-separability verdict of bodies, known to form a packing,
+    with their pair midlines mids (normals, offsets; np.triu_indices order)."""
     n = len(bodies)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ka, da, ra = feats[i]
-            kb, db, rb = feats[j]
-            if ka == "disk" and kb == "disk":
-                w = da - db
-                for e1 in (1.0, -1.0):
-                    for e2 in (1.0, -1.0):
-                        for u in _tangent_line_solutions(w, e1 * ra - e2 * rb):
-                            lines.append((u, float(u @ da) - e1 * ra))
-            elif ka == "disk" or kb == "disk":
-                c, r = (da, ra) if ka == "disk" else (db, rb)
-                vs = db if ka == "disk" else da
-                for v in vs:
-                    for e in (1.0, -1.0):
-                        for u in _tangent_line_solutions(c - v, e * r):
-                            lines.append((u, float(u @ v)))
-            else:
-                for va in da:
-                    for vb in db:
-                        d = vb - va
-                        if np.linalg.norm(d) < 1e-12:
-                            continue
-                        u = unit(perp(d))
-                        lines.append((u, float(u @ va)))
-            # best one-line clearance between the pair, placed mid-gap
-            cand = candidate_directions([bodies[i]], [bodies[j]])
-            dirs = np.vstack([cand, -cand])
-            lo = -support_batch(bodies[j], -dirs)
-            hi = support_batch(bodies[i], dirs)
-            k = int(np.argmax(lo - hi))
-            lines.append((dirs[k], 0.5 * float(lo[k] + hi[k])))
+    if n == 1:
+        return TSResult(True, {}, (), 0)
+    us, ss = _ts_line_pool(bodies, mids)
+    los, his = _interval_matrices(bodies, us)
+    below = his <= ss[None, :] + tol
+    above = los >= ss[None, :] - tol
+    sided = (below | above).all(axis=0)
 
-    us = np.array([u for u, _ in lines])
-    ss = np.array([s for _, s in lines])
-    return us, ss
+    # the first line, per pair, that misses every interior and splits the pair
+    i, j = np.triu_indices(n, 1)
+    first = np.empty(len(i), dtype=np.int64)
+    step = max(1, _BLOCK // len(us))
+    for lo in range(0, len(i), step):
+        bi, bj = i[lo : lo + step], j[lo : lo + step]
+        ok = sided & ((below[bi] & above[bj]) | (above[bi] & below[bj]))
+        first[lo : lo + step] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+
+    certificates: dict[tuple[int, int], SeparationCertificate] = {}
+    for p in np.flatnonzero(first >= 0):
+        a, k = int(i[p]), int(first[p])
+        if below[a, k]:
+            u, s = us[k], float(ss[k])
+            hi_f, lo_f = his[:, k], los[:, k]
+            lmask = below[:, k]
+        else:
+            u, s = -us[k], -float(ss[k])
+            hi_f, lo_f = -los[:, k], -his[:, k]
+            lmask = above[:, k]
+        left = tuple(int(m) for m in np.flatnonzero(lmask))
+        right = tuple(int(m) for m in np.flatnonzero(~lmask))
+        margin = float(
+            min(
+                (s - hi_f[list(left)]).min(),
+                (lo_f[list(right)] - s).min() if right else math.inf,
+            )
+        )
+        certificates[(a, int(j[p]))] = SeparationCertificate(Hyperplane(u, s), left, right, margin)
+    unresolved = tuple((int(i[p]), int(j[p])) for p in np.flatnonzero(first < 0))
+    return TSResult(not unresolved, certificates, unresolved, len(us))
 
 
 def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
@@ -579,84 +623,49 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     at the given tolerance.
     """
     bodies = _as_bodies(bodies)
-    n = len(bodies)
-    if n == 0:
+    if len(bodies) == 0:
         raise GeometryError("empty packing")
-    validate_packing(bodies, tol)
-    if n == 1:
-        return TSResult(True, {}, (), 0)
-
-    us, ss = _ts_line_pool(bodies, tol)
-    los, his = _interval_matrices(bodies, us)
-    below = his <= ss[None, :] + tol
-    above = los >= ss[None, :] - tol
-    sided = (below | above).all(axis=0)
-
-    certificates: dict[tuple[int, int], SeparationCertificate] = {}
-    unresolved = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok = sided & ((below[i] & above[j]) | (above[i] & below[j]))
-            hits = np.flatnonzero(ok)
-            if hits.size == 0:
-                unresolved.append((i, j))
-                continue
-            k = int(hits[0])
-            if below[i, k]:
-                u, s = us[k], float(ss[k])
-                hi_f, lo_f = his[:, k], los[:, k]
-                lmask = below[:, k]
-            else:
-                u, s = -us[k], -float(ss[k])
-                hi_f, lo_f = -los[:, k], -his[:, k]
-                lmask = above[:, k]
-            left = tuple(int(m) for m in np.flatnonzero(lmask))
-            right = tuple(int(m) for m in np.flatnonzero(~lmask))
-            margin = float(
-                min(
-                    (s - hi_f[list(left)]).min(),
-                    (lo_f[list(right)] - s).min() if right else math.inf,
-                )
-            )
-            certificates[(i, j)] = SeparationCertificate(
-                Hyperplane(u, s), left, right, margin
-            )
-    return TSResult(not unresolved, certificates, tuple(unresolved), len(us))
+    _, dirs, offs = _packing_pairs(bodies, tol)
+    return _ts_certificates(bodies, (dirs, offs), tol)
 
 
 def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
     """Pairs of members at zero distance (touching, interiors disjoint)."""
-    out = []
-    for i in range(len(bodies)):
-        for j in range(i + 1, len(bodies)):
-            s = pair_separation(bodies[i], bodies[j])
-            if s < -tol:
-                raise GeometryError(f"not a packing: members {i} and {j} overlap")
-            if s <= tol:
-                out.append((i, j))
-    return out
+    gaps = _packing_pairs(bodies, tol)[0]
+    i, j = np.triu_indices(len(bodies), 1)
+    touch = gaps <= tol
+    return list(zip(i[touch].tolist(), j[touch].tolist()))
+
+
+def _failing_hoods(bodies, hoods: dict, pairs, tol: float):
+    """Yield, in order, each member m whose neighbourhood [m] + hoods[m] is
+    not totally separable; pairs is the _pair_gaps data of all bodies, which
+    form a packing."""
+    n = len(bodies)
+    for m in range(n):
+        sub = [m] + list(hoods[m])
+        if len(sub) < 2:
+            continue
+        k = _sub_pairs(sub, n)
+        if not _ts_certificates([bodies[q] for q in sub], (pairs[1][k], pairs[2][k]), tol).is_ts:
+            yield m
 
 
 def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     """Check local separability: each member plus its touching neighbours is TS."""
     bodies = _as_bodies(bodies)
-    if len(bodies) == 0:
+    n = len(bodies)
+    if n == 0:
         raise GeometryError("empty packing")
-    touching = tangency_pairs(bodies, tol)
-    nbs: dict[int, list[int]] = {i: [] for i in range(len(bodies))}
-    for i, j in touching:
-        nbs[i].append(j)
-        nbs[j].append(i)
-    failing = []
-    hoods = {}
-    for i in range(len(bodies)):
-        sub_idx = [i] + sorted(nbs[i])
-        hoods[i] = tuple(sorted(nbs[i]))
-        if len(sub_idx) < 2:
-            continue
-        res = is_ts_packing([bodies[k] for k in sub_idx], tol)
-        if not res.is_ts:
-            failing.append(i)
+    pairs = _packing_pairs(bodies, tol)
+    i, j = np.triu_indices(n, 1)
+    touch = pairs[0] <= tol
+    nbs: dict[int, list[int]] = {m: [] for m in range(n)}
+    for a, b in zip(i[touch].tolist(), j[touch].tolist()):
+        nbs[a].append(b)
+        nbs[b].append(a)
+    hoods = {m: tuple(sorted(nbs[m])) for m in range(n)}
+    failing = list(_failing_hoods(bodies, hoods, pairs, tol))
     return LSResult(not failing, tuple(failing), hoods)
 
 
@@ -671,28 +680,23 @@ def is_rho_separable(
     """
     if rho < 1.0:
         raise GeometryError("rho must be at least 1")
+    _require_planar([reference], "rho-separability")
     if not reference.is_origin_symmetric(1e-9):
         raise GeometryError("rho-separability requires an origin-symmetric reference")
     cs = np.atleast_2d(np.asarray(centers, dtype=float))
     n = len(cs)
+    i, j = np.triu_indices(n, 1)
+    gauge = _gauges(reference, cs[j] - cs[i])
+    _require_disjoint(gauge < 2.0 - tol, n)
     dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = minkowski_norm(reference, cs[j] - cs[i])
-            if dist[i, j] < 2.0 - tol:
-                raise GeometryError(f"not a packing: members {i} and {j} overlap")
+    dist[i, j] = dist[j, i] = gauge
     hoods = {
-        i: tuple(j for j in range(n) if j != i and dist[i, j] <= rho - 1.0 + tol)
-        for i in range(n)
+        m: tuple(q for q in range(n) if q != m and dist[m, q] <= rho - 1.0 + tol)
+        for m in range(n)
     }
     if rho < 3.0:
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
-    for i in range(n):
-        sub = [i] + list(hoods[i])
-        if len(sub) < 2:
-            continue
-        res = is_ts_packing([reference.translate(cs[k]) for k in sub], tol)
-        if not res.is_ts:
-            return RhoSeparabilityResult(False, rho, i, hoods)
-    return RhoSeparabilityResult(True, rho, None, hoods)
+    bodies = [reference.translate(c) for c in cs]
+    failing = next(_failing_hoods(bodies, hoods, _pair_gaps(bodies), tol), None)
+    return RhoSeparabilityResult(failing is None, rho, failing, hoods)

@@ -353,10 +353,12 @@ def is_ts_cap_packing(caps, samples: int = 20000, tol: float = 1e-9) -> CapTSRes
     caps = list(caps)
     centers, radii = _cap_arrays(caps)
     n = len(caps)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if angular_distance(centers[i], centers[j]) < radii[i] + radii[j] - tol:
-                raise GeometryError(f"not a packing: caps {i} and {j} overlap")
+    i, j = np.triu_indices(n, 1)
+    ang = np.arccos(np.clip(np.einsum("ij,ij->i", centers[i], centers[j]), -1.0, 1.0))
+    overlap = np.flatnonzero(ang < radii[i] + radii[j] - tol)
+    if len(overlap):
+        k = overlap[0]
+        raise GeometryError(f"not a packing: caps {i[k]} and {j[k]} overlap")
     if n == 1:
         return CapTSResult(True, {}, (), (), 0)
     sinr = np.sin(radii)

@@ -187,3 +187,39 @@ def thirteen_pentagon_centers() -> np.ndarray:
 
 def disk_bodies(centers, radius: float) -> list:
     return [ConvexBody.disk(c, radius) for c in np.asarray(centers, dtype=float)]
+
+
+def _plain_features(body: ConvexBody):
+    """Feature points, radius and unit edge normals of a planar body."""
+    if body.kind == "disk":
+        return [tuple(map(float, body.center))], body.radius, []
+    vs = [tuple(map(float, v)) for v in body.vertices]
+    normals = []
+    for e in range(len(vs) if len(vs) > 2 else 1):
+        (x0, y0), (x1, y1) = vs[e], vs[(e + 1) % len(vs)]
+        length = math.hypot(x1 - x0, y1 - y0)
+        normals.append(((y1 - y0) / length, (x0 - x1) / length))
+    return vs, 0.0, normals
+
+
+def pair_clearance_reference(a: ConvexBody, b: ConvexBody) -> float:
+    """Largest one-line clearance of two planar bodies, in plain Python.
+
+    The max, over the unit feature differences q - p and the edge normals of
+    both bodies and their opposites, of min <u, q> - r_b - max <u, p> - r_a.
+    """
+    pa, ra, na = _plain_features(a)
+    pb, rb, nb = _plain_features(b)
+    dirs = na + nb
+    for x0, y0 in pa:
+        for x1, y1 in pb:
+            length = math.hypot(x1 - x0, y1 - y0)
+            if length > 0.0:
+                dirs.append(((x1 - x0) / length, (y1 - y0) / length))
+    best = -math.inf
+    for ux, uy in (dirs or [(1.0, 0.0)]) + [(-x, -y) for x, y in dirs]:
+        hi = max(ux * x + uy * y for x, y in pa) + ra
+        lo = min(ux * x + uy * y for x, y in pb) - rb
+        best = max(best, lo - hi)
+    return best
+

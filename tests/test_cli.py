@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import house7_centers
+from sepgeom import svg
 from sepgeom.cli import main
 
 DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
@@ -310,3 +311,38 @@ def test_non_finite_input_exits_3(tmp_path, capsys):
     )
     code, _ = run(["check-ns", inf_radius], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command", [["check-ns"], ["cover"], ["verify-ts"], ["verify-ls"], ["rho-sep", "--rho", "3"],
+                ["oler"], ["contact"]]
+)
+def test_json_output_builds_no_drawing(command, tmp_path, capsys, monkeypatch):
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("a drawing was built for JSON output")
+
+    monkeypatch.setattr(svg, "family_drawing", no_drawing)
+    centers = [[2.0 * i, 2.0 * j] for i in range(3) for j in range(3)]
+    grid = write_json(
+        tmp_path / "grid.json", {"body": DISK, "centers": centers, "loop": [0, 6, 8, 2]}
+    )
+    code, payload = run([command[0], grid, *command[1:], "--format", "json"], capsys)
+    assert code == 0 and payload is not None
+
+
+@pytest.mark.parametrize(
+    "command", [["verify-ts"], ["verify-ls"], ["cover"], ["rho-sep", "--rho", "3"], ["oler"],
+                ["contact"]]
+)
+def test_three_dimensional_family_exits_3(command, tmp_path, capsys):
+    cube = {"type": "polytope",
+            "vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]}
+    cubes = write_json(
+        tmp_path / "cubes.json",
+        {"body": cube, "centers": [[0, 0, 0], [2, 0, 0], [4, 0, 0]], "loop": [0, 1, 2]},
+    )
+    with pytest.raises(SystemExit) as ei:
+        main([command[0], cubes, *command[1:]])
+    assert ei.value.code == 3
+    assert "supports planar bodies only" in capsys.readouterr().err
+

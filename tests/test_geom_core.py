@@ -37,6 +37,7 @@ from sepgeom.measures import (
     size_report,
     steiner_area,
     sum_area,
+    support_width,
 )
 
 SQUARE = ConvexBody.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -154,6 +155,26 @@ def test_min_area_parallelogram_random_contains(rng):
         fit = min_area_parallelogram(body)
         assert fit.area >= area(body) - 1e-9
         assert fit.contains(body, tol=1e-7)
+
+
+def test_min_area_parallelogram_beats_dense_search(rng):
+    from scipy.spatial import ConvexHull
+
+    t = np.linspace(0.0, math.pi, 1441)[:-1]
+    u = np.stack([np.cos(t), np.sin(t)], axis=1)
+    sin = np.abs(np.sin(t[:, None] - t[None, :]))
+    sin[sin < 1e-9] = np.nan
+    for _ in range(15):
+        pts = rng.normal(size=(int(rng.integers(3, 12)), 2))
+        try:
+            body = ConvexBody.polygon(pts[ConvexHull(pts).vertices])
+        except GeometryError:
+            continue
+        fit = min_area_parallelogram(body)
+        w = support_width(body, u)
+        assert fit.area <= np.nanmin(w[:, None] * w[None, :] / sin) * (1.0 + 1e-12)
+        assert fit.contains(body, tol=1e-9)
+        assert polygon_area(fit.corners()) == pytest.approx(fit.area, rel=1e-12)
 
 
 def test_minkowski_sum_and_mixed_area():

@@ -12,10 +12,11 @@ from helpers import (
     sns_disk_centers,
     ts_lattice_subset,
 )
-from sepgeom.bodies import ConvexBody, GeometryError
+from sepgeom.bodies import ConvexBody, GeometryError, _gauges, minkowski_norm
 from sepgeom.measures import area, min_area_parallelogram
 from sepgeom.packing import (
     GuillotinePartition,
+    _pair_gauges,
     PlaneCut,
     TranslatePacking,
     area_bound_check,
@@ -290,3 +291,14 @@ def test_kertesz_random_partitions(rng):
         rep = kertesz_check(part)
         assert rep.holds_surface and rep.holds_volume
         assert rep.n_cells == len(part.cuts) + 1
+
+
+def test_pair_gauges_equal_minkowski_norm(rng):
+    for ref in [DISK, SQUARE] + [random_symmetric_polygon(rng) for _ in range(6)]:
+        cs = rng.uniform(-4.0, 4.0, (9, 2))
+        i, j = np.triu_indices(len(cs), 1)
+        deltas = cs[j] - cs[i]
+        assert _gauges(ref, deltas).tolist() == [minkowski_norm(ref, d) for d in deltas]
+        diff = difference_body(ref)
+        assert _pair_gauges(ref, cs).tolist() == [2.0 * minkowski_norm(diff, d) for d in deltas]
+

@@ -9,6 +9,7 @@ from helpers import (
     disk_bodies,
     house7_centers,
     ns_family,
+    pair_clearance_reference,
     random_convex_polygon,
     random_reference,
     thirteen_pentagon_centers,
@@ -18,6 +19,7 @@ from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
 from sepgeom.covering import build_triangle_counterexample
 from sepgeom.separability import (
     Hyperplane,
+    _pair_gaps,
     find_separating_hyperplane,
     is_ls_packing,
     is_non_separable,
@@ -26,6 +28,7 @@ from sepgeom.separability import (
     is_ts_packing,
     kirchberger_reduce,
     pair_separation,
+    separation_margin,
     strictly_separates,
     tangency_pairs,
     validate_packing,
@@ -301,3 +304,66 @@ def test_kirchberger_matches_direct_mixed_bodies(rng):
             assert strictly_separates(direct.plane, bodies[:n1], bodies[n1:])
         separable += red.separable
     assert 0 < separable < 60
+
+
+def _mixed_packing_family(rng, n: int) -> list:
+    """Disks and polygons at random, some overlapping, with touching pairs:
+    each disk after the first touches the member before it when that is a
+    disk too."""
+    bodies = []
+    for k in range(n):
+        c = rng.uniform(-4.0, 4.0, 2)
+        if rng.random() < 0.5:
+            r = float(rng.uniform(0.3, 1.2))
+            if k and bodies[-1].kind == "disk" and rng.random() < 0.5:
+                ang = float(rng.uniform(0.0, 2.0 * math.pi))
+                step = (bodies[-1].radius + r) * np.array([math.cos(ang), math.sin(ang)])
+                c = bodies[-1].center + step
+            bodies.append(ConvexBody.disk(c, r))
+        else:
+            bodies.append(random_convex_polygon(rng, int(rng.integers(3, 9))).translate(c))
+    return bodies
+
+
+def test_pair_gaps_match_plain_python(rng):
+    kinds = set()
+    for _ in range(60):
+        bodies = _mixed_packing_family(rng, int(rng.integers(2, 8)))
+        gaps, dirs, offs = _pair_gaps(bodies)
+        i, j = np.triu_indices(len(bodies), 1)
+        want = np.array([pair_clearance_reference(bodies[a], bodies[b]) for a, b in zip(i, j)])
+        assert np.abs(gaps - want).max() <= 1e-12
+        for p, (a, b) in enumerate(zip(i, j)):
+            # the returned line splits the pair with half the clearance
+            plane = Hyperplane(dirs[p], offs[p])
+            assert separation_margin(plane, [bodies[a]], [bodies[b]]) == pytest.approx(
+                0.5 * gaps[p], abs=1e-12
+            )
+        kinds |= {int(np.sign(np.round(g, 12))) for g in gaps}
+    assert kinds == {-1, 0, 1}
+
+
+def test_packing_checks_name_the_same_overlap(rng):
+    named = 0
+    for _ in range(40):
+        bodies = _mixed_packing_family(rng, int(rng.integers(2, 7)))
+        n = len(bodies)
+        first = next(
+            ((a, b) for a in range(n) for b in range(a + 1, n)
+             if pair_clearance_reference(bodies[a], bodies[b]) < -1e-9),
+            None,
+        )
+        if first is None:
+            validate_packing(bodies)
+            assert tangency_pairs(bodies) == [
+                (a, b) for a in range(n) for b in range(a + 1, n)
+                if pair_clearance_reference(bodies[a], bodies[b]) <= 1e-9
+            ]
+            continue
+        named += 1
+        msg = f"members {first[0]} and {first[1]} overlap"
+        for check in (validate_packing, tangency_pairs, is_ts_packing, is_ls_packing):
+            with pytest.raises(GeometryError, match=msg):
+                check(bodies)
+    assert named >= 10
+
