@@ -44,7 +44,6 @@ from .measures import (
     hull_diameter,
     hull_perimeter,
     min_area_parallelogram,
-    min_area_quadrilateral,
     mixed_area,
     perimeter,
     size_report,

@@ -2,8 +2,9 @@
 
 One home for the pieces several modules use: the interval sweep behind
 every gap computation over directions, the golden-section maximiser, the
-Fibonacci sphere, the homothet gap profile, the sample count of Rogers'
-simplex density and the pole margins of the spherical searches.
+Fibonacci sphere, the blocks of index triples behind the enclosing disk and
+cap, the homothet gap profile, the sample count of Rogers' simplex density
+and the pole margins of the spherical checks.
 """
 
 import math
@@ -49,6 +50,20 @@ def fibonacci_sphere(m: int) -> np.ndarray:
     z = 1.0 - 2.0 * i / m
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def triple_blocks(n: int):
+    """Index triples i < j < k of n items, i-major, as (m, 3) arrays of whole
+    runs of one first index, each about 2^15 rows, so memory stays O(n^2)."""
+    i, j = np.triu_indices(n, 1)
+    rows, count = [], 0
+    for first in range(n - 2):
+        rest = i > first
+        rows.append(np.column_stack([np.full(int(rest.sum()), first), i[rest], j[rest]]))
+        count += len(rows[-1])
+        if count >= 1 << 15 or first == n - 3:
+            yield np.vstack(rows)
+            rows, count = [], 0
 
 
 def gap_profile(cx, cy, tau, hplus, hminus, cos_t, sin_t):

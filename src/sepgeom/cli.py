@@ -340,22 +340,19 @@ def cmd_kertesz(args) -> int:
 
 def cmd_caps(args) -> int:
     caps = _caps(_load(args.input))
-    payload: dict = {"n": len(caps), "provenance": {"method": "pole-search", "samples": args.samples}}
+    payload: dict = {"n": len(caps), "provenance": {"method": "support-caps", "exact": True}}
     rc = EXIT_OK
     if args.check in ("ns", "all"):
-        dec = spherical.caps_non_separable(caps, samples=args.samples, tol=args.tolerance)
+        dec = spherical.caps_non_separable(caps, tol=args.tolerance)
         payload["non_separable"] = {
             "value": dec.non_separable,
-            "approximate": dec.approximate,
             "margin": None if math.isinf(dec.margin) else dec.margin,
             "pole": None if dec.pole is None else dec.pole.tolist(),
         }
         if not dec.non_separable:
             rc = max(rc, EXIT_VIOLATED)
-        elif dec.approximate:
-            rc = max(rc, EXIT_UNRESOLVED)
     if args.check in ("ts", "all"):
-        res = spherical.is_ts_cap_packing(caps, samples=args.samples, tol=args.tolerance)
+        res = spherical.is_ts_cap_packing(caps, tol=args.tolerance)
         payload["totally_separable"] = {
             "value": res.is_ts,
             "unresolved": [list(p) for p in res.unresolved],
@@ -364,11 +361,9 @@ def cmd_caps(args) -> int:
         }
         if res.refuted:
             rc = max(rc, EXIT_VIOLATED)
-        elif not res.is_ts:
-            rc = max(rc, EXIT_UNRESOLVED)
     if args.check in ("cover", "all"):
         try:
-            rep = spherical.cap_cover_check(caps, samples=args.samples, tol=args.tolerance)
+            rep = spherical.cap_cover_check(caps, tol=args.tolerance)
         except GeometryError as exc:
             if args.check == "cover":
                 raise
@@ -527,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kertesz)
 
     p = sub.add_parser("caps", help="spherical cap checks: splitting circle, TS, cover")
-    _add_common(p, samples=10000)
+    _add_common(p)
     p.add_argument("--check", choices=("ns", "ts", "cover", "all"), default="all")
     p.set_defaults(func=cmd_caps)
 

@@ -2,7 +2,7 @@
 
 Covers the classical quantities (area, perimeter, diameter, circumradius,
 inradius, minimal width, mean width), the smallest circumscribed
-parallelogram and quadrilateral, mixed areas, and parallel-body areas.
+parallelogram, mixed areas, and parallel-body areas.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .bodies import (
     EPS,
@@ -23,6 +23,7 @@ from .bodies import (
     raw_support,
     unit,
 )
+from ._kernels import triple_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,14 +145,8 @@ def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
 
     consider(cs, rs)
     consider(pair_c, pair_r)
-    rows, size = [], 0
-    for first in range(n - 2):
-        rest = i > first
-        rows.append(np.column_stack([np.full(int(rest.sum()), first), i[rest], j[rest]]))
-        size += len(rows[-1])
-        if size >= 1 << 15 or first == n - 3:
-            consider(*_triple_candidates(cs, rs, np.vstack(rows), scale, tol))
-            rows, size = [], 0
+    for idx in triple_blocks(n):
+        consider(*_triple_candidates(cs, rs, idx, scale, tol))
 
     if best_c is None:
         raise GeometryError("enclosing disk search failed")
@@ -296,45 +291,6 @@ def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> Parallelogra
     his = np.array([raw_support(body, n) for n in pair])
     los = np.array([-raw_support(body, -n) for n in pair])
     return ParallelogramFit(pair, los, his, float(areas[k1, k2]))
-
-
-def min_area_quadrilateral(body: ConvexBody, starts: int = 12, seed: int = 7) -> tuple[np.ndarray, float]:
-    """Smallest circumscribed quadrilateral by multi-start local search over
-    four tangent-line angles. Numerical, documented as approximate."""
-    body.require_full_dimensional("min_area_quadrilateral")
-
-    def quad(angles):
-        ns = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        hs = np.array([raw_support(body, n) for n in ns])
-        pts = []
-        for k in range(4):
-            a, b = k, (k + 1) % 4
-            mat = np.stack([ns[a], ns[b]])
-            det = np.linalg.det(mat)
-            if abs(det) < 1e-9:
-                return None, math.inf
-            pts.append(np.linalg.solve(mat, [hs[a], hs[b]]))
-        pts = np.array(pts)
-        ar = polygon_area(pts[::-1]) if polygon_area(pts) < 0 else polygon_area(pts)
-        hull = _strict_hull(pts)
-        if len(hull) != 4:
-            return None, math.inf
-        return pts, abs(ar)
-
-    rng = np.random.default_rng(seed)
-    best_pts, best_area = None, math.inf
-    for s in range(starts):
-        base = rng.uniform(0, 2 * math.pi)
-        x0 = base + np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
-        x0 += rng.normal(scale=0.15, size=4)
-        res = minimize(lambda a: quad(np.sort(a))[1], x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        pts, ar = quad(np.sort(res.x))
-        if ar < best_area:
-            best_pts, best_area = pts, ar
-    if best_pts is None:
-        raise GeometryError("quadrilateral search failed")
-    return best_pts, float(best_area)
 
 
 # ---------------------------------------------------------------------------

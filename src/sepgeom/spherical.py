@@ -1,23 +1,28 @@
-"""Spherical caps and zones: splitting circles, covers, cap packings."""
+"""Spherical caps and zones: splitting circles, covers, cap packings.
+
+Every check but the zone cover is exact: its candidates are the caps and
+circles resting on at most three support caps."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import GeometryError
-from ._kernels import fibonacci_sphere, pole_margins
+from ._kernels import fibonacci_sphere, pole_margins, triple_blocks
 
 PI = math.pi
+_BLOCK = 1 << 18  # entries of a (candidates x caps or pairs) block
 
 
 def _unit3(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0 or v.shape != (3,):
-        raise GeometryError("need a nonzero 3-vector")
+    n = float(np.linalg.norm(v)) if v.shape == (3,) else 0.0
+    if not 0.0 < n < math.inf:  # also refuses NaN
+        raise GeometryError("need a finite nonzero 3-vector")
     out = v / n
     out.setflags(write=False)
     return out
@@ -25,8 +30,7 @@ def _unit3(v) -> np.ndarray:
 
 def angular_distance(a, b) -> float:
     """Geodesic distance between two unit vectors."""
-    d = float(np.clip(np.asarray(a) @ np.asarray(b), -1.0, 1.0))
-    return math.acos(d)
+    return float(_angles(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -78,68 +82,93 @@ def _cap_arrays(caps) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def _pair_tangent_poles(ci, cj, si: float, sj: float) -> list[np.ndarray]:
-    """Poles of great circles tangent to two caps (4 sign patterns)."""
-    d = float(ci @ cj)
-    cross = np.cross(ci, cj)
-    c2 = float(cross @ cross)
-    if c2 < 1e-18:
-        return []
-    out = []
-    for ei in (si, -si):
-        for ej in (sj, -sj):
-            det = 1.0 - d * d
-            a = (ei - ej * d) / det
-            b = (ej - ei * d) / det
-            base = a * ci + b * cj
-            t2 = (1.0 - float(base @ base)) / c2
-            if t2 < -1e-12:
-                continue
-            t = math.sqrt(max(t2, 0.0))
-            out.append(base + t * cross)
-            if t > 1e-12:
-                out.append(base - t * cross)
-    return out
+def _support_sets(centers, radii, signed=False):
+    """Yield the signed centers (t, k, 3), their Gram matrices and radii
+    (t, k) of every pair, then of every triple in blocks, of caps with
+    linearly independent centers.
+
+    With signed=True each cap may also stand for its antipode. Only the sign
+    patterns whose first sign is + are listed: flipping every sign turns each
+    solution u below into -u, the same great circle.
+    """
+    pairs = np.column_stack(np.triu_indices(len(centers), 1))
+    for idx in itertools.chain([pairs], triple_blocks(len(centers))):
+        k = idx.shape[1]
+        signs = np.array([(1.0,) + p for p in itertools.product((1.0, -1.0), repeat=k - 1)])
+        signs = signs if signed else signs[:1]
+        m = centers[np.tile(idx, (len(signs), 1))] * np.repeat(signs, len(idx), axis=0)[..., None]
+        vol = np.linalg.det(m) if k == 3 else np.linalg.norm(np.cross(m[:, 0], m[:, 1]), axis=1)
+        ok = np.abs(vol) > 1e-12
+        yield m[ok], m[ok] @ m[ok].transpose(0, 2, 1), np.tile(radii[idx], (len(signs), 1))[ok]
 
 
-def _candidate_poles(centers: np.ndarray, sinr: np.ndarray, samples: int) -> np.ndarray:
-    pool = [fibonacci_sphere(max(samples, 64))]
-    n = len(centers)
-    extra = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            extra.extend(_pair_tangent_poles(centers[i], centers[j], sinr[i], sinr[j]))
-    if extra:
-        e = np.array(extra)
-        e /= np.linalg.norm(e, axis=1)[:, None]
-        pool.append(e)
-    return np.ascontiguousarray(np.vstack(pool))
+def _span(m, gram, x) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors v_0, v_1 in the span of each row set m with m @ v_c = x[..., c]."""
+    v = np.linalg.solve(gram, x).transpose(0, 2, 1) @ m
+    return v[:, 0], v[:, 1]
 
 
-def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([1.0, 0.0, 0.0]) if abs(p[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(p, a)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(p, e1)
+def _dots(a, b) -> np.ndarray:
+    return np.einsum("...j,...j->...", a, b)
 
 
-def _refine_pole(p: np.ndarray, objective) -> np.ndarray:
-    """Nelder-Mead polish of a pole on a local tangent chart."""
-    from scipy.optimize import minimize
+def _angles(a, b) -> np.ndarray:
+    """Angles between unit vectors, accurate also when they nearly coincide."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), _dots(a, b))
 
-    e1, e2 = _tangent_frame(p)
 
-    def lift(st):
-        v = p + st[0] * e1 + st[1] * e2
-        return v / np.linalg.norm(v)
+def _split_poles(centers, radii, rows: int):
+    """Pole of the best great circle for every sign pattern of the caps,
+    yielded in blocks of at most rows poles, so memory stays O(n^2).
 
-    res = minimize(
-        lambda st: -objective(lift(st)),
-        np.zeros(2),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-    )
-    return lift(res.x)
+    For signs s_k the margin min_k(s_k c_k . u - sin r_k) of a pole u is
+    largest where it rests on at most three support caps: s_k c_k . u =
+    sin r_k + m on each, with u in the span of their centers. So u = P + m Q,
+    and |u| = 1 is a quadratic in m whose larger root is the best margin of
+    that support set. A cap alone gives u = c_k.
+    """
+    yield from (centers[lo : lo + rows] for lo in range(0, len(centers), rows))
+    for m, gram, r in _support_sets(centers, radii, signed=True):
+        p, q = _span(m, gram, np.stack([np.sin(r), np.ones_like(r)], axis=2))
+        pq, qq = _dots(p, q), _dots(q, q)
+        disc = pq * pq - qq * (_dots(p, p) - 1.0)
+        real = disc >= 0.0
+        u = p[real] + ((np.sqrt(disc[real]) - pq[real]) / qq[real])[:, None] * q[real]
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        yield from (u[lo : lo + rows] for lo in range(0, len(u), rows))
+
+
+def _enclosing_candidates(centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Caps resting on one, two or three of the caps, in that order.
+
+    A cap (u, R) rests on cap (c, r) when angle(u, c) + r = R, that is
+    c . u = cos(R - r), so on a pair or triple u = cos R A + sin R B with A
+    and B in the span of the centers. On a pair at distance d, R = (d + r_a
+    + r_b)/2. On a triple, |u| = 1 reads (a + c)/2 + (a - c)/2 cos 2R +
+    b sin 2R = 1 for a = |A|^2, b = A . B and c = |B|^2: two roots R in
+    [0, pi), smaller first. Admitted: the caps themselves, pairs wider than
+    both members, and triple roots in [largest radius, pi/2].
+    """
+    us, rs = [centers], [radii]
+    for m, gram, r in _support_sets(centers, radii):
+        a_vec, b_vec = _span(m, gram, np.stack([np.cos(r), np.sin(r)], axis=2))
+        if m.shape[1] == 2:
+            rad = 0.5 * (_angles(m[:, 0], m[:, 1]) + r.sum(axis=1))
+            keep = rad > r.max(axis=1) + 1e-15
+        else:
+            a, b, c = _dots(a_vec, a_vec), _dots(a_vec, b_vec), _dots(b_vec, b_vec)
+            amp, rhs = np.hypot(0.5 * (a - c), b), 1.0 - 0.5 * (a + c)
+            real = (amp > 0.0) & (np.abs(rhs) <= amp)
+            turn = np.arccos(rhs[real] / amp[real])
+            phase = np.arctan2(b, 0.5 * (a - c))[real]
+            rad = np.mod(np.stack([phase - turn, phase + turn], axis=1), 2.0 * PI) / 2.0
+            rad = np.sort(rad, axis=1).ravel()
+            a_vec, b_vec = np.repeat(a_vec[real], 2, axis=0), np.repeat(b_vec[real], 2, axis=0)
+            keep = (rad >= radii.max()) & (rad <= PI / 2.0)
+        u = np.cos(rad[keep])[:, None] * a_vec[keep] + np.sin(rad[keep])[:, None] * b_vec[keep]
+        us.append(u / np.linalg.norm(u, axis=1, keepdims=True))
+        rs.append(rad[keep])
+    return np.vstack(us), np.concatenate(rs)
 
 
 @dataclass(frozen=True)
@@ -148,44 +177,33 @@ class SphericalSplitDecision:
     pole: np.ndarray | None
     margin: float
     poles_checked: int
-    approximate: bool
 
 
-def caps_non_separable(caps, samples: int = 10000, tol: float = 1e-9) -> SphericalSplitDecision:
+def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
     """Decide whether some great circle misses every cap and splits the family.
 
-    A split pole with positive margin is an exact refutation; the converse
-    verdict rests on the sampled pole pool plus tangency candidates and local
-    refinement, so it is flagged approximate.
+    Exact: the best pole of every sign pattern is among _split_poles, so the
+    family is separable exactly when one of them splits the centers with a
+    margin above tol. margin is the best split margin among them, which is
+    the best of all circles whenever that exceeds -min sin r.
     """
     caps = list(caps)
     if len(caps) < 2:
         raise GeometryError("separation needs at least two caps")
     if any(c.radius >= PI / 2.0 for c in caps):
         # such a cap meets every great circle, so no circle can split
-        return SphericalSplitDecision(True, None, -math.inf, 0, False)
+        return SphericalSplitDecision(True, None, -math.inf, 0)
     centers, radii = _cap_arrays(caps)
     sinr = np.sin(radii)
-    poles = _candidate_poles(centers, sinr, samples)
-    margins, split = pole_margins(poles, centers, sinr)
-    usable = np.where(split)[0]
-    if len(usable):
-        k = usable[np.argmax(margins[usable])]
-
-        def objective(u):
-            m, s = pole_margins(u[None, :], centers, sinr)
-            return m[0] if s[0] else -1.0
-
-        best = _refine_pole(poles[k], objective)
-        m, s = pole_margins(best[None, :], centers, sinr)
-        if s[0] and m[0] > tol:
-            return SphericalSplitDecision(False, best, float(m[0]), len(poles), False)
-        if margins[k] > tol:
-            return SphericalSplitDecision(
-                False, poles[k], float(margins[k]), len(poles), False
-            )
-    best_split = float(margins[split].max()) if split.any() else -math.inf
-    return SphericalSplitDecision(True, None, best_split, len(poles), True)
+    best, pole, count = -math.inf, None, 0
+    for poles in _split_poles(centers, radii, max(1, _BLOCK // len(caps))):
+        margins, split = pole_margins(poles, centers, sinr)
+        margins = np.where(split, margins, -math.inf)
+        k = int(np.argmax(margins))
+        if margins[k] > best:
+            best, pole = float(margins[k]), poles[k]
+        count += len(poles)
+    return SphericalSplitDecision(best <= tol, pole if best > tol else None, best, count)
 
 
 # ---------------------------------------------------------------------------
@@ -193,75 +211,23 @@ def caps_non_separable(caps, samples: int = 10000, tol: float = 1e-9) -> Spheric
 # ---------------------------------------------------------------------------
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Point at angle t from a along the arc toward b."""
-    d = angular_distance(a, b)
-    if d < 1e-15:
-        return a
-    return (math.sin(d - t) * a + math.sin(t) * b) / math.sin(d)
-
-
-def _cap_covers_all(u: np.ndarray, r: float, centers, radii, tol: float) -> bool:
-    ang = np.arccos(np.clip(centers @ u, -1.0, 1.0))
-    return bool((ang + radii <= r + tol).all())
-
-
-def _triple_cap_roots(ci, cj, ck, ri, rj, rk, r_lo: float) -> list[tuple[np.ndarray, float]]:
-    m = np.array([ci, cj, ck])
-    if abs(np.linalg.det(m)) < 1e-12:
-        return []
-    minv = np.linalg.inv(m)
-    rr = np.array([ri, rj, rk])
-
-    def g(r):
-        u = minv @ np.cos(r - rr)
-        return float(u @ u) - 1.0
-
-    from scipy.optimize import brentq
-
-    out = []
-    grid = np.linspace(r_lo, PI / 2.0, 128)
-    vals = [g(r) for r in grid]
-    for a, b, ga, gb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if ga == 0.0:
-            root = a
-        elif ga * gb < 0.0:
-            root = brentq(g, a, b, xtol=1e-14)
-        else:
-            continue
-        u = minv @ np.cos(root - rr)
-        nu = float(np.linalg.norm(u))
-        if nu > 0.0:
-            out.append((u / nu, float(root)))
-    return out
-
-
 def enclosing_cap(caps, tol: float = 1e-9) -> tuple[np.ndarray, float]:
-    """Smallest cap containing every given cap (at most three support caps)."""
-    caps = list(caps)
-    centers, radii = _cap_arrays(caps)
-    n = len(caps)
-    cands: list[tuple[np.ndarray, float]] = [(centers[i], radii[i]) for i in range(n)]
-    max_r = float(radii.max())
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = angular_distance(centers[i], centers[j])
-            r = 0.5 * (d + radii[i] + radii[j])
-            if r <= max(radii[i], radii[j]) + 1e-15:
-                continue
-            cands.append((_slerp(centers[i], centers[j], r - radii[i]), r))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                cands.extend(
-                    _triple_cap_roots(
-                        centers[i], centers[j], centers[k], radii[i], radii[j], radii[k], max_r
-                    )
-                )
-    cands.sort(key=lambda t: t[1])
-    for u, r in cands:
-        if _cap_covers_all(u, r, centers, radii, tol):
-            return np.asarray(u), float(r)
+    """Smallest cap containing every given cap.
+
+    It rests on at most three of them (Welzl, 1991), so it is the smallest
+    of _enclosing_candidates that covers every cap within tol, the first
+    listed among equal radii.
+    """
+    centers, radii = _cap_arrays(list(caps))
+    u, r = _enclosing_candidates(centers, radii)
+    order = np.argsort(r, kind="stable")
+    step = max(1, _BLOCK // len(radii))
+    for lo in range(0, len(order), step):
+        part = order[lo : lo + step]
+        covers = (_angles(u[part, None], centers) + radii <= r[part, None] + tol).all(axis=1)
+        if covers.any():
+            k = part[int(np.argmax(covers))]
+            return u[k], float(r[k])
     raise GeometryError("no enclosing cap of radius at most pi/2 was found")
 
 
@@ -277,14 +243,14 @@ class CapCoverReport:
         return self.slack >= -tol
 
 
-def cap_cover_check(caps, samples: int = 10000, tol: float = 1e-9) -> CapCoverReport:
+def cap_cover_check(caps, tol: float = 1e-9) -> CapCoverReport:
     """No splitting circle and total radius below pi/2 force a small cover.
 
     The family must then fit in a single cap whose radius is at most the sum
     of the radii.
     """
     caps = list(caps)
-    dec = caps_non_separable(caps, samples=samples, tol=tol)
+    dec = caps_non_separable(caps, tol=tol)
     if not dec.non_separable:
         raise GeometryError("a great circle splits the caps; the cover bound needs none")
     total = float(sum(c.radius for c in caps))
@@ -341,85 +307,47 @@ class CapTSResult:
     poles_checked: int
 
 
-def is_ts_cap_packing(caps, samples: int = 20000, tol: float = 1e-9) -> CapTSResult:
-    """Hunt a separating great circle for every pair of caps.
+def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
+    """Find a great circle missing every cap that separates each pair.
 
-    Tangency poles plus a Fibonacci pool plus local refinement resolve every
-    pair in the packings built here. For a tangent pair the separator is
-    forced through the touching point, so its failure refutes total
-    separability outright; any other pair left unresolved refutes at the
-    pool resolution only.
+    Any circle missing every cap within tol can be moved to the best pole of
+    its sign pattern, which is among _split_poles and keeps every cap on its
+    side. So each pair gets the best-scoring of those poles that avoid every
+    cap and split it, and a pair with none is refuted exactly. A cap wider
+    than pi/2 meets every great circle, so it refutes every pair. unresolved
+    is always empty; it stays for callers that read it.
     """
-    caps = list(caps)
-    centers, radii = _cap_arrays(caps)
-    n = len(caps)
-    i, j = np.triu_indices(n, 1)
-    ang = np.arccos(np.clip(np.einsum("ij,ij->i", centers[i], centers[j]), -1.0, 1.0))
-    overlap = np.flatnonzero(ang < radii[i] + radii[j] - tol)
+    centers, radii = _cap_arrays(list(caps))
+    i, j = np.triu_indices(len(centers), 1)
+    overlap = np.flatnonzero(_angles(centers[i], centers[j]) < radii[i] + radii[j] - tol)
     if len(overlap):
         k = overlap[0]
         raise GeometryError(f"not a packing: caps {i[k]} and {j[k]} overlap")
-    if n == 1:
+    if len(centers) == 1:
         return CapTSResult(True, {}, (), (), 0)
-    sinr = np.sin(radii)
-    poles = _candidate_poles(centers, sinr, samples)
-    dots = poles @ centers.T
-    avoid_all = (np.abs(dots) >= sinr[None, :] - tol).all(axis=1)
-
-    certificates = {}
-    unresolved = []
-    refuted = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            plus = avoid_all & (dots[:, i] >= sinr[i] - tol) & (dots[:, j] <= -(sinr[j] - tol))
-            minus = avoid_all & (dots[:, j] >= sinr[j] - tol) & (dots[:, i] <= -(sinr[i] - tol))
-            rows = np.where(plus | minus)[0]
-            if len(rows):
-                score = np.abs(dots[rows][:, [i, j]]) - sinr[[i, j]]
-                k = rows[int(np.argmax(np.minimum(score[:, 0], score[:, 1])))]
-                pole = poles[k] if dots[k, i] > 0 else -poles[k]
-                certificates[(i, j)] = pole
-                continue
-
-            def objective(u, i=i, j=j):
-                d = centers @ u
-                others = np.abs(d) - sinr
-                others[i] = d[i] - sinr[i]
-                others[j] = -d[j] - sinr[j]
-                return float(others.min())
-
-            seed_scores = np.minimum(
-                dots[:, i] - sinr[i], -(dots[:, j] + sinr[j])
-            )
-            seed = poles[int(np.argmax(seed_scores))]
-            best = _refine_pole(seed, objective)
-            if objective(best) >= -tol:
-                certificates[(i, j)] = best
-                continue
-            flipped = _refine_pole(-seed, objective)
-            if objective(flipped) >= -tol:
-                certificates[(i, j)] = flipped
-                continue
-            gap = angular_distance(centers[i], centers[j]) - (radii[i] + radii[j])
-            if gap <= tol:
-                # tangent pair: the only separator is the common tangent
-                # circle at the touching point, so check it and conclude
-                forced = [_unit3(p) for p in _pair_tangent_poles(
-                    centers[i], centers[j], sinr[i], sinr[j]
-                )]
-                if forced and max(
-                    objective(s * p) for p in forced for s in (1.0, -1.0)
-                ) < -tol:
-                    refuted.append((i, j))
-                    continue
-            unresolved.append((i, j))
-    return CapTSResult(
-        not unresolved and not refuted,
-        certificates,
-        tuple(unresolved),
-        tuple(refuted),
-        len(poles),
-    )
+    sinr = np.where(radii > PI / 2.0, math.inf, np.sin(radii))  # wider caps meet every circle
+    score = np.full(len(i), -math.inf)
+    found = np.zeros((len(i), 3))
+    pairs, count = np.arange(len(i)), 0
+    for p in _split_poles(centers, radii, max(1, _BLOCK // len(i))):
+        count += len(p)
+        dots = p @ centers.T
+        keep = (np.abs(dots) - sinr >= -tol).all(axis=1)
+        if not keep.any():
+            continue
+        p, dots = p[keep], dots[keep]
+        gaps = np.abs(dots) - sinr
+        splits = (dots[:, i] > 0.0) != (dots[:, j] > 0.0)
+        block = np.where(splits, np.minimum(gaps[:, i], gaps[:, j]), -math.inf)
+        k = np.argmax(block, axis=0)
+        better = block[k, pairs] > score
+        score[better] = block[k, pairs][better]
+        # orient each circle with cap i on the positive side
+        found[better] = p[k[better]] * np.sign(dots[k[better], i[better]])[:, None]
+    ok = score > -math.inf
+    certificates = {(int(a), int(b)): found[k] for k, (a, b) in enumerate(zip(i, j)) if ok[k]}
+    refuted = tuple((int(a), int(b)) for a, b in zip(i[~ok], j[~ok]))
+    return CapTSResult(not refuted, certificates, (), refuted, count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared random generators for the test suite."""
 
+import functools
 import math
 
 import numpy as np
@@ -95,9 +96,42 @@ def ts_lattice_subset(rng, reference: ConvexBody, rows: int, cols: int) -> np.nd
     return ii.reshape(-1, 1) * u + jj.reshape(-1, 1) * v
 
 
+def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two unit vectors that complete the unit vector p to a right-handed frame."""
+    a = np.array([1.0, 0.0, 0.0]) if abs(p[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(p, a)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(p, e1)
+
+
+@functools.lru_cache(maxsize=1)
+def pole_grid(m: int = 200_000) -> np.ndarray:
+    """m nearly uniform poles, a brute-force reference for the spherical checks."""
+    from sepgeom.spherical import fibonacci_sphere
+
+    return fibonacci_sphere(m)
+
+
+def random_cap_packing(rng, k: int, lo: float, hi: float) -> list:
+    """Up to k caps with radii in [lo, hi), placed at random without overlap."""
+    from sepgeom.spherical import Cap
+
+    centers, radii = [], []
+    for _ in range(2000):
+        if len(centers) == k:
+            break
+        c = rng.normal(size=3)
+        c /= np.linalg.norm(c)
+        r = float(rng.uniform(lo, hi))
+        if all(math.acos(min(1.0, float(c @ d))) >= r + s for d, s in zip(centers, radii)):
+            centers.append(c)
+            radii.append(r)
+    return [Cap(c, r) for c, r in zip(centers, radii)]
+
+
 def tangent_cap_chain(rng, k: int, radii=None) -> list:
     """Chain of pairwise tangent caps walked along random tangent turns."""
-    from sepgeom.spherical import Cap, _tangent_frame
+    from sepgeom.spherical import Cap
 
     if radii is None:
         radii = rng.uniform(0.08, 0.16, k)

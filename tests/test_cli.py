@@ -217,16 +217,17 @@ def test_kertesz(tmp_path, capsys):
 
 
 def test_caps(octa_file, bent_caps_file, capsys):
-    code, payload = run(["caps", octa_file, "--check", "ns", "--samples", "2000"], capsys)
-    assert code == 2  # non-separable, but only to sample resolution
-    assert payload["non_separable"]["value"] and payload["non_separable"]["approximate"]
-    code, payload = run(["caps", octa_file, "--check", "ts", "--samples", "4000"], capsys)
+    code, payload = run(["caps", octa_file, "--check", "ns"], capsys)
+    assert code == 0  # non-separable, decided exactly
+    assert payload["non_separable"]["value"]
+    assert payload["provenance"] == {"method": "support-caps", "exact": True}
+    code, payload = run(["caps", octa_file, "--check", "ts"], capsys)
     assert code == 0
     assert payload["totally_separable"]["value"]
-    code, payload = run(["caps", bent_caps_file, "--check", "ts", "--samples", "3000"], capsys)
+    code, payload = run(["caps", bent_caps_file, "--check", "ts"], capsys)
     assert code == 1
     assert [0, 1] in payload["totally_separable"]["refuted"]
-    code, payload = run(["caps", bent_caps_file, "--check", "cover", "--samples", "3000"], capsys)
+    code, payload = run(["caps", bent_caps_file, "--check", "cover"], capsys)
     assert code == 0
     assert payload["cover"]["applicable"] and payload["cover"]["holds"]
 
@@ -311,6 +312,17 @@ def test_non_finite_input_exits_3(tmp_path, capsys):
     )
     code, _ = run(["check-ns", inf_radius], capsys)
     assert code == 3
+
+
+def test_caps_non_finite_input_exits_3(octa_file, tmp_path, capsys):
+    cap = {"center": [float("nan"), 0.0, 1.0], "radius_rad": 0.3}
+    other = {"center": [0.0, 0.0, -1.0], "radius_rad": 0.3}
+    nan_cap = write_json(tmp_path / "nan_caps.json", {"caps": [cap, other]})
+    for check in ("ns", "ts", "cover"):
+        code, payload = run(["caps", nan_cap, "--check", check], capsys)
+        assert code == 3 and payload is None
+    code, _ = run(["caps", octa_file, "--samples", "2000"], capsys)
+    assert code == 3  # caps samples nothing, so the flag is unknown
 
 
 @pytest.mark.parametrize(

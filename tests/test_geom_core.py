@@ -29,7 +29,6 @@ from sepgeom.measures import (
     hull_perimeter,
     inscribed_disk,
     min_area_parallelogram,
-    min_area_quadrilateral,
     minkowski_sum_polygons,
     mixed_area,
     perimeter,
@@ -139,8 +138,6 @@ def test_min_area_parallelogram_oracles():
     tri_fit = min_area_parallelogram(TRIANGLE)
     assert tri_fit.area == pytest.approx(2.0 * area(TRIANGLE), abs=1e-9)
     assert tri_fit.contains(TRIANGLE, tol=1e-9)
-    _, quad = min_area_quadrilateral(TRIANGLE)
-    assert quad <= tri_fit.area + 1e-9
 
 
 def test_min_area_parallelogram_random_contains(rng):

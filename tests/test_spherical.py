@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import tangent_cap_chain
+from helpers import pole_grid, random_cap_packing, tangent_cap_chain
 from sepgeom.bodies import GeometryError
 from sepgeom.spherical import (
     Cap,
@@ -54,6 +54,14 @@ def test_cap_and_zone_validation():
     assert zone.contains_point(EX) and not zone.contains_point(EZ)
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 1.0], [0.0, math.inf, 1.0], [1.0, 0.0]])
+def test_cap_and_zone_reject_bad_vectors(bad):
+    with pytest.raises(GeometryError):
+        Cap(bad, 0.3)
+    with pytest.raises(GeometryError):
+        Zone(bad, 0.3)
+
+
 def test_circle_avoids_cap():
     cap = Cap(EX, 0.3)
     assert circle_avoids_cap(EX, cap)
@@ -71,7 +79,7 @@ def test_octahedral_packing_is_ts():
     # neighbouring octant caps are exactly tangent
     d01 = angular_distance(caps[0].center, caps[1].center)
     assert d01 == pytest.approx(2.0 * want, abs=1e-12)
-    res = is_ts_cap_packing(caps, samples=4000)
+    res = is_ts_cap_packing(caps)
     assert res.is_ts
     assert res.refuted == () and res.unresolved == ()
     for (i, j), pole in list(res.certificates.items())[:6]:
@@ -87,7 +95,7 @@ def test_cuboctahedral_packing_is_ts():
     assert len(caps) == 6
     want = math.atan(0.75)
     assert all(c.radius == pytest.approx(want, abs=1e-12) for c in caps)
-    res = is_ts_cap_packing(caps, samples=4000)
+    res = is_ts_cap_packing(caps)
     assert res.is_ts and res.refuted == ()
 
 
@@ -100,25 +108,114 @@ def test_right_angle_chain_is_not_ts():
     c1 = np.array([math.cos(r1), math.sin(r1), 0.0])
     c2 = math.cos(r1 + r2) * c1 + math.sin(r1 + r2) * EZ
     caps = [Cap(c0, r0), Cap(c1, r1), Cap(c2, r2)]
-    res = is_ts_cap_packing(caps, samples=3000)
+    res = is_ts_cap_packing(caps)
     assert not res.is_ts
-    assert (0, 1) in res.refuted and (1, 2) in res.refuted
-    # the non-tangent pair around the corner has no separator either, but
-    # without a forced circle that verdict stays pool-resolution only
-    assert res.unresolved == ((0, 2),)
+    # the non-tangent pair around the corner has no separator either, and
+    # the closed-form candidates refute it exactly
+    assert res.refuted == ((0, 1), (0, 2), (1, 2))
+    assert res.unresolved == ()
+
+
+def test_cap_wider_than_half_pi_refutes_every_pair():
+    # every great circle cuts a cap of radius 2, although the pole e_z
+    # clears it by |u . c| - sin r = 1 - sin 2 > 0
+    caps = [Cap(EZ, 2.0), Cap(-EZ, 0.5)]
+    assert not circle_avoids_cap(EZ, caps[0])
+    res = is_ts_cap_packing(caps)
+    assert not res.is_ts
+    assert res.refuted == ((0, 1),) and res.certificates == {}
 
 
 def test_caps_non_separable_decisions(rng):
     caps = tangent_cap_chain(rng, 5, 0.1 + 0.05 * rng.random(5))
-    dec = caps_non_separable(caps, samples=3000)
+    dec = caps_non_separable(caps)
     assert dec.non_separable
     apart = [Cap(EX, 0.2), Cap(-EX, 0.2)]
-    dec = caps_non_separable(apart, samples=3000)
+    dec = caps_non_separable(apart)
     assert not dec.non_separable
     pole = dec.pole
     assert circle_avoids_cap(pole, apart[0], tol=1e-9)
     assert circle_avoids_cap(pole, apart[1], tol=1e-9)
     assert float(pole @ EX) * float(pole @ -EX) < 0.0
+
+
+def _rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def test_two_caps_best_margin_is_closed_form(rng):
+    # the best circle is the bisector of the two centers, at angle d/2 from each
+    for d in (0.3, 1.0, 2.0, 3.0):
+        for r in (0.05, 0.4, 0.9):
+            rot = _rotation(rng)
+            caps = [Cap(rot @ EZ, r), Cap(rot @ np.array([math.sin(d), 0.0, math.cos(d)]), r)]
+            dec = caps_non_separable(caps)
+            want = math.sin(d / 2.0) - math.sin(r)
+            assert dec.margin == pytest.approx(want, abs=1e-12)
+            assert dec.non_separable == (want <= 1e-9)
+
+
+def _random_caps(rng, spread: float) -> tuple[np.ndarray, np.ndarray]:
+    k = int(rng.integers(2, 7))
+    centers = rng.normal(size=3) + spread * rng.normal(size=(k, 3))
+    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    return centers, rng.uniform(0.02, 0.4, k)
+
+
+def test_split_margin_and_enclosing_cap_match_pole_grid(rng):
+    grid = pole_grid()
+    compared = 0
+    for trial in range(40):
+        clustered = trial % 2 == 1
+        centers, radii = _random_caps(rng, 0.3 if clustered else 3.0)
+        caps = [Cap(c, r) for c, r in zip(centers, radii)]
+        dots = centers @ grid.T
+        margins = (np.abs(dots) - np.sin(radii)[:, None]).min(axis=0)
+        split = (dots > 0.0).any(axis=0) & (dots < 0.0).any(axis=0)
+        dec = caps_non_separable(caps)
+        # the best circle of a sign pattern keeps that pattern while its
+        # margin is above -min sin r; below, no circle misses the caps anyway
+        if margins[split].max() > -np.sin(radii).min():
+            assert dec.margin >= margins[split].max() - 1e-12
+            compared += 1
+        if dec.pole is not None:
+            assert all(circle_avoids_cap(dec.pole, c, tol=1e-12) for c in caps)
+        if not clustered:
+            continue
+        reach = (np.arccos(np.clip(dots, -1.0, 1.0)) + radii[:, None]).max(axis=0).min()
+        if reach < math.pi / 2.0:
+            center, radius = enclosing_cap(caps)
+            assert radius <= reach + 1e-12
+            out = np.arctan2(np.linalg.norm(np.cross(centers, center), axis=1), centers @ center)
+            assert (out + radii <= radius + 1e-9).all()
+    assert compared >= 20
+
+
+def test_ts_cap_packing_certifies_every_pair_the_grid_does(rng):
+    grid = pole_grid()
+    seen = {"certified": 0, "refuted": 0}
+    for _ in range(25):
+        caps = random_cap_packing(rng, int(rng.integers(3, 7)), 0.2, 0.5)
+        centers = np.array([c.center for c in caps])
+        sinr = np.sin([c.radius for c in caps])
+        res = is_ts_cap_packing(caps)
+        dots = centers @ grid.T
+        side = dots[:, (np.abs(dots) - sinr[:, None] >= -1e-9).all(axis=0)] > 0.0
+        for i in range(len(caps)):
+            for j in range(i + 1, len(caps)):
+                if (side[i] != side[j]).any():
+                    assert (i, j) in res.certificates
+        for (i, j), pole in res.certificates.items():
+            assert all(circle_avoids_cap(pole, c, tol=1e-9) for c in caps)
+            assert float(pole @ centers[i]) > 0.0 > float(pole @ centers[j])
+        assert res.unresolved == ()
+        assert set(res.refuted) | set(res.certificates) == {
+            (i, j) for i in range(len(caps)) for j in range(i + 1, len(caps))
+        }
+        seen["certified"] += len(res.certificates)
+        seen["refuted"] += len(res.refuted)
+    assert seen["certified"] > 0 and seen["refuted"] > 0
 
 
 def test_enclosing_cap_small_cases():
@@ -138,7 +235,7 @@ def test_cap_cover_check_chain(rng):
         k = int(rng.integers(3, 6))
         radii = 0.05 + 0.1 * rng.random(k)
         assert radii.sum() < math.pi / 2.0
-        rep = cap_cover_check(tangent_cap_chain(rng, k, radii), samples=3000)
+        rep = cap_cover_check(tangent_cap_chain(rng, k, radii))
         assert rep.holds()
         assert rep.split_check.non_separable
         assert rep.radius <= rep.total_radius + 1e-9
@@ -147,10 +244,10 @@ def test_cap_cover_check_chain(rng):
 def test_cap_cover_check_guards(rng):
     big = tangent_cap_chain(rng, 3, [0.6, 0.6, 0.6])
     with pytest.raises(GeometryError, match="below pi/2"):
-        cap_cover_check(big, samples=2000)
+        cap_cover_check(big)
     apart = [Cap(EX, 0.2), Cap(-EX, 0.2)]
     with pytest.raises(GeometryError, match="splits"):
-        cap_cover_check(apart, samples=2000)
+        cap_cover_check(apart)
 
 
 def test_zones_cover_check():
