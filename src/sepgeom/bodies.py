@@ -312,10 +312,9 @@ class Homothet:
         k = self.reference
         if k.kind == "disk":
             return ConvexBody.disk(self.center + self.ratio * k.center, self.ratio * k.radius)
-        verts = self.center + self.ratio * k.vertices
-        if k.kind == "polygon":
-            return ConvexBody.polygon(verts)
-        return ConvexBody(kind=k.kind, vertices=_freeze(verts), degenerate=k.degenerate)
+        # a positive ratio keeps the vertices strictly convex and counter-clockwise
+        verts = _freeze(_finite(self.center + self.ratio * k.vertices, "homothet vertices"))
+        return ConvexBody(kind=k.kind, vertices=verts, degenerate=k.degenerate)
 
 
 @dataclass(frozen=True, eq=False)

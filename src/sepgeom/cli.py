@@ -22,7 +22,6 @@ from .bodies import (
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
-EXIT_UNRESOLVED = 2
 EXIT_INPUT = 3
 
 
@@ -166,12 +165,10 @@ def cmd_verify_ts(args) -> int:
             f"{i},{j}": _plane_json(cert.plane)
             for (i, j), cert in sorted(res.certificates.items())
         },
-        "provenance": {"method": "tangent-line-search"},
+        "provenance": {"method": "critical-directions", "exact": True},
     }
     _emit(args, payload, lambda: svg.family_drawing(fam))
-    if res.is_ts:
-        return EXIT_OK
-    return EXIT_UNRESOLVED if res.unresolved else EXIT_VIOLATED
+    return EXIT_OK if res.is_ts else EXIT_VIOLATED
 
 
 def cmd_verify_ls(args) -> int:
@@ -180,7 +177,7 @@ def cmd_verify_ls(args) -> int:
     payload = {
         "is_ls": res.is_ls,
         "failing_members": list(res.failing_members),
-        "provenance": {"method": "neighbourhood-ts"},
+        "provenance": {"method": "neighbourhood-ts", "exact": True},
     }
     _emit(args, payload, lambda: svg.family_drawing(fam))
     return EXIT_OK if res.is_ls else EXIT_VIOLATED
@@ -194,7 +191,7 @@ def cmd_rho_sep(args) -> int:
         "separable": res.separable,
         "rho": res.rho,
         "failing_member": res.failing_member,
-        "provenance": {"method": "neighbourhood-ts"},
+        "provenance": {"method": "neighbourhood-ts", "exact": True},
     }
     _emit(args, payload, lambda: svg.family_drawing(fam))
     return EXIT_OK if res.separable else EXIT_VIOLATED
@@ -551,7 +548,7 @@ def main(argv=None) -> None:
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
-        # argparse uses 2 for usage errors; keep 2 for unresolved results
+        # argparse exits 2 on usage errors, reported here as malformed input
         sys.exit(EXIT_INPUT if exc.code == 2 else exc.code)
     t0 = time.perf_counter()
     try:

@@ -508,15 +508,6 @@ def _packing_pairs(bodies, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return pairs
 
 
-def _sub_pairs(idx, n: int) -> np.ndarray:
-    """Positions among the pairs of n members (np.triu_indices order) of the
-    pairs of members idx, listed in np.triu_indices(len(idx), 1) order."""
-    idx = np.asarray(idx)
-    a, b = np.triu_indices(len(idx), 1)
-    p, q = np.minimum(idx[a], idx[b]), np.maximum(idx[a], idx[b])
-    return p * n - p * (p + 1) // 2 + q - p - 1
-
-
 def pair_separation(a: ConvexBody, b: ConvexBody) -> float:
     """Largest one-line clearance between two bodies, negative on overlap."""
     return float(_pair_gaps([a, b])[0][0])
@@ -527,106 +518,142 @@ def validate_packing(bodies, tol: float = EPS) -> None:
     _packing_pairs(bodies, tol)
 
 
-def _ts_line_pool(bodies, mids) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate separating lines (normals, offsets): edge lines, the common
-    tangents of two features of different members, and the pair midlines
-    mids.
+def _cuts(u, pts, rad, table, tol: float):
+    """Intervals lo, hi, (D, H, m), of the members in each row of table
+    (padding -1, at +inf) along unit directions u, and each member's block,
+    the number of free cuts below it: after the first p members by lo, the
+    cut is free (a line there misses every interior) when the next lo is at
+    least the running max of hi less tol. Elementwise, so batch-independent."""
+    p, valid = pts[table], table >= 0
+    proj = u[:, None, None, None, 0] * p[..., 0] + u[:, None, None, None, 1] * p[..., 1]
+    lo = np.where(valid, proj.min(axis=3) - rad[table], np.inf)
+    hi = np.where(valid, proj.max(axis=3) + rad[table], np.inf)
+    order = np.argsort(lo, axis=2, kind="stable")
+    cover = np.maximum.accumulate(np.take_along_axis(hi, order, axis=2), axis=2)
+    free = np.take_along_axis(lo, order, axis=2)[..., 1:] >= cover[..., :-1] - tol
+    ids = np.concatenate([np.zeros_like(free[..., :1], int), np.cumsum(free, axis=2)], axis=2)
+    np.put_along_axis(ids, order, ids.copy(), axis=2)  # back to the order of table
+    return lo, hi, ids
 
-    A line avoiding every interior can be slid and rotated until it touches
-    two members or lies flush with an edge, so these candidates exhaust the
-    search for disk and polygon packings. Each feature is a circle: a disk
-    its center with its radius, a vertex a point of radius 0.
+
+def _critical_angles(pts, rad, i, j, best) -> np.ndarray:
+    """Angles mod pi of the threshold-0 arc ends of the pairs (i, j), the
+    members' edge normals and best, and the midpoints between them."""
+    p = (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), -1, 2)
+    lo, hi = _arcs(p, (rad[i] + rad[j])[:, None])
+    edges = (np.roll(pts, -1, axis=1) - pts)[np.union1d(i, j)].reshape(-1, 2)
+    normals = np.arctan2(-edges[:, 0], edges[:, 1])[(edges != 0.0).any(axis=1)]
+    arc = lo < hi
+    cand = np.unique(np.remainder(np.concatenate([lo[arc], hi[arc], normals, best]), math.pi))
+    mids = 0.5 * (cand + np.append(cand[1:], cand[0] + math.pi))
+    return np.union1d(cand, np.remainder(mids, math.pi))
+
+
+def _refine(bodies, table, pairs, tol: float):
+    """Partition refinement of subfamilies of a packing over critical directions.
+
+    Row h of table lists the members of subfamily h of bodies, padded with
+    -1; pairs is the _pair_gaps data of all bodies. Two members are split by
+    a line missing every interior exactly when the free cuts (_cuts) of some
+    direction put them in different blocks. The directions splitting a pair
+    form a closed set, at whose ends two members' projections touch: an end
+    of a threshold-0 pair arc, the best direction of a touching pair, or an
+    edge normal bounding the normal cone of a corner-to-corner contact. These
+    and the midpoints between them decide every pair. The pair best
+    directions go first, the most frequent first, then the rest for the
+    subfamilies still unsettled, in blocks of about _BLOCK entries.
+
+    Returns, per pair of members of a subfamily (row-major, np.triu_indices
+    order within a row), its row, the index into the returned directions of
+    the first one whose free cuts split it (-1 if none does) and the block
+    below that cut, and the directions swept.
     """
-    feats = [_body_features(b) for b in bodies]
-    us = [f[1] for f in feats]
-    ss = [support_batch(b, u) for b, u in zip(bodies, us)]
-    pts = np.vstack([f[0] for f in feats])
-    rad = np.concatenate([np.full(len(f[0]), b.radius if b.kind == "disk" else 0.0)
-                          for b, f in zip(bodies, feats)])
-    owner = np.repeat(np.arange(len(bodies)), [len(f[0]) for f in feats])
-    a, b = np.triu_indices(len(pts), 1)
-    w = pts[a] - pts[b]
-    big = np.hypot(w[:, 0], w[:, 1])
-    keep = (owner[a] != owner[b]) & (big >= 1e-12)
-    a, b, w, big = a[keep], b[keep], w[keep], big[keep]
-    # lines <u, x> = s tangent to both circles: <u, c_a> - r_a = <u, c_b> -+ r_b
-    ra, rb = rad[a], rad[b]
-    what = w / big[:, None]
-    wperp = np.stack([-what[:, 1], what[:, 0]], axis=1)
-    for sign in (1.0, -1.0):
-        cos = (ra - sign * rb) / big
-        # the signs give one line twice when r_b = 0, and one line in two
-        # orientations when both radii are 0
-        ok = (np.abs(cos) <= 1.0 + 1e-9) & ((sign > 0) | (rb > 0))
-        cos = np.clip(cos, -1.0, 1.0)
-        sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-        for side, use in ((1.0, ok), (-1.0, ok & (sin >= 1e-12) & ((ra > 0) | (rb > 0)))):
-            u = cos[use, None] * what[use] + side * sin[use, None] * wperp[use]
-            us.append(u)
-            ss.append(np.einsum("ij,ij->i", u, pts[a[use]]) - ra[use])
-    us.append(mids[0])
-    ss.append(mids[1])
-    return np.vstack(us), np.concatenate(ss)
+    pts, rad = _member_features(bodies)
+    (n, k), m = pts.shape[:2], table.shape[1]
+    hood, a, c = np.nonzero(np.triu(np.ones((m, m), dtype=bool), 1) & (table >= 0)[:, None, :])
+    gi, gj = np.sort([table[hood, a], table[hood, c]], axis=0)
+    # the pair (gi, gj), gi < gj, sits at this position in np.triu_indices order
+    d = pairs[1][gi * n - gi * (gi + 1) // 2 + gj - gi - 1]
+    best = np.remainder(np.arctan2(d[:, 1], d[:, 0]), math.pi)
+    first, block = np.full((2, len(hood)), -1)
+    live = np.arange(len(hood))
+    swept = [np.empty((0, 2))]
+    for stage in range(2):
+        if stage == 0:
+            theta, count = np.unique(best, return_counts=True)
+            theta = theta[np.argsort(-count, kind="stable")]
+        elif len(live):
+            rel = np.isin(hood, hood[live])
+            theta = np.setdiff1d(_critical_angles(pts, rad, gi[rel], gj[rel], best[rel]), best)
+        while len(theta) and len(live):
+            rows, r = np.unique(hood[live], return_inverse=True)
+            step = max(1, _BLOCK // (len(rows) * m * k))
+            u = np.stack([np.cos(theta[:step]), np.sin(theta[:step])], axis=1)
+            b = _cuts(u, pts, rad, table[rows], tol)[2]
+            # label members by the first of their class; a pair splits only if one leaves it
+            lab = np.tile(np.arange(m), (len(rows), 1))
+            np.minimum.at(lab, (r, c[live]), a[live])
+            moved = (b != np.take_along_axis(b, np.broadcast_to(lab, b.shape), axis=2)).any(axis=0)
+            cand = np.flatnonzero(moved[r, a[live]] | moved[r, c[live]])
+            size = max(1, _BLOCK // len(u))
+            for s in range(0, len(cand), size):
+                p, rp = live[cand[s : s + size]], r[cand[s : s + size]]
+                x, y = b[:, rp, a[p]], b[:, rp, c[p]]
+                hit = x != y
+                split = hit.any(axis=0)
+                at = hit.argmax(axis=0)[split]
+                first[p[split]] = sum(map(len, swept)) + at
+                block[p[split]] = np.minimum(x, y)[at, np.flatnonzero(split)]
+            live, theta = live[first[live] < 0], theta[step:]
+            swept.append(u)
+    return hood, first, block, np.vstack(swept)
 
 
-def _ts_certificates(bodies, mids, tol: float) -> TSResult:
-    """The total-separability verdict of bodies, known to form a packing,
-    with their pair midlines mids (normals, offsets; np.triu_indices order)."""
-    n = len(bodies)
-    if n == 1:
-        return TSResult(True, {}, (), 0)
-    us, ss = _ts_line_pool(bodies, mids)
-    los, his = _interval_matrices(bodies, us)
-    below = his <= ss[None, :] + tol
-    above = los >= ss[None, :] - tol
-    sided = (below | above).all(axis=0)
-
-    # the first line, per pair, that misses every interior and splits the pair
-    i, j = np.triu_indices(n, 1)
-    first = np.empty(len(i), dtype=np.int64)
-    step = max(1, _BLOCK // len(us))
-    for lo in range(0, len(i), step):
-        bi, bj = i[lo : lo + step], j[lo : lo + step]
-        ok = sided & ((below[bi] & above[bj]) | (above[bi] & below[bj]))
-        first[lo : lo + step] = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-
-    certificates: dict[tuple[int, int], SeparationCertificate] = {}
-    for p in np.flatnonzero(first >= 0):
-        a, k = int(i[p]), int(first[p])
-        if below[a, k]:
-            u, s = us[k], float(ss[k])
-            hi_f, lo_f = his[:, k], los[:, k]
-            lmask = below[:, k]
-        else:
-            u, s = -us[k], -float(ss[k])
-            hi_f, lo_f = -los[:, k], -his[:, k]
-            lmask = above[:, k]
-        left = tuple(int(m) for m in np.flatnonzero(lmask))
-        right = tuple(int(m) for m in np.flatnonzero(~lmask))
-        margin = float(
-            min(
-                (s - hi_f[list(left)]).min(),
-                (lo_f[list(right)] - s).min() if right else math.inf,
-            )
-        )
-        certificates[(a, int(j[p]))] = SeparationCertificate(Hyperplane(u, s), left, right, margin)
-    unresolved = tuple((int(i[p]), int(j[p])) for p in np.flatnonzero(first < 0))
-    return TSResult(not unresolved, certificates, unresolved, len(us))
+def _neighbourhoods(n: int, edge):
+    """Rows of each member and its neighbours, padded with -1, and the neighbours
+    as a dict of tuples, when edge flags the neighbours among np.triu_indices(n, 1)."""
+    near = np.zeros((n, n), dtype=bool)
+    near[np.triu_indices(n, 1)] = edge
+    near |= near.T
+    nbs = np.sort(np.where(near, np.arange(n), n), axis=1)[:, : near.sum(axis=1).max()]
+    hoods = {m: tuple(q for q in row if q < n) for m, row in enumerate(nbs.tolist())}
+    return np.column_stack([np.arange(n), np.where(nbs < n, nbs, -1)]), hoods
 
 
 def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     """Check total separability: every pair split by a line missing all interiors.
 
-    A yes comes with a verified line per pair. Pairs with no valid candidate
-    line land in unresolved; for disk and polygon members the candidate pool
-    is exhaustive, so a nonempty unresolved list refutes total separability
-    at the given tolerance.
+    Decided exactly over the critical directions (_refine), ``lines_checked``
+    of them. A split pair gets the first free cut splitting it, one certificate
+    per cut; no such line splits a pair in unresolved, a refutation at tol.
     """
     bodies = _as_bodies(bodies)
-    if len(bodies) == 0:
+    n = len(bodies)
+    if n == 0:
         raise GeometryError("empty packing")
-    _, dirs, offs = _packing_pairs(bodies, tol)
-    return _ts_certificates(bodies, (dirs, offs), tol)
+    pairs = _packing_pairs(bodies, tol)
+    pts, rad = _member_features(bodies)
+    table = np.arange(n)[None, :]
+    _, first, block, dirs = _refine(bodies, table, pairs, tol)
+    split = first >= 0
+    cuts, which = np.unique(first[split] * n + block[split], return_inverse=True)
+    lo, hi, b = (x[:, 0] for x in _cuts(dirs[cuts // n], pts, rad, table, tol))
+    left = b <= (cuts % n)[:, None]
+    top = np.where(left, hi, -np.inf).max(axis=1).tolist()
+    bottom = np.where(left, np.inf, lo).min(axis=1).tolist()
+    certs = [
+        SeparationCertificate(
+            Hyperplane(uk, 0.5 * (tk + bk)), tuple(np.flatnonzero(lk).tolist()),
+            tuple(np.flatnonzero(~lk).tolist()), 0.5 * (bk - tk),
+        )
+        for uk, tk, bk, lk in zip(dirs[cuts // n], top, bottom, left)
+    ]
+    i, j = np.triu_indices(n, 1)
+    certificates = dict(
+        zip(zip(i[split].tolist(), j[split].tolist()), map(certs.__getitem__, which.tolist()))
+    )
+    unresolved = tuple(zip(i[~split].tolist(), j[~split].tolist()))
+    return TSResult(not unresolved, certificates, unresolved, len(dirs))
 
 
 def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
@@ -637,20 +664,6 @@ def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
     return list(zip(i[touch].tolist(), j[touch].tolist()))
 
 
-def _failing_hoods(bodies, hoods: dict, pairs, tol: float):
-    """Yield, in order, each member m whose neighbourhood [m] + hoods[m] is
-    not totally separable; pairs is the _pair_gaps data of all bodies, which
-    form a packing."""
-    n = len(bodies)
-    for m in range(n):
-        sub = [m] + list(hoods[m])
-        if len(sub) < 2:
-            continue
-        k = _sub_pairs(sub, n)
-        if not _ts_certificates([bodies[q] for q in sub], (pairs[1][k], pairs[2][k]), tol).is_ts:
-            yield m
-
-
 def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     """Check local separability: each member plus its touching neighbours is TS."""
     bodies = _as_bodies(bodies)
@@ -658,15 +671,10 @@ def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     if n == 0:
         raise GeometryError("empty packing")
     pairs = _packing_pairs(bodies, tol)
-    i, j = np.triu_indices(n, 1)
-    touch = pairs[0] <= tol
-    nbs: dict[int, list[int]] = {m: [] for m in range(n)}
-    for a, b in zip(i[touch].tolist(), j[touch].tolist()):
-        nbs[a].append(b)
-        nbs[b].append(a)
-    hoods = {m: tuple(sorted(nbs[m])) for m in range(n)}
-    failing = list(_failing_hoods(bodies, hoods, pairs, tol))
-    return LSResult(not failing, tuple(failing), hoods)
+    table, hoods = _neighbourhoods(n, pairs[0] <= tol)
+    hood, first, _, _ = _refine(bodies, table, pairs, tol)
+    failing = tuple(np.unique(hood[first < 0]).tolist())
+    return LSResult(not failing, failing, hoods)
 
 
 def is_rho_separable(
@@ -688,15 +696,11 @@ def is_rho_separable(
     i, j = np.triu_indices(n, 1)
     gauge = _gauges(reference, cs[j] - cs[i])
     _require_disjoint(gauge < 2.0 - tol, n)
-    dist = np.zeros((n, n))
-    dist[i, j] = dist[j, i] = gauge
-    hoods = {
-        m: tuple(q for q in range(n) if q != m and dist[m, q] <= rho - 1.0 + tol)
-        for m in range(n)
-    }
+    table, hoods = _neighbourhoods(n, gauge <= rho - 1.0 + tol)
     if rho < 3.0:
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
     bodies = [reference.translate(c) for c in cs]
-    failing = next(_failing_hoods(bodies, hoods, _pair_gaps(bodies), tol), None)
-    return RhoSeparabilityResult(failing is None, rho, failing, hoods)
+    hood, first, _, _ = _refine(bodies, table, _pair_gaps(bodies), tol)
+    failing = hood[first < 0].tolist()
+    return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

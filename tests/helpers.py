@@ -236,24 +236,138 @@ def _plain_features(body: ConvexBody):
     return vs, 0.0, normals
 
 
-def pair_clearance_reference(a: ConvexBody, b: ConvexBody) -> float:
-    """Largest one-line clearance of two planar bodies, in plain Python.
+def _best_line(a: ConvexBody, b: ConvexBody):
+    """(clearance, u, s) of the best line <u, x> = s between two planar
+    bodies, a below and b above, in plain Python.
 
-    The max, over the unit feature differences q - p and the edge normals of
-    both bodies and their opposites, of min <u, q> - r_b - max <u, p> - r_a.
+    The max, over the unit feature differences q - p ((1, 0) where they
+    coincide) and the edge normals of both bodies and their opposites, of
+    min <u, q> - r_b - max <u, p> - r_a; s is the middle of the gap.
     """
     pa, ra, na = _plain_features(a)
     pb, rb, nb = _plain_features(b)
-    dirs = na + nb
+    dirs = []
     for x0, y0 in pa:
         for x1, y1 in pb:
             length = math.hypot(x1 - x0, y1 - y0)
-            if length > 0.0:
-                dirs.append(((x1 - x0) / length, (y1 - y0) / length))
-    best = -math.inf
-    for ux, uy in (dirs or [(1.0, 0.0)]) + [(-x, -y) for x, y in dirs]:
+            dirs.append(((x1 - x0) / length, (y1 - y0) / length) if length > 0.0 else (1.0, 0.0))
+    dirs += na + nb
+    best = (-math.inf, (1.0, 0.0), 0.0)
+    for ux, uy in dirs + [(-x, -y) for x, y in dirs]:
         hi = max(ux * x + uy * y for x, y in pa) + ra
         lo = min(ux * x + uy * y for x, y in pb) - rb
-        best = max(best, lo - hi)
+        if lo - hi > best[0]:
+            best = (lo - hi, (ux, uy), 0.5 * (lo + hi))
     return best
 
+
+def pair_clearance_reference(a: ConvexBody, b: ConvexBody) -> float:
+    """Largest one-line clearance of two planar bodies, in plain Python."""
+    return _best_line(a, b)[0]
+
+
+def ts_reference(bodies, tol: float = 1e-9):
+    """Total separability of a planar packing from a pool of candidate lines,
+    in plain Python: (is_ts, unresolved pairs).
+
+    The pool holds the members' edge lines, the common tangents of two
+    features (disk centers with their radius, vertices with radius 0) of
+    different members, and the best line of every pair. A line is free when
+    every member lies within tol of one side; a pair is split by a free line
+    with the two members on opposite sides.
+    """
+    feats = [_plain_features(b) for b in bodies]
+    lines = []
+    for pts, _, normals in feats:
+        lines += [(ux, uy, max(ux * x + uy * y for x, y in pts)) for ux, uy in normals]
+    circles = [(x, y, r, m) for m, (pts, r, _) in enumerate(feats) for x, y in pts]
+    for a, (xa, ya, ra, ma) in enumerate(circles):
+        for xb, yb, rb, mb in circles[a + 1 :]:
+            big = math.hypot(xa - xb, ya - yb)
+            if ma == mb or big < 1e-12:
+                continue
+            hx, hy = (xa - xb) / big, (ya - yb) / big
+            # lines <u, x> = s tangent to both circles: <u, c_a> - r_a = <u, c_b> -+ r_b
+            for sign in (1.0, -1.0):
+                cos = (ra - sign * rb) / big
+                if abs(cos) > 1.0 + 1e-9 or (sign < 0.0 and rb == 0.0):
+                    continue
+                cos = min(1.0, max(-1.0, cos))
+                sin = math.sqrt(max(0.0, 1.0 - cos * cos))
+                both = sin >= 1e-12 and (ra > 0.0 or rb > 0.0)
+                for side in (1.0, -1.0) if both else (1.0,):
+                    ux, uy = cos * hx - side * sin * hy, cos * hy + side * sin * hx
+                    lines.append((ux, uy, ux * xa + uy * ya - ra))
+    n = len(bodies)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        _, (ux, uy), s = _best_line(bodies[i], bodies[j])
+        lines.append((ux, uy, s))
+    open_pairs = set(pairs)
+    for ux, uy, s in lines:
+        if not open_pairs:
+            break
+        norm = math.hypot(ux, uy)
+        below, above = [], []
+        for pts, r, _ in feats:
+            proj = [ux * x + uy * y for x, y in pts]
+            below.append(max(proj) + r * norm <= s + tol)
+            above.append(min(proj) - r * norm >= s - tol)
+        if all(p or q for p, q in zip(below, above)):
+            open_pairs = {
+                (i, j) for i, j in open_pairs
+                if not ((below[i] and above[j]) or (above[i] and below[j]))
+            }
+    unresolved = sorted(open_pairs)
+    return not unresolved, unresolved
+
+
+def _support_point(rng, body: ConvexBody, u) -> np.ndarray:
+    """A point of body where <u, x> is largest; on an edge facing u, its
+    ends or its middle."""
+    if body.kind == "disk":
+        return body.center + body.radius * np.asarray(u)
+    proj = body.vertices @ u
+    top = body.vertices[proj >= proj.max() - 1e-12]
+    if len(top) == 1:
+        return top[0]
+    lam = float(rng.choice([0.0, 0.5, 1.0]))
+    return (1.0 - lam) * top[0] + lam * top[-1]
+
+
+def touching_packing(rng, shapes, n: int) -> list:
+    """Up to n translates of the bodies shapes, each attached to an earlier
+    member so that the two touch: along a random direction, a multiple of
+    pi/6, or an edge normal of either, so disks meet tangentially and
+    polygons corner to corner, corner to edge or edge to edge. A translate
+    meets every other member either at distance 0 (to rounding) or at least
+    1e-6 away, and none overlap."""
+    placed = [shapes[int(rng.integers(len(shapes)))]]
+    for _ in range(40 * n):
+        if len(placed) == n:
+            break
+        old = placed[int(rng.integers(len(placed)))]
+        shape = shapes[int(rng.integers(len(shapes)))]
+        pick = int(rng.integers(4))
+        if pick == 1:
+            ang = math.pi / 6.0 * int(rng.integers(12))
+        elif pick >= 2 and (old, shape)[pick - 2].kind == "polygon":
+            normals = _plain_features((old, shape)[pick - 2])[2]
+            ux, uy = normals[int(rng.integers(len(normals)))]
+            ang = math.atan2(uy, ux) + (math.pi if pick == 3 else 0.0)
+        else:
+            ang = float(rng.uniform(0.0, 2.0 * math.pi))
+        u = np.array([math.cos(ang), math.sin(ang)])
+        new = shape.translate(_support_point(rng, old, u) - _support_point(rng, shape, -u))
+        gaps = [pair_clearance_reference(b, new) for b in placed]
+        if all(g >= 1e-6 or abs(g) <= 1e-12 for g in gaps):
+            placed.append(new)
+    return placed
+
+
+def move_bodies(rng, bodies) -> list:
+    """The bodies under one random rotation and translation."""
+    ang = float(rng.uniform(0.0, 2.0 * math.pi))
+    rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+    t = rng.uniform(-3.0, 3.0, 2)
+    return [b.transform(rot, t) for b in bodies]

@@ -112,13 +112,14 @@ def test_verify_ts_and_ls(grid_file, tmp_path, capsys):
     code, payload = run(["verify-ts", grid_file], capsys)
     assert code == 0
     assert payload["is_ts"] and not payload["unresolved"]
+    assert payload["provenance"] == {"method": "critical-directions", "exact": True}
     assert len(payload["certificates"]) == 36
     hexes = 2.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     hex_file = write_json(
         tmp_path / "hex.json", {"body": DISK, "centers": hexes.tolist()}
     )
     code, payload = run(["verify-ts", hex_file], capsys)
-    assert code == 2
+    assert code == 1
     assert not payload["is_ts"] and payload["unresolved"]
     house = write_json(
         tmp_path / "house.json",
@@ -127,8 +128,9 @@ def test_verify_ts_and_ls(grid_file, tmp_path, capsys):
     )
     code, payload = run(["verify-ls", house], capsys)
     assert code == 0 and payload["is_ls"]
+    assert payload["provenance"] == {"method": "neighbourhood-ts", "exact": True}
     code, payload = run(["verify-ts", house], capsys)
-    assert code == 2
+    assert code == 1
 
 
 def test_rho_sep(tmp_path, capsys):
@@ -136,6 +138,7 @@ def test_rho_sep(tmp_path, capsys):
     sq_file = write_json(tmp_path / "sq.json", {"body": DISK, "centers": sq})
     code, payload = run(["rho-sep", sq_file, "--rho", "3"], capsys)
     assert code == 0 and payload["separable"]
+    assert payload["provenance"] == {"method": "neighbourhood-ts", "exact": True}
     hexes = [
         [2.0 * (i + 0.5 * j), math.sqrt(3.0) * j] for i in range(-2, 3) for j in range(-2, 3)
     ]

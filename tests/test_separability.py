@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _plain_features,
     disk_bodies,
     house7_centers,
+    move_bodies,
     ns_family,
     pair_clearance_reference,
     random_convex_polygon,
     random_reference,
+    random_symmetric_polygon,
     thirteen_pentagon_centers,
     thirteen_ts_centers,
+    touching_packing,
+    ts_reference,
 )
 from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
 from sepgeom.covering import build_triangle_counterexample
@@ -367,3 +372,90 @@ def test_packing_checks_name_the_same_overlap(rng):
                 check(bodies)
     assert named >= 10
 
+
+def test_ts_corner_contact_needs_the_edge_line():
+    """Three polygons meet at (0, 1), the triangles' edges from there
+    collinear: the rectangle is split from the upper triangle only by that
+    common edge line, a bound of their normal cone."""
+    bodies = [
+        ConvexBody.polygon([(0, 0), (2, 0), (2, 1), (0, 1)]),
+        ConvexBody.polygon([(-3, 0), (0, 1), (-2, 2)]),
+        ConvexBody.polygon([(0, 1), (3, 2), (1, 3)]),
+    ]
+    res = is_ts_packing(bodies)
+    assert res.is_ts
+    assert abs(res.certificates[(0, 2)].plane.normal @ (3.0, 1.0)) < 1e-12
+
+
+def test_ts_verdict_does_not_rest_on_rounding(rng):
+    """Spread packings, clearances above 1e-6, have the same pairs refuted
+    at tol 0 as at 1e-9: every interval of free directions is tried inside,
+    not only at its ends, where a line touches a member up to rounding."""
+    for _ in range(120):
+        bodies = []
+        for _ in range(200):
+            c = rng.uniform(-4.0, 4.0, 2)
+            b = (ConvexBody.disk(c, float(rng.uniform(0.3, 1.5))) if rng.random() < 0.5
+                 else random_convex_polygon(rng, 6, 0.8).translate(c))
+            if all(pair_separation(b, o) > 1e-6 for o in bodies):
+                bodies.append(b)
+            if len(bodies) == 7:
+                break
+        assert is_ts_packing(bodies, 0.0).unresolved == is_ts_packing(bodies).unresolved
+
+
+def _plain_gauge(body: ConvexBody, x: float, y: float) -> float:
+    """Gauge of (x, y) in an o-symmetric disk or polygon, in plain Python."""
+    if body.kind == "disk":
+        return math.hypot(x, y) / body.radius
+    pts, _, normals = _plain_features(body)
+    return max(
+        0.0, max((nx * x + ny * y) / max(nx * p + ny * q for p, q in pts) for nx, ny in normals)
+    )
+
+
+def _reference_failing(bodies, hoods) -> list:
+    """Members whose neighbourhood is not TS by the plain tangent-line pool."""
+    return [
+        m for m, nb in enumerate(hoods)
+        if nb and not ts_reference([bodies[m]] + [bodies[q] for q in nb])[0]
+    ]
+
+
+def test_ts_ls_rho_match_the_tangent_line_pool(rng):
+    """Packings with touching pairs (tangent disks, squares edge to edge and
+    corner to corner, polygons on disks) get the answers of the plain pool
+    of edge lines, common tangents and pair best lines."""
+    square = ConvexBody.polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+    seen = set()
+    for t in range(60):
+        poly = random_convex_polygon(rng, 6, 0.6)
+        shapes = [square, ConvexBody.disk((0.0, 0.0), 0.5),
+                  ConvexBody.disk((0.0, 0.0), float(rng.uniform(0.3, 0.9))),
+                  poly.translate(-poly.centroid())]
+        use = (shapes[:1], shapes[1:2], shapes)[t % 3]
+        bodies = move_bodies(rng, touching_packing(rng, use, int(rng.integers(3, 9))))
+        n = len(bodies)
+        is_ts, unresolved = ts_reference(bodies)
+        res = is_ts_packing(bodies)
+        assert (res.is_ts, sorted(res.unresolved)) == (is_ts, unresolved), t
+        hoods = [
+            [q for q in range(n) if q != m and pair_clearance_reference(bodies[m], bodies[q]) <= 1e-9]
+            for m in range(n)
+        ]
+        failing = _reference_failing(bodies, hoods)
+        assert is_ls_packing(bodies).failing_members == tuple(failing), t
+
+        ref = random_symmetric_polygon(rng) if t % 2 else ConvexBody.disk((0.0, 0.0), 1.0)
+        members = touching_packing(rng, [ref], int(rng.integers(3, 9)))
+        centers = [b.center if b.kind == "disk" else b.vertices[0] - ref.vertices[0] for b in members]
+        rho = float(rng.choice([3.0, 3.5, 4.5]))
+        hoods = [
+            [q for q, d in enumerate(centers) if q != m and _plain_gauge(ref, *(d - c)) <= rho - 1.0 + 1e-9]
+            for m, c in enumerate(centers)
+        ]
+        bad = _reference_failing([ref.translate(c) for c in centers], hoods)
+        res = is_rho_separable(ref, centers, rho)
+        assert (res.separable, res.failing_member) == (not bad, bad[0] if bad else None), t
+        seen |= {("ts", is_ts), ("ls", not failing), ("rho", not bad)}
+    assert len(seen) == 6
