@@ -3,13 +3,16 @@
 One home for the pieces several modules use: the interval sweep behind
 every gap computation over directions, the golden-section maximiser, the
 Fibonacci sphere, the blocks of index triples behind the enclosing disk and
-cap, the homothet gap profile, the sample count of Rogers' simplex density
-and the pole margins of the spherical checks.
+cap, the exact 3-variable linear programs of the cover and the inradius, the
+homothet gap profile, the sample count of Rogers' simplex density and the
+pole margins of the spherical checks.
 """
 
 import math
 
 import numpy as np
+
+from .bodies import GeometryError
 
 
 def sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -64,6 +67,66 @@ def triple_blocks(n: int):
         if count >= 1 << 15 or first == n - 3:
             yield np.vstack(rows)
             rows, count = [], 0
+
+
+# rows violated by more than this, relative to |a| . |x| + |b|, join the working set
+_LP_TOL = 1e-12
+
+
+def _cross(u, v) -> np.ndarray:
+    """Row-wise cross products of 3-vectors (np.cross without its axis handling)."""
+    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+
+
+def _excess(a, b, x) -> np.ndarray:
+    """Violation beyond round-off (where positive) of each row of a x <= b at
+    each point x, shape (3,) or (p, 3); rows last."""
+    return x @ a.T - b - _LP_TOL * (np.abs(x) @ np.abs(a).T + np.abs(b))
+
+
+def lp3(c, a, b, lo, hi) -> np.ndarray:
+    """A minimiser of c . x subject to a x <= b, x in R^3, at a vertex.
+
+    lo <= x <= hi must hold at some minimiser. Those six bounds seed the
+    working set, so every sub-program is bounded and its minimum sits at a
+    vertex where three independent rows are tight. The most violated row
+    joins the set until none is violated; the vertex is then optimal for the
+    whole program. The new minimum lies on the row r2 that joined (the
+    segment to the old minimum crosses it), so only the triples of two rows
+    r0, r1 of the set with r2 are solved, by Cramer's rule: x = (b0 r1 x r2 +
+    b1 r2 x r0 + b2 r0 x r1) / r0 . (r1 x r2), skipping determinants that
+    are zero to rounding (parallel facets). The products r0 x r1 carry over
+    from round to round. A row violated at the current vertex is not in the
+    set, so this ends within len(b) rounds.
+    """
+    c = np.asarray(c, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    eye = np.eye(3)
+    a = np.vstack([eye, -eye, np.asarray(a, dtype=float)])
+    b = np.concatenate([hi, -lo, b])
+    size = np.linalg.norm(a, axis=1)
+    x, work = np.where(c > 0.0, lo, hi), list(range(6))
+    # the pairs p < q of positions in work, and a[work[p]] x a[work[q]]
+    p, q = np.triu_indices(6, 1)
+    pair = _cross(a[p], a[q])
+    while True:
+        excess = _excess(a, b, x)
+        k = int(np.argmax(excess))
+        if excess[k] <= 0.0:
+            return x
+        w = np.array(work)
+        side = _cross(a[w], a[k])  # a[work[p]] x a[k]
+        det = pair @ a[k]
+        ok = np.abs(det) > 1e-12 * size[w[p]] * size[w[q]] * size[k]
+        cand = b[w[p], None] * side[q] - b[w[q], None] * side[p] + b[k] * pair
+        cand = cand[ok] / det[ok, None]
+        work.append(k)
+        cand = cand[(_excess(a[work], b[work], cand) <= 0.0).all(axis=1)]
+        if not len(cand):
+            raise GeometryError("linear program has no vertex inside its bounds")
+        x = cand[int(np.argmin(cand @ c))]
+        p, q = np.append(p, np.arange(len(w))), np.append(q, np.full(len(w), len(w)))
+        pair = np.vstack([pair, side])
 
 
 def gap_profile(cx, cy, tau, hplus, hminus, cos_t, sin_t):

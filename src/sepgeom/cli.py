@@ -145,7 +145,7 @@ def cmd_cover(args) -> int:
             "center": best.center.tolist(), "ratio": best.ratio,
             "normalized": best.normalized, "contains_all": best.contains_all,
         },
-        "provenance": {"method": best.method},
+        "provenance": {"method": best.method, "exact": True},
     }
     from .bodies import Homothet
 

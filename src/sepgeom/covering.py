@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from ._kernels import sweep_gaps
+from ._kernels import lp3, sweep_gaps
 from .bodies import (
     EPS,
     ConvexBody,
@@ -90,8 +89,8 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     """Smallest ratio homothet of the reference covering the whole family.
 
     Polygon references reduce to a linear program over the cover's center
-    and ratio (facet constraints at member vertices); disk references reduce
-    to the exact smallest disk enclosing the member disks.
+    and ratio with one row per facet, solved exactly at a vertex (lp3); disk
+    references reduce to the exact smallest disk enclosing the member disks.
     """
     k = family.reference
     _require_planar([k], "min_cover_ratio")
@@ -110,36 +109,31 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
         viol = _containment_violation(family, t, mu)
         return CoverHomothet(t, float(mu), float(mu / total), "enclosing-disk", viol <= tol, viol)
 
-    g = k.centroid()
-    kc = ConvexBody.polygon(k.vertices - g)
-    normals, offsets = polygon_facets(kc)
-    pts = (centers[:, None, :] + ratios[:, None, None] * k.vertices[None, :, :]).reshape(-1, 2)
-    rows = []
-    rhs = []
-    for nf, hf in zip(normals, offsets):
-        rows.append(
-            np.column_stack(
-                [
-                    np.full(len(pts), -nf[0]),
-                    np.full(len(pts), -nf[1]),
-                    np.full(len(pts), -hf),
-                ]
-            )
-        )
-        rhs.append(-(pts @ nf))
-    res = linprog(
-        c=[0.0, 0.0, 1.0],
-        A_ub=np.vstack(rows),
-        b_ub=np.concatenate(rhs),
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
+    # about the vertex mean g of K and the mean o of the members' copies of
+    # g, which keeps the vertex solve well scaled: t' + mu (K - g) covers
+    # member c + tau K when n . t' + mu h >= n . (c + tau g - o) + tau h on
+    # every facet, h = h_K(n) - n . g > 0; mu >= 0 is the lower bound of the box
+    g = k.vertices.mean(axis=0)
+    normals, _ = polygon_facets(k)
+    h = np.einsum("ij,ij->i", normals, k.vertices - g)
+    # the copies of g less o, summed so that nothing large cancels
+    anchors = centers - centers.mean(axis=0) + (ratios - ratios.mean())[:, None] * g
+    o = centers.mean(axis=0) + ratios.mean() * g
+    need = (anchors @ normals.T + ratios[:, None] * h).max(axis=0)
+    # t' = 0 is feasible from mu0 on; member points lie within max |anchor|
+    # + max tau |K - g| of 0 per coordinate, and an optimum's t' within
+    # mu0 |K - g| of each, so the box holds every optimum with room to spare
+    mu0 = float((need / h).max())
+    extent = float(np.abs(k.vertices - g).max())
+    box = 2.0 * (float(np.abs(anchors).max()) + (ratios.max() + mu0) * extent)
+    x = lp3(
+        (0.0, 0.0, 1.0), -np.column_stack([normals, h]), -need,
+        (-box, -box, 0.0), (box, box, 2.0 * mu0),
     )
-    if not res.success:
-        raise GeometryError(f"cover LP failed: {res.message}")
-    t_prime, mu = res.x[:2], float(res.x[2])
-    t = t_prime - mu * g
+    mu = float(x[2])
+    t = o + x[:2] - mu * g
     viol = _containment_violation(family, t, mu)
-    return CoverHomothet(t, mu, mu / total, "lp", viol <= tol, viol)
+    return CoverHomothet(t, mu, mu / total, "facet-vertices", viol <= tol, viol)
 
 
 def build_triangle_counterexample(n: int = 3) -> HomothetFamily:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bodies import (
     EPS,
@@ -23,7 +22,7 @@ from .bodies import (
     raw_support,
     unit,
 )
-from ._kernels import triple_blocks
+from ._kernels import lp3, triple_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,21 +159,22 @@ def circumscribed_disk(body: ConvexBody) -> tuple[np.ndarray, float]:
 
 
 def inscribed_disk(body: ConvexBody) -> tuple[np.ndarray, float]:
-    """Chebyshev center and inradius (LP for polygons)."""
+    """Chebyshev center and inradius; for polygons the exact vertex of the
+    program max r subject to n . x + r <= h on every facet (lp3)."""
     if body.kind == "disk":
         return np.array(body.center), body.radius
-    normals, offsets = polygon_facets(body)
-    a_ub = np.hstack([normals, np.ones((len(normals), 1))])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=offsets,
-        bounds=[(None, None), (None, None), (0, None)],
-        method="highs",
+    normals, _ = polygon_facets(body)
+    # about the vertex mean o, which keeps the vertex solve well scaled; the
+    # center lies in the bounding box and r is below its larger side
+    o = body.vertices.mean(axis=0)
+    v = body.vertices - o
+    h = np.einsum("ij,ij->i", normals, v)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    x = lp3(
+        (0.0, 0.0, -1.0), np.column_stack([normals, np.ones(len(h))]), h,
+        (*lo, 0.0), (*hi, float((hi - lo).max())),
     )
-    if not res.success:
-        raise GeometryError(f"inradius LP failed: {res.message}")
-    return res.x[:2].copy(), float(res.x[2])
+    return o + x[:2], float(x[2])
 
 
 # ---------------------------------------------------------------------------

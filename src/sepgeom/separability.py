@@ -171,8 +171,9 @@ def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
     min over a member's features unchanged.
     """
     feats = [b.center[None, :] if b.kind == "disk" else b.vertices for b in bodies]
-    k = max(len(f) for f in feats)
-    pts = np.stack([np.vstack([f, np.repeat(f[:1], k - len(f), axis=0)]) for f in feats])
+    pts = np.empty((len(feats), max(map(len, feats)), feats[0].shape[1]))
+    for row, f in zip(pts, feats):
+        row[: len(f)], row[len(f) :] = f, f[0]
     rad = np.array([b.radius if b.kind == "disk" else 0.0 for b in bodies])
     return pts, rad
 
@@ -448,7 +449,7 @@ def is_sns(family, tol: float = EPS) -> SNSResult:
 _BLOCK = 1 << 16
 
 
-def _pair_gaps(bodies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_gaps(bodies, feats=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-line clearance of every pair i < j, in np.triu_indices order, with
     its unit direction u and mid-gap offset s: member i lies below the line
     <u, x> = s and member j above it. The clearance is negative on overlap.
@@ -458,7 +459,8 @@ def _pair_gaps(bodies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     or a facet normal of either member, so only those directions and their
     opposites are evaluated. Directions that are not defined (coincident
     features, the padding of members with fewer normals) are set to (1, 0);
-    any unit direction only gives a lower gap.
+    any unit direction only gives a lower gap. feats is _member_features of
+    bodies, built here when not given.
     """
     _require_planar(bodies, "packing checks")
     n = len(bodies)
@@ -466,7 +468,7 @@ def _pair_gaps(bodies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gaps, dirs, offs = np.empty(len(i)), np.empty((len(i), 2)), np.empty(len(i))
     if len(i) == 0:
         return gaps, dirs, offs
-    pts, rad = _member_features(bodies)
+    pts, rad = _member_features(bodies) if feats is None else feats
     k = pts.shape[1]
     normals = [_body_features(b)[1] for b in bodies]
     kn = max(len(m) for m in normals)
@@ -501,11 +503,14 @@ def _require_disjoint(overlap: np.ndarray, n: int) -> None:
         raise GeometryError(f"not a packing: members {i[k]} and {j[k]} overlap")
 
 
-def _packing_pairs(bodies, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_pair_gaps of bodies, raising unless their interiors are disjoint."""
-    pairs = _pair_gaps(bodies)
+def _packing_pairs(bodies, tol: float):
+    """_member_features and _pair_gaps of bodies, raising unless their
+    interiors are disjoint."""
+    _require_planar(bodies, "packing checks")
+    feats = _member_features(bodies)
+    pairs = _pair_gaps(bodies, feats)
     _require_disjoint(pairs[0] < -tol, len(bodies))
-    return pairs
+    return feats, pairs
 
 
 def pair_separation(a: ConvexBody, b: ConvexBody) -> float:
@@ -549,26 +554,27 @@ def _critical_angles(pts, rad, i, j, best) -> np.ndarray:
     return np.union1d(cand, np.remainder(mids, math.pi))
 
 
-def _refine(bodies, table, pairs, tol: float):
+def _refine(feats, table, pairs, tol: float):
     """Partition refinement of subfamilies of a packing over critical directions.
 
-    Row h of table lists the members of subfamily h of bodies, padded with
-    -1; pairs is the _pair_gaps data of all bodies. Two members are split by
-    a line missing every interior exactly when the free cuts (_cuts) of some
-    direction put them in different blocks. The directions splitting a pair
-    form a closed set, at whose ends two members' projections touch: an end
-    of a threshold-0 pair arc, the best direction of a touching pair, or an
-    edge normal bounding the normal cone of a corner-to-corner contact. These
-    and the midpoints between them decide every pair. The pair best
-    directions go first, the most frequent first, then the rest for the
-    subfamilies still unsettled, in blocks of about _BLOCK entries.
+    Row h of table lists the members of subfamily h of a packing, padded with
+    -1; feats is its _member_features and pairs its _pair_gaps data. Two
+    members are split by a line missing every interior exactly when the free
+    cuts (_cuts) of some direction put them in different blocks. The
+    directions splitting a pair form a closed set, at whose ends two members'
+    projections touch: an end of a threshold-0 pair arc, the best direction
+    of a touching pair, or an edge normal bounding the normal cone of a
+    corner-to-corner contact. These and the midpoints between them decide
+    every pair. The pair best directions go first, the most frequent first,
+    then the rest for the subfamilies still unsettled, in blocks of about
+    _BLOCK entries.
 
     Returns, per pair of members of a subfamily (row-major, np.triu_indices
     order within a row), its row, the index into the returned directions of
     the first one whose free cuts split it (-1 if none does) and the block
     below that cut, and the directions swept.
     """
-    pts, rad = _member_features(bodies)
+    pts, rad = feats
     (n, k), m = pts.shape[:2], table.shape[1]
     hood, a, c = np.nonzero(np.triu(np.ones((m, m), dtype=bool), 1) & (table >= 0)[:, None, :])
     gi, gj = np.sort([table[hood, a], table[hood, c]], axis=0)
@@ -631,10 +637,10 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     n = len(bodies)
     if n == 0:
         raise GeometryError("empty packing")
-    pairs = _packing_pairs(bodies, tol)
-    pts, rad = _member_features(bodies)
+    feats, pairs = _packing_pairs(bodies, tol)
+    pts, rad = feats
     table = np.arange(n)[None, :]
-    _, first, block, dirs = _refine(bodies, table, pairs, tol)
+    _, first, block, dirs = _refine(feats, table, pairs, tol)
     split = first >= 0
     cuts, which = np.unique(first[split] * n + block[split], return_inverse=True)
     lo, hi, b = (x[:, 0] for x in _cuts(dirs[cuts // n], pts, rad, table, tol))
@@ -658,7 +664,7 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
 
 def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
     """Pairs of members at zero distance (touching, interiors disjoint)."""
-    gaps = _packing_pairs(bodies, tol)[0]
+    gaps = _packing_pairs(bodies, tol)[1][0]
     i, j = np.triu_indices(len(bodies), 1)
     touch = gaps <= tol
     return list(zip(i[touch].tolist(), j[touch].tolist()))
@@ -670,9 +676,9 @@ def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     n = len(bodies)
     if n == 0:
         raise GeometryError("empty packing")
-    pairs = _packing_pairs(bodies, tol)
+    feats, pairs = _packing_pairs(bodies, tol)
     table, hoods = _neighbourhoods(n, pairs[0] <= tol)
-    hood, first, _, _ = _refine(bodies, table, pairs, tol)
+    hood, first, _, _ = _refine(feats, table, pairs, tol)
     failing = tuple(np.unique(hood[first < 0]).tolist())
     return LSResult(not failing, failing, hoods)
 
@@ -701,6 +707,7 @@ def is_rho_separable(
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
     bodies = [reference.translate(c) for c in cs]
-    hood, first, _, _ = _refine(bodies, table, _pair_gaps(bodies), tol)
+    feats = _member_features(bodies)
+    hood, first, _, _ = _refine(feats, table, _pair_gaps(bodies, feats), tol)
     failing = hood[first < 0].tolist()
     return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

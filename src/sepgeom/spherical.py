@@ -147,7 +147,7 @@ def _enclosing_candidates(centers, radii) -> tuple[np.ndarray, np.ndarray]:
     + r_b)/2. On a triple, |u| = 1 reads (a + c)/2 + (a - c)/2 cos 2R +
     b sin 2R = 1 for a = |A|^2, b = A . B and c = |B|^2: two roots R in
     [0, pi), smaller first. Admitted: the caps themselves, pairs wider than
-    both members, and triple roots in [largest radius, pi/2].
+    both members, and triple roots in [largest radius, pi).
     """
     us, rs = [centers], [radii]
     for m, gram, r in _support_sets(centers, radii):
@@ -164,7 +164,7 @@ def _enclosing_candidates(centers, radii) -> tuple[np.ndarray, np.ndarray]:
             rad = np.mod(np.stack([phase - turn, phase + turn], axis=1), 2.0 * PI) / 2.0
             rad = np.sort(rad, axis=1).ravel()
             a_vec, b_vec = np.repeat(a_vec[real], 2, axis=0), np.repeat(b_vec[real], 2, axis=0)
-            keep = (rad >= radii.max()) & (rad <= PI / 2.0)
+            keep = rad >= radii.max()
         u = np.cos(rad[keep])[:, None] * a_vec[keep] + np.sin(rad[keep])[:, None] * b_vec[keep]
         us.append(u / np.linalg.norm(u, axis=1, keepdims=True))
         rs.append(rad[keep])
@@ -228,7 +228,7 @@ def enclosing_cap(caps, tol: float = 1e-9) -> tuple[np.ndarray, float]:
         if covers.any():
             k = part[int(np.argmax(covers))]
             return u[k], float(r[k])
-    raise GeometryError("no enclosing cap of radius at most pi/2 was found")
+    raise GeometryError("no enclosing cap smaller than the sphere was found")
 
 
 @dataclass(frozen=True)

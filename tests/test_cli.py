@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sepgeom
 from helpers import house7_centers
 from sepgeom import svg
 from sepgeom.cli import main
@@ -100,12 +105,22 @@ def test_check_ns_provenance_sampled_in_3d(tmp_path, capsys):
     assert payload["provenance"] == {"method": "direction-search", "samples": 256}
 
 
-def test_cover(chain_file, capsys):
+def test_cover(chain_file, tmp_path, capsys):
     code, payload = run(["cover", chain_file], capsys)
     assert code == 0
     gg = payload["goodman_goodman"]
     assert gg["contains_all"] and gg["normalized"] <= 1.0 + 1e-7
     assert payload["smallest"]["normalized"] <= gg["normalized"] + 1e-12
+    assert payload["provenance"] == {"method": "enclosing-disk", "exact": True}
+    square = {"type": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}
+    squares = write_json(
+        tmp_path / "squares.json",
+        {"body": square, "centers": [[0, 0], [2, 0], [1, 2]], "ratios": [1, 1, 0.5]},
+    )
+    code, payload = run(["cover", squares], capsys)
+    assert code == 0 and payload["smallest"]["contains_all"]
+    assert payload["smallest"]["ratio"] == pytest.approx(2.0, abs=1e-12)
+    assert payload["provenance"] == {"method": "facet-vertices", "exact": True}
 
 
 def test_verify_ts_and_ls(grid_file, tmp_path, capsys):
@@ -361,3 +376,30 @@ def test_three_dimensional_family_exits_3(command, tmp_path, capsys):
     assert ei.value.code == 3
     assert "supports planar bodies only" in capsys.readouterr().err
 
+
+
+COLD_RUN = """
+import math, sys
+import numpy as np
+import sepgeom, sepgeom.cli
+from sepgeom import ConvexBody, HomothetFamily, min_cover_ratio, size_report
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), scipy_modules()
+ang = 2.0 * math.pi * np.arange(6) / 6
+hexagon = ConvexBody.polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
+fam = HomothetFamily(hexagon, [[0.0, 0.0], [1.7, 0.4], [0.3, 1.9]], [1.0, 0.5, 0.8])
+assert min_cover_ratio(fam).contains_all
+assert size_report(hexagon).inradius > 0.0
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_cold_import_and_cover_load_no_scipy():
+    src = str(Path(sepgeom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import ns_family, random_reference, random_symmetric_polygon
-from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
+from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, polygon_facets
 from sepgeom.covering import (
     build_triangle_counterexample,
     facet_parallel_cover_check,
@@ -14,6 +14,7 @@ from sepgeom.covering import (
     hadwiger_check,
     min_cover_ratio,
 )
+from sepgeom.measures import inscribed_disk
 from sepgeom.separability import is_non_separable
 
 LAMBDA_TRIANGLE = 2.0 / 3.0 + 2.0 / (3.0 * math.sqrt(3.0))
@@ -150,3 +151,93 @@ def test_facet_parallel_detects_gap():
         facet_parallel_cover_check(
             HomothetFamily(ConvexBody.disk((0, 0), 1.0), [(0.0, 0.0)], [1.0])
         )
+
+
+def _highs_cover_ratio(fam) -> float:
+    """The cover program as HiGHS solves it: every member vertex against every
+    facet of K - g, over the cover's translate t' and ratio mu >= 0."""
+    from scipy.optimize import linprog
+
+    k = fam.reference
+    normals, offsets = polygon_facets(ConvexBody.polygon(k.vertices - k.centroid()))
+    pts = (fam.centers[:, None, :] + fam.ratios[:, None, None] * k.vertices).reshape(-1, 2)
+    a_ub = np.vstack([np.column_stack([-np.tile(nf, (len(pts), 1)), np.full(len(pts), -hf)])
+                      for nf, hf in zip(normals, offsets)])
+    b_ub = np.concatenate([-(pts @ nf) for nf in normals])
+    res = linprog([0.0, 0.0, 1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    assert res.success
+    return float(res.x[2])
+
+
+def _highs_inradius(body) -> float:
+    from scipy.optimize import linprog
+
+    normals, offsets = polygon_facets(body)
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([normals, np.ones(len(normals))]),
+                  b_ub=offsets, bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    assert res.success
+    return float(res.x[2])
+
+
+def _random_polygon(rng) -> ConvexBody:
+    """3-12 points on an ellipse of axis ratio 0.3-1, at least 0.05 rad apart."""
+    m = int(rng.integers(3, 13))
+    while True:
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        if np.diff(np.append(ang, ang[0] + 2.0 * math.pi)).min() > 0.05:
+            break
+    pts = np.column_stack([np.cos(ang), rng.uniform(0.3, 1.0) * np.sin(ang)])
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    return ConvexBody.polygon(pts @ rot.T + rng.normal(size=2))
+
+
+def _random_members(rng, ref, n: int) -> HomothetFamily:
+    return HomothetFamily(ref, 3.0 * rng.normal(size=(n, 2)), rng.uniform(0.2, 2.0, n))
+
+
+def _regular(m: int, radius: float = 1.0) -> ConvexBody:
+    ang = 2.0 * math.pi * np.arange(m) / m
+    return ConvexBody.polygon(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
+def test_cover_and_inradius_match_highs(rng):
+    square = ConvexBody.polygon([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    cases = [_random_members(rng, _random_polygon(rng), int(rng.integers(2, 33)))
+             for _ in range(300)]
+    for ref in (square, _regular(6)):
+        cases += [_random_members(rng, ref, int(rng.integers(2, 33))) for _ in range(20)]
+        cases.append(_random_members(rng, ref, 1))
+    base = cases[0]
+    cases.append(HomothetFamily(base.reference, np.tile(base.centers[:1], (5, 1)),
+                                np.full(5, base.ratios[0])))
+    cases.append(HomothetFamily(base.reference, np.tile(base.centers[:1], (4, 1)),
+                                [0.5, 1.0, 2.0, 1.0]))
+    for fam in cases:
+        cover = min_cover_ratio(fam)
+        assert cover.contains_all and cover.method == "facet-vertices"
+        assert cover.ratio == pytest.approx(_highs_cover_ratio(fam), rel=1e-12, abs=0.0)
+        _, r = inscribed_disk(fam.reference)
+        assert r == pytest.approx(_highs_inradius(fam.reference), rel=1e-12, abs=0.0)
+    # far away and far from unit size, against HiGHS on the input as stored
+    # (rounded once), moved back exactly to unit size at the origin; the
+    # containment tolerance is absolute, so it scales with the family
+    for fam in cases[:40]:
+        for shift, scale in ((1e6, 1.0), (0.0, 1e-6), (0.0, 1e6)):
+            ref = ConvexBody.polygon(scale * fam.reference.vertices)
+            moved = HomothetFamily(ref, scale * fam.centers + shift, fam.ratios)
+            back = HomothetFamily(fam.reference, (moved.centers - shift) / scale, fam.ratios)
+            cover = min_cover_ratio(moved, tol=1e-9 * scale)
+            assert cover.contains_all
+            assert cover.ratio == pytest.approx(_highs_cover_ratio(back), rel=1e-12, abs=0.0)
+            far = ConvexBody.polygon(ref.vertices + shift)
+            near = ConvexBody.polygon((far.vertices - shift) / scale)
+            want = scale * _highs_inradius(near)
+            assert inscribed_disk(far)[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_inradius_of_a_512_gon():
+    for circumradius in (1.0, 3.0):
+        _, r = inscribed_disk(_regular(512, circumradius))
+        assert r == pytest.approx(math.cos(math.pi / 512) * circumradius, rel=1e-12, abs=0.0)
