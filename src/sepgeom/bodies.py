@@ -152,14 +152,16 @@ class ConvexBody:
         if self.kind == "disk":
             return np.array(self.center)
         if self.kind == "polygon":
+            # shoelace sums about the first vertex: about the origin they cancel
+            # for polygons far from it
             v = self.vertices
-            x, y = v[:, 0], v[:, 1]
+            x, y = v[:, 0] - v[0, 0], v[:, 1] - v[0, 1]
             xr, yr = np.roll(x, -1), np.roll(y, -1)
             cross = x * yr - xr * y
             a = cross.sum() / 2.0
             cx = ((x + xr) * cross).sum() / (6.0 * a)
             cy = ((y + yr) * cross).sum() / (6.0 * a)
-            return np.array([cx, cy])
+            return v[0] + np.array([cx, cy])
         return self.vertices.mean(axis=0)
 
     def translate(self, t) -> "ConvexBody":

@@ -29,7 +29,8 @@ TWO_PI = 2.0 * math.pi
 
 def polygon_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
+    # shoelace about the first vertex, which does not cancel far from the origin
+    x, y = v[:, 0] - v[0, 0], v[:, 1] - v[0, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 

@@ -26,7 +26,14 @@ from .measures import (
     polygon_perimeter,
     sum_area,
 )
-from .separability import TSResult, _require_disjoint, is_ts_packing
+from .separability import (
+    _AXES,
+    TSResult,
+    _near_pairs,
+    _near_translates,
+    _require_disjoint,
+    is_ts_packing,
+)
 from ._kernels import golden_max, simplex_covered
 
 PI = math.pi
@@ -57,10 +64,14 @@ def translate_gauge(reference: ConvexBody, delta) -> float:
     return 2.0 * float(_gauges(difference_body(reference), delta[None, :])[0])
 
 
-def _pair_gauges(reference: ConvexBody, centers: np.ndarray) -> np.ndarray:
-    """translate_gauge of every pair i < j of centers, in np.triu_indices order."""
-    i, j = np.triu_indices(len(centers), 1)
-    return 2.0 * _gauges(difference_body(reference), centers[j] - centers[i])
+def _pair_gauges(reference: ConvexBody, centers: np.ndarray, tol: float):
+    """The pairs i < j, in np.triu_indices order, of translates reference + c
+    that can touch or overlap, and their translate_gauge. They are the
+    _near_translates of the difference body at reach 1/2, so any other pair
+    is at translate_gauge above 2 + tol."""
+    diff = difference_body(reference)
+    i, j = _near_translates(diff, centers, 0.5, tol)
+    return i, j, 2.0 * _gauges(diff, centers[j] - centers[i])
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,8 @@ class TranslatePacking:
 
     def validate(self, tol: float = EPS) -> None:
         """Raise if any two translates have overlapping interiors."""
-        _require_disjoint(_pair_gauges(self.reference, self.centers) < 2.0 - tol, len(self))
+        i, j, g = _pair_gauges(self.reference, self.centers, tol)
+        _require_disjoint(i, j, g < 2.0 - tol)
 
     def contact_graph(self, tol: float = EPS) -> "ContactGraph":
         return contact_graph(self.reference, self.centers, tol)
@@ -297,8 +309,8 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
     idx = np.asarray(loop, dtype=int)
     if idx.ndim != 1 or len(idx) < 1 or idx.min() < 0 or idx.max() >= n:
         raise GeometryError("loop must index rows of centers")
-    i, j = np.triu_indices(n, 1)
-    _require_disjoint(_gauges(reference, c[j] - c[i]) < 2.0 - tol, n)
+    i, j = _near_translates(reference, c, 1.0, tol)
+    _require_disjoint(i, j, _gauges(reference, c[j] - c[i]) < 2.0 - tol)
 
     poly = c[idx]
     span = poly - poly[0]
@@ -597,7 +609,6 @@ def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGr
     """Touching pairs among the translates reference + c."""
     c = np.asarray(centers, dtype=float)
     n = len(c)
-    i, j = np.triu_indices(n, 1)
     rounded = np.round(c)
     integral = (
         reference.kind == "disk"
@@ -605,14 +616,17 @@ def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGr
         and np.abs(c - rounded).max() <= 1e-9
     )
     if integral:
-        # unit-diameter disks on lattice points: exact integer arithmetic
+        # unit-diameter disks on lattice points: exact integer arithmetic on
+        # the pairs at most one step apart along every sweep axis
+        proj = rounded @ _AXES.T
+        i, j = _near_pairs(proj - 0.5, proj + 0.5, 0.0)
         pts = rounded.astype(np.int64)
         d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
-        _require_disjoint(d2 == 0, n)
+        _require_disjoint(i, j, d2 == 0)
         touch = d2 == 1
     else:
-        g = _pair_gauges(reference, c)
-        _require_disjoint(g < 2.0 - tol, n)
+        i, j, g = _pair_gauges(reference, c, tol)
+        _require_disjoint(i, j, g < 2.0 - tol)
         touch = g <= 2.0 + tol
     edges = tuple(zip(i[touch].tolist(), j[touch].tolist()))
     degrees = np.bincount(np.concatenate([i[touch], j[touch]]), minlength=n).astype(np.int64)

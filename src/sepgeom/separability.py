@@ -448,32 +448,96 @@ def is_sns(family, tol: float = EPS) -> SNSResult:
 # pair temporaries are built in blocks of about this many entries
 _BLOCK = 1 << 16
 
+# the near-pair sweep projects the members onto the two axes and the two
+# diagonals: on boxes alone the diagonal neighbours of a square lattice, whose
+# boxes meet at a corner, would double the pairs priced
+_H = math.sqrt(0.5)
+_AXES = np.array([[1.0, 0.0], [0.0, 1.0], [_H, _H], [_H, -_H]])
+_MACHINE_EPS = np.finfo(float).eps
 
-def _pair_gaps(bodies, feats=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-line clearance of every pair i < j, in np.triu_indices order, with
-    its unit direction u and mid-gap offset s: member i lies below the line
-    <u, x> = s and member j above it. The clearance is negative on overlap.
+
+def _near_pairs(lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j, in np.triu_indices order, whose projections [lo, hi]
+    (rows of (n, m) arrays) meet on every column once each is enlarged by tol
+    and by the round-off of the coordinates.
+
+    Only such near pairs can overlap or touch: a gap above 2 tol along one
+    column is a lower bound on the pair's one-line clearance. One sweep over
+    the members sorted by the first column finds, with np.searchsorted, the
+    later ones starting before a member ends, and the other columns filter
+    them, in blocks of about _BLOCK candidates: O(n log n + candidates).
+    """
+    n, m = lo.shape
+    if n < 2:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    reach = 2.0 * tol + 64.0 * _MACHINE_EPS * max(hi.max(), -lo.min())
+    order = lo[:, 0].argsort()
+    # rows of [lo, -hi] over members in sweep order: two intervals meet when the
+    # larger lo plus the larger -hi is at most reach
+    box = np.concatenate([lo, -hi], axis=1)[order].T.copy()
+    # sweep position p meets positions p + 1 .. p + size[p] on the first column
+    size = box[0].searchsorted(reach - box[m], side="right") - np.arange(1, n + 1)
+    cum = np.concatenate([[0], size.cumsum()])
+    keys, p = [], 0
+    while p < n:
+        q = max(p + 1, int(cum.searchsorted(cum[p] + _BLOCK, side="right")) - 1)
+        a = np.arange(p, q).repeat(size[p:q])
+        b = np.arange(1 + cum[p], 1 + cum[q]) + (a - cum[a])
+        both = np.maximum(box.take(a, axis=1), box.take(b, axis=1))
+        keep = (both[:m] + both[m:] <= reach).all(axis=0)
+        oa, ob = order[a[keep]], order[b[keep]]
+        keys.append(np.minimum(oa, ob) * n + np.maximum(oa, ob))
+        p = q
+    key = np.concatenate(keys)
+    key.sort()
+    return np.divmod(key, n)
+
+
+def _near_translates(body: ConvexBody, centers, reach: float, tol: float):
+    """_near_pairs of the centers whose translates of body, scaled by reach
+    about its origin, can meet: every pair at gauge |c_j - c_i|_body at most
+    2 reach + tol among them."""
+    if body.dim != 2 or centers.shape[1] != 2:
+        raise GeometryError("the gauge supports planar bodies only")
+    feats = body.center[None, :] if body.kind == "disk" else body.vertices
+    h = reach * (np.abs(feats @ _AXES.T).max(axis=0) + body.radius)
+    proj = centers @ _AXES.T
+    return _near_pairs(proj - h, proj + h, tol * float(h.max()))
+
+
+def _pair_gaps(feats, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-line clearance of the pairs (i[p], j[p]) of members, with its unit
+    direction u and mid-gap offset s: member i[p] lies below the line
+    <u, x> = s and member j[p] above it. The clearance is negative on overlap.
+    feats is _member_features of the members.
 
     Along a unit u the gap is min over feature pairs of <u, b - a> - r_i -
     r_j, and its maximum over u is attained along a feature difference b - a
-    or a facet normal of either member, so only those directions and their
-    opposites are evaluated. Directions that are not defined (coincident
-    features, the padding of members with fewer normals) are set to (1, 0);
-    any unit direction only gives a lower gap. feats is _member_features of
-    bodies, built here when not given.
+    or an edge normal of either member, so only those directions and their
+    opposites are evaluated. The edge normals come from the padded feature
+    rows; directions that are not defined (coincident features, the zero
+    edges of padding) are set to (1, 0), and any unit direction only gives a
+    lower gap.
+
+    The packing checks price the near pairs (_near_pairs) only. Any other
+    pair has a clearance above tol, so it can neither overlap nor touch, and
+    _refine needs no best direction of it.
     """
-    _require_planar(bodies, "packing checks")
-    n = len(bodies)
-    i, j = np.triu_indices(n, 1)
+    pts, rad = feats
+    i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
     gaps, dirs, offs = np.empty(len(i)), np.empty((len(i), 2)), np.empty(len(i))
     if len(i) == 0:
         return gaps, dirs, offs
-    pts, rad = _member_features(bodies) if feats is None else feats
     k = pts.shape[1]
-    normals = [_body_features(b)[1] for b in bodies]
-    kn = max(len(m) for m in normals)
-    normals = np.stack([np.vstack([m, np.tile((1.0, 0.0), (kn - len(m), 1))]) for m in normals])
-    step = max(1, _BLOCK // (2 * (k * k + 2 * kn) * k))
+    normals = np.empty((len(pts), 0, 2))
+    if k > 1:
+        edges = np.roll(pts, -1, axis=1) - pts
+        normals = np.stack([edges[..., 1], -edges[..., 0]], axis=2)
+        length = np.linalg.norm(normals, axis=2, keepdims=True)
+        normals = np.divide(
+            normals, length, out=np.broadcast_to((1.0, 0.0), normals.shape).copy(), where=length > 0.0
+        )
+    step = max(1, _BLOCK // (2 * (k * k + 2 * normals.shape[1]) * k))
     for lo in range(0, len(i), step):
         bi, bj = i[lo : lo + step], j[lo : lo + step]
         a, b = pts[bi], pts[bj]
@@ -494,28 +558,31 @@ def _pair_gaps(bodies, feats=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gaps, dirs, offs
 
 
-def _require_disjoint(overlap: np.ndarray, n: int) -> None:
-    """Raise naming the first pair flagged in overlap, a mask over the pairs
-    i < j of n members in np.triu_indices order."""
+def _require_disjoint(i, j, overlap: np.ndarray) -> None:
+    """Raise naming the first pair (i[p], j[p]) flagged in overlap."""
     if overlap.any():
-        i, j = np.triu_indices(n, 1)
-        k = int(np.argmax(overlap))
-        raise GeometryError(f"not a packing: members {i[k]} and {j[k]} overlap")
+        p = int(np.argmax(overlap))
+        raise GeometryError(f"not a packing: members {i[p]} and {j[p]} overlap")
 
 
 def _packing_pairs(bodies, tol: float):
-    """_member_features and _pair_gaps of bodies, raising unless their
+    """_member_features of bodies, tol scaled to them (_scaled_tol), and their
+    near pairs (i, j) with the _pair_gaps data of each, raising unless their
     interiors are disjoint."""
     _require_planar(bodies, "packing checks")
     feats = _member_features(bodies)
-    pairs = _pair_gaps(bodies, feats)
-    _require_disjoint(pairs[0] < -tol, len(bodies))
-    return feats, pairs
+    t = _scaled_tol(*feats, tol)
+    proj, rad = feats[0] @ _AXES.T, feats[1][:, None]
+    i, j = _near_pairs(proj.min(axis=1) - rad, proj.max(axis=1) + rad, t)
+    pairs = (i, j) + _pair_gaps(feats, i, j)
+    _require_disjoint(i, j, pairs[2] < -t)
+    return feats, t, pairs
 
 
 def pair_separation(a: ConvexBody, b: ConvexBody) -> float:
     """Largest one-line clearance between two bodies, negative on overlap."""
-    return float(_pair_gaps([a, b])[0][0])
+    _require_planar([a, b], "packing checks")
+    return float(_pair_gaps(_member_features([a, b]), [0], [1])[0][0])
 
 
 def validate_packing(bodies, tol: float = EPS) -> None:
@@ -536,7 +603,7 @@ def _cuts(u, pts, rad, table, tol: float):
     order = np.argsort(lo, axis=2, kind="stable")
     cover = np.maximum.accumulate(np.take_along_axis(hi, order, axis=2), axis=2)
     free = np.take_along_axis(lo, order, axis=2)[..., 1:] >= cover[..., :-1] - tol
-    ids = np.concatenate([np.zeros_like(free[..., :1], int), np.cumsum(free, axis=2)], axis=2)
+    ids = np.concatenate([np.zeros(free.shape[:2] + (1,), int), np.cumsum(free, axis=2)], axis=2)
     np.put_along_axis(ids, order, ids.copy(), axis=2)  # back to the order of table
     return lo, hi, ids
 
@@ -554,20 +621,36 @@ def _critical_angles(pts, rad, i, j, best) -> np.ndarray:
     return np.union1d(cand, np.remainder(mids, math.pi))
 
 
+def _hood_pairs(table):
+    """Per pair of members of a row of table (padding -1), row-major and in
+    np.triu_indices order within a row: the row, the two columns, and the two
+    members, the smaller first."""
+    m = table.shape[1]
+    hood, a, c = np.nonzero(np.triu(np.ones((m, m), dtype=bool), 1) & (table >= 0)[:, None, :])
+    gi, gj = np.sort([table[hood, a], table[hood, c]], axis=0)
+    return hood, a, c, gi, gj
+
+
 def _refine(feats, table, pairs, tol: float):
     """Partition refinement of subfamilies of a packing over critical directions.
 
     Row h of table lists the members of subfamily h of a packing, padded with
-    -1; feats is its _member_features and pairs its _pair_gaps data. Two
-    members are split by a line missing every interior exactly when the free
-    cuts (_cuts) of some direction put them in different blocks. The
-    directions splitting a pair form a closed set, at whose ends two members'
+    -1; feats is its _member_features and pairs some of its pairs (i, j),
+    sorted by i n + j and holding every touching pair, with their _pair_gaps
+    data, such as the near pairs of _packing_pairs. Two members are
+    split by a line missing every interior exactly when the free cuts
+    (_cuts) of some direction put them in different blocks. The directions
+    splitting a pair form a closed set, at whose ends two members'
     projections touch: an end of a threshold-0 pair arc, the best direction
     of a touching pair, or an edge normal bounding the normal cone of a
     corner-to-corner contact. These and the midpoints between them decide
-    every pair. The pair best directions go first, the most frequent first,
-    then the rest for the subfamilies still unsettled, in blocks of about
-    _BLOCK entries.
+    every pair. Only touching pairs need their best direction: their split
+    set can be that one direction. A pair that is not near has a clearance
+    above tol, so its threshold-0 arc is open, its ends are critical angles
+    and the midpoints between them are swept. So the best directions are
+    looked up for the given pairs only, by a search over their sorted keys.
+    They go first, the most frequent first, then the rest for the
+    subfamilies still unsettled, in blocks of about _BLOCK entries.
 
     Returns, per pair of members of a subfamily (row-major, np.triu_indices
     order within a row), its row, the index into the returned directions of
@@ -576,21 +659,25 @@ def _refine(feats, table, pairs, tol: float):
     """
     pts, rad = feats
     (n, k), m = pts.shape[:2], table.shape[1]
-    hood, a, c = np.nonzero(np.triu(np.ones((m, m), dtype=bool), 1) & (table >= 0)[:, None, :])
-    gi, gj = np.sort([table[hood, a], table[hood, c]], axis=0)
-    # the pair (gi, gj), gi < gj, sits at this position in np.triu_indices order
-    d = pairs[1][gi * n - gi * (gi + 1) // 2 + gj - gi - 1]
-    best = np.remainder(np.arctan2(d[:, 1], d[:, 0]), math.pi)
+    hood, a, c, gi, gj = _hood_pairs(table)
+    # priced pairs are sorted by the key i n + j; n n ends the keys as a sentinel
+    keys, want = np.append(pairs[0] * n + pairs[1], n * n), gi * n + gj
+    pos = np.searchsorted(keys, want)
+    near = keys[pos] == want
+    d = pairs[3][pos[near]]
+    best = np.full(len(hood), np.nan)
+    best[near] = np.remainder(np.arctan2(d[:, 1], d[:, 0]), math.pi)
     first, block = np.full((2, len(hood)), -1)
     live = np.arange(len(hood))
     swept = [np.empty((0, 2))]
     for stage in range(2):
         if stage == 0:
-            theta, count = np.unique(best, return_counts=True)
+            theta, count = np.unique(best[near], return_counts=True)
             theta = theta[np.argsort(-count, kind="stable")]
         elif len(live):
             rel = np.isin(hood, hood[live])
-            theta = np.setdiff1d(_critical_angles(pts, rad, gi[rel], gj[rel], best[rel]), best)
+            theta = _critical_angles(pts, rad, gi[rel], gj[rel], best[rel & near])
+            theta = np.setdiff1d(theta, best[near])
         while len(theta) and len(live):
             rows, r = np.unique(hood[live], return_inverse=True)
             step = max(1, _BLOCK // (len(rows) * m * k))
@@ -615,15 +702,19 @@ def _refine(feats, table, pairs, tol: float):
     return hood, first, block, np.vstack(swept)
 
 
-def _neighbourhoods(n: int, edge):
+def _neighbourhoods(n: int, i, j):
     """Rows of each member and its neighbours, padded with -1, and the neighbours
-    as a dict of tuples, when edge flags the neighbours among np.triu_indices(n, 1)."""
-    near = np.zeros((n, n), dtype=bool)
-    near[np.triu_indices(n, 1)] = edge
-    near |= near.T
-    nbs = np.sort(np.where(near, np.arange(n), n), axis=1)[:, : near.sum(axis=1).max()]
-    hoods = {m: tuple(q for q in row if q < n) for m, row in enumerate(nbs.tolist())}
-    return np.column_stack([np.arange(n), np.where(nbs < n, nbs, -1)]), hoods
+    as a dict of tuples, from the edges (i[p], j[p])."""
+    a, b = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    deg = np.bincount(a, minlength=n)
+    table = np.full((n, 1 + deg.max(initial=0)), -1)
+    table[:, 0] = np.arange(n)
+    table[a, 1 + np.arange(len(a)) - np.repeat(np.cumsum(deg) - deg, deg)] = b
+    nbs, ends = b.tolist(), np.cumsum(deg).tolist()
+    hoods = {m: tuple(nbs[e - d : e]) for m, (e, d) in enumerate(zip(ends, deg.tolist()))}
+    return table, hoods
 
 
 def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
@@ -631,19 +722,21 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
 
     Decided exactly over the critical directions (_refine), ``lines_checked``
     of them. A split pair gets the first free cut splitting it, one certificate
-    per cut; no such line splits a pair in unresolved, a refutation at tol.
+    per cut; no such line splits a pair in unresolved, a refutation at tol
+    (scaled by min(1, extent of the packing)). The certificates make the
+    result O(n^2) whatever the packing.
     """
     bodies = _as_bodies(bodies)
     n = len(bodies)
     if n == 0:
         raise GeometryError("empty packing")
-    feats, pairs = _packing_pairs(bodies, tol)
+    feats, t, pairs = _packing_pairs(bodies, tol)
     pts, rad = feats
     table = np.arange(n)[None, :]
-    _, first, block, dirs = _refine(feats, table, pairs, tol)
+    _, first, block, dirs = _refine(feats, table, pairs, t)
     split = first >= 0
     cuts, which = np.unique(first[split] * n + block[split], return_inverse=True)
-    lo, hi, b = (x[:, 0] for x in _cuts(dirs[cuts // n], pts, rad, table, tol))
+    lo, hi, b = (x[:, 0] for x in _cuts(dirs[cuts // n], pts, rad, table, t))
     left = b <= (cuts % n)[:, None]
     top = np.where(left, hi, -np.inf).max(axis=1).tolist()
     bottom = np.where(left, np.inf, lo).min(axis=1).tolist()
@@ -663,22 +756,24 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
 
 
 def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
-    """Pairs of members at zero distance (touching, interiors disjoint)."""
-    gaps = _packing_pairs(bodies, tol)[1][0]
-    i, j = np.triu_indices(len(bodies), 1)
-    touch = gaps <= tol
+    """Pairs of members at zero distance (touching, interiors disjoint), at
+    tol scaled by min(1, extent of the packing)."""
+    _, t, (i, j, gaps, _, _) = _packing_pairs(bodies, tol)
+    touch = gaps <= t
     return list(zip(i[touch].tolist(), j[touch].tolist()))
 
 
 def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
-    """Check local separability: each member plus its touching neighbours is TS."""
+    """Check local separability: each member plus its touching neighbours is
+    TS, at tol scaled by min(1, extent of the packing)."""
     bodies = _as_bodies(bodies)
     n = len(bodies)
     if n == 0:
         raise GeometryError("empty packing")
-    feats, pairs = _packing_pairs(bodies, tol)
-    table, hoods = _neighbourhoods(n, pairs[0] <= tol)
-    hood, first, _, _ = _refine(feats, table, pairs, tol)
+    feats, t, pairs = _packing_pairs(bodies, tol)
+    touch = pairs[2] <= t
+    table, hoods = _neighbourhoods(n, pairs[0][touch], pairs[1][touch])
+    hood, first, _, _ = _refine(feats, table, pairs, t)
     failing = tuple(np.unique(hood[first < 0]).tolist())
     return LSResult(not failing, failing, hoods)
 
@@ -690,7 +785,9 @@ def is_rho_separable(
 
     The packing is rho-separable when, for each member, the sub-packing of
     members contained in the rho-enlarged copy around it is totally
-    separable. Containment reduces to gauge distance at most rho - 1.
+    separable. Containment reduces to gauge distance at most rho - 1, so
+    only the pairs of _near_translates with reach max(1, (rho - 1) / 2) get
+    a gauge, and only the pairs sharing a neighbourhood a clearance.
     """
     if rho < 1.0:
         raise GeometryError("rho must be at least 1")
@@ -699,15 +796,19 @@ def is_rho_separable(
         raise GeometryError("rho-separability requires an origin-symmetric reference")
     cs = np.atleast_2d(np.asarray(centers, dtype=float))
     n = len(cs)
-    i, j = np.triu_indices(n, 1)
+    i, j = _near_translates(reference, cs, max(1.0, 0.5 * (rho - 1.0)), tol)
     gauge = _gauges(reference, cs[j] - cs[i])
-    _require_disjoint(gauge < 2.0 - tol, n)
-    table, hoods = _neighbourhoods(n, gauge <= rho - 1.0 + tol)
+    _require_disjoint(i, j, gauge < 2.0 - tol)
+    edge = gauge <= rho - 1.0 + tol
+    i, j = i[edge], j[edge]
+    table, hoods = _neighbourhoods(n, i, j)
     if rho < 3.0:
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
-    bodies = [reference.translate(c) for c in cs]
-    feats = _member_features(bodies)
-    hood, first, _, _ = _refine(feats, table, _pair_gaps(bodies, feats), tol)
+    pts, rad = _member_features([reference])
+    feats = pts[0] + cs[:, None, :], np.repeat(rad, n)
+    *_, gi, gj = _hood_pairs(table)
+    i, j = np.divmod(np.unique(gi * n + gj), n)
+    hood, first, _, _ = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j), tol)
     failing = hood[first < 0].tolist()
     return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

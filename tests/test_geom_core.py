@@ -13,6 +13,7 @@ from sepgeom.bodies import (
     GeometryError,
     Homothet,
     HomothetFamily,
+    body_contains_point,
     body_from_json,
     body_to_json,
     family_from_json,
@@ -335,3 +336,18 @@ def test_degenerate_guards():
         size_report(seg)
     with pytest.raises(GeometryError):
         min_area_parallelogram(seg)
+
+
+def test_centroid_and_area_far_from_the_origin(rng):
+    """Shoelace sums about the first vertex keep the centroid and the area of
+    a unit hexagon translated by 1e6 to the shift of the unshifted ones."""
+    for _ in range(100):
+        ang = np.arange(6) * math.pi / 3.0 + rng.uniform(-0.4, 0.4, 6)
+        v = np.column_stack([np.cos(ang), np.sin(ang)])
+        shift = rng.choice([-1.0, 1.0], 2) * 1e6
+        near, far = ConvexBody.polygon(v), ConvexBody.polygon(v + shift)
+        c = far.centroid()
+        assert body_contains_point(far, c)
+        assert np.abs(c - (near.centroid() + shift)).max() <= 1e-6
+        assert polygon_area(far.vertices) == pytest.approx(polygon_area(near.vertices), rel=1e-9)
+        assert area(far) == pytest.approx(area(near), rel=1e-9)

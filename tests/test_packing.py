@@ -300,5 +300,11 @@ def test_pair_gauges_equal_minkowski_norm(rng):
         deltas = cs[j] - cs[i]
         assert _gauges(ref, deltas).tolist() == [minkowski_norm(ref, d) for d in deltas]
         diff = difference_body(ref)
-        assert _pair_gauges(ref, cs).tolist() == [2.0 * minkowski_norm(diff, d) for d in deltas]
+        gauges = {(a, b): 2.0 * minkowski_norm(diff, d) for a, b, d in zip(i.tolist(), j.tolist(), deltas)}
+        ni, nj, g = _pair_gauges(ref, cs, 1e-9)
+        pairs = list(zip(ni.tolist(), nj.tolist()))
+        # near pairs in np.triu_indices order, every pair within gauge 2 + tol among them
+        assert pairs == sorted(set(pairs)) and all(a < b for a, b in pairs)
+        assert {p for p, x in gauges.items() if x <= 2.0 + 1e-9} <= set(pairs)
+        assert g.tolist() == [gauges[p] for p in pairs]
 

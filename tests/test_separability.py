@@ -22,8 +22,13 @@ from helpers import (
 )
 from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
 from sepgeom.covering import build_triangle_counterexample
+from sepgeom import separability
+from sepgeom.packing import contact_graph, polyomino_packing
 from sepgeom.separability import (
+    _BLOCK,
     Hyperplane,
+    _member_features,
+    _near_pairs,
     _pair_gaps,
     find_separating_hyperplane,
     is_ls_packing,
@@ -334,8 +339,8 @@ def test_pair_gaps_match_plain_python(rng):
     kinds = set()
     for _ in range(60):
         bodies = _mixed_packing_family(rng, int(rng.integers(2, 8)))
-        gaps, dirs, offs = _pair_gaps(bodies)
         i, j = np.triu_indices(len(bodies), 1)
+        gaps, dirs, offs = _pair_gaps(_member_features(bodies), i, j)
         want = np.array([pair_clearance_reference(bodies[a], bodies[b]) for a, b in zip(i, j)])
         assert np.abs(gaps - want).max() <= 1e-12
         for p, (a, b) in enumerate(zip(i, j)):
@@ -459,3 +464,97 @@ def test_ts_ls_rho_match_the_tangent_line_pool(rng):
         assert (res.separable, res.failing_member) == (not bad, bad[0] if bad else None), t
         seen |= {("ts", is_ts), ("ls", not failing), ("rho", not bad)}
     assert len(seen) == 6
+
+
+def _brute_near(lo, hi, tol: float) -> list:
+    """Pairs a < b whose rows of projections meet on every column once each
+    is enlarged by tol and by the round-off allowance of _near_pairs."""
+    if len(lo) < 2:
+        return []
+    reach = 2.0 * tol + 64.0 * np.finfo(float).eps * max(np.abs(lo).max(), np.abs(hi).max())
+    lo, hi = lo.tolist(), hi.tolist()
+    return [
+        (a, b) for a in range(len(lo)) for b in range(a + 1, len(lo))
+        if all(lo[b][c] <= hi[a][c] + reach and lo[a][c] <= hi[b][c] + reach for c in range(len(lo[a])))
+    ]
+
+
+def test_near_pairs_match_a_brute_force_box_test(rng):
+    tol = 1e-3
+    cases = [np.zeros((0, 2)), np.zeros((1, 2)), np.array([[0.0, 0.0], [1.0 + 2.0 * tol, 0.5]])]
+    for t in range(60):
+        n = int(rng.integers(2, 40))
+        cols = 2 if t % 2 else 4
+        lo = rng.uniform(0.0, 6.0, (n, cols))
+        if t % 3 == 0:
+            lo[:, 0] = np.round(lo[:, 0])  # ties in the sweep column
+        cases.append(lo)
+    # boxes exactly tol apart, in a row and in a column, and one chain 3 tol apart
+    step = np.arange(6.0)[:, None] * (1.0 + tol)
+    cases += [np.hstack([step, np.zeros((6, 1))]), np.hstack([np.zeros((6, 1)), step]),
+              np.arange(6.0)[:, None].repeat(2, axis=1) * (1.0 + 3.0 * tol)]
+    for lo in cases:
+        for shift in (0.0, 1e6):
+            lo_s, hi_s = lo + shift, lo + shift + 1.0
+            i, j = _near_pairs(lo_s, hi_s, tol)
+            assert list(zip(i.tolist(), j.tolist())) == _brute_near(lo_s, hi_s, tol)
+    # boxes tol apart meet once each is enlarged by tol; 3 tol apart do not
+    i, j = _near_pairs(cases[-3] + 1.0, cases[-3] + 2.0, tol)
+    assert list(zip(i.tolist(), j.tolist())) == [(a, a + 1) for a in range(5)]
+    assert len(_near_pairs(cases[-1], cases[-1] + 1.0, tol)[0]) == 0
+    # more candidates than one block of the sweep
+    lo = np.column_stack([rng.uniform(0.0, 1.0, 420), rng.uniform(0.0, 60.0, 420)])
+    hi = lo + (2.0, 1.0)
+    assert (420 * 419) // 2 > _BLOCK
+    i, j = _near_pairs(lo, hi, tol)
+    assert list(zip(i.tolist(), j.tolist())) == _brute_near(lo, hi, tol)
+
+
+def test_ls_on_a_ten_thousand_disk_spiral_prices_o_n_pairs(monkeypatch):
+    centers = polyomino_packing(10_000).centers
+    n = len(centers)
+    bodies = [ConvexBody.disk(c, 0.5) for c in centers]
+    priced = []
+    pair_gaps = separability._pair_gaps
+
+    def counted(feats, i, j):
+        priced.append(len(i))
+        return pair_gaps(feats, i, j)
+
+    monkeypatch.setattr(separability, "_pair_gaps", counted)
+    res = is_ls_packing(bodies)
+    assert res.is_ls and not res.failing_members
+    assert 0 < sum(priced) <= 3 * n
+    edges = contact_graph(ConvexBody.disk((0.0, 0.0), 0.5), centers).edges
+    nbs = {m: [] for m in range(n)}
+    for a, b in edges:
+        nbs[a].append(b)
+        nbs[b].append(a)
+    assert res.neighborhoods == {m: tuple(sorted(q)) for m, q in nbs.items()}
+    assert tangency_pairs(bodies) == list(edges)
+
+
+def _scaled_bodies(bodies, s: float) -> list:
+    return [ConvexBody.disk(b.center * s, b.radius * s) if b.kind == "disk"
+            else ConvexBody.polygon(b.vertices * s) for b in bodies]
+
+
+def test_packing_verdicts_do_not_change_at_scale_two_to_the_minus_twenty(rng):
+    """Scaling by 2^-20 is exact in binary, and the packing tolerances scale
+    with the packing below unit extent, so every verdict stays the same. The
+    grid's last column is 1e-4 clear of the others: with an absolute 1e-9
+    that gap would count as a contact at 2^-20."""
+    grid = [ConvexBody.disk((x, y), 0.5) for x in (0.0, 1.0, 2.0 + 1e-4) for y in range(3)]
+    spiral = [ConvexBody.disk(c, 0.5) for c in polyomino_packing(30).centers]
+    packings = [grid, spiral]
+    while len(packings) < 22:
+        poly = random_convex_polygon(rng, 6, 0.6)
+        packings.append(touching_packing(rng, [poly.translate(-poly.centroid())], int(rng.integers(3, 9))))
+    for bodies in packings:
+        small = _scaled_bodies(bodies, 2.0**-20)
+        ts, ts_small = is_ts_packing(bodies), is_ts_packing(small)
+        assert (ts.is_ts, ts.unresolved) == (ts_small.is_ts, ts_small.unresolved)
+        ls, ls_small = is_ls_packing(bodies), is_ls_packing(small)
+        assert (ls.failing_members, ls.neighborhoods) == (ls_small.failing_members, ls_small.neighborhoods)
+        assert tangency_pairs(bodies) == tangency_pairs(small)
+        assert len(tangency_pairs(bodies)) >= len(bodies) - 1
