@@ -15,17 +15,26 @@ import numpy as np
 from .bodies import GeometryError
 
 
+def sweep(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interval sweep: per row, the intervals [los, his] along the last
+    axis sorted by lo, and the gap after each prefix of that order, the next
+    lo less the running max of hi (an overlap depth where negative).
+
+    A line between the prefix and the rest misses every interval exactly
+    where the gap is positive; its widest value is the best such line.
+    """
+    order = np.argsort(los, axis=-1, kind="stable")
+    cover = np.maximum.accumulate(np.take_along_axis(his, order, axis=-1), axis=-1)
+    return order, np.take_along_axis(los, order, axis=-1)[..., 1:] - cover[..., :-1]
+
+
 def sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Per column, widest gap left open by the union of intervals.
 
     Row i of column k is the interval [los[i, k], his[i, k]]; the gap is
     negative (an overlap depth) when the union is connected.
     """
-    order = np.argsort(los, axis=0, kind="stable")
-    lo_s = np.take_along_axis(los, order, axis=0)
-    hi_s = np.take_along_axis(his, order, axis=0)
-    cover = np.maximum.accumulate(hi_s, axis=0)
-    return (lo_s[1:] - cover[:-1]).max(axis=0)
+    return sweep(los.T, his.T)[1].max(axis=-1)
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-13) -> tuple[float, float]:
@@ -97,12 +106,17 @@ def lp3(c, a, b, lo, hi) -> np.ndarray:
     b1 r2 x r0 + b2 r0 x r1) / r0 . (r1 x r2), skipping determinants that
     are zero to rounding (parallel facets). The products r0 x r1 carry over
     from round to round. A row violated at the current vertex is not in the
-    set, so this ends within len(b) rounds.
+    set, so this ends within len(b) rounds. Each column of a is divided by
+    its largest entry, and x scaled back, so that test sees balanced rows
+    whatever the units of the three variables.
     """
-    c = np.asarray(c, dtype=float)
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a = np.asarray(a, dtype=float)
+    scale = np.abs(a).max(axis=0, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    c = np.asarray(c, dtype=float) / scale
+    lo, hi = np.asarray(lo, dtype=float) * scale, np.asarray(hi, dtype=float) * scale
     eye = np.eye(3)
-    a = np.vstack([eye, -eye, np.asarray(a, dtype=float)])
+    a = np.vstack([eye, -eye, a / scale])
     b = np.concatenate([hi, -lo, b])
     size = np.linalg.norm(a, axis=1)
     x, work = np.where(c > 0.0, lo, hi), list(range(6))
@@ -113,7 +127,7 @@ def lp3(c, a, b, lo, hi) -> np.ndarray:
         excess = _excess(a, b, x)
         k = int(np.argmax(excess))
         if excess[k] <= 0.0:
-            return x
+            return x / scale
         w = np.array(work)
         side = _cross(a[w], a[k])  # a[work[p]] x a[k]
         det = pair @ a[k]

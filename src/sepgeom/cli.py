@@ -453,15 +453,37 @@ def cmd_extremal_3disks(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, needs_input=True, samples=None):
+def _checked(convert, ok, what: str):
+    """An argparse type: convert, then reject values failing ok (exit 3)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, not {text}")
+        return value
+    return parse
+
+
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                      "tolerance must be finite and >= 0")
+_SAMPLES = _checked(int, lambda v: v >= 1, "samples must be at least 1")
+
+
+def _command(sub, name: str, func, about: str, needs_input=True, samples=None, seed=False):
+    """Subcommand name running func, with only the options it reads: an input
+    with the tolerance of its checks, a sample count, a seed, and where and
+    how to write."""
+    p = sub.add_parser(name, help=about)
     if needs_input:
         p.add_argument("input", help="input JSON file, or - for stdin")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+        p.add_argument("--tolerance", type=_TOLERANCE, default=1e-9)
     if samples is not None:
-        p.add_argument("--samples", type=int, default=samples)
-    p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=_SAMPLES, default=samples)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output file (basename for --format both)")
     p.add_argument("--format", choices=("json", "svg", "both"), default="json")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,75 +493,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-ns", help="decide if a homothet family admits no splitting line")
-    _add_common(p, samples=4096)
+    p = _command(sub, "check-ns", cmd_check_ns,
+                 "decide if a homothet family admits no splitting line", samples=4096)
     p.add_argument("--sns", action="store_true", help="also search for a successive ordering")
-    p.set_defaults(func=cmd_check_ns)
-
-    p = sub.add_parser("cover", help="smallest concentric homothet covering a family")
-    _add_common(p)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("verify-ts", help="certify total separability of a packing")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_ts)
-
-    p = sub.add_parser("verify-ls", help="certify local separability of a packing")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_ls)
-
-    p = sub.add_parser("rho-sep", help="check rho-separability of a translate packing")
-    _add_common(p)
+    _command(sub, "cover", cmd_cover, "smallest concentric homothet covering a family")
+    _command(sub, "verify-ts", cmd_verify_ts, "certify total separability of a packing")
+    _command(sub, "verify-ls", cmd_verify_ls, "certify local separability of a packing")
+    p = _command(sub, "rho-sep", cmd_rho_sep, "check rho-separability of a translate packing")
     p.add_argument("--rho", type=float, required=True)
-    p.set_defaults(func=cmd_rho_sep)
-
-    p = sub.add_parser("oler", help="closed-curve norm inequality for a translate packing")
-    _add_common(p)
-    p.set_defaults(func=cmd_oler)
-
-    p = sub.add_parser("density", help="separable packing density of a convex body")
-    _add_common(p, needs_input=False)
+    _command(sub, "oler", cmd_oler, "closed-curve norm inequality for a translate packing")
+    p = _command(sub, "density", cmd_density, "separable packing density of a convex body",
+                 needs_input=False)
     p.add_argument("--body", default="disk", help="disk, square, triangle, or a JSON file")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("contact", help="contact graph of a translate packing")
-    _add_common(p)
-    p.set_defaults(func=cmd_contact)
-
-    p = sub.add_parser("lattice", help="contact-number bounds for lattice packings")
-    _add_common(p, needs_input=False, samples=2_000_000)
+    _command(sub, "contact", cmd_contact, "contact graph of a translate packing")
+    p = _command(sub, "lattice", cmd_lattice, "contact-number bounds for lattice packings",
+                 needs_input=False, samples=2_000_000, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--mode", choices=("hales", "rogers"))
     p.add_argument("--brute", action="store_true", help="exhaustive polyomino search (d=2, n<=12)")
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("kertesz", help="surface and volume bounds for a cut cube with balls")
-    _add_common(p)
-    p.set_defaults(func=cmd_kertesz)
-
-    p = sub.add_parser("caps", help="spherical cap checks: splitting circle, TS, cover")
-    _add_common(p)
+    _command(sub, "kertesz", cmd_kertesz, "surface and volume bounds for a cut cube with balls")
+    p = _command(sub, "caps", cmd_caps, "spherical cap checks: splitting circle, TS, cover")
     p.add_argument("--check", choices=("ns", "ts", "cover", "all"), default="all")
-    p.set_defaults(func=cmd_caps)
-
-    p = sub.add_parser("tammes", help="separable Tammes radius for k caps")
-    _add_common(p, needs_input=False)
+    p = _command(sub, "tammes", cmd_tammes, "separable Tammes radius for k caps", needs_input=False)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_tammes)
-
-    p = sub.add_parser("lambda-density", help="density bound for lambda-separable packings")
-    _add_common(p, needs_input=False, samples=160_000)
+    p = _command(sub, "lambda-density", cmd_lambda_density,
+                 "density bound for lambda-separable packings", needs_input=False,
+                 samples=160_000, seed=True)
     p.add_argument("--geometry", choices=("euclidean", "spherical", "hyperbolic"), required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--rho", type=float)
-    p.set_defaults(func=cmd_lambda_density)
-
-    p = sub.add_parser("extremal-3disks", help="extremal hulls of three non-separable unit disks")
-    _add_common(p, needs_input=False, samples=4096)
+    p = _command(sub, "extremal-3disks", cmd_extremal_3disks,
+                 "extremal hulls of three non-separable unit disks", needs_input=False,
+                 samples=4096)
     p.add_argument("--centers", help="JSON list of three centers to test")
-    p.set_defaults(func=cmd_extremal_3disks)
-
     return ap
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import lp3, sweep_gaps
+from ._kernels import lp3, sweep
 from .bodies import (
     EPS,
     ConvexBody,
@@ -20,7 +20,6 @@ from .bodies import (
     HomothetFamily,
     _require_planar,
     polygon_facets,
-    raw_support,
 )
 from .measures import (
     enclosing_disk_of_disks,
@@ -29,7 +28,7 @@ from .measures import (
     hull_perimeter,
     perimeter,
 )
-from .separability import is_non_separable
+from .separability import _MACHINE_EPS, _member_features, _project, is_non_separable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -65,6 +64,22 @@ def _containment_violation(family: HomothetFamily, center: np.ndarray, ratio: fl
     return worst
 
 
+def _cover(family: HomothetFamily, center, ratio: float, normalized: float, method: str,
+           tol: float) -> CoverHomothet:
+    """The cover center + ratio*K and its violation, the largest protrusion
+    of a member. It contains every member when the violation is at most tol
+    times min(1, extent of the family) plus the round-off of the family's
+    largest coordinate."""
+    viol = _containment_violation(family, center, ratio)
+    pts, rad = _member_features([family.reference])
+    c, tau = family.centers, family.ratios[:, None]
+    lo = (c + tau * (pts[0].min(axis=0) - rad[0])).min(axis=0)
+    hi = (c + tau * (pts[0].max(axis=0) + rad[0])).max(axis=0)
+    size = float(np.abs([lo, hi]).max())
+    within = viol <= tol * min(1.0, float((hi - lo).max())) + 64.0 * _MACHINE_EPS * size
+    return CoverHomothet(center, ratio, normalized, method, bool(within), viol)
+
+
 def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     """Cover at the ratio-weighted center with ratio sum(tau).
 
@@ -81,8 +96,7 @@ def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomo
         raise GeometryError("homothety ratios must be positive")
     total = float(ratios.sum())
     x = (ratios[:, None] * centers).sum(axis=0) / total
-    viol = _containment_violation(family, x, total)
-    return CoverHomothet(x, total, 1.0, "weighted-centroid", viol <= tol, viol)
+    return _cover(family, x, total, 1.0, "weighted-centroid", tol)
 
 
 def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
@@ -106,8 +120,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
         c_star, r_star = enclosing_disk_of_disks(mem_c, ratios * k.radius)
         mu = r_star / k.radius
         t = c_star - mu * k.center
-        viol = _containment_violation(family, t, mu)
-        return CoverHomothet(t, float(mu), float(mu / total), "enclosing-disk", viol <= tol, viol)
+        return _cover(family, t, float(mu), float(mu / total), "enclosing-disk", tol)
 
     # about the vertex mean g of K and the mean o of the members' copies of
     # g, which keeps the vertex solve well scaled: t' + mu (K - g) covers
@@ -132,8 +145,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     )
     mu = float(x[2])
     t = o + x[:2] - mu * g
-    viol = _containment_violation(family, t, mu)
-    return CoverHomothet(t, mu, mu / total, "facet-vertices", viol <= tol, viol)
+    return _cover(family, t, mu, mu / total, "facet-vertices", tol)
 
 
 def build_triangle_counterexample(n: int = 3) -> HomothetFamily:
@@ -236,14 +248,9 @@ def facet_parallel_cover_check(family: HomothetFamily, tol: float = EPS) -> Face
     if k.kind != "polygon" or len(k.vertices) != d + 1:
         raise GeometryError("reference must be a simplex")
     normals, _ = polygon_facets(k)
-    centers = np.asarray(family.centers, dtype=float)
-    ratios = np.asarray(family.ratios, dtype=float)
-    gaps = []
-    for nf in normals:
-        proj = centers @ nf
-        his = (proj + ratios * raw_support(k, nf))[:, None]
-        los = (proj - ratios * raw_support(k, -nf))[:, None]
-        gaps.append(float(sweep_gaps(los, his)[0]) if len(centers) > 1 else -math.inf)
+    pts = family.centers[:, None, :] + family.ratios[:, None, None] * k.vertices
+    lo, hi = _project(normals, pts, np.zeros(len(pts)))
+    gaps = sweep(lo, hi)[1].max(axis=1).tolist() if len(pts) > 1 else [-math.inf] * len(normals)
     condition = all(g <= tol for g in gaps)
     cover = min_cover_ratio(family, tol)
     bound = (d + 1) / 2.0

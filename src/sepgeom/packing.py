@@ -644,19 +644,19 @@ def crystallization_bound(
     floor(dn - d^(-(d-3)/2) density^(-(d-1)/d) n^((d-1)/d)).
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise GeometryError("need n >= 1")
     if d == 2:
         s = math.isqrt(n)
         if s * s == n:
             return 2 * n - 2 * s
         return 2 * n - (math.isqrt(4 * n) + 1)
     if d < 3:
-        raise ValueError("dimension must be 2 or >= 3")
+        raise GeometryError("dimension must be 2 or >= 3")
     if mode is None:
         mode = "hales" if d == 3 else "rogers"
     if mode == "hales":
         if d != 3:
-            raise ValueError("the 1.206 constant is specific to d = 3")
+            raise GeometryError("the 1.206 constant is specific to d = 3")
         r = round(n ** (1.0 / 3.0))
         if r**3 == n:
             # perfect cube: the bound is rational, evaluate it exactly
@@ -664,16 +664,16 @@ def crystallization_bound(
         return math.floor(3.0 * n - 1.206 * n ** (2.0 / 3.0))
     if mode == "rogers":
         if density is None or not 0.0 < density <= 1.0:
-            raise ValueError("rogers mode needs a simplex density in (0, 1]")
+            raise GeometryError("rogers mode needs a simplex density in (0, 1]")
         coef = d ** (-(d - 3) / 2.0) * density ** (-(d - 1) / d)
         return math.floor(d * n - coef * n ** ((d - 1) / d))
-    raise ValueError(f"unknown mode {mode!r}")
+    raise GeometryError(f"unknown mode {mode!r}")
 
 
 def ulam_spiral(n: int) -> np.ndarray:
     """First n lattice points of the counterclockwise square spiral."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise GeometryError("need n >= 1")
     pts = np.zeros((n, 2), dtype=np.int64)
     dirs = ((1, 0), (0, 1), (-1, 0), (0, -1))
     x = y = 0
@@ -736,7 +736,7 @@ def lattice_contact_bounds(d: int, n: int) -> LatticeContactBounds:
     d-th power. In the plane the upper bound is the exact value for every n.
     """
     if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+        raise GeometryError("need d >= 1 and n >= 1")
     big_n = _int_root(n, d)
     lower = d * big_n**d - d * big_n ** (d - 1)
     if big_n**d == n:
@@ -762,7 +762,7 @@ def brute_force_lattice_contact(n_max: int) -> PolyominoSearch:
     a million shapes; anything larger is refused.
     """
     if not 1 <= n_max <= 12:
-        raise ValueError("exhaustive search is limited to 12 cells")
+        raise GeometryError("exhaustive search is limited to 12 cells")
     best = [0] * (n_max + 1)
     counts = [0] * (n_max + 1)
     nbr = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -807,7 +807,7 @@ def brute_force_lattice_contact(n_max: int) -> PolyominoSearch:
 def simplex_vertices(d: int) -> np.ndarray:
     """Vertices of a regular d-simplex with edge length 2, centered at o."""
     if d < 1:
-        raise ValueError("need d >= 1")
+        raise GeometryError("need d >= 1")
     x = np.eye(d + 1) * math.sqrt(2.0)
     x -= x.mean(axis=0)
     _, _, vt = np.linalg.svd(x, full_matrices=False)
@@ -829,7 +829,7 @@ def rogers_sigma(d: int, samples: int = 2_000_000, seed: int = 0) -> MonteCarloE
     planar value is pi / sqrt(12) and d = 3 gives about 0.7797.
     """
     if samples < 1:
-        raise ValueError("need samples >= 1")
+        raise GeometryError("need samples >= 1")
     verts = np.ascontiguousarray(simplex_vertices(d))
     rng = np.random.default_rng(seed)
     hits = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fibonacci_sphere, golden_max, sweep_gaps
+from ._kernels import fibonacci_sphere, golden_max, sweep
 from .bodies import (
     EPS,
     ConvexBody,
@@ -24,7 +24,6 @@ from .bodies import (
     perp,
     polygon_facets,
     raw_support,
-    support_batch,
     unit,
 )
 
@@ -105,30 +104,24 @@ def _as_bodies(family) -> list[ConvexBody]:
     return list(family)
 
 
-def _body_features(b: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    """Feature points and outward normals used to build candidate directions."""
-    if b.kind == "disk":
-        return b.center[None, :], np.zeros((0, 2))
+def _facet_normals(b: ConvexBody) -> np.ndarray:
+    """Outward edge normals of a polygon or segment, none for other bodies."""
     if b.kind == "segment":
-        n = unit(perp(b.vertices[1] - b.vertices[0]))
-        return b.vertices, n[None, :]
-    if b.kind == "polygon":
-        normals, _ = polygon_facets(b)
-        return b.vertices, normals
-    return b.vertices, np.zeros((0, b.vertices.shape[1]))
+        return unit(perp(b.vertices[1] - b.vertices[0]))[None, :]
+    return polygon_facets(b)[0] if b.kind == "polygon" else np.zeros((0, b.dim))
 
 
 def candidate_directions(family1, family2=None) -> np.ndarray:
     """Unit directions that contain every locally optimal separation normal.
 
     Stationary margins run along differences of feature points (disk
-    centers, vertices) or along facet normals; all of these are enumerated.
+    centers, vertices, _member_features) or along facet normals; all of
+    these are enumerated.
     """
     f1 = _as_bodies(family1)
     f2 = f1 if family2 is None else _as_bodies(family2)
-    pts1 = np.vstack([_body_features(b)[0] for b in f1])
-    pts2 = np.vstack([_body_features(b)[0] for b in f2])
-    normals = [_body_features(b)[1] for b in (f1 if family2 is None else f1 + f2)]
+    pts1, pts2 = (_member_features(f)[0].reshape(-1, f1[0].dim) for f in (f1, f2))
+    normals = [_facet_normals(b) for b in (f1 if family2 is None else f1 + f2)]
     diffs = (pts2[None, :, :] - pts1[:, None, :]).reshape(-1, pts1.shape[1])
     lens = np.linalg.norm(diffs, axis=1)
     keep = lens > 1e-12
@@ -136,16 +129,6 @@ def candidate_directions(family1, family2=None) -> np.ndarray:
     if len(out) == 0:
         out = np.array([[1.0, 0.0]])
     return np.unique(out, axis=0)
-
-
-def _family_bounds(bodies, dirs) -> tuple[np.ndarray, np.ndarray]:
-    """Per direction, (min lower endpoint, max upper endpoint) over the family."""
-    los = np.full(len(dirs), np.inf)
-    his = np.full(len(dirs), -np.inf)
-    for b in bodies:
-        his = np.maximum(his, support_batch(b, dirs))
-        los = np.minimum(los, -support_batch(b, -dirs))
-    return los, his
 
 
 def separation_margin(plane: Hyperplane, left_bodies, right_bodies) -> float:
@@ -185,6 +168,63 @@ def _scaled_tol(pts: np.ndarray, rad: np.ndarray, tol: float) -> float:
     return tol * min(1.0, float((hi - lo).max()))
 
 
+# pair and projection temporaries are built in blocks of about this many entries
+_BLOCK = 1 << 16
+
+
+def _project(u, pts, rad) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals lo, hi, each (D, ...), of the members with features pts
+    (..., k, d) and radii rad (...) along the unit directions u (D, d).
+
+    Summed coordinate by coordinate, elementwise, so a direction's intervals
+    do not depend on the other directions; directions go in blocks of about
+    _BLOCK feature entries.
+    """
+    lo = np.empty((len(u),) + rad.shape)
+    hi = np.empty_like(lo)
+    v = u.reshape((len(u),) + (1,) * (pts.ndim - 1) + (u.shape[1],))
+    step = max(1, _BLOCK // pts[..., 0].size)
+    for s in range(0, len(u), step):
+        w = v[s : s + step]
+        proj = w[..., 0] * pts[..., 0]
+        for c in range(1, pts.shape[-1]):
+            proj += w[..., c] * pts[..., c]
+        lo[s : s + step] = proj.min(axis=-1) - rad
+        hi[s : s + step] = proj.max(axis=-1) + rad
+    return lo, hi
+
+
+def _certificates(u, lo, hi, left) -> list[SeparationCertificate]:
+    """One line per row of u (c, d), with the members flagged in that row of
+    left (c, n) below it and the others above; lo, hi (c, n) are the members'
+    intervals along the row. The line runs midway between the top of the
+    left side and the bottom of the right side, its margin half their gap.
+    """
+    top = np.where(left, hi, -np.inf).max(axis=1).tolist()
+    bottom = np.where(left, np.inf, lo).min(axis=1).tolist()
+    return [
+        SeparationCertificate(
+            Hyperplane(uk, 0.5 * (tk + bk)), tuple(np.flatnonzero(lk).tolist()),
+            tuple(np.flatnonzero(~lk).tolist()), 0.5 * (bk - tk),
+        )
+        for uk, tk, bk, lk in zip(u, top, bottom, left)
+    ]
+
+
+def _differences(pts, i, j) -> np.ndarray:
+    """Feature differences b - a, a of member i[p] and b of member j[p]:
+    row p of the (len(i), k k, d) result runs over (a, b), a-major."""
+    k, d = pts.shape[1:]
+    return (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), k * k, d)
+
+
+def _mod_pi(angles) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct angles mod pi, sorted, and the midpoint after each, the
+    last one past pi."""
+    ends = np.unique(np.remainder(angles, math.pi))
+    return ends, 0.5 * (ends + np.append(ends[1:], ends[:1] + math.pi))
+
+
 def _arcs(p: np.ndarray, rad) -> tuple[np.ndarray, np.ndarray]:
     """Per row of p (m, k, 2), the open arc (lo, hi) of angles of unit u with
     <u, p_i> > rad_i for every i; the arc is empty when lo >= hi.
@@ -215,11 +255,14 @@ def _separating_arc(pts, rad, left, right, thr: float):
     Also returns the feature differences p = b - a and radius sums r that
     give the gap along u as min(<u, p> - r).
     """
+    # every feature of a left member against every feature of a right member,
+    # each feature taken as a member of its own
     k = pts.shape[1]
-    a, b = pts[left].reshape(-1, 2), pts[right].reshape(-1, 2)
-    ra, rb = np.repeat(rad[left], k), np.repeat(rad[right], k)
-    p = (b[None, :, :] - a[:, None, :]).reshape(-1, 2)
-    r = (ra[:, None] + rb[None, :]).reshape(-1)
+    i, j = (np.arange(len(pts) * k).reshape(-1, k)[side].ravel() for side in (left, right))
+    i, j = np.repeat(i, len(j)), np.tile(j, len(i))
+    p = _differences(pts.reshape(-1, 1, 2), i, j).reshape(-1, 2)
+    rad = np.repeat(rad, k)
+    r = rad[i] + rad[j]
     lo, hi = _arcs(p[None], r[None] + thr)
     return float(lo[0]), float(hi[0]), p, r
 
@@ -244,8 +287,8 @@ def find_separating_hyperplane(
     if not f1 or not f2:
         raise GeometryError("separation needs a member on both sides")
     n1 = len(f1)
+    pts, rad = _member_features(f1 + f2)
     if f1[0].dim == 2:
-        pts, rad = _member_features(f1 + f2)
         thr = 2.0 * _scaled_tol(pts, rad, tol)
         lo, hi, p, r = _separating_arc(pts, rad, slice(0, n1), slice(n1, None), thr)
         if not lo < hi:
@@ -253,27 +296,15 @@ def find_separating_hyperplane(
         theta, _ = golden_max(
             lambda t: float((p @ np.array([math.cos(t), math.sin(t)]) - r).min()), lo, hi
         )
-        u = np.array([math.cos(theta), math.sin(theta)])
+        u = np.array([[math.cos(theta), math.sin(theta)]])
     else:
         thr = 2.0 * tol
         cand = candidate_directions(f1, f2)
         dirs = np.vstack([cand, -cand, fibonacci_sphere(max(samples, 1024))])
-        los2, _ = _family_bounds(f2, dirs)
-        _, his1 = _family_bounds(f1, dirs)
-        u = dirs[int(np.argmax(los2 - his1))]
-
-    _, hi1 = _family_bounds(f1, u[None, :])
-    lo2, _ = _family_bounds(f2, u[None, :])
-    gap = float(lo2[0] - hi1[0])
-    if gap <= thr:
-        return None
-    plane = Hyperplane(u, 0.5 * (hi1[0] + lo2[0]))
-    return SeparationCertificate(
-        plane,
-        tuple(range(n1)),
-        tuple(range(n1, n1 + len(f2))),
-        0.5 * gap,
-    )
+        lo, hi = _project(dirs, pts, rad)
+        u = dirs[[int(np.argmax(lo[:, n1:].min(axis=1) - hi[:, :n1].max(axis=1)))]]
+    cert = _certificates(u, *_project(u, pts, rad), (np.arange(len(pts)) < n1)[None])[0]
+    return cert if 2.0 * cert.margin > thr else None
 
 
 def _separation_test(bodies, tol: float):
@@ -335,28 +366,6 @@ def kirchberger_reduce(family1, family2, tol: float = EPS) -> KirchbergerResult:
 # ---------------------------------------------------------------------------
 
 
-def _interval_matrices(bodies, dirs) -> tuple[np.ndarray, np.ndarray]:
-    los = np.empty((len(bodies), len(dirs)))
-    his = np.empty_like(los)
-    for k, b in enumerate(bodies):
-        his[k] = support_batch(b, dirs)
-        los[k] = -support_batch(b, -dirs)
-    return los, his
-
-
-def _split_certificate(bodies, u: np.ndarray) -> SeparationCertificate:
-    los, his = _interval_matrices(bodies, u[None, :])
-    los, his = los[:, 0], his[:, 0]
-    order = np.argsort(los, kind="stable")
-    cover = np.maximum.accumulate(his[order])
-    gaps = los[order][1:] - cover[:-1]
-    p = int(np.argmax(gaps))
-    s = 0.5 * (cover[p] + los[order][p + 1])
-    left = tuple(sorted(int(i) for i in order[: p + 1]))
-    right = tuple(sorted(int(i) for i in order[p + 1 :]))
-    return SeparationCertificate(Hyperplane(u, s), left, right, 0.5 * float(gaps[p]))
-
-
 def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecision:
     """Decide whether no hyperplane splits the family while missing every member.
 
@@ -376,37 +385,32 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     n = len(bodies)
     if n < 2:
         raise GeometryError("non-separability needs at least 2 members")
-    d = bodies[0].dim
-
-    if d == 2:
-        pts, rad = _member_features(bodies)
+    pts, rad = _member_features(bodies)
+    sampled = bodies[0].dim != 2
+    if sampled:
+        t = tol
+        dirs = np.vstack([fibonacci_sphere(max(samples, 1024)), candidate_directions(bodies)])
+    else:
         t = _scaled_tol(pts, rad, tol)
         i, j = np.triu_indices(n, 1)
-        k = pts.shape[1]
-        p = (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), k * k, 2)
-        lo, hi = _arcs(p, (rad[i] + rad[j] + t)[:, None])
+        lo, hi = _arcs(_differences(pts, i, j), (rad[i] + rad[j] + t)[:, None])
         split = lo < hi
-        ends = np.unique(np.remainder(np.concatenate([lo[split], hi[split]]), math.pi))
-        if len(ends) == 0:
+        if not split.any():
             return NSDecision(True, None, 0, False)
-        mids = 0.5 * (ends + np.append(ends[1:], ends[0] + math.pi))
+        _, mids = _mod_pi(np.concatenate([lo[split], hi[split]]))
         mids = np.remainder(mids + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
-        gaps = sweep_gaps(*_interval_matrices(bodies, dirs))
-        best = int(np.argmax(gaps))
-        if gaps[best] > t:
-            return NSDecision(False, _split_certificate(bodies, dirs[best]), len(dirs), False)
-        return NSDecision(True, None, len(dirs), False)
-
-    dirs = fibonacci_sphere(max(samples, 1024))
-    cand = candidate_directions(bodies)
-    dirs = np.vstack([dirs, cand])
-    los, his = _interval_matrices(bodies, dirs)
-    gaps = sweep_gaps(los, his)
-    k = int(np.argmax(gaps))
-    if gaps[k] > tol:
-        return NSDecision(False, _split_certificate(bodies, dirs[k]), len(dirs), True)
-    return NSDecision(True, None, len(dirs), True)
+    lo, hi = _project(dirs, pts, rad)
+    order, gaps = sweep(lo, hi)
+    # the widest gap along each direction, and the first direction where it is widest
+    cut = gaps.argmax(axis=1)
+    best = int(np.argmax(gaps[np.arange(len(dirs)), cut]))
+    if not gaps[best, cut[best]] > t:
+        return NSDecision(True, None, len(dirs), sampled)
+    row = slice(best, best + 1)
+    left = np.isin(np.arange(n), order[best, : cut[best] + 1])[None]
+    witness = _certificates(dirs[row], lo[row], hi[row], left)[0]
+    return NSDecision(False, witness, len(dirs), sampled)
 
 
 def is_sns(family, tol: float = EPS) -> SNSResult:
@@ -444,9 +448,6 @@ def is_sns(family, tol: float = EPS) -> SNSResult:
 # packings: totally / locally / rho separable
 # ---------------------------------------------------------------------------
 
-
-# pair temporaries are built in blocks of about this many entries
-_BLOCK = 1 << 16
 
 # the near-pair sweep projects the members onto the two axes and the two
 # diagonals: on boxes alone the diagonal neighbours of a square lattice, whose
@@ -541,7 +542,7 @@ def _pair_gaps(feats, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for lo in range(0, len(i), step):
         bi, bj = i[lo : lo + step], j[lo : lo + step]
         a, b = pts[bi], pts[bj]
-        p = (b[:, None, :, :] - a[:, :, None, :]).reshape(len(bi), k * k, 2)
+        p = _differences(pts, bi, bj)
         length = np.hypot(p[..., 0], p[..., 1])[..., None]
         u = np.broadcast_to((1.0, 0.0), p.shape).copy()
         np.divide(p, length, out=u, where=length > 0.0)
@@ -592,17 +593,16 @@ def validate_packing(bodies, tol: float = EPS) -> None:
 
 def _cuts(u, pts, rad, table, tol: float):
     """Intervals lo, hi, (D, H, m), of the members in each row of table
-    (padding -1, at +inf) along unit directions u, and each member's block,
-    the number of free cuts below it: after the first p members by lo, the
-    cut is free (a line there misses every interior) when the next lo is at
-    least the running max of hi less tol. Elementwise, so batch-independent."""
-    p, valid = pts[table], table >= 0
-    proj = u[:, None, None, None, 0] * p[..., 0] + u[:, None, None, None, 1] * p[..., 1]
-    lo = np.where(valid, proj.min(axis=3) - rad[table], np.inf)
-    hi = np.where(valid, proj.max(axis=3) + rad[table], np.inf)
-    order = np.argsort(lo, axis=2, kind="stable")
-    cover = np.maximum.accumulate(np.take_along_axis(hi, order, axis=2), axis=2)
-    free = np.take_along_axis(lo, order, axis=2)[..., 1:] >= cover[..., :-1] - tol
+    along unit directions u (_project), and each member's block, the number
+    of free cuts below it: after the first p members by lo, the cut is free
+    (a line there misses every interior) when its gap (sweep) is at least
+    -tol. Padding (-1) sits at lo = +inf, hi = -inf: last, covering nothing.
+    Elementwise, so batch-independent."""
+    lo, hi = _project(u, pts[table], rad[table])
+    valid = table >= 0
+    lo, hi = np.where(valid, lo, np.inf), np.where(valid, hi, -np.inf)
+    order, gaps = sweep(lo, hi)
+    free = gaps >= -tol
     ids = np.concatenate([np.zeros(free.shape[:2] + (1,), int), np.cumsum(free, axis=2)], axis=2)
     np.put_along_axis(ids, order, ids.copy(), axis=2)  # back to the order of table
     return lo, hi, ids
@@ -611,14 +611,12 @@ def _cuts(u, pts, rad, table, tol: float):
 def _critical_angles(pts, rad, i, j, best) -> np.ndarray:
     """Angles mod pi of the threshold-0 arc ends of the pairs (i, j), the
     members' edge normals and best, and the midpoints between them."""
-    p = (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), -1, 2)
-    lo, hi = _arcs(p, (rad[i] + rad[j])[:, None])
+    lo, hi = _arcs(_differences(pts, i, j), (rad[i] + rad[j])[:, None])
     edges = (np.roll(pts, -1, axis=1) - pts)[np.union1d(i, j)].reshape(-1, 2)
     normals = np.arctan2(-edges[:, 0], edges[:, 1])[(edges != 0.0).any(axis=1)]
     arc = lo < hi
-    cand = np.unique(np.remainder(np.concatenate([lo[arc], hi[arc], normals, best]), math.pi))
-    mids = 0.5 * (cand + np.append(cand[1:], cand[0] + math.pi))
-    return np.union1d(cand, np.remainder(mids, math.pi))
+    ends, mids = _mod_pi(np.concatenate([lo[arc], hi[arc], normals, best]))
+    return np.union1d(ends, np.remainder(mids, math.pi))
 
 
 def _hood_pairs(table):
@@ -736,17 +734,9 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     _, first, block, dirs = _refine(feats, table, pairs, t)
     split = first >= 0
     cuts, which = np.unique(first[split] * n + block[split], return_inverse=True)
-    lo, hi, b = (x[:, 0] for x in _cuts(dirs[cuts // n], pts, rad, table, t))
-    left = b <= (cuts % n)[:, None]
-    top = np.where(left, hi, -np.inf).max(axis=1).tolist()
-    bottom = np.where(left, np.inf, lo).min(axis=1).tolist()
-    certs = [
-        SeparationCertificate(
-            Hyperplane(uk, 0.5 * (tk + bk)), tuple(np.flatnonzero(lk).tolist()),
-            tuple(np.flatnonzero(~lk).tolist()), 0.5 * (bk - tk),
-        )
-        for uk, tk, bk, lk in zip(dirs[cuts // n], top, bottom, left)
-    ]
+    u = dirs[cuts // n]
+    lo, hi, b = (x[:, 0] for x in _cuts(u, pts, rad, table, t))
+    certs = _certificates(u, lo, hi, b <= (cuts % n)[:, None])
     i, j = np.triu_indices(n, 1)
     certificates = dict(
         zip(zip(i[split].tolist(), j[split].tolist()), map(certs.__getitem__, which.tolist()))

@@ -426,7 +426,7 @@ def separable_tammes(k: int) -> TammesEntry:
     is asymptotic.
     """
     if k < 2:
-        raise ValueError("need k >= 2")
+        raise GeometryError("need k >= 2")
     if k in _TAMMES_EXACT:
         r = _TAMMES_EXACT[k]
         return TammesEntry(k, r, True, r, r, "exact")

@@ -1,7 +1,8 @@
-"""Every spherical and total-separability certificate passes the
-benchmark's independent checker."""
+"""Every spherical, total-separability, non-separability and separating-line
+certificate passes the benchmark's independent checker."""
 
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 
 from helpers import (
     disk_bodies,
+    random_reference,
     random_symmetric_polygon,
     tangent_cap_chain,
     thirteen_ts_centers,
@@ -17,7 +19,7 @@ from helpers import (
 )
 from sepgeom.bodies import ConvexBody
 from sepgeom.packing import polyomino_packing
-from sepgeom.separability import is_ts_packing
+from sepgeom.separability import find_separating_hyperplane, is_non_separable, is_ts_packing
 from sepgeom.spherical import (
     Cap,
     cap_cover_check,
@@ -101,3 +103,46 @@ def test_ts_certificates_pass_the_checker(rng):
                 normal, offset, [raw[m] for m in cert.left], [raw[m] for m in cert.right]
             )
             assert clearance >= -tol and abs(clearance - cert.margin) <= tol
+
+
+def _moved(rng, bodies) -> list:
+    """The bodies under a random rotation and a translation by 1e3."""
+    ang = float(rng.uniform(0.0, 2.0 * math.pi))
+    rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
+    shift = 1e3 * np.array([math.cos(2.0 * ang), math.sin(2.0 * ang)])
+    return [b.transform(rot, shift) for b in bodies]
+
+
+def test_split_certificates_pass_the_checker(rng):
+    """NS witnesses and separating lines of random disk and polygon families,
+    rotated and moved by 1e3, pass checker.check_split."""
+    ck = _bench_module("checker")
+    witnesses = lines = 0
+    for _ in range(60):
+        ref, n = random_reference(rng), int(rng.integers(2, 13))
+        # members spread so that some families are separable and some not
+        centers = rng.uniform(0.0, 1.2 * math.sqrt(n), size=(n, 2))
+        bodies = [ref.transform(np.eye(2) * rng.uniform(0.3, 1.0), c) for c in centers]
+        for fam in (bodies, _moved(rng, bodies)):
+            dec = is_non_separable(fam)
+            if dec.witness is not None:
+                w = dec.witness
+                ck.check_split(tuple(w.plane.normal), w.plane.offset, [_raw_body(b) for b in fam],
+                               w.left, w.right, w.margin)
+                witnesses += 1
+        # the members above a random line, lifted clear of the rest along its normal
+        ang = float(rng.uniform(0.0, 2.0 * math.pi))
+        u = np.array([math.cos(ang), math.sin(ang)])
+        above = centers @ u > np.median(centers @ u)
+        if above.all() or not above.any():
+            continue
+        lifted = [b.translate(4.0 * u) if up else b for b, up in zip(bodies, above)]
+        order = [m for m in range(n) if not above[m]] + [m for m in range(n) if above[m]]
+        pair = _moved(rng, [lifted[m] for m in order])
+        n1 = int((~above).sum())
+        cert = find_separating_hyperplane(pair[:n1], pair[n1:])
+        assert cert is not None and list(cert.left) == list(range(n1))
+        ck.check_split(tuple(cert.plane.normal), cert.plane.offset, [_raw_body(b) for b in pair],
+                       cert.left, cert.right, cert.margin)
+        lines += 1
+    assert 40 <= witnesses <= 100 and lines >= 30

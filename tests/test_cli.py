@@ -403,3 +403,42 @@ def test_cold_import_and_cover_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=path)
     run = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-ns", "APART", "--tolerance", "nan"],
+        ["verify-ts", "APART", "--tolerance", "nan"],
+        ["cover", "APART", "--tolerance", "inf"],
+        ["contact", "APART", "--tolerance", "-0.5"],
+        ["check-ns", "APART", "--samples", "0"],
+        ["extremal-3disks", "--samples", "0"],
+        ["tammes", "--k", "1"],
+        ["lattice", "--n", "0"],
+        ["lattice", "--n", "4", "--d", "0"],
+    ],
+)
+def test_bad_numeric_input_exits_3(argv, tmp_path, capsys):
+    centers = [[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]]
+    apart = write_json(tmp_path / "apart.json", {"body": DISK, "centers": centers})
+    code, payload = run([apart if a == "APART" else a for a in argv], capsys)
+    assert code == 3 and payload is None
+    # the same disks at the default tolerance: separable, and totally separable
+    assert run(["check-ns", apart], capsys)[0] == 1
+    assert run(["verify-ts", apart], capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tammes", "--k", "8", "--seed", "1"],
+        ["density", "--tolerance", "1e-6"],
+        ["extremal-3disks", "--tolerance", "1e-6"],
+        ["lambda-density", "--geometry", "euclidean", "--lam", "0.3", "--tolerance", "1e-6"],
+        ["contact", "GRID", "--seed", "1"],
+        ["check-ns", "GRID", "--seed", "1"],
+    ],
+)
+def test_flags_a_command_does_not_read_exit_3(argv, grid_file, capsys):
+    assert run([grid_file if a == "GRID" else a for a in argv], capsys)[0] == 3

@@ -241,3 +241,22 @@ def test_inradius_of_a_512_gon():
     for circumradius in (1.0, 3.0):
         _, r = inscribed_disk(_regular(512, circumradius))
         assert r == pytest.approx(math.cos(math.pi / 512) * circumradius, rel=1e-12, abs=0.0)
+
+
+def test_cover_ratio_is_scale_and_translation_invariant():
+    """Square and hexagon families scaled by 1e-12 to 1e12, and moved by 1e6
+    (exactly, on dyadic centers), keep the unit-size ratio and cover at the
+    default tolerance."""
+    centers = np.array([[0.0, 0.0], [2.5, 0.5], [1.0, 2.0], [-0.5, 1.5]])
+    ratios = np.array([1.0, 0.5, 0.75, 0.25])
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    for verts in (square, _regular(6).vertices):
+        unit = HomothetFamily(ConvexBody.polygon(verts), centers, ratios)
+        want, gg = min_cover_ratio(unit).ratio, goodman_goodman_cover(unit).contains_all
+        moved = [(10.0**e, 0.0) for e in range(-12, 13)] + [(1.0, 1e6), (1.0, -1e6)]
+        for scale, shift in moved:
+            fam = HomothetFamily(ConvexBody.polygon(scale * verts), scale * centers + shift, ratios)
+            cover = min_cover_ratio(fam)
+            assert cover.contains_all
+            assert cover.ratio == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert goodman_goodman_cover(fam).contains_all == gg
