@@ -1,0 +1,204 @@
+"""Committed performance numbers for sepgeom, written to a BENCH_<n>.json.
+
+Run from the root of a checkout:
+
+    python3 benchmarks/bench.py --out BENCH_11.json --label change
+    python3 benchmarks/bench.py --out BENCH_11.json --label parent --src ../parent
+
+``--src`` names the checkout to measure (by default the one holding this
+script). Each run stores its rows under its label and keeps the other
+labels of the file, so a parent and a change sit side by side. Rows:
+
+- ``workload/<name>``: the last line of ``verdictbench/run.py`` of the
+  measured checkout for each workload, at seed SEED for SECONDS seconds;
+- ``<call>/<input>/<n>``: one library call on one input of size n, each in
+  a fresh interpreter, the best of 3 ``perf_counter`` wall times, with the
+  interpreter's peak RSS; inputs are drawn by ``verdictbench/inputs.py``
+  of this checkout;
+- ``cli/<command>``: the wall time of one ``python -m sepgeom.cli`` process
+  per call, best of 3, on the inputs of the ``cli-cold`` workload;
+- ``import``: ``import sepgeom.cli`` in a fresh interpreter, best of 3.
+
+``--smallest`` runs each call row at its smallest size, one try each, and
+each workload for 1 s: a check that the script runs, not a measurement.
+"""
+
+import argparse
+import functools
+import json
+import os
+import platform
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+BENCH = HERE / "verdictbench"
+WORKLOADS = ("ns-arrangements", "ts-packings", "cli-cold")
+SEED = 1
+SECONDS = 40.0
+TRIES = 3
+
+
+def _family(sg, np, fam):
+    ref = fam["ref"]
+    body = sg.ConvexBody.disk(ref[1], ref[2]) if ref[0] == "disk" else sg.ConvexBody.polygon(ref[1])
+    return sg.HomothetFamily(body, np.array(fam["centers"]), np.array(fam["ratios"]))
+
+
+def _homothets(kind: str, spread: bool):
+    """A family of n homothets of a 24-gon (an o-symmetric polygon of 2 x 12
+    vertices) or a disk from verdictbench's generators (random.Random(3)):
+    non-separable, or split and pulled apart."""
+
+    def draw(sg, np, gen, n):
+        rng = random.Random(3)
+        ref = gen.reference(rng, kind, 12)
+        return _family(sg, np, (gen.spread_family if spread else gen.ns_family)(rng, ref, n))
+
+    return draw
+
+
+def _segments(sg, np, gen, n):
+    rng = np.random.default_rng(3)
+    return [sg.ConvexBody.segment(*rng.normal(size=(2, 2))) for _ in range(n // 2)]
+
+
+def _spiral(sg, np, gen, n):
+    return [sg.ConvexBody.disk(c, 0.5) for c in gen.square_spiral(n)]
+
+
+def _polyominoes(sg, np, gen, n):
+    return [sg.ConvexBody.disk(c, 0.5) for c in sg.packing.polyomino_packing(n).centers]
+
+
+# name -> (sizes, input builder (sg, np, gen, n), the call, an attribute path in sepgeom)
+CALLS = {
+    "is_non_separable/ns-24gon": ((32, 128, 256), _homothets("poly", False), "is_non_separable"),
+    "is_non_separable/spread-24gon": ((32, 128, 256), _homothets("poly", True), "is_non_separable"),
+    "is_non_separable/ns-disk": ((32, 128, 256), _homothets("disk", False), "is_non_separable"),
+    "is_non_separable/spread-disk": ((32, 128, 256), _homothets("disk", True), "is_non_separable"),
+    "min_cover_ratio/ns-disk": ((32, 128, 256), _homothets("disk", False), "min_cover_ratio"),
+    "hull_circumradius/points": ((64, 192, 400), _segments, "measures.hull_circumradius"),
+    "is_ts_packing/polyomino": ((1000, 2000), _polyominoes, "is_ts_packing"),
+    "is_ls_packing/spiral": ((10000,), _spiral, "is_ls_packing"),
+}
+
+
+def _env(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _child(name: str, n: int, tries: int) -> None:
+    """Time one call row in this interpreter and print its JSON row."""
+    sys.path.insert(0, str(BENCH))
+    import numpy as np
+
+    import inputs as gen
+    import sepgeom as sg
+
+    _, build, call = CALLS[name]
+    arg = build(sg, np, gen, n)
+    func = functools.reduce(getattr, call.split("."), sg)
+    best = float("inf")
+    for _ in range(tries):
+        t0 = time.perf_counter()
+        func(arg)
+        best = min(best, time.perf_counter() - t0)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"seconds": best, "peak_rss_mb": rss}))
+
+
+IMPORT = "import time; t = time.perf_counter(); import sepgeom.cli; print(time.perf_counter() - t)"
+
+
+def _run(argv, src: Path, stdin=None, stderr=None) -> str:
+    p = subprocess.run(
+        argv, input=stdin, stdout=subprocess.PIPE, stderr=stderr, text=True, env=_env(src), cwd=src, check=True
+    )
+    return p.stdout
+
+
+def measure(src: Path, smallest: bool) -> dict:
+    rows = {}
+    for w in WORKLOADS:
+        out = _run([sys.executable, "verdictbench/run.py", "--workload", w, "--seed", str(SEED),
+                    "--seconds", str(1.0 if smallest else SECONDS)], src)
+        rows[f"workload/{w}"] = json.loads(out.strip().splitlines()[-1])
+    tries = 1 if smallest else TRIES
+    for name, (sizes, _, _) in CALLS.items():
+        for n in sizes[:1] if smallest else sizes:
+            out = _run([sys.executable, __file__, "--child", name, str(n), str(tries)], src)
+            rows[f"{name}/{n}"] = json.loads(out)
+    sys.path.insert(0, str(BENCH))
+    import workloads as wl
+
+    for name, argv, obj, _, fault in wl._cli_checks(wl.make_cli(SEED)):
+        if fault:
+            continue
+        stdin = None if obj is None else json.dumps(obj)
+        best = float("inf")
+        for _ in range(tries):
+            t0 = time.perf_counter()
+            _run([sys.executable, "-m", "sepgeom.cli", *argv], src, stdin, subprocess.DEVNULL)
+            best = min(best, time.perf_counter() - t0)
+        rows[f"cli/{name}"] = {"seconds": best}
+    best = min(float(_run([sys.executable, "-c", IMPORT], src)) for _ in range(tries))
+    rows["import"] = {"seconds": best}
+    return rows
+
+
+def machine() -> dict:
+    import numpy
+
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    return {
+        "cpus": len(os.sched_getaffinity(0)),
+        "cpu_model": next((s.split(":", 1)[1].strip() for s in lines if s.startswith("model name")), platform.processor()),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "system": platform.platform(),
+    }
+
+
+def _commit(src: Path):
+    p = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=src, capture_output=True, text=True)
+    return p.stdout.strip() if p.returncode == 0 else None
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", help="BENCH_<n>.json to write or extend (required)")
+    ap.add_argument("--label", help="name of this run in the file, e.g. parent or change (required)")
+    ap.add_argument("--src", type=Path, default=HERE, help="root of the checkout to measure")
+    ap.add_argument("--smallest", action="store_true", help="smallest sizes, one try, 1 s workloads")
+    ap.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        _child(args.child[0], int(args.child[1]), int(args.child[2]))
+        return
+    if not args.out or not args.label:
+        ap.error("--out and --label are required")
+    src = args.src.resolve()
+    out = Path(args.out)
+    report = json.loads(out.read_text()) if out.exists() else {"runs": {}}
+    report["machine"] = machine()
+    report["runs"][args.label] = {
+        "commit": _commit(src),
+        "seed": SEED,
+        "seconds": 1.0 if args.smallest else SECONDS,
+        "tries": 1 if args.smallest else TRIES,
+        "rows": measure(src, args.smallest),
+    }
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,8 +2,8 @@
 
 One home for the pieces several modules use: the interval sweep behind
 every gap computation over directions, the golden-section maximiser, the
-Fibonacci sphere, the blocks of index triples behind the enclosing disk and
-cap, the exact 3-variable linear programs of the cover and the inradius, the
+Fibonacci sphere, the blocks of index triples behind the spherical support
+sets, the exact 3-variable linear programs of the cover and the inradius, the
 homothet gap profile, the sample count of Rogers' simplex density and the
 pole margins of the spherical checks.
 """

@@ -7,6 +7,7 @@ parallelogram, mixed areas, and parallel-body areas.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .bodies import (
     raw_support,
     unit,
 )
-from ._kernels import lp3, triple_blocks
+from ._kernels import lp3
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,12 +65,14 @@ def _triple_candidates(cs, rs, idx, scale: float, tol: float):
     """Disks internally tangent to the three members of each row of idx.
 
     |c - m_k| = R - r_k, linearized pairwise then solved in R; returns the
-    centers and radii of the roots, in row order, smaller root first.
+    centers and radii of the roots and the row of idx of each, in row
+    order, smaller root first. Determinants and the linear case are
+    measured against scale, the extent of the members.
     """
     m, r = cs[idx], rs[idx]
     a_mat = 2.0 * (m[:, 1:] - m[:, :1])
     keep = np.abs(np.linalg.det(a_mat)) > 1e-12 * scale * scale
-    m, r, a_mat = m[keep], r[keep], a_mat[keep]
+    idx, m, r, a_mat = idx[keep], m[keep], r[keep], a_mat[keep]
     sq = np.einsum("tij,tij->ti", m, m)
     u_vec = sq[:, 1:] - sq[:, :1] + r[:, :1] ** 2 - r[:, 1:] ** 2
     v_vec = -2.0 * (r[:, :1] - r[:, 1:])
@@ -93,64 +96,76 @@ def _triple_candidates(cs, rs, idx, scale: float, tol: float):
         )
     valid = np.where(
         linear[:, None],
-        np.stack([np.abs(bb) > 1e-14, np.zeros_like(linear)], axis=1),
+        np.stack([np.abs(bb) > 1e-14 * scale, np.zeros_like(linear)], axis=1),
         (disc >= 0)[:, None],
     )
     valid &= roots > r.max(axis=1)[:, None] - tol
     t, k = np.nonzero(valid)
-    return p[t] + roots[t, k, None] * q[t], roots[t, k]
+    return p[t] + roots[t, k, None] * q[t], roots[t, k], idx[t]
+
+
+def _support_candidates(cs, rs, k: int, basis: list, scale: float, tol: float):
+    """The disks internally tangent to member k and to at most two members
+    of basis, as (support sets, centers, radii): the singleton first, then
+    the pairs, then the triples (_triple_candidates)."""
+    b = np.array(basis)
+    diff = cs[b] - cs[k]
+    d = np.linalg.norm(diff, axis=1)
+    keep = d > tol
+    # pairs: center on the segment, tangent to both
+    pair_r = 0.5 * (d + rs[k] + rs[b])[keep]
+    pair_c = cs[k] + (pair_r - rs[k])[:, None] * (diff[keep] / d[keep, None])
+    idx = np.array([[k, *pair] for pair in itertools.combinations(basis, 2)], dtype=int).reshape(-1, 3)
+    tri_c, tri_r, rows = _triple_candidates(cs, rs, idx, scale, tol)
+    sets = [[k]] + [[k, j] for j in b[keep].tolist()] + rows.tolist()
+    return sets, np.vstack([cs[[k]], pair_c, tri_c]), np.concatenate([rs[[k]], pair_r, tri_r])
 
 
 def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
     """Smallest disk containing every disk (c_i, r_i). Points allowed (r=0).
 
-    The optimum is internally tangent to at most three members, so all
-    singleton, pair, and triple support sets are solved in closed form and
-    the best feasible candidate returned (the first one listed among equal
-    radii). Candidates are solved and tested in numpy batches: the
-    singletons, the pairs, then the triples in blocks of about 2^15 by first
-    member, which bounds memory at O(n^2).
+    An LP-type problem (Welzl 1991; Matousek, Sharir and Welzl 1996): the
+    optimum is internally tangent to a basis of at most three members, and
+    the optimum of a set with one member more than a basis, that member
+    protruding from the basis's disk, has the new member on its boundary.
+    So, from the largest member alone, each round takes the member that
+    protrudes most and keeps the smallest disk tangent to it and to at most
+    two basis members (one singleton, up to three pairs and three triples,
+    in closed form) that covers the basis and the new member; its support
+    set is the next basis. In exact arithmetic the radius grows strictly
+    from round to round, so no basis comes back; in floating point a step
+    may grow it by less than one ulp, so the radii are not compared and a
+    basis that comes back is what ends a search that cannot settle. The
+    loop ends when no member protrudes by more than tol. Coordinates are taken about the middle of the members'
+    bounding box and tol is 1e-11 times its extent, so the disk scales and
+    moves with the input. Memory O(n).
     """
     cs = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(radii, dtype=float))
-    n = len(cs)
-    scale = max(1.0, float(np.abs(cs).max()), float(rs.max()))
+    lo, hi = (cs - rs[:, None]).min(axis=0), (cs + rs[:, None]).max(axis=0)
+    mid = 0.5 * (lo + hi)
+    cs = cs - mid
+    scale = float((hi - lo).max())
     tol = 1e-11 * scale
-
-    # pairs: center on the segment, tangent to both
-    i, j = np.triu_indices(n, 1)
-    diff = cs[j] - cs[i]
-    d = np.linalg.norm(diff, axis=1)
-    keep = d > tol
-    pair_r = 0.5 * (d + rs[i] + rs[j])[keep]
-    pair_c = cs[i][keep] + (pair_r - rs[i][keep])[:, None] * (diff[keep] / d[keep, None])
-    # a disk covering members i and j within tol has R >= (d_ij + r_i + r_j)/2 - tol,
-    # so smaller candidates cannot pass the covers test
-    lower = max(float(rs.max()), float(pair_r.max(initial=0.0))) - 2.0 * tol
-    step = max(1, (1 << 16) // n)
-    best_c, best_r = None, math.inf
-
-    def consider(cand_c, cand_r):
-        nonlocal best_c, best_r
-        sel = np.flatnonzero((cand_r < best_r) & (cand_r >= lower))
-        sel = sel[np.argsort(cand_r[sel], kind="stable")]
-        for start in range(0, len(sel), step):
-            part = sel[start : start + step]
-            dist = np.linalg.norm(cs[None, :, :] - cand_c[part, None, :], axis=2)
-            covers = (dist + rs <= cand_r[part, None] + tol).all(axis=1)
-            if covers.any():
-                best = part[int(np.argmax(covers))]
-                best_c, best_r = cand_c[best], float(cand_r[best])
-                return
-
-    consider(cs, rs)
-    consider(pair_c, pair_r)
-    for idx in triple_blocks(n):
-        consider(*_triple_candidates(cs, rs, idx, scale, tol))
-
-    if best_c is None:
-        raise GeometryError("enclosing disk search failed")
-    return np.array(best_c, dtype=float), float(best_r)
+    basis = [int(np.argmax(rs))]
+    best_c, best_r = cs[basis[0]], float(rs[basis[0]])
+    seen = {frozenset(basis)}
+    while True:
+        out = np.linalg.norm(cs - best_c, axis=1) + rs - best_r
+        k = int(np.argmax(out))
+        if not out[k] > tol:
+            return mid + best_c, best_r
+        sets, cand_c, cand_r = _support_candidates(cs, rs, k, basis, scale, tol)
+        held = basis + [k]
+        dist = np.linalg.norm(cs[held][None, :, :] - cand_c[:, None, :], axis=2)
+        covers = (dist + rs[held] <= cand_r[:, None] + tol).all(axis=1)
+        if not covers.any():
+            raise GeometryError("enclosing disk search failed")
+        pick = int(np.flatnonzero(covers)[np.argmin(cand_r[covers])])
+        basis, best_c, best_r = sets[pick], cand_c[pick], float(cand_r[pick])
+        if frozenset(basis) in seen:
+            raise GeometryError("enclosing disk search failed")
+        seen.add(frozenset(basis))
 
 
 def circumscribed_disk(body: ConvexBody) -> tuple[np.ndarray, float]:

@@ -19,6 +19,7 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     HomothetFamily,
+    _finite,
     _gauges,
     _require_planar,
     perp,
@@ -211,11 +212,34 @@ def _certificates(u, lo, hi, left) -> list[SeparationCertificate]:
     ]
 
 
-def _differences(pts, i, j) -> np.ndarray:
+def _differences(pts, i, j, table=None) -> np.ndarray:
     """Feature differences b - a, a of member i[p] and b of member j[p]:
-    row p of the (len(i), k k, d) result runs over (a, b), a-major."""
+    row p of the (len(i), k k, d) result runs over (a, b), a-major, or over
+    the rows (a, b) of table (_pair_table) only, in its order."""
+    if table is not None:
+        return pts[j][:, table[:, 1]] - pts[i][:, table[:, 0]]
     k, d = pts.shape[1:]
     return (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), k * k, d)
+
+
+def _pair_table(ref: np.ndarray) -> np.ndarray:
+    """Rows (a, b), a-major, of feature indices of a planar reference with
+    features ref (k, 2) such that every vertex of tau' K - tau K, for any
+    ratios tau, tau' > 0, is tau' ref[b] - tau ref[a]: at most 2k rows.
+
+    Along u the support point of tau' K - tau K is tau' argmax_K(u) - tau
+    argmin_K(u). That pair (argmin, argmax) is constant on each cell of the
+    common refinement of the normal fans of K and -K, whose rays are the
+    edge normals of K and their opposites, and positive ratios change
+    neither fan. One direction inside each cell gives its pair.
+    """
+    k = len(ref)
+    edges = np.diff(ref, axis=0, append=ref[:1])
+    rays = np.arctan2(edges[:, 0], -edges[:, 1])
+    ends = np.unique(np.remainder(np.concatenate([rays, rays + math.pi]), TWO_PI))
+    mids = 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
+    proj = np.cos(mids)[:, None] * ref[:, 0] + np.sin(mids)[:, None] * ref[:, 1]
+    return np.stack(np.divmod(np.unique(proj.argmin(axis=1) * k + proj.argmax(axis=1)), k), axis=1)
 
 
 def _mod_pi(angles) -> tuple[np.ndarray, np.ndarray]:
@@ -366,6 +390,19 @@ def kirchberger_reduce(family1, family2, tol: float = EPS) -> KirchbergerResult:
 # ---------------------------------------------------------------------------
 
 
+def _homothet_features(family: HomothetFamily):
+    """_member_features of a planar homothet family, formed from the
+    reference as Homothet.as_body forms each member, with no member body;
+    and the reference's own features and radius."""
+    ref, ref_rad = _member_features([family.reference])
+    centers, ratios = family.centers, family.ratios
+    pts = _finite(centers[:, None] + ratios[:, None, None] * ref[0], "homothet vertices")
+    rad = ratios * ref_rad[0]
+    if family.reference.kind == "disk" and not (rad > 0.0).all():
+        raise GeometryError("disk radius must be positive")
+    return pts, rad, ref, ref_rad
+
+
 def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecision:
     """Decide whether no hyperplane splits the family while missing every member.
 
@@ -377,40 +414,67 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     above tol along the directions of one open arc and its opposite; the
     graph of members not split is constant between consecutive arc endpoints
     taken mod pi, so the gap at the midpoints between them decides the
-    question, and ``directions_checked`` is at most n(n - 1). ``samples``
-    only applies in dimension 3 and up, where directions are sampled and the
-    decision is flagged approximate.
+    question, and ``directions_checked`` is at most n(n - 1). The arcs are
+    built, and the directions swept, in blocks of about _BLOCK entries. A
+    planar HomothetFamily is priced through its reference K with no member
+    body: a pair's arc reads only the vertices of tau_j K - tau_i K
+    (_pair_table, at most 2k differences, not k^2), and along u member i
+    covers c_i . u + tau_i [lo_K, hi_K], with K projected once.
+    ``samples`` only applies in dimension 3 and up, where directions are
+    sampled and the decision is flagged approximate.
     """
-    bodies = _as_bodies(family)
-    n = len(bodies)
+    homothets = isinstance(family, HomothetFamily) and family.reference.dim == 2
+    bodies = None if homothets else _as_bodies(family)
+    n = len(family if homothets else bodies)
     if n < 2:
         raise GeometryError("non-separability needs at least 2 members")
-    pts, rad = _member_features(bodies)
-    sampled = bodies[0].dim != 2
+    if homothets:
+        pts, rad, ref, ref_rad = _homothet_features(family)
+        table = _pair_table(ref[0])
+    else:
+        pts, rad = _member_features(bodies)
+        table = None
+    sampled = pts.shape[2] != 2
     if sampled:
         t = tol
         dirs = np.vstack([fibonacci_sphere(max(samples, 1024)), candidate_directions(bodies)])
     else:
         t = _scaled_tol(pts, rad, tol)
         i, j = np.triu_indices(n, 1)
-        lo, hi = _arcs(_differences(pts, i, j), (rad[i] + rad[j] + t)[:, None])
+        r = (rad[i] + rad[j] + t)[:, None]
+        lo, hi = np.empty(len(i)), np.empty(len(i))
+        step = max(1, _BLOCK // (pts.shape[1] ** 2 if table is None else len(table)))
+        for s in range(0, len(i), step):
+            b = slice(s, s + step)
+            lo[b], hi[b] = _arcs(_differences(pts, i[b], j[b], table), r[b])
         split = lo < hi
         if not split.any():
             return NSDecision(True, None, 0, False)
         _, mids = _mod_pi(np.concatenate([lo[split], hi[split]]))
         mids = np.remainder(mids + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
-    lo, hi = _project(dirs, pts, rad)
-    order, gaps = sweep(lo, hi)
-    # the widest gap along each direction, and the first direction where it is widest
-    cut = gaps.argmax(axis=1)
-    best = int(np.argmax(gaps[np.arange(len(dirs)), cut]))
-    if not gaps[best, cut[best]] > t:
+
+    def intervals(u):
+        if not homothets:
+            return _project(u, pts, rad)
+        lo_k, hi_k = _project(u, ref, ref_rad)
+        along = u[:, :1] * family.centers[:, 0] + u[:, 1:] * family.centers[:, 1]
+        return along + family.ratios * lo_k, along + family.ratios * hi_k
+
+    # the widest gap along each direction, directions in blocks of about
+    # _BLOCK intervals, and the first direction where it is widest
+    widest = np.empty(len(dirs))
+    step = max(1, _BLOCK // n)
+    for s in range(0, len(dirs), step):
+        widest[s : s + step] = sweep(*intervals(dirs[s : s + step]))[1].max(axis=1)
+    best = int(np.argmax(widest))
+    if not widest[best] > t:
         return NSDecision(True, None, len(dirs), sampled)
-    row = slice(best, best + 1)
-    left = np.isin(np.arange(n), order[best, : cut[best] + 1])[None]
-    witness = _certificates(dirs[row], lo[row], hi[row], left)[0]
-    return NSDecision(False, witness, len(dirs), sampled)
+    u = dirs[best : best + 1]
+    lo, hi = intervals(u)
+    order, gaps = sweep(lo, hi)
+    left = np.isin(np.arange(n), order[0, : int(gaps[0].argmax()) + 1])[None]
+    return NSDecision(False, _certificates(u, lo, hi, left)[0], len(dirs), sampled)
 
 
 def is_sns(family, tol: float = EPS) -> SNSResult:

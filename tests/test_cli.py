@@ -442,3 +442,14 @@ def test_bad_numeric_input_exits_3(argv, tmp_path, capsys):
 )
 def test_flags_a_command_does_not_read_exit_3(argv, grid_file, capsys):
     assert run([grid_file if a == "GRID" else a for a in argv], capsys)[0] == 3
+
+
+def test_cover_tiny_disk_family_exits_0(tmp_path, capsys):
+    """Nine unit disks on a ring, scaled by 1e-8: the smallest cover rests on
+    three of them, and the scale of the enclosing disk follows the input."""
+    ring = 3.0 * np.c_[np.cos(np.arange(9) * 2 * math.pi / 9), np.sin(np.arange(9) * 2 * math.pi / 9)]
+    disk = {"type": "disk", "center": [0.0, 0.0], "radius": 1e-8}
+    path = write_json(tmp_path / "tiny.json", {"body": disk, "centers": (1e-8 * np.round(ring, 3)).tolist()})
+    code, payload = run(["cover", path], capsys)
+    assert code == 0 and payload["smallest"]["contains_all"]
+    assert payload["smallest"]["normalized"] == pytest.approx(0.4444395555555556, rel=1e-12)

@@ -260,3 +260,34 @@ def test_cover_ratio_is_scale_and_translation_invariant():
             assert cover.contains_all
             assert cover.ratio == pytest.approx(want, rel=1e-12, abs=0.0)
             assert goodman_goodman_cover(fam).contains_all == gg
+
+
+# nine unit disks on a ring: the enclosing disk rests on three of them
+RING9 = np.round(3.0 * np.c_[np.cos(np.arange(9) * 2 * math.pi / 9), np.sin(np.arange(9) * 2 * math.pi / 9)], 3)
+
+
+def test_disk_cover_ratio_is_scale_and_translation_invariant(rng):
+    """Disk families scaled by 1e-9 to 1e9 keep the unit-size normalized
+    ratio to 1e-12 and cover; moved by 1e6 they keep ratio and center to the
+    round-off of their largest coordinate. The ring at 1e-8 raised
+    "enclosing disk search failed" while the scale was floored at 1."""
+    eps = np.finfo(float).eps
+    families = [(RING9, np.ones(9), (0.0, 0.0), 1.0)]
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        center = tuple(rng.normal(size=2) * 0.3)
+        families.append((rng.normal(size=(n, 2)) * 3.0, rng.uniform(0.3, 1.5, n), center, 0.8))
+    for centers, ratios, k_center, k_radius in families:
+        base = min_cover_ratio(HomothetFamily(ConvexBody.disk(k_center, k_radius), centers, ratios))
+        for e in range(-9, 10, 3):
+            s = 10.0**e
+            ref = ConvexBody.disk(np.multiply(k_center, s), k_radius * s)
+            cover = min_cover_ratio(HomothetFamily(ref, s * centers, ratios))
+            assert cover.contains_all
+            assert cover.normalized == pytest.approx(base.normalized, rel=1e-12, abs=0.0)
+        for shift in ((1e6, 0.0), (0.0, -1e6), (1e6, 1e6)):
+            moved = HomothetFamily(ConvexBody.disk(k_center, k_radius), centers + shift, ratios)
+            cover = min_cover_ratio(moved)
+            assert cover.contains_all
+            assert abs(cover.ratio - base.ratio) <= 8 * eps * 1e6
+            assert np.abs(cover.center - shift - base.center).max() <= 8 * eps * 1e6

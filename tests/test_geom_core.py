@@ -286,7 +286,7 @@ def _enclosing_disk_reference(centers, radii):
     return best_c, best_r
 
 
-def test_enclosing_disk_matches_plain_python(rng):
+def _enclosing_disk_cases(rng):
     for trial in range(300):
         n = int(rng.integers(1, 9))
         centers = rng.normal(size=(n, 2)) * rng.uniform(0.5, 20.0)
@@ -297,11 +297,47 @@ def test_enclosing_disk_matches_plain_python(rng):
         else:
             centers = np.round(centers)  # repeated centers, ties, nested disks
             radii = np.round(rng.uniform(0.0, 3.0, n))
+        yield centers, radii
+    for n in (20, 27, 33, 40):
+        yield rng.normal(size=(n, 2)) * 5.0, rng.uniform(0.0, 2.0, n)
+    angles = np.arange(24) * 2.0 * math.pi / 24
+    yield 4.0 * np.c_[np.cos(angles), np.sin(angles)] + (1.5, -2.0), np.zeros(24)  # cocircular
+    # a diametral pair and a member just outside it, by more than tol but so
+    # little that the radius grows by less than one ulp
+    yield np.array([(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0 + 1e-9)]), np.zeros(3)
+    yield np.round(4.0 * np.c_[np.cos(angles), np.sin(angles)] + (1.5, -2.0), 9), np.zeros(24)  # as read from JSON
+    yield np.tile([[3.0, -1.0]], (6, 1)), np.full(6, 2.0)  # identical disks
+    centers = rng.uniform(-1.0, 1.0, size=(12, 2))
+    yield np.vstack([centers, [[0.25, 0.5]]]), np.append(rng.uniform(0.1, 0.5, 12), 3.0)  # one holds all
+
+
+def test_enclosing_disk_matches_plain_python(rng):
+    for trial, (centers, radii) in enumerate(_enclosing_disk_cases(rng)):
         c, r = enclosing_disk_of_disks(centers, radii)
         c_ref, r_ref = _enclosing_disk_reference(centers, radii)
         scale = max(1.0, float(np.abs(centers).max()), float(radii.max()))
         assert abs(r - r_ref) <= 1e-12 * scale, trial
         assert np.abs(c - np.array(c_ref)).max() <= 1e-12 * scale, trial
+
+
+def test_enclosing_disk_is_optimal_at_n_2000(rng):
+    """Checked without any solver: every member is covered, and the center
+    lies in the convex hull of the contact points of the members tangent to
+    the disk, so no smaller disk covers them (no angular gap between the
+    contact points, seen from the center, exceeds pi)."""
+    n = 2000
+    for radii in (np.zeros(n), rng.uniform(0.0, 1.0, n), rng.exponential(0.3, n)):
+        centers = rng.normal(size=(n, 2)) * rng.uniform(1.0, 100.0, 2)
+        c, r = enclosing_disk_of_disks(centers, radii)
+        tol = 1e-10 * r
+        to_center = centers - c
+        dist = np.linalg.norm(to_center, axis=1)
+        assert (dist + radii <= r + tol).all()
+        tangent = dist + radii >= r - tol
+        assert tangent.sum() >= 2
+        angles = np.sort(np.arctan2(to_center[tangent, 1], to_center[tangent, 0]))
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+        assert gaps.max() <= math.pi + 1e-9
 
 def test_inscribed_disk_triangle():
     c, r = inscribed_disk(TRIANGLE)

@@ -20,7 +20,7 @@ from helpers import (
     touching_packing,
     ts_reference,
 )
-from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
+from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, _strict_hull
 from sepgeom.covering import build_triangle_counterexample
 from sepgeom import separability
 from sepgeom.packing import contact_graph, polyomino_packing
@@ -558,3 +558,42 @@ def test_packing_verdicts_do_not_change_at_scale_two_to_the_minus_twenty(rng):
         assert (ls.failing_members, ls.neighborhoods) == (ls_small.failing_members, ls_small.neighborhoods)
         assert tangency_pairs(bodies) == tangency_pairs(small)
         assert len(tangency_pairs(bodies)) >= len(bodies) - 1
+
+
+def _homothet_reference(rng, trial: int) -> ConvexBody:
+    """A disk, an o-symmetric polygon or a polygon with 3 to 12 vertices."""
+    if trial % 3 == 0:
+        return ConvexBody.disk(rng.normal(size=2) * 0.3, float(rng.uniform(0.5, 1.5)))
+    if trial % 3 == 1:
+        return random_symmetric_polygon(rng, int(rng.integers(2, 7)))
+    return random_convex_polygon(rng, int(rng.integers(3, 13)))
+
+
+def test_homothet_path_matches_member_bodies(rng):
+    """A planar HomothetFamily is decided through its reference and the pair
+    table; its member bodies go through every k^2 feature difference. The
+    verdict, directions_checked and witness sides are the same, and the
+    witness lines agree to 1e-12. The table has at most 2k rows and holds
+    every vertex of tau' K - tau K."""
+    for trial in range(150):
+        ref = _homothet_reference(rng, trial)
+        n = int(rng.integers(2, 41))
+        if trial % 2:
+            fam = ns_family(rng, ref, n)
+        else:
+            fam = HomothetFamily(ref, rng.normal(size=(n, 2)) * rng.uniform(1.0, 6.0), rng.uniform(0.2, 1.5, n))
+        feats = _member_features([ref])[0][0]
+        table = separability._pair_table(feats)
+        assert len(table) <= 2 * len(feats)
+        tau = rng.uniform(0.2, 1.5, 2)
+        every = (tau[1] * feats[None, :, :] - tau[0] * feats[:, None, :]).reshape(-1, 2)
+        kept = tau[1] * feats[table[:, 1]] - tau[0] * feats[table[:, 0]]
+        hull = _strict_hull(every) if len(every) > 2 else every
+        assert all((np.abs(kept - v).max(axis=1) == 0.0).any() for v in hull), trial
+        a, b = is_non_separable(fam), is_non_separable(fam.bodies())
+        assert (a.non_separable, a.directions_checked) == (b.non_separable, b.directions_checked), trial
+        assert (a.witness is None) == (b.witness is None), trial
+        if a.witness is not None:
+            assert (a.witness.left, a.witness.right) == (b.witness.left, b.witness.right), trial
+            assert np.abs(a.witness.plane.normal - b.witness.plane.normal).max() <= 1e-12, trial
+            assert a.witness.plane.offset == pytest.approx(b.witness.plane.offset, rel=1e-12, abs=1e-12)
