@@ -2,8 +2,8 @@
 
 Run from the root of a checkout:
 
-    python3 benchmarks/bench.py --out BENCH_11.json --label change
-    python3 benchmarks/bench.py --out BENCH_11.json --label parent --src ../parent
+    python3 benchmarks/bench.py --out BENCH_12.json --label change
+    python3 benchmarks/bench.py --out BENCH_12.json --label parent --src ../parent
 
 ``--src`` names the checkout to measure (by default the one holding this
 script). Each run stores its rows under its label and keeps the other
@@ -75,7 +75,21 @@ def _polyominoes(sg, np, gen, n):
     return [sg.ConvexBody.disk(c, 0.5) for c in sg.packing.polyomino_packing(n).centers]
 
 
-# name -> (sizes, input builder (sg, np, gen, n), the call, an attribute path in sepgeom)
+def _lattice(sg, np, gen, n):
+    """(K, centers): an r x r block (n = r^2) of translates of a 12-gon
+    lattice cell from verdictbench's generators (random.Random(3))."""
+    r = round(n**0.5)
+    blk = gen.lattice_block(random.Random(3), r, r, 6)
+    return sg.ConvexBody.polygon(blk["poly"]), np.array(blk["centers"])
+
+
+def _unpacked(path: str, *extra):
+    """The call sepgeom.<path>(*arg, *extra) on a tuple input arg, for CALLS."""
+    return lambda sg: lambda arg: functools.reduce(getattr, path.split("."), sg)(*arg, *extra)
+
+
+# name -> (sizes, input builder (sg, np, gen, n), the call: an attribute path in
+# sepgeom, called on the input, or _unpacked)
 CALLS = {
     "is_non_separable/ns-24gon": ((32, 128, 256), _homothets("poly", False), "is_non_separable"),
     "is_non_separable/spread-24gon": ((32, 128, 256), _homothets("poly", True), "is_non_separable"),
@@ -85,6 +99,8 @@ CALLS = {
     "hull_circumradius/points": ((64, 192, 400), _segments, "measures.hull_circumradius"),
     "is_ts_packing/polyomino": ((1000, 2000), _polyominoes, "is_ts_packing"),
     "is_ls_packing/spiral": ((10000,), _spiral, "is_ls_packing"),
+    "is_rho_separable/lattice-12gon": ((900, 3600), _lattice, _unpacked("is_rho_separable", 3.0)),
+    "contact_graph/lattice-12gon": ((10000,), _lattice, _unpacked("contact_graph")),
 }
 
 
@@ -105,7 +121,7 @@ def _child(name: str, n: int, tries: int) -> None:
 
     _, build, call = CALLS[name]
     arg = build(sg, np, gen, n)
-    func = functools.reduce(getattr, call.split("."), sg)
+    func = call(sg) if callable(call) else functools.reduce(getattr, call.split("."), sg)
     best = float("inf")
     for _ in range(tries):
         t0 = time.perf_counter()

@@ -192,15 +192,13 @@ class ConvexBody:
             return bool(np.linalg.norm(self.center) <= tol * max(1.0, self.radius))
         if self.kind in ("polygon", "segment", "polytope"):
             v = self.vertices
-            scale = max(1.0, float(np.abs(v).max()))
-            neg = -v
-            # match every vertex with a negated partner
-            used = np.zeros(len(v), dtype=bool)
-            for p in neg:
-                d = np.linalg.norm(v - p, axis=1)
-                d[used] = np.inf
-                j = int(np.argmin(d))
-                if d[j] > tol * scale * 10:
+            limit = tol * max(1.0, float(np.abs(v).max())) * 10
+            # match every vertex -v_i greedily with the nearest unused v_j,
+            # row i of the distances |v_j - (-v_i)|
+            used = [False] * len(v)
+            for row in np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2).tolist():
+                d, j = min((d, j) for j, d in enumerate(row) if not used[j])
+                if d > limit:
                     return False
                 used[j] = True
             return True

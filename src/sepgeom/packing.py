@@ -12,7 +12,10 @@ from .bodies import (
     EPS,
     ConvexBody,
     GeometryError,
+    _freeze,
     _gauges,
+    _require_planar,
+    _strict_hull,
     unit,
 )
 from .measures import (
@@ -20,7 +23,6 @@ from .measures import (
     disk_box_area,
     hull_of_centers,
     min_area_parallelogram,
-    minkowski_sum_polygons,
     mixed_area,
     polygon_area,
     polygon_perimeter,
@@ -28,9 +30,11 @@ from .measures import (
 )
 from .separability import (
     _AXES,
+    _BLOCK,
     TSResult,
     _near_pairs,
     _near_translates,
+    _pair_table,
     _require_disjoint,
     is_ts_packing,
 )
@@ -46,11 +50,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def difference_body(body: ConvexBody) -> ConvexBody:
-    """Central symmetral K + (-K), an o-symmetric body at the origin."""
+    """Central symmetral K + (-K), an o-symmetric body at the origin.
+
+    For a polygon it is the hull of the differences v_b - v_a at the rows
+    (a, b) of _pair_table only: at most 2k of them, among which are all the
+    vertices of K - K, in place of all k^2. Their hull is strictly convex
+    already, so ConvexBody.polygon does not take it a second time.
+    """
+    _require_planar([body], "difference body")
     body.require_full_dimensional("difference body")
     if body.kind == "disk":
         return ConvexBody.disk((0.0, 0.0), 2.0 * body.radius)
-    return ConvexBody.polygon(minkowski_sum_polygons(body.vertices, -body.vertices))
+    v = body.vertices
+    rows = _pair_table(v)
+    return ConvexBody(kind="polygon", vertices=_freeze(_strict_hull(v[rows[:, 1]] - v[rows[:, 0]])))
 
 
 def translate_gauge(reference: ConvexBody, delta) -> float:
@@ -218,14 +231,6 @@ def minkowski_length(reference: ConvexBody, points, closed: bool = True) -> floa
     return float(_gauges(reference, steps).sum())
 
 
-def _seg_dist(p, a, b) -> float:
-    """Distance from p to the segment [a, b]."""
-    d = b - a
-    dd = float(d @ d)
-    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, float((p - a) @ d) / dd))
-    return float(np.linalg.norm(p - (a + t * d)))
-
-
 def _segments_cross(a, b, c, d) -> bool:
     """True when [a,b] and [c,d] share a point (endpoints included)."""
 
@@ -261,23 +266,29 @@ def _loop_is_simple(poly: np.ndarray) -> bool:
     return True
 
 
-def _point_in_polygon(p, poly: np.ndarray, tol: float) -> bool:
-    """Membership in the closed region bounded by a simple loop."""
-    m = len(poly)
-    for i in range(m):
-        if _seg_dist(p, poly[i], poly[(i + 1) % m]) <= tol:
-            return True
-    # ray crossing to +x
-    inside = False
-    x, y = p
-    for i in range(m):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % m]
-        if (y1 > y) != (y2 > y):
-            xs = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if xs > x:
-                inside = not inside
-    return inside
+def _seg_dists(p, a, b) -> np.ndarray:
+    """Distances (n, m) from the points p (n, 2) to the segments [a, b], each
+    of a and b (m, 2); a segment with a = b is a point."""
+    d = b - a
+    dd = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    w = p[:, None, :] - a
+    t = np.zeros(w.shape[:2])
+    np.divide(w[..., 0] * d[:, 0] + w[..., 1] * d[:, 1], dd, out=t, where=dd != 0.0)
+    off = p[:, None, :] - (a + np.clip(t, 0.0, 1.0)[..., None] * d)
+    return np.sqrt(off[..., 0] * off[..., 0] + off[..., 1] * off[..., 1])
+
+
+def _in_loop(p, poly: np.ndarray, tol: float) -> np.ndarray:
+    """Membership of the points p (n, 2) in the closed region bounded by a
+    simple loop: within tol of an edge, or inside by the parity of the edges
+    crossing the ray from the point to +x."""
+    a, b = poly, np.roll(poly, -1, axis=0)
+    near = (_seg_dists(p, a, b) <= tol).any(axis=1)
+    x, y = p[:, :1], p[:, 1:]
+    (x1, y1), (x2, y2) = a.T, b.T
+    spans = (y1 > y) != (y2 > y)
+    xs = x1 + (y - y1) * (x2 - x1) / np.where(spans, y2 - y1, 1.0)
+    return near | ((spans & (xs > x)).sum(axis=1) % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -322,7 +333,7 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
         # out-and-back curve along a segment: zero area, membership on the hull
         hv = hull_of_centers(poly)
         a, b = (hv[0], hv[0]) if len(hv) == 1 else (hv[0], hv[-1])
-        if any(_seg_dist(p, a, b) > 1e-7 for p in c):
+        if (_seg_dists(c, a[None], b[None]) > 1e-7).any():
             raise GeometryError("all centers must lie in the region bounded by the curve")
         enclosed = 0.0
     else:
@@ -330,7 +341,8 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
             raise GeometryError("the curve must be simple")
         enclosed = abs(polygon_area(poly))
         scale = max(1.0, float(np.abs(poly).max()))
-        if any(not _point_in_polygon(p, poly, 1e-7 * scale) for p in c):
+        step = max(1, _BLOCK // len(poly))
+        if not all(_in_loop(c[s : s + step], poly, 1e-7 * scale).all() for s in range(0, n, step)):
             raise GeometryError("all centers must lie in the region bounded by the curve")
 
     pg = min_area_parallelogram(reference).area
@@ -371,15 +383,12 @@ def radon_mixed_area_check(reference: ConvexBody, q_vertices, tol: float = EPS) 
 
 def _dist_to_hull(p, pts: np.ndarray) -> float:
     hv = hull_of_centers(pts)
-    if len(hv) == 1:
-        return float(np.linalg.norm(p - hv[0]))
-    if len(hv) == 2:
-        return _seg_dist(p, hv[0], hv[1])
-    edges = np.roll(hv, -1, axis=0) - hv
-    rel = p - hv
-    if (edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] >= 0.0).all():
-        return 0.0
-    return min(_seg_dist(p, hv[i], hv[(i + 1) % len(hv)]) for i in range(len(hv)))
+    ends = np.roll(hv, -1, axis=0)
+    if len(hv) > 2:
+        edges, rel = ends - hv, p - hv
+        if (edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] >= 0.0).all():
+            return 0.0
+    return float(_seg_dists(p[None], hv, ends).min())
 
 
 def _successive_ordering(c: np.ndarray, tol: float) -> tuple[int, ...] | None:
@@ -483,11 +492,9 @@ def three_disk_non_separable(centers, tol: float = EPS) -> bool:
     c = np.asarray(centers, dtype=float)
     if c.shape != (3, 2):
         raise GeometryError("expected three centers")
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        if _seg_dist(c[i], c[j], c[k]) > 2.0 + tol:
-            return False
-    return True
+    # each center against the segment joining the other two
+    dist = _seg_dists(c, np.roll(c, -1, axis=0), np.roll(c, -2, axis=0)).diagonal()
+    return bool((dist <= 2.0 + tol).all())
 
 
 def three_disk_hull_metrics(centers) -> tuple[float, float, float, float]:

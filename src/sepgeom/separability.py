@@ -570,19 +570,23 @@ def _near_translates(body: ConvexBody, centers, reach: float, tol: float):
     return _near_pairs(proj - h, proj + h, tol * float(h.max()))
 
 
-def _pair_gaps(feats, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-line clearance of the pairs (i[p], j[p]) of members, with its unit
     direction u and mid-gap offset s: member i[p] lies below the line
     <u, x> = s and member j[p] above it. The clearance is negative on overlap.
     feats is _member_features of the members.
 
     Along a unit u the gap is min over feature pairs of <u, b - a> - r_i -
-    r_j, and its maximum over u is attained along a feature difference b - a
-    or an edge normal of either member, so only those directions and their
-    opposites are evaluated. The edge normals come from the padded feature
-    rows; directions that are not defined (coincident features, the zero
-    edges of padding) are set to (1, 0), and any unit direction only gives a
-    lower gap.
+    r_j, and its maximum over u is attained along a vertex b - a of the
+    pair's difference body or an edge normal of either member, so only those
+    directions and their opposites are evaluated. The edge normals come from
+    the padded feature rows; directions that are not defined (coincident
+    features, the zero edges of padding) are set to (1, 0), and any unit
+    direction only gives a lower gap. Without rows every feature pair is
+    evaluated (k^2 of them). With rows, _pair_table of their reference, the
+    members are translates of one body: the vertices of c_j + K - (c_i + K)
+    are the differences at the rows only (at most 2k), and member i's edge
+    normals are member j's as well.
 
     The packing checks price the near pairs (_near_pairs) only. Any other
     pair has a clearance above tol, so it can neither overlap nor touch, and
@@ -602,23 +606,24 @@ def _pair_gaps(feats, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         normals = np.divide(
             normals, length, out=np.broadcast_to((1.0, 0.0), normals.shape).copy(), where=length > 0.0
         )
-    step = max(1, _BLOCK // (2 * (k * k + 2 * normals.shape[1]) * k))
+    cands = k * k + 2 * normals.shape[1] if rows is None else len(rows) + normals.shape[1]
+    step = max(1, _BLOCK // (2 * cands * k))
     for lo in range(0, len(i), step):
         bi, bj = i[lo : lo + step], j[lo : lo + step]
         a, b = pts[bi], pts[bj]
-        p = _differences(pts, bi, bj)
+        p = _differences(pts, bi, bj, rows)
         length = np.hypot(p[..., 0], p[..., 1])[..., None]
         u = np.broadcast_to((1.0, 0.0), p.shape).copy()
         np.divide(p, length, out=u, where=length > 0.0)
-        u = np.concatenate([u, normals[bi], normals[bj]], axis=1)
+        u = np.concatenate([u, normals[bi]] + ([normals[bj]] if rows is None else []), axis=1)
         u = np.concatenate([u, -u], axis=1)
         hi = (u @ a.transpose(0, 2, 1)).max(axis=2) + rad[bi, None]
         top = (u @ b.transpose(0, 2, 1)).min(axis=2) - rad[bj, None]
         best = np.argmax(top - hi, axis=1)
-        rows = np.arange(len(bi))
-        hi, top = hi[rows, best], top[rows, best]
+        at = np.arange(len(bi))
+        hi, top = hi[at, best], top[at, best]
         gaps[lo : lo + step] = top - hi
-        dirs[lo : lo + step] = u[rows, best]
+        dirs[lo : lo + step] = u[at, best]
         offs[lo : lo + step] = 0.5 * (top + hi)
     return gaps, dirs, offs
 
@@ -661,10 +666,14 @@ def _cuts(u, pts, rad, table, tol: float):
     of free cuts below it: after the first p members by lo, the cut is free
     (a line there misses every interior) when its gap (sweep) is at least
     -tol. Padding (-1) sits at lo = +inf, hi = -inf: last, covering nothing.
-    Elementwise, so batch-independent."""
-    lo, hi = _project(u, pts[table], rad[table])
+    Each member in table is projected once and its intervals gathered into
+    the rows it is in. Elementwise, so batch-independent."""
+    used = np.zeros(len(pts), dtype=bool)
+    used[table] = True  # padding marks the last member, masked below
+    lo, hi = _project(u, pts[used], rad[used])
+    at = (np.cumsum(used) - 1)[table]
     valid = table >= 0
-    lo, hi = np.where(valid, lo, np.inf), np.where(valid, hi, -np.inf)
+    lo, hi = np.where(valid, lo[:, at], np.inf), np.where(valid, hi[:, at], -np.inf)
     order, gaps = sweep(lo, hi)
     free = gaps >= -tol
     ids = np.concatenate([np.zeros(free.shape[:2] + (1,), int), np.cumsum(free, axis=2)], axis=2)
@@ -672,11 +681,15 @@ def _cuts(u, pts, rad, table, tol: float):
     return lo, hi, ids
 
 
-def _critical_angles(pts, rad, i, j, best) -> np.ndarray:
+def _critical_angles(pts, rad, i, j, best, rows=None) -> np.ndarray:
     """Angles mod pi of the threshold-0 arc ends of the pairs (i, j), the
-    members' edge normals and best, and the midpoints between them."""
-    lo, hi = _arcs(_differences(pts, i, j), (rad[i] + rad[j])[:, None])
-    edges = (np.roll(pts, -1, axis=1) - pts)[np.union1d(i, j)].reshape(-1, 2)
+    members' edge normals and best, and the midpoints between them. With
+    rows (_pair_table), the members are translates of one body: a pair's arc
+    is that of its difference body's vertices, the differences at the rows,
+    and every member has the first one's edge normals."""
+    lo, hi = _arcs(_differences(pts, i, j, rows), (rad[i] + rad[j])[:, None])
+    members = np.union1d(i, j) if rows is None else i[:1]
+    edges = (np.roll(pts, -1, axis=1) - pts)[members].reshape(-1, 2)
     normals = np.arctan2(-edges[:, 0], edges[:, 1])[(edges != 0.0).any(axis=1)]
     arc = lo < hi
     ends, mids = _mod_pi(np.concatenate([lo[arc], hi[arc], normals, best]))
@@ -693,7 +706,7 @@ def _hood_pairs(table):
     return hood, a, c, gi, gj
 
 
-def _refine(feats, table, pairs, tol: float):
+def _refine(feats, table, pairs, tol: float, rows=None):
     """Partition refinement of subfamilies of a packing over critical directions.
 
     Row h of table lists the members of subfamily h of a packing, padded with
@@ -713,6 +726,9 @@ def _refine(feats, table, pairs, tol: float):
     looked up for the given pairs only, by a search over their sorted keys.
     They go first, the most frequent first, then the rest for the
     subfamilies still unsettled, in blocks of about _BLOCK entries.
+
+    rows, if given, is the _pair_table of a reference of which the members
+    are translates (_critical_angles).
 
     Returns, per pair of members of a subfamily (row-major, np.triu_indices
     order within a row), its row, the index into the returned directions of
@@ -738,15 +754,17 @@ def _refine(feats, table, pairs, tol: float):
             theta = theta[np.argsort(-count, kind="stable")]
         elif len(live):
             rel = np.isin(hood, hood[live])
-            theta = _critical_angles(pts, rad, gi[rel], gj[rel], best[rel & near])
+            # a pair in several subfamilies has one arc
+            i, j = np.divmod(np.unique(gi[rel] * n + gj[rel]), n)
+            theta = _critical_angles(pts, rad, i, j, best[rel & near], rows)
             theta = np.setdiff1d(theta, best[near])
         while len(theta) and len(live):
-            rows, r = np.unique(hood[live], return_inverse=True)
-            step = max(1, _BLOCK // (len(rows) * m * k))
+            subs, r = np.unique(hood[live], return_inverse=True)
+            step = max(1, _BLOCK // (len(subs) * m * k))
             u = np.stack([np.cos(theta[:step]), np.sin(theta[:step])], axis=1)
-            b = _cuts(u, pts, rad, table[rows], tol)[2]
+            b = _cuts(u, pts, rad, table[subs], tol)[2]
             # label members by the first of their class; a pair splits only if one leaves it
-            lab = np.tile(np.arange(m), (len(rows), 1))
+            lab = np.tile(np.arange(m), (len(subs), 1))
             np.minimum.at(lab, (r, c[live]), a[live])
             moved = (b != np.take_along_axis(b, np.broadcast_to(lab, b.shape), axis=2)).any(axis=0)
             cand = np.flatnonzero(moved[r, a[live]] | moved[r, c[live]])
@@ -841,7 +859,10 @@ def is_rho_separable(
     members contained in the rho-enlarged copy around it is totally
     separable. Containment reduces to gauge distance at most rho - 1, so
     only the pairs of _near_translates with reach max(1, (rho - 1) / 2) get
-    a gauge, and only the pairs sharing a neighbourhood a clearance.
+    a gauge, and only the pairs sharing a neighbourhood a clearance. The
+    members are priced through the reference K: a pair's clearance and arc
+    read only the at most 2k vertices of K - K (_pair_table), not k^2
+    feature differences.
     """
     if rho < 1.0:
         raise GeometryError("rho must be at least 1")
@@ -860,9 +881,10 @@ def is_rho_separable(
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
     pts, rad = _member_features([reference])
+    rows = _pair_table(pts[0])
     feats = pts[0] + cs[:, None, :], np.repeat(rad, n)
     *_, gi, gj = _hood_pairs(table)
     i, j = np.divmod(np.unique(gi * n + gj), n)
-    hood, first, _, _ = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j), tol)
+    hood, first, _, _ = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j, rows), tol, rows)
     failing = hood[first < 0].tolist()
     return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

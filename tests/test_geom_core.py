@@ -83,6 +83,39 @@ def test_polygon_hull_ignores_scale_and_position(scale, shift):
         ConvexBody.polygon(collinear)
 
 
+def _plain_symmetric(v: np.ndarray, tol: float) -> bool:
+    """Greedy matching of each -v_i with the nearest unused v_j, one numpy
+    distance row per vertex."""
+    limit = tol * max(1.0, float(np.abs(v).max())) * 10
+    used = np.zeros(len(v), dtype=bool)
+    for p in -v:
+        d = np.linalg.norm(v - p, axis=1)
+        d[used] = np.inf
+        j = int(np.argmin(d))
+        if d[j] > limit:
+            return False
+        used[j] = True
+    return True
+
+
+def test_origin_symmetry_matches_a_row_by_row_match(rng):
+    seen = set()
+    for t in range(200):
+        k = int(rng.integers(2, 13))
+        half = rng.normal(size=(k, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        v = np.vstack([half, -half]) + rng.normal(size=(2 * k, 2)) * 10.0 ** rng.uniform(-13.0, -7.0)
+        if t % 3 == 0:
+            v = np.vstack([v, rng.normal(size=(1, 2))])  # an unmatched vertex
+        # the match reads the vertex list only, so it need not be a hull
+        body = (ConvexBody.polytope(np.c_[v, np.zeros(len(v))]) if t % 5 == 0
+                else ConvexBody(kind="polygon", vertices=v))
+        for tol in (1e-9, 1e-7):
+            want = _plain_symmetric(body.vertices, tol)
+            assert body.is_origin_symmetric(tol) is want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_support_disk_and_polygon():
     d = ConvexBody.disk((1.0, -2.0), 3.0)
     u = np.array([0.6, 0.8])

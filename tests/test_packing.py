@@ -12,10 +12,11 @@ from helpers import (
     sns_disk_centers,
     ts_lattice_subset,
 )
-from sepgeom.bodies import ConvexBody, GeometryError, _gauges, minkowski_norm
-from sepgeom.measures import area, min_area_parallelogram
+from sepgeom.bodies import ConvexBody, GeometryError, _gauges, _strict_hull, minkowski_norm, polygon_facets
+from sepgeom.measures import area, min_area_parallelogram, minkowski_sum_polygons
 from sepgeom.packing import (
     GuillotinePartition,
+    _in_loop,
     _pair_gauges,
     PlaneCut,
     TranslatePacking,
@@ -129,6 +130,39 @@ def test_oler_random_lattice_subsets(rng):
         loop = ConvexHull(centers).vertices
         rep = oler_check(ref, centers, loop)
         assert rep.holds(tol=1e-7), (rows, cols, rep.slack)
+
+
+def _plain_in_loop(p, poly, tol: float) -> bool:
+    """Closed region bounded by a simple loop, in plain Python: within tol of
+    an edge, else an odd number of edges crossing the ray to +x."""
+    x, y = p
+    m, inside = len(poly), False
+    for e in range(m):
+        (x1, y1), (x2, y2) = poly[e], poly[(e + 1) % m]
+        dx, dy = x2 - x1, y2 - y1
+        dd = dx * dx + dy * dy
+        t = 0.0 if dd == 0.0 else min(1.0, max(0.0, ((x - x1) * dx + (y - y1) * dy) / dd))
+        if math.hypot(x - (x1 + t * dx), y - (y1 + t * dy)) <= tol:
+            return True
+        if (y1 > y) != (y2 > y) and x1 + (y - y1) * (x2 - x1) / (y2 - y1) > x:
+            inside = not inside
+    return inside
+
+
+def test_loop_membership_matches_plain_python(rng):
+    for t in range(40):
+        m = int(rng.integers(3, 12))
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        poly = np.c_[np.cos(ang), np.sin(ang)] * rng.uniform(0.3, 2.0, (m, 1))  # star-shaped, so simple
+        if t % 2:
+            poly = np.round(poly * 4.0) / 4.0  # edges through grid points, horizontal edges
+        mids = 0.5 * (poly + np.roll(poly, -1, axis=0))
+        pts = np.vstack([rng.uniform(-2.5, 2.5, (60, 2)), poly, mids, mids + rng.normal(size=mids.shape) * 1e-7])
+        if t % 2:
+            pts[:60] = np.round(pts[:60] * 4.0) / 4.0
+        want = [_plain_in_loop(p, poly.tolist(), 1e-7) for p in pts.tolist()]
+        assert _in_loop(pts, poly, 1e-7).tolist() == want
+        assert any(want) and not all(want)
 
 
 def test_minkowski_length_square_norm():
@@ -291,6 +325,73 @@ def test_kertesz_random_partitions(rng):
         rep = kertesz_check(part)
         assert rep.holds_surface and rep.holds_volume
         assert rep.n_cells == len(part.cuts) + 1
+
+
+def _difference_test_polygons(rng, count: int):
+    """count strictly convex polygons, in turn: hulls of random points,
+    o-symmetric hulls, rotated regular k-gons, and points on random ellipses
+    (o-symmetric in every other one) rounded to 3-9 decimals; each scaled by
+    1e-6 to 1e6, and every other one moved by up to 1e3."""
+    out = []
+    while len(out) < count:
+        kind, k = len(out) % 5, int(rng.integers(3, 25))
+        if kind == 0:
+            pts = rng.normal(size=(k + 3, 2))
+        elif kind == 1:
+            pts = rng.normal(size=(k, 2))
+            pts = np.vstack([pts, -pts])
+        elif kind == 2:
+            ang = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(k) / k
+            pts = np.c_[np.cos(ang), np.sin(ang)]
+        else:
+            ang = np.sort(rng.uniform(0.0, math.pi if kind == 4 else 2.0 * math.pi, k))
+            if kind == 4:
+                ang = np.concatenate([ang, ang + math.pi])
+            ellipse = np.c_[np.cos(ang), rng.uniform(0.1, 1.0) * np.sin(ang)] @ rng.normal(size=(2, 2))
+            pts = np.round(ellipse, int(rng.integers(3, 10)))
+        pts = pts * 10.0 ** rng.uniform(-6.0, 6.0) + rng.uniform(-1e3, 1e3, 2) * (len(out) % 2)
+        try:
+            out.append(ConvexBody.polygon(_strict_hull(pts)))
+        except GeometryError:
+            continue
+    return out
+
+
+def _differences_outside(body: ConvexBody, v) -> float:
+    """How far the k^2 differences of the vertices v stick out of body, over
+    their largest coordinate."""
+    diffs = (v[None, :, :] - v[:, None, :]).reshape(-1, 2)
+    normals, offsets = polygon_facets(body)
+    return float((diffs @ normals.T - offsets).max() / np.abs(diffs).max())
+
+
+def test_difference_body_is_the_hull_of_all_differences(rng):
+    """difference_body hulls only the <= 2k differences of _pair_table. Its
+    vertices are differences of vertices of K and all k^2 differences lie in
+    it to rounding. The hull of all k^2 (minkowski_sum_polygons through
+    ConvexBody.polygon) gives the same vertices and gauges bit for bit
+    wherever it holds them all too. It can fail to: on a thin o-symmetric
+    58-gon its chain drops a vertex of K - K that sticks out of it by 1e-8 of
+    the extent."""
+    ellipse = np.random.default_rng(308)
+    ang = np.sort(ellipse.uniform(0.0, math.pi, int(ellipse.integers(12, 40))))
+    ang = np.concatenate([ang, ang + math.pi])
+    pts = np.c_[np.cos(ang), 0.15 * np.sin(ang)] @ np.array([[0.8, 0.6], [-0.6, 0.8]])
+    thin = ConvexBody.polygon(_strict_hull(np.round(pts, int(ellipse.integers(3, 10)))))
+    same = 0
+    for body in _difference_test_polygons(rng, 1200) + [thin]:
+        v = body.vertices
+        got, want = difference_body(body), ConvexBody.polygon(minkowski_sum_polygons(v, -v))
+        diffs = {tuple(p) for p in (v[None, :, :] - v[:, None, :]).reshape(-1, 2).tolist()}
+        assert {tuple(p) for p in got.vertices.tolist()} <= diffs
+        assert _differences_outside(got, v) <= 1e-13
+        if _differences_outside(want, v) <= 1e-13:
+            deltas = rng.normal(size=(40, 2)) * np.abs(v).max()
+            assert got.vertices.tobytes() == want.vertices.tobytes()
+            assert _gauges(got, deltas).tolist() == _gauges(want, deltas).tolist()
+            same += 1
+    assert len(thin.vertices) == 58 and _differences_outside(want, thin.vertices) > 1e-8
+    assert same >= 1000
 
 
 def test_pair_gauges_equal_minkowski_norm(rng):

@@ -18,6 +18,7 @@ from helpers import (
     thirteen_pentagon_centers,
     thirteen_ts_centers,
     touching_packing,
+    ts_lattice_subset,
     ts_reference,
 )
 from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, _strict_hull
@@ -27,9 +28,11 @@ from sepgeom.packing import contact_graph, polyomino_packing
 from sepgeom.separability import (
     _BLOCK,
     Hyperplane,
+    _critical_angles,
     _member_features,
     _near_pairs,
     _pair_gaps,
+    _pair_table,
     find_separating_hyperplane,
     is_ls_packing,
     is_non_separable,
@@ -464,6 +467,55 @@ def test_ts_ls_rho_match_the_tangent_line_pool(rng):
         assert (res.separable, res.failing_member) == (not bad, bad[0] if bad else None), t
         seen |= {("ts", is_ts), ("ls", not failing), ("rho", not bad)}
     assert len(seen) == 6
+
+
+def test_rho_separability_matches_ts_of_each_neighbourhood(rng):
+    """is_rho_separable prices pairs through the reference (_pair_table);
+    each member's neighbourhood, by plain-Python gauges, handed to
+    is_ts_packing as bodies (every feature pair priced) gives the same
+    verdict, failing member and neighbourhoods. Blocks of the lattice of K
+    are TS; in the next kind of packing the block's last member sits a row
+    up, moved along the row by part of a step, over two members of the top
+    row; the third kind is translates attached at random (touching_packing)."""
+    seen = set()
+    for t in range(72):
+        ref = ConvexBody.disk((0.0, 0.0), 1.0) if t % 5 == 4 else random_symmetric_polygon(rng)
+        rows, cols = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        centers = ts_lattice_subset(rng, ref, rows, cols)
+        if t % 3 == 1:
+            u, v = centers[1] - centers[0], centers[cols] - centers[0]
+            centers[-1] += v - float(rng.uniform(0.2, 0.8)) * u
+        elif t % 3 == 2:
+            members = touching_packing(rng, [ref], rows * cols)
+            centers = np.array([b.center if b.kind == "disk" else b.vertices[0] - ref.vertices[0] for b in members])
+        rho = (3.0, 4.0, 5.0)[t // 3 % 3]
+        hoods = {
+            m: tuple(q for q, d in enumerate(centers)
+                     if q != m and _plain_gauge(ref, *(d - c)) <= rho - 1.0 + 1e-9)
+            for m, c in enumerate(centers)
+        }
+        failing = [
+            m for m, nb in hoods.items()
+            if nb and not is_ts_packing([ref.translate(centers[q]) for q in (m,) + nb]).is_ts
+        ]
+        res = is_rho_separable(ref, centers, rho)
+        assert (res.separable, res.failing_member) == (not failing, failing[0] if failing else None), t
+        assert res.neighborhoods == hoods, t
+        seen.add(res.separable)
+
+        pts, rad = _member_features([ref])
+        feats = pts[0] + centers[:, None, :], np.repeat(rad, len(centers))
+        i, j = np.triu_indices(len(centers), 1)
+        extent = float((feats[0].max(axis=(0, 1)) - feats[0].min(axis=(0, 1))).max() + 2.0 * rad[0])
+        table = _pair_table(pts[0])
+        gaps = _pair_gaps(feats, i, j, table)[0]
+        assert np.abs(gaps - _pair_gaps(feats, i, j)[0]).max() <= 1e-12 * extent, t
+        # the critical angles from the table are those from every feature pair,
+        # to rounding: each angle of either set lies next to one of the other
+        few, every = (_critical_angles(*feats, i, j, np.empty(0), r) for r in (table, None))
+        apart = np.abs(np.remainder(few[:, None] - every[None, :] + 0.5 * math.pi, math.pi) - 0.5 * math.pi)
+        assert max(apart.min(axis=0).max(), apart.min(axis=1).max()) <= 1e-12, t
+    assert seen == {True, False}
 
 
 def _brute_near(lo, hi, tol: float) -> list:
