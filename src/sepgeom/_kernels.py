@@ -1,8 +1,8 @@
 """Shared numeric kernels and helpers, all vectorized numpy.
 
 One home for the pieces several modules use: the interval sweep behind
-every gap computation over directions, the golden-section maximiser, the
-Fibonacci sphere, the blocks of index triples behind the spherical support
+every gap computation over directions, the Fibonacci sphere of the sampled
+d >= 3 searches, the blocks of index triples behind the spherical support
 sets, the exact 3-variable linear programs of the cover and the inradius, the
 homothet gap profile, the sample count of Rogers' simplex density and the
 pole margins of the spherical checks.
@@ -35,24 +35,6 @@ def sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
     negative (an overlap depth) when the union is connected.
     """
     return sweep(los.T, his.T)[1].max(axis=-1)
-
-
-def golden_max(f, a: float, b: float, tol: float = 1e-13) -> tuple[float, float]:
-    """Golden-section maximum (x, f(x)) of a unimodal scalar f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def fibonacci_sphere(m: int) -> np.ndarray:

@@ -426,17 +426,13 @@ def cmd_lambda_density(args) -> int:
 
 
 def cmd_extremal_3disks(args) -> int:
-    rep = packing.three_disk_extrema(samples=args.samples)
+    rep = packing.three_disk_extrema()
     payload = {
-        q: {
-            "value": getattr(rep, q).value,
-            "gamma": getattr(rep, q).gamma,
-            "branch": getattr(rep, q).branch,
-        }
+        q: {k: getattr(getattr(rep, q), k) for k in ("value", "gamma", "branch")}
         for q in ("area", "perimeter", "width", "inradius")
     }
     payload["flags"] = list(rep.flags)
-    payload["provenance"] = {"method": "golden-search", "samples": args.samples}
+    payload["provenance"] = {"method": "closed-form", "exact": True}
     if args.centers:
         c = np.asarray(json.loads(args.centers), dtype=float)
         ns = packing.three_disk_non_separable(c)
@@ -524,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--rho", type=float)
     p = _command(sub, "extremal-3disks", cmd_extremal_3disks,
-                 "extremal hulls of three non-separable unit disks", needs_input=False,
-                 samples=4096)
+                 "extremal hulls of three non-separable unit disks", needs_input=False)
     p.add_argument("--centers", help="JSON list of three centers to test")
     return ap
 

@@ -45,8 +45,11 @@ class CoverHomothet:
     violation: float
 
 
-def _containment_violation(family: HomothetFamily, center: np.ndarray, ratio: float) -> float:
-    """Largest signed protrusion of a member outside center + ratio*K, exact."""
+def _containment_violation(family: HomothetFamily, center, ratio: float, facets=None) -> float:
+    """Largest signed protrusion of a member outside center + ratio*K, exact.
+
+    For a polygon K, facets is polygon_facets(K) where the caller has it;
+    every member is tested against every facet in one pass."""
     k = family.reference
     centers = np.asarray(family.centers, dtype=float)
     ratios = np.asarray(family.ratios, dtype=float)
@@ -55,22 +58,18 @@ def _containment_violation(family: HomothetFamily, center: np.ndarray, ratio: fl
         cov_c = center + ratio * k.center
         d = np.linalg.norm(mem_c - cov_c, axis=1)
         return float((d + ratios * k.radius - ratio * k.radius).max())
-    normals, offsets = polygon_facets(k)
-    worst = -math.inf
-    for nf, hf in zip(normals, offsets):
-        lhs = centers @ nf + ratios * hf
-        rhs = float(nf @ center) + ratio * hf
-        worst = max(worst, float((lhs - rhs).max()))
-    return worst
+    normals, offsets = polygon_facets(k) if facets is None else facets
+    lhs = centers @ normals.T + ratios[:, None] * offsets
+    return float((lhs - (normals @ center + ratio * offsets)).max())
 
 
 def _cover(family: HomothetFamily, center, ratio: float, normalized: float, method: str,
-           tol: float) -> CoverHomothet:
+           tol: float, facets=None) -> CoverHomothet:
     """The cover center + ratio*K and its violation, the largest protrusion
     of a member. It contains every member when the violation is at most tol
     times min(1, extent of the family) plus the round-off of the family's
     largest coordinate."""
-    viol = _containment_violation(family, center, ratio)
+    viol = _containment_violation(family, center, ratio, facets)
     pts, rad = _member_features([family.reference])
     c, tau = family.centers, family.ratios[:, None]
     lo = (c + tau * (pts[0].min(axis=0) - rad[0])).min(axis=0)
@@ -127,7 +126,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     # member c + tau K when n . t' + mu h >= n . (c + tau g - o) + tau h on
     # every facet, h = h_K(n) - n . g > 0; mu >= 0 is the lower bound of the box
     g = k.vertices.mean(axis=0)
-    normals, _ = polygon_facets(k)
+    normals, offsets = polygon_facets(k)
     h = np.einsum("ij,ij->i", normals, k.vertices - g)
     # the copies of g less o, summed so that nothing large cancels
     anchors = centers - centers.mean(axis=0) + (ratios - ratios.mean())[:, None] * g
@@ -145,7 +144,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     )
     mu = float(x[2])
     t = o + x[:2] - mu * g
-    return _cover(family, t, mu, mu / total, "facet-vertices", tol)
+    return _cover(family, t, mu, mu / total, "facet-vertices", tol, (normals, offsets))
 
 
 def build_triangle_counterexample(n: int = 3) -> HomothetFamily:
@@ -201,17 +200,16 @@ class HadwigerReport:
         return all(s >= -tol for s in self.slacks())
 
 
-def hadwiger_check(family, samples: int = 4096, tol: float = EPS) -> HadwigerReport:
+def hadwiger_check(family, tol: float = EPS) -> HadwigerReport:
     """Compare hull perimeter, diameter, and circumradius with member sums.
 
-    The family must be non-separable, otherwise the bounds do not apply and
-    this raises. Hull perimeter uses the support-function integral, diameter
-    and circumradius are exact.
+    The family must be planar and non-separable, otherwise the bounds do
+    not apply and this raises. All three hull measures are exact.
     """
-    bodies = family.bodies() if isinstance(family, HomothetFamily) else list(family)
-    decision = is_non_separable(bodies if not isinstance(family, HomothetFamily) else family,
-                                samples=samples, tol=tol)
-    if not decision.non_separable:
+    homothets = isinstance(family, HomothetFamily)
+    bodies = family.bodies() if homothets else list(family)
+    _require_planar(bodies, "hadwiger_check")
+    if not is_non_separable(family if homothets else bodies, tol=tol).non_separable:
         raise GeometryError("family is separable, the hull bounds need a non-separable system")
     per_sum = sum(perimeter(b) for b in bodies)
     diam_sum = sum(hull_diameter([b]) for b in bodies)

@@ -18,12 +18,11 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     _strict_hull,
-    perp,
     polygon_facets,
     raw_support,
-    unit,
 )
 from ._kernels import lp3
+from .separability import _fan_mids, _inward_rays, _member_features
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,12 +167,6 @@ def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
         seen.add(frozenset(basis))
 
 
-def circumscribed_disk(body: ConvexBody) -> tuple[np.ndarray, float]:
-    if body.kind == "disk":
-        return np.array(body.center), body.radius
-    return enclosing_disk_of_disks(body.vertices, np.zeros(len(body.vertices)))
-
-
 def inscribed_disk(body: ConvexBody) -> tuple[np.ndarray, float]:
     """Chebyshev center and inradius; for polygons the exact vertex of the
     program max r subject to n . x + r <= h on every facet (lp3)."""
@@ -217,18 +210,14 @@ def size_report(body: ConvexBody) -> SizeReport:
     if body.kind == "disk":
         r = body.radius
         return SizeReport(math.pi * r * r, per, 2 * r, r, r, 2 * r, per / math.pi)
-    v = body.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    diam = float(np.sqrt((diff**2).sum(axis=2)).max())
-    _, circum = circumscribed_disk(body)
     _, inr = inscribed_disk(body)
     normals, _ = polygon_facets(body)
     widths = support_width(body, normals)
     return SizeReport(
         area=area(body),
         perimeter=per,
-        diameter=diam,
-        circumradius=circum,
+        diameter=hull_diameter([body]),
+        circumradius=hull_circumradius([body])[1],
         inradius=inr,
         min_width=float(widths.min()),
         mean_width=per / math.pi,
@@ -315,9 +304,25 @@ def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> Parallelogra
 
 
 def minkowski_sum_polygons(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Vertices of P + Q as the hull of pairwise vertex sums."""
-    sums = (p[:, None, :] + q[None, :, :]).reshape(-1, 2)
-    return _strict_hull(sums)
+    """Vertices of P + Q, counter-clockwise, for counter-clockwise convex
+    polygons p and q (as ConvexBody stores them).
+
+    Along u the lowest point of P + Q is the sum of the lowest points of P
+    and Q, a pair constant on each cell of the common refinement of the
+    normal fans of -P and -Q (as in _pair_table). One direction inside each
+    cell, taken counter-clockwise, gives the at most k1 + k2 vertices in
+    order. No hull is taken: the chain of a hull of all k1 k2 sums can drop
+    a true vertex of a thin polygon, or of a small polygon added to a large
+    one.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    mids = _fan_mids(_inward_rays(p), _inward_rays(q))
+    u = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    rows = np.stack([(u @ p.T).argmin(axis=1), (u @ q.T).argmin(axis=1)], axis=1)
+    # a cell thinner than rounding (near-parallel edges) can repeat its
+    # neighbour's pair, or put a sum on an edge, which no area notices
+    rows = rows[(rows != np.roll(rows, 1, axis=0)).any(axis=1)]
+    return p[rows[:, 0]] + q[rows[:, 1]]
 
 
 def sum_area(q: ConvexBody, k: ConvexBody) -> float:
@@ -352,63 +357,60 @@ def steiner_area(t: ConvexBody, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def hull_perimeter(bodies, n_grid: int = 1 << 20) -> float:
-    """Perimeter of conv(union) by Cauchy's formula per = integral of h.
+def _hull_features(bodies) -> tuple[np.ndarray, np.ndarray]:
+    """_member_features of the bodies, one row (m, 2) and radius per feature."""
+    pts, rad = _member_features(list(bodies))
+    return pts.reshape(-1, 2), np.repeat(rad, pts.shape[1])
 
-    Trapezoid integration of the pointwise max support function; the
-    integrand is piecewise smooth so the error is far below 1e-9 at this
-    resolution.
+
+def hull_perimeter(bodies) -> float:
+    """Perimeter of conv(union) by Cauchy's formula, the integral of its
+    support function h(t) = max_q(<u(t), p_q> + r_q) over the features.
+
+    h follows one feature between the angles where another rises above it,
+    so it is integrated in closed form piece by piece. At angle t the top
+    feature q is the highest, then the steepest, then the widest: the one on
+    top just after t. Its piece ends at the first angle after t where some
+    feature b rises through it, <u, p_b - p_q> = r_q - r_b. Each piece costs
+    O(m), and memory is O(m).
     """
-    theta = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    h = None
-    for b in bodies:
-        if b.kind == "disk":
-            vals = dirs @ b.center + b.radius
-        else:
-            vals = (dirs @ b.vertices.T).max(axis=1)
-        h = vals if h is None else np.maximum(h, vals)
-    return float(h.mean() * TWO_PI)
+    p, r = _hull_features(bodies)
+    p = p - 0.5 * (p.min(axis=0) + p.max(axis=0))  # the perimeter does not move
+    tol = 1e-12 * float(np.abs(p).max() + r.max())
+    t, total = 0.0, 0.0
+    for _ in range(4 * len(p) + 4):
+        h = p @ np.array([math.cos(t), math.sin(t)]) + r
+        tied = np.flatnonzero(h >= h.max() - tol)
+        slope = p[tied] @ np.array([-math.sin(t), math.cos(t)])
+        steep = tied[slope >= slope.max() - tol]
+        q = int(steep[np.argmax(r[steep])])
+        d, c = p - p[q], r[q] - r
+        size = np.hypot(d[:, 0], d[:, 1])
+        ratio = np.divide(c, size, out=np.ones_like(c), where=size > c)
+        gap = np.arctan2(d[:, 1], d[:, 0]) - np.arccos(np.clip(ratio, -1.0, 1.0)) - t
+        gap = np.where(size > c, np.remainder(gap, TWO_PI), math.inf)
+        # a feature tied at t and not on top does not rise through q there
+        gap[tied[(gap[tied] < 1e-9) | (gap[tied] > TWO_PI - 1e-9)]] = math.inf
+        end = min(t + float(gap.min()), TWO_PI)
+        # the integral of <u, p_q> + r_q from t to end
+        rise = np.array([math.sin(end) - math.sin(t), math.cos(t) - math.cos(end)])
+        total += p[q] @ rise + r[q] * (end - t)
+        if end >= TWO_PI:
+            return total
+        t = end
+    raise GeometryError("hull perimeter sweep did not close")
 
 
 def hull_diameter(bodies) -> float:
-    pieces = []
-    for b in bodies:
-        if b.kind == "disk":
-            pieces.append(("d", b.center, b.radius))
-        else:
-            pieces.append(("p", b.vertices, 0.0))
-    best = 0.0
-    for i in range(len(pieces)):
-        for j in range(i, len(pieces)):
-            ka, pa, ra = pieces[i]
-            kb, pb, rb = pieces[j]
-            if ka == "d" and kb == "d":
-                d = float(np.linalg.norm(pa - pb)) + ra + rb
-                if i == j:
-                    d = 2.0 * ra
-            elif ka == "d":
-                d = float(np.linalg.norm(pb - pa, axis=1).max()) + ra
-            elif kb == "d":
-                d = float(np.linalg.norm(pa - pb, axis=1).max()) + rb
-            else:
-                diff = pa[:, None, :] - pb[None, :, :]
-                d = float(np.sqrt((diff**2).sum(axis=2)).max())
-            best = max(best, d)
-    return best
+    """Largest |p_a - p_b| + r_a + r_b over pairs of features, a feature
+    paired with itself too: a lone disk gives 2r."""
+    p, r = _hull_features(bodies)
+    d = p[:, None, :] - p[None, :, :]
+    return float((np.hypot(d[..., 0], d[..., 1]) + r[:, None] + r[None, :]).max())
 
 
 def hull_circumradius(bodies) -> tuple[np.ndarray, float]:
-    centers, radii = [], []
-    for b in bodies:
-        if b.kind == "disk":
-            centers.append(b.center)
-            radii.append(b.radius)
-        else:
-            for v in b.vertices:
-                centers.append(v)
-                radii.append(0.0)
-    return enclosing_disk_of_disks(np.array(centers), np.array(radii))
+    return enclosing_disk_of_disks(*_hull_features(bodies))
 
 
 def hull_of_centers(points: np.ndarray) -> np.ndarray:
@@ -426,53 +428,33 @@ def hull_of_centers(points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# clipping helpers (window densities)
+# disk in a box (window densities)
 # ---------------------------------------------------------------------------
 
 
-def clip_polygon_to_box(poly: np.ndarray, lo, hi) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against an axis box."""
-    out = [tuple(p) for p in np.asarray(poly, dtype=float)]
-    for axis, bound, keep_le in (
-        (0, lo[0], False),
-        (0, hi[0], True),
-        (1, lo[1], False),
-        (1, hi[1], True),
-    ):
-        if not out:
-            return np.zeros((0, 2))
-        inp = out
-        out = []
-        for i, cur in enumerate(inp):
-            prev = inp[i - 1]
-            cin = cur[axis] <= bound if keep_le else cur[axis] >= bound
-            pin = prev[axis] <= bound if keep_le else prev[axis] >= bound
-            if cin != pin:
-                t = (bound - prev[axis]) / (cur[axis] - prev[axis])
-                out.append(
-                    (
-                        prev[0] + t * (cur[0] - prev[0]),
-                        prev[1] + t * (cur[1] - prev[1]),
-                    )
-                )
-            if cin:
-                out.append(cur)
-    return np.array(out) if out else np.zeros((0, 2))
+def _corner_area(x: float, y: float, r: float) -> float:
+    """Area of the part of the disk |z| <= r with z_1 <= x and z_2 <= y.
+
+    Over a column at z_1 = t the disk spans |z_2| <= s(t) = sqrt(r^2 - t^2),
+    of which s(t) + clip(y, -s(t), s(t)) lies below y; min(|y|, s(t)) is s(t)
+    where |t| >= w = sqrt(r^2 - y^2), and |y| between. Each piece integrates
+    to circular-segment terms S(t) = (t s(t) + r^2 asin(t/r)) / 2.
+    """
+    def seg(t):
+        return 0.5 * (t * math.sqrt(max(r * r - t * t, 0.0)) + r * r * math.asin(t / r))
+
+    x = min(max(x, -r), r)
+    w = min(math.sqrt(max(r * r - y * y, 0.0)), r)
+    low = seg(min(x, -w)) - seg(-r) + abs(y) * (min(max(x, -w), w) + w) + seg(max(x, w)) - seg(w)
+    return seg(x) - seg(-r) + math.copysign(low, y)
 
 
-def disk_box_area(center, radius: float, lo, hi, segments: int = 256) -> float:
-    """Area of disk intersect axis box. Interior/exterior fast paths are
-    exact; boundary disks use a 256-gon (relative error ~ 1e-4 per disk)."""
-    c = np.asarray(center, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if (c - radius >= lo).all() and (c + radius <= hi).all():
+def disk_box_area(center, radius: float, lo, hi) -> float:
+    """Area of disk intersect axis box, exact: inclusion and exclusion of
+    _corner_area over the box's corners, which cancel to 0 for a disk
+    outside the box; a disk inside it takes a path of its own."""
+    (x0, y0), (x1, y1) = np.asarray(lo, dtype=float) - center, np.asarray(hi, dtype=float) - center
+    if min(-x0, -y0, x1, y1) >= radius:
         return math.pi * radius * radius
-    if (c + radius <= lo).any() or (c - radius >= hi).any():
-        return 0.0
-    t = np.linspace(0.0, TWO_PI, segments, endpoint=False)
-    poly = c + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-    clipped = clip_polygon_to_box(poly, lo, hi)
-    if len(clipped) < 3:
-        return 0.0
-    return abs(polygon_area(clipped))
+    corners = ((1.0, x1, y1), (-1.0, x0, y1), (-1.0, x1, y0), (1.0, x0, y0))
+    return max(sum(sign * _corner_area(x, y, radius) for sign, x, y in corners), 0.0)

@@ -38,7 +38,7 @@ from .separability import (
     _require_disjoint,
     is_ts_packing,
 )
-from ._kernels import golden_max, simplex_covered
+from ._kernels import simplex_covered
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -139,10 +139,7 @@ def window_density(centers, radius: float, lo, hi) -> float:
     if box <= 0.0:
         raise GeometryError("window must have positive area")
     near = ((c > lo - radius) & (c < hi + radius)).all(axis=1)
-    total = 0.0
-    for p in c[near]:
-        total += disk_box_area(p, radius, lo, hi)
-    return total / box
+    return sum(disk_box_area(p, radius, lo, hi) for p in c[near]) / box
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +413,6 @@ def _successive_ordering(c: np.ndarray, tol: float) -> tuple[int, ...] | None:
     return None
 
 
-def _center_hull_perimeter(c: np.ndarray) -> float:
-    hv = hull_of_centers(c)
-    if len(hv) == 1:
-        return 0.0
-    if len(hv) == 2:
-        return 2.0 * float(np.linalg.norm(hv[1] - hv[0]))
-    return polygon_perimeter(hv)
-
-
 @dataclass(frozen=True)
 class ChainPerimeterReport:
     n: int
@@ -463,7 +451,7 @@ def sns_perimeter_check(centers, ordering=None, tol: float = EPS) -> ChainPerime
                 raise GeometryError(
                     f"ordering is not successive: disk {ordering[k]} misses the previous hull"
                 )
-    per = TWO_PI + _center_hull_perimeter(c)
+    per = TWO_PI + polygon_perimeter(hull_of_centers(c))
     bound = TWO_PI + 4.0 * n - 4.0
     slack = bound - per
     return ChainPerimeterReport(
@@ -505,14 +493,9 @@ def three_disk_hull_metrics(centers) -> tuple[float, float, float, float]:
     """
     c = np.asarray(centers, dtype=float)
     hv = hull_of_centers(c)
-    if len(hv) == 1:
-        t_area = t_per = t_w = t_r = 0.0
-    elif len(hv) == 2:
-        t_area = t_w = t_r = 0.0
-        t_per = 2.0 * float(np.linalg.norm(hv[1] - hv[0]))
-    else:
-        t_area = abs(polygon_area(hv))
-        t_per = polygon_perimeter(hv)
+    # a point or a segment (its perimeter counted twice) has no area, width or inradius
+    t_area, t_per, t_w, t_r = abs(polygon_area(hv)), polygon_perimeter(hv), 0.0, 0.0
+    if len(hv) > 2:
         sides = np.linalg.norm(np.roll(hv, -1, axis=0) - hv, axis=1)
         t_w = 2.0 * t_area / sides.max()
         t_r = 2.0 * t_area / t_per
@@ -560,30 +543,28 @@ class ThreeDiskReport:
     flags: tuple[str, ...]
 
 
-def three_disk_extrema(samples: int = 4096) -> ThreeDiskReport:
+def three_disk_extrema() -> ThreeDiskReport:
     """Maxima of hull area, perimeter, width and inradius over such families.
 
-    Maximizers live on two one-parameter families: an obtuse apex with both
-    enclosing sides of length 2, or an acute apex with the two base heights
-    equal to 2. Each branch is scanned and refined by golden section.
+    Maximizers live on two one-parameter families of the apex angle g: an
+    obtuse apex with both enclosing sides of length 2, g in [pi/2, pi], or
+    an acute apex with the two base heights equal to 2, g in [pi/3, pi/2].
+    Each branch function is monotone, or has one interior critical point:
+    the obtuse area 2 sin g + 4 sin(g/2) peaks at g = 2 pi/3 (cos g =
+    -cos(g/2)), and the convex acute area 6/sin g + 2/cos(g/2) and
+    perimeter 4/sin g + 2/cos(g/2) have only an interior minimum. So each
+    maximum is at a branch end or at 2 pi/3, the only angles evaluated.
     """
     branches = (
-        ("obtuse", _obtuse_branch, PI / 2.0, PI),
-        ("acute", _acute_branch, PI / 3.0, PI / 2.0),
+        ("obtuse", _obtuse_branch, (PI / 2.0, 2.0 * PI / 3.0, PI)),
+        ("acute", _acute_branch, (PI / 3.0, PI / 2.0)),
     )
     out = {}
     for qty in ("area", "perimeter", "width", "inradius"):
-        best = None
-        for name, fn, a, b in branches:
-            g = np.linspace(a, b, samples)
-            vals = fn(g)[qty]
-            k = int(np.argmax(vals))
-            lo = g[max(0, k - 1)]
-            hi = g[min(samples - 1, k + 1)]
-            x, v = golden_max(lambda t: float(fn(np.array([t]))[qty][0]), lo, hi)
-            if best is None or v > best.value:
-                best = BranchExtremum(qty, v, x, name)
-        out[qty] = best
+        cands = [(v, g, name) for name, fn, angles in branches
+                 for g, v in zip(angles, fn(np.array(angles))[qty])]
+        value, gamma, branch = max(cands, key=lambda c: c[0])  # the first of equal values
+        out[qty] = BranchExtremum(qty, float(value), gamma, branch)
     flags = (
         "hull area peaks at pi + 16*sqrt(3)/3 = {:.6f} (regular triangle, heights 2); "
         "the obtuse branch only reaches pi + 4 + 3*sqrt(3) = {:.6f}".format(
@@ -591,13 +572,7 @@ def three_disk_extrema(samples: int = 4096) -> ThreeDiskReport:
         ),
         "hull inradius is the triangle inradius plus 1, so its maximum is 5/3",
     )
-    return ThreeDiskReport(
-        area=out["area"],
-        perimeter=out["perimeter"],
-        width=out["width"],
-        inradius=out["inradius"],
-        flags=flags,
-    )
+    return ThreeDiskReport(**out, flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fibonacci_sphere, golden_max, sweep
+from ._kernels import fibonacci_sphere, sweep
 from .bodies import (
     EPS,
     ConvexBody,
@@ -222,6 +222,21 @@ def _differences(pts, i, j, table=None) -> np.ndarray:
     return (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), k * k, d)
 
 
+def _inward_rays(v: np.ndarray) -> np.ndarray:
+    """Angles of the inward edge normals of the counter-clockwise polygon v,
+    the rays of the normal fan of -v."""
+    edges = np.diff(v, axis=0, append=v[:1])
+    return np.arctan2(edges[:, 0], -edges[:, 1])
+
+
+def _fan_mids(*rays) -> np.ndarray:
+    """One angle inside each cell of the common refinement of the normal
+    fans with these rays: the midpoint after each distinct ray mod 2 pi, in
+    increasing order."""
+    ends = np.unique(np.remainder(np.concatenate(rays), TWO_PI))
+    return 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
+
+
 def _pair_table(ref: np.ndarray) -> np.ndarray:
     """Rows (a, b), a-major, of feature indices of a planar reference with
     features ref (k, 2) such that every vertex of tau' K - tau K, for any
@@ -234,10 +249,8 @@ def _pair_table(ref: np.ndarray) -> np.ndarray:
     neither fan. One direction inside each cell gives its pair.
     """
     k = len(ref)
-    edges = np.diff(ref, axis=0, append=ref[:1])
-    rays = np.arctan2(edges[:, 0], -edges[:, 1])
-    ends = np.unique(np.remainder(np.concatenate([rays, rays + math.pi]), TWO_PI))
-    mids = 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
+    rays = _inward_rays(ref)
+    mids = _fan_mids(rays, rays + math.pi)
     proj = np.cos(mids)[:, None] * ref[:, 0] + np.sin(mids)[:, None] * ref[:, 1]
     return np.stack(np.divmod(np.unique(proj.argmin(axis=1) * k + proj.argmax(axis=1)), k), axis=1)
 
@@ -291,6 +304,48 @@ def _separating_arc(pts, rad, left, right, thr: float):
     return float(lo[0]), float(hi[0]), p, r
 
 
+def _best_angle(p, r, lo: float, hi: float) -> float:
+    """The angle t in [lo, hi] where min_q(<u(t), p_q> - r_q) is largest,
+    every row positive on the arc (lo, hi) of _separating_arc.
+
+    There each row is within pi/2 of its peak, the angle of p_q, so the rows
+    and their minimum are strictly concave, and the maximum rests on at most
+    two rows: at a row's peak, a crossing <u, p_a - p_b> = r_a - r_b, or an
+    arc end. An LP-type working set finds it, as in enclosing_disk_of_disks
+    and lp3: the row lowest at the current angle joins, the new maximum is
+    the best of its peak, its crossings with the working rows and the arc
+    ends, and the rows active there with the largest and the smallest slope
+    are the next set. The value falls from round to round, so only rounding
+    can bring a set back; that, or no row below the value by more than
+    round-off, ends the loop.
+    """
+    slack = 4.0 * _MACHINE_EPS * (np.hypot(p[:, 0], p[:, 1]) + np.abs(r))
+    theta, work, seen = 0.5 * (lo + hi), [], set()
+    while True:
+        g = p @ np.array([math.cos(theta), math.sin(theta)]) - r
+        k = int(np.argmin(g + slack))
+        if not g[k] + slack[k] < (g[work].min() if work else math.inf):
+            return theta
+        rows = work + [k]
+        d = p[work] - p[k]
+        size = np.hypot(d[:, 0], d[:, 1])
+        ratio = np.divide(r[work] - r[k], size, out=np.zeros(len(work)), where=size > 0.0)
+        psi, turn = np.arctan2(d[:, 1], d[:, 0]), np.arccos(np.clip(ratio, -1.0, 1.0))
+        cand = np.concatenate([[math.atan2(p[k, 1], p[k, 0])], psi - turn, psi + turn])
+        cand = lo + np.remainder(cand - lo, TWO_PI)
+        cand = np.append(cand[cand <= hi], [lo, hi])
+        vals = np.cos(cand)[:, None] * p[rows, 0] + np.sin(cand)[:, None] * p[rows, 1] - r[rows]
+        best = int(np.argmax(vals.min(axis=1)))
+        theta = float(cand[best])
+        # a crossing's angle carries the round-off of arccos, its rows' values a few ulps more
+        active = np.array(rows)[vals[best] <= vals[best].min() + 16.0 * slack[rows].max()]
+        slope = p[active] @ np.array([-math.sin(theta), math.cos(theta)])
+        work = sorted({int(active[np.argmax(slope)]), int(active[np.argmin(slope)])})
+        if tuple(work) in seen:
+            return theta
+        seen.add(tuple(work))
+
+
 def find_separating_hyperplane(
     family1,
     family2,
@@ -301,10 +356,10 @@ def find_separating_hyperplane(
 
     In the plane the answer is exact. The directions with a gap above
     2 tol (tol scaled by min(1, extent of the two families)) form one arc,
-    the intersection of the arcs of all feature pairs; the gap is concave on
-    it, so one golden-section search finds the best margin. ``samples`` only
-    applies in dimension 3 and up, where the search is sampled and None
-    means no direction found, not a proof.
+    the intersection of the arcs of all feature pairs, and _best_angle finds
+    the best margin on it from its finitely many critical angles.
+    ``samples`` only applies in dimension 3 and up, where the search is
+    sampled and None means no direction found, not a proof.
     """
     f1 = _as_bodies(family1)
     f2 = _as_bodies(family2)
@@ -317,9 +372,7 @@ def find_separating_hyperplane(
         lo, hi, p, r = _separating_arc(pts, rad, slice(0, n1), slice(n1, None), thr)
         if not lo < hi:
             return None
-        theta, _ = golden_max(
-            lambda t: float((p @ np.array([math.cos(t), math.sin(t)]) - r).min()), lo, hi
-        )
+        theta = _best_angle(p, r, lo, hi)
         u = np.array([[math.cos(theta), math.sin(theta)]])
     else:
         thr = 2.0 * tol

@@ -1,7 +1,7 @@
 """Spherical caps and zones: splitting circles, covers, cap packings.
 
-Every check but the zone cover is exact: its candidates are the caps and
-circles resting on at most three support caps."""
+Every check is exact: its candidates are the caps and circles resting on at
+most three support caps."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import GeometryError
-from ._kernels import fibonacci_sphere, pole_margins, triple_blocks
+from ._kernels import pole_margins, triple_blocks
 
 PI = math.pi
 _BLOCK = 1 << 18  # entries of a (candidates x caps or pairs) block
@@ -179,6 +179,23 @@ class SphericalSplitDecision:
     poles_checked: int
 
 
+def _best_pole(centers, radii, split: bool) -> tuple[float, np.ndarray | None, int]:
+    """The largest margin min_i(|p . c_i| - sin r_i) over the poles p of
+    _split_poles, only those splitting the centers if split; the pole where
+    it is reached, and the number of poles tried."""
+    sinr = np.sin(radii)
+    best, pole, count = -math.inf, None, 0
+    for poles in _split_poles(centers, radii, max(1, _BLOCK // len(centers))):
+        margins, splits = pole_margins(poles, centers, sinr)
+        if split:
+            margins = np.where(splits, margins, -math.inf)
+        k = int(np.argmax(margins))
+        if margins[k] > best:
+            best, pole = float(margins[k]), poles[k]
+        count += len(poles)
+    return best, pole, count
+
+
 def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
     """Decide whether some great circle misses every cap and splits the family.
 
@@ -193,16 +210,7 @@ def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
     if any(c.radius >= PI / 2.0 for c in caps):
         # such a cap meets every great circle, so no circle can split
         return SphericalSplitDecision(True, None, -math.inf, 0)
-    centers, radii = _cap_arrays(caps)
-    sinr = np.sin(radii)
-    best, pole, count = -math.inf, None, 0
-    for poles in _split_poles(centers, radii, max(1, _BLOCK // len(caps))):
-        margins, split = pole_margins(poles, centers, sinr)
-        margins = np.where(split, margins, -math.inf)
-        k = int(np.argmax(margins))
-        if margins[k] > best:
-            best, pole = float(margins[k]), poles[k]
-        count += len(poles)
+    best, pole, count = _best_pole(*_cap_arrays(caps), split=True)
     return SphericalSplitDecision(best <= tol, pole if best > tol else None, best, count)
 
 
@@ -266,31 +274,33 @@ class ZoneCoverReport:
     covers: bool
     witness: np.ndarray | None
     slack: float
-    samples: int
 
     def holds(self, tol: float = 1e-9) -> bool:
         return (not self.covers) or self.slack >= -tol
 
 
-def zones_cover_check(zones, samples: int = 200000) -> ZoneCoverReport:
+# the zones cover the sphere when no point clears them all by more than this
+_COVER_TOL = 1e-9
+
+
+def zones_cover_check(zones) -> ZoneCoverReport:
     """Zones that cover the sphere have total width at least pi.
 
-    Coverage is tested on a Fibonacci sample, so a positive covers verdict is
-    approximate; the width sum itself is exact.
+    Exact: a point x misses the zone (p, w) exactly when |x . p| > sin w,
+    that is when the great circle with pole x misses the cap (p, w). So the
+    uncovered points are the poles of positive margin against those caps,
+    and the best of them is among _split_poles (as in caps_non_separable,
+    without the split). The sphere counts as covered when that margin is at
+    most _COVER_TOL; otherwise its pole is the witness, an uncovered point.
     """
     zones = list(zones)
     if not zones:
         raise GeometryError("need at least one zone")
-    pts = fibonacci_sphere(samples)
-    uncovered = np.ones(len(pts), dtype=bool)
-    for z in zones:
-        uncovered &= np.abs(pts @ z.pole) > math.sin(z.half_width)
-        if not uncovered.any():
-            break
-    covers = not uncovered.any()
-    witness = None if covers else pts[int(np.argmax(uncovered))]
+    caps = [Cap(z.pole, z.half_width) for z in zones]
+    margin, pole, _ = _best_pole(*_cap_arrays(caps), split=False)
+    covers = margin <= _COVER_TOL
     total = float(sum(z.width for z in zones))
-    return ZoneCoverReport(total, covers, witness, total - PI, samples)
+    return ZoneCoverReport(total, covers, None if covers else pole, total - PI)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def _tangent_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=1)
 def pole_grid(m: int = 200_000) -> np.ndarray:
     """m nearly uniform poles, a brute-force reference for the spherical checks."""
-    from sepgeom.spherical import fibonacci_sphere
+    from sepgeom._kernels import fibonacci_sphere
 
     return fibonacci_sphere(m)
 

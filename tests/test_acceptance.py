@@ -167,11 +167,10 @@ def test_criterion_04_kirchberger_matches_direct_separation():
 
 
 def test_criterion_05_three_disk_hull_extrema():
-    rep = three_disk_extrema(10**6)
-    stable = three_disk_extrema(4096)
-    assert rep.perimeter.value == pytest.approx(2.0 * math.pi + 8.0, abs=1e-6)
-    assert rep.perimeter.gamma == pytest.approx(math.pi, abs=1e-4)
-    assert rep.width.value == pytest.approx(4.0, abs=1e-6)
+    rep = three_disk_extrema()
+    assert rep.perimeter.value == pytest.approx(2.0 * math.pi + 8.0, abs=1e-14)
+    assert rep.perimeter.gamma == math.pi
+    assert rep.width.value == pytest.approx(4.0, abs=1e-14)
     endpoints = []
     for fn, lo, hi in (
         (_obtuse_branch, math.pi / 2.0, math.pi),
@@ -179,19 +178,17 @@ def test_criterion_05_three_disk_hull_extrema():
     ):
         vals = fn(np.array([lo, hi]))
         endpoints.extend(float(v) for v in vals["area"])
-    assert all(rep.area.value >= v - 1e-12 for v in endpoints)
-    assert abs(rep.area.value - stable.area.value) <= 1e-8
-    assert abs(rep.inradius.value - stable.inradius.value) <= 1e-8
+    assert all(rep.area.value >= v for v in endpoints)
+    assert rep.area.value == pytest.approx(math.pi + 16.0 * SQRT3 / 3.0, abs=1e-14)
+    assert rep.inradius.value == pytest.approx(5.0 / 3.0, abs=1e-14)
     area_flagged = math.pi + 4.0 + 3.0 * SQRT3
     assert rep.area.value > area_flagged + 1e-3
-    assert rep.area.value == pytest.approx(math.pi + 16.0 * SQRT3 / 3.0, abs=1e-9)
-    assert rep.inradius.value == pytest.approx(5.0 / 3.0, abs=1e-9)
     assert "16*sqrt(3)/3" in rep.flags[0] and "pi + 4 + 3*sqrt(3)" in rep.flags[0]
     assert "5/3" in rep.flags[1]
     print(
         f"[criterion 5] PASS perimeter max {rep.perimeter.value:.9f} = 2 pi + 8, "
         f"width max {rep.width.value:.9f} = 4; area max {rep.area.value:.9f} "
-        f"dominates all branch endpoints, stable to 1e-8 under refinement, and "
+        f"= pi + 16 sqrt(3)/3 dominates all branch endpoints and "
         f"exceeds pi + 4 + 3 sqrt(3) = {area_flagged:.6f} (flagged); "
         f"inradius max {rep.inradius.value:.9f} = 5/3 (flagged)"
     )

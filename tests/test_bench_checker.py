@@ -10,14 +10,18 @@ from pathlib import Path
 import numpy as np
 
 from helpers import (
+    _plain_features,
     disk_bodies,
+    random_convex_polygon,
     random_reference,
     random_symmetric_polygon,
     tangent_cap_chain,
     thirteen_ts_centers,
     ts_lattice_subset,
 )
-from sepgeom.bodies import ConvexBody
+from sepgeom import separability
+from sepgeom.bodies import ConvexBody, HomothetFamily, polygon_facets
+from sepgeom.covering import _containment_violation, min_cover_ratio
 from sepgeom.packing import polyomino_packing
 from sepgeom.separability import find_separating_hyperplane, is_non_separable, is_ts_packing
 from sepgeom.spherical import (
@@ -71,6 +75,10 @@ def _raw_body(body: ConvexBody):
     if body.kind == "disk":
         return ("disk", tuple(map(float, body.center)), body.radius)
     return ("poly", [tuple(map(float, v)) for v in body.vertices])
+
+
+def _sepgeom_body(raw) -> ConvexBody:
+    return ConvexBody.disk(raw[1], raw[2]) if raw[0] == "disk" else ConvexBody.polygon(raw[1])
 
 
 def test_ts_certificates_pass_the_checker(rng):
@@ -146,3 +154,116 @@ def test_split_certificates_pass_the_checker(rng):
                        cert.left, cert.right, cert.margin)
         lines += 1
     assert 40 <= witnesses <= 100 and lines >= 30
+
+
+def _best_line_by_critical_angles(first, second):
+    """(value, u) of the best line of two planar families, brute force: the
+    largest min over rows, left feature a and right feature b, of
+    <u, b - a> - r_a - r_b, at every peak (the angle of a row) and every
+    crossing of two rows, the only angles where the minimum of these
+    sinusoids can peak."""
+    feats = [[(f, r) for b in fam for f, r in [(x, _plain_features(b)[1]) for x in _plain_features(b)[0]]]
+             for fam in (first, second)]
+    rows = np.array([(bx - ax, by - ay, ra + rb) for (ax, ay), ra in feats[0] for (bx, by), rb in feats[1]])
+    p, r = rows[:, :2], rows[:, 2]
+    angles = [np.arctan2(p[:, 1], p[:, 0])]
+    a, b = np.triu_indices(len(p), 1)
+    d, c = p[a] - p[b], r[a] - r[b]
+    size = np.hypot(d[:, 0], d[:, 1])
+    ok = (size > 0.0) & (np.abs(c) <= size)
+    psi, turn = np.arctan2(d[ok, 1], d[ok, 0]), np.arccos(c[ok] / size[ok])
+    angles = np.concatenate(angles + [psi - turn, psi + turn])
+    vals = np.array([(np.cos(t) * p[:, 0] + np.sin(t) * p[:, 1] - r).min() for t in angles])
+    k = int(np.argmax(vals))
+    return float(vals[k]), np.array([math.cos(angles[k]), math.sin(angles[k])])
+
+
+def _random_member(rng, center):
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return ConvexBody.disk(center, float(rng.uniform(0.1, 0.6)))
+    if kind == 1:
+        half = rng.uniform(-0.5, 0.5, 2)
+        return ConvexBody.segment(center - half, center + half)
+    return ConvexBody.polygon(center + random_convex_polygon(rng, k=5, scale=0.5).vertices)
+
+
+def test_best_separating_line_is_the_best_critical_angle(rng):
+    """find_separating_hyperplane in the plane: its normal and margin are
+    those of the best critical angle (every peak and every crossing) to
+    1e-12, it returns None exactly where that best gap is at most its
+    threshold 2 tol min(1, extent), and every line passes
+    checker.check_split. On 320 random pairs of families of disks, segments
+    and polygons, apart or overlapping, and on the separable
+    find_separating_hyperplane ops of ns-arrangements seeds 1-5."""
+    ck, _, wl = (_bench_module(name) for name in ("checker", "inputs", "workloads"))
+    pairs = []
+    for i in range(320):
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        away = rng.uniform(0.0, 4.0) * np.array([math.cos(ang), math.sin(ang)])
+        first = [_random_member(rng, rng.uniform(-1.0, 1.0, 2)) for _ in range(rng.integers(1, 3))]
+        second = [_random_member(rng, rng.uniform(-1.0, 1.0, 2) + away) for _ in range(rng.integers(1, 3))]
+        pairs.append((first, second))
+    bench = 0
+    for seed in range(1, 6):
+        for bodies, n1, separable in wl.make_ns(seed)["kirchberger"]:
+            if separable:
+                objs = [_sepgeom_body(b) for b in bodies]
+                pairs.append((objs[:n1], objs[n1:]))
+                bench += 1
+    assert bench == 30
+    found = 0
+    for first, second in pairs:
+        value, u = _best_line_by_critical_angles(first, second)
+        pts, rad = separability._member_features(first + second)
+        thr = 2.0 * separability._scaled_tol(pts, rad, 1e-9)
+        cert = find_separating_hyperplane(first, second)
+        assert abs(value - thr) > 1e-9  # no family sits at the threshold
+        assert (cert is None) == (value <= thr)
+        if cert is None:
+            continue
+        found += 1
+        assert np.abs(cert.plane.normal - u).max() <= 1e-12
+        assert abs(cert.margin - 0.5 * value) <= 1e-12
+        raw = [_raw_body(b) for b in first + second]
+        ck.check_split(tuple(cert.plane.normal), cert.plane.offset, raw, cert.left, cert.right, cert.margin)
+    assert found >= 200
+
+
+def test_cover_violation_matches_a_facet_loop(rng):
+    """The containment violation tests every member against every facet of
+    K in one numpy pass. On the ns-arrangements families of seeds 1-5, at
+    the minimal cover and at three covers moved and shrunk off it, it
+    equals a plain loop over facets and members to 1e-15 of the family's
+    size, with polygon_facets(K) handed over or not; every minimal cover
+    contains its family."""
+    _, _, wl = (_bench_module(name) for name in ("checker", "inputs", "workloads"))
+    polygons = 0
+    for seed in range(1, 6):
+        for fam in wl.make_ns(seed)["families"]:
+            if fam["ref"][0] != "poly":
+                continue
+            polygons += 1
+            k = _sepgeom_body(fam["ref"])
+            family = HomothetFamily(k, np.array(fam["centers"]), np.array(fam["ratios"]))
+            cov = min_cover_ratio(family)
+            assert cov.contains_all
+            covers = [(cov.center, cov.ratio)] + [
+                (cov.center + rng.normal(size=2) * 0.1 * cov.ratio, cov.ratio * rng.uniform(0.5, 1.0))
+                for _ in range(3)
+            ]
+            for center, ratio in covers:
+                worst, size = -math.inf, 0.0
+                for e in range(len(k.vertices)):
+                    (x0, y0), (x1, y1) = k.vertices[e], k.vertices[(e + 1) % len(k.vertices)]
+                    length = math.hypot(x1 - x0, y1 - y0)
+                    nx, ny = (y1 - y0) / length, (x0 - x1) / length
+                    h = max(nx * x + ny * y for x, y in k.vertices)
+                    cover = nx * center[0] + ny * center[1] + ratio * h
+                    for (cx, cy), tau in zip(fam["centers"], fam["ratios"]):
+                        member = nx * cx + ny * cy + tau * h
+                        worst, size = max(worst, member - cover), max(size, abs(member), abs(cover))
+                for facets in (None, polygon_facets(k)):
+                    got = _containment_violation(family, center, ratio, facets)
+                    assert abs(got - worst) <= 1e-15 * size
+    assert polygons == 5 * (len(wl.NS_SIZES) + len(wl.SPREAD_SIZES))

@@ -275,7 +275,7 @@ def test_lambda_density(capsys):
 
 def test_extremal_3disks(capsys):
     code, payload = run(
-        ["extremal-3disks", "--samples", "20000", "--centers", "[[0,0],[2,0],[4,0]]"],
+        ["extremal-3disks", "--centers", "[[0,0],[2,0],[4,0]]"],
         capsys,
     )
     assert code == 0
@@ -283,6 +283,7 @@ def test_extremal_3disks(capsys):
         math.pi + 16.0 * math.sqrt(3.0) / 3.0, abs=1e-6
     )
     assert payload["flags"]
+    assert payload["provenance"] == {"method": "closed-form", "exact": True}
     triple = payload["triple"]
     assert triple["non_separable"]
     assert triple["perimeter"] == pytest.approx(2.0 * math.pi + 8.0, abs=1e-6)
@@ -413,7 +414,6 @@ def test_cold_import_and_cover_load_no_scipy():
         ["cover", "APART", "--tolerance", "inf"],
         ["contact", "APART", "--tolerance", "-0.5"],
         ["check-ns", "APART", "--samples", "0"],
-        ["extremal-3disks", "--samples", "0"],
         ["tammes", "--k", "1"],
         ["lattice", "--n", "0"],
         ["lattice", "--n", "4", "--d", "0"],
@@ -438,6 +438,7 @@ def test_bad_numeric_input_exits_3(argv, tmp_path, capsys):
         ["lambda-density", "--geometry", "euclidean", "--lam", "0.3", "--tolerance", "1e-6"],
         ["contact", "GRID", "--seed", "1"],
         ["check-ns", "GRID", "--seed", "1"],
+        ["extremal-3disks", "--samples", "0"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_3(argv, grid_file, capsys):

@@ -98,8 +98,8 @@ def test_triangle_counterexample_larger_n():
 def test_hadwiger_two_disks():
     fam = unit_disk_family([(0.0, 0.0), (2.0, 0.0)])
     rep = hadwiger_check(fam)
-    assert rep.perimeter_hull == pytest.approx(2.0 * math.pi + 4.0, rel=1e-5)
-    assert rep.perimeter_sum == pytest.approx(4.0 * math.pi, abs=1e-9)
+    assert rep.perimeter_hull == pytest.approx(2.0 * math.pi + 4.0, abs=1e-12)
+    assert rep.perimeter_sum == pytest.approx(4.0 * math.pi, abs=1e-12)
     assert rep.holds()
 
 
@@ -117,10 +117,17 @@ def test_hadwiger_rejects_separable():
         hadwiger_check(fam)
 
 
+def test_hadwiger_rejects_polytopes():
+    cube = ConvexBody.polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    fam = HomothetFamily(cube, np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]), np.ones(2))
+    with pytest.raises(GeometryError, match="planar"):
+        hadwiger_check(fam)
+
+
 def test_hadwiger_random_ns(rng):
     for _ in range(10):
         fam = ns_family(rng, random_reference(rng), int(rng.integers(2, 6)))
-        assert hadwiger_check(fam, samples=512).holds(tol=1e-5)
+        assert hadwiger_check(fam).holds(tol=1e-5)
 
 
 def test_facet_parallel_triangle_families(rng):

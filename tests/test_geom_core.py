@@ -23,10 +23,14 @@ from sepgeom.bodies import (
     project_interval,
     support,
 )
+from helpers import random_convex_polygon
 from sepgeom.measures import (
     area,
+    disk_box_area,
     enclosing_disk_of_disks,
+    hull_circumradius,
     hull_diameter,
+    hull_of_centers,
     hull_perimeter,
     inscribed_disk,
     min_area_parallelogram,
@@ -34,6 +38,7 @@ from sepgeom.measures import (
     mixed_area,
     perimeter,
     polygon_area,
+    polygon_perimeter,
     size_report,
     steiner_area,
     sum_area,
@@ -237,8 +242,94 @@ def test_steiner_area_matches_sum_area():
 def test_hull_measures_two_disks():
     a = ConvexBody.disk((0.0, 0.0), 1.0)
     b = ConvexBody.disk((2.0, 0.0), 1.0)
-    assert hull_perimeter([a, b]) == pytest.approx(2.0 * math.pi + 4.0, rel=1e-5)
-    assert hull_diameter([a, b]) == pytest.approx(4.0, abs=1e-9)
+    assert hull_perimeter([a, b]) == pytest.approx(2.0 * math.pi + 4.0, abs=1e-12)
+    assert hull_diameter([a, b]) == pytest.approx(4.0, abs=1e-12)
+
+
+def _random_mix(rng, n: int) -> list:
+    """n disks, segments and polygons (3-6 vertices) about [-3, 3]^2."""
+    out = []
+    for _ in range(n):
+        c, kind = rng.uniform(-3.0, 3.0, 2), int(rng.integers(0, 3))
+        if kind == 0:
+            out.append(ConvexBody.disk(c, float(rng.uniform(0.05, 1.5))))
+        elif kind == 1:
+            half = rng.uniform(-1.0, 1.0, 2)
+            out.append(ConvexBody.segment(c - half, c + half))
+        else:
+            out.append(ConvexBody.polygon(c + random_convex_polygon(rng, k=int(rng.integers(3, 7))).vertices))
+    return out
+
+
+def _plain_features(bodies) -> list:
+    """(x, y, r) per feature: disk centers with their radius, vertices with 0."""
+    out = []
+    for b in bodies:
+        pts = [b.center] if b.kind == "disk" else b.vertices
+        out += [(float(x), float(y), b.radius if b.kind == "disk" else 0.0) for x, y in pts]
+    return out
+
+
+def test_hull_diameter_and_circumradius_match_plain_python(rng):
+    for trial in range(80):
+        bodies = _random_mix(rng, int(rng.integers(1, 5)))
+        feats = _plain_features(bodies)
+        diam = max(math.hypot(xa - xb, ya - yb) + ra + rb for xa, ya, ra in feats for xb, yb, rb in feats)
+        assert abs(hull_diameter(bodies) - diam) <= 1e-12 * diam, trial
+        c, r = hull_circumradius(bodies)
+        c_ref, r_ref = _enclosing_disk_reference([f[:2] for f in feats], [f[2] for f in feats])
+        assert abs(r - r_ref) <= 1e-12 * r_ref, trial
+        assert np.abs(c - np.array(c_ref)).max() <= 1e-12 * r_ref, trial
+    lone = ConvexBody.disk((5.0, -2.0), 0.75)
+    assert hull_diameter([lone]) == 1.5 and hull_circumradius([lone])[1] == 0.75
+
+
+def test_hull_perimeter_closed_forms(rng):
+    """Polygons alone give the perimeter of their vertex hull, equal disks
+    2 pi r plus that of their centers' hull, both to 1e-12; any mix matches
+    Cauchy's integral on a 2^18-point grid."""
+    for _ in range(40):
+        polys = [b for b in _random_mix(rng, 6) if b.kind != "disk"]
+        pts = np.vstack([b.vertices for b in polys])
+        assert abs(hull_perimeter(polys) - polygon_perimeter(hull_of_centers(pts))) <= 1e-12
+        centers, r = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 9)), 2)), float(rng.uniform(0.1, 2.0))
+        disks = [ConvexBody.disk(c, r) for c in centers]
+        want = 2.0 * math.pi * r + polygon_perimeter(hull_of_centers(centers))
+        assert abs(hull_perimeter(disks) - want) <= 1e-12
+    theta = np.linspace(0.0, 2.0 * math.pi, 1 << 18, endpoint=False)
+    dirs = np.c_[np.cos(theta), np.sin(theta)]
+    for _ in range(15):
+        bodies = _random_mix(rng, int(rng.integers(1, 6)))
+        h = np.full(len(theta), -np.inf)
+        for x, y, r in _plain_features(bodies):
+            h = np.maximum(h, dirs @ (x, y) + r)
+        assert hull_perimeter(bodies) == pytest.approx(h.mean() * 2.0 * math.pi, rel=1e-9)
+
+
+def test_disk_box_area_closed_form(rng):
+    from scipy.integrate import quad
+
+    assert abs(disk_box_area((0.0, 0.0), 1.0, (0.0, -5.0), (5.0, 5.0)) - 0.5 * math.pi) <= 1e-14
+    assert abs(disk_box_area((0.0, 0.0), 1.0, (0.0, 0.0), (5.0, 5.0)) - 0.25 * math.pi) <= 1e-14
+    assert disk_box_area((0.0, 0.0), 1.0, (1.0, -5.0), (5.0, 5.0)) == 0.0
+    for _ in range(60):
+        c, r = rng.uniform(-1.0, 1.0, 2), float(rng.uniform(0.2, 1.5))
+        lo = rng.uniform(-2.0, 1.0, 2)
+        hi = lo + rng.uniform(0.05, 3.0, 2)
+
+        def column(phi):  # the height over x = c_x + r cos phi in the box, times dx/dphi
+            x, s = c[0] + r * math.cos(phi), r * math.sin(phi)
+            inside = lo[0] <= x <= hi[0]
+            return s * max(0.0, min(hi[1], c[1] + s) - max(lo[1], c[1] - s)) if inside else 0.0
+
+        # kinks where a box side cuts the circle, in phi, which also takes
+        # the square-root ends of the columns away
+        cuts = [(x - c[0]) / r for x in (lo[0], hi[0])]
+        cuts += [sign * math.sqrt(r * r - (y - c[1]) ** 2) / r
+                 for y in (lo[1], hi[1]) if abs(y - c[1]) < r for sign in (-1.0, 1.0)]
+        kinks = sorted(math.acos(t) for t in cuts if -1.0 < t < 1.0)
+        want = quad(column, 0.0, math.pi, points=kinks or None, epsabs=1e-14, limit=200)[0]
+        assert abs(disk_box_area(c, r, lo, hi) - want) <= 1e-12
 
 
 def test_enclosing_disk_of_disks(rng):

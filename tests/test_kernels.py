@@ -29,13 +29,6 @@ def test_sweep_gaps_known_values():
     assert _kernels.sweep_gaps(los, his).tolist() == [1.0, -5.0, 0.0]
 
 
-def test_golden_max_known_values():
-    x, v = _kernels.golden_max(lambda t: -abs(t - 0.7), 0.0, 1.0)
-    assert abs(x - 0.7) < 1e-12 and -1e-12 < v <= 0.0
-    x, v = _kernels.golden_max(math.sin, 0.0, math.pi)
-    assert abs(x - 0.5 * math.pi) < 1e-7 and 0.0 <= 1.0 - v < 1e-14
-
-
 def test_simplex_covered_known_values():
     # equal weights put every sample at the centroid (1/3, 1/3, 1/3), at
     # distance sqrt(6)/3 < 1 from each vertex of eye(3), and at distance

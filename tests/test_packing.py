@@ -211,13 +211,14 @@ def test_three_disk_predicates():
 
 
 def test_three_disk_extrema_branches():
-    rep = three_disk_extrema(samples=20000)
-    assert rep.perimeter.value == pytest.approx(2.0 * math.pi + 8.0, abs=1e-6)
-    assert rep.perimeter.gamma == pytest.approx(math.pi, abs=1e-4)
-    assert rep.width.value == pytest.approx(4.0, abs=1e-6)
-    assert rep.area.value == pytest.approx(math.pi + 16.0 * math.sqrt(3.0) / 3.0, abs=1e-6)
+    rep = three_disk_extrema()
+    assert rep.perimeter.value == pytest.approx(2.0 * math.pi + 8.0, abs=1e-14)
+    assert rep.perimeter.gamma == math.pi and rep.perimeter.branch == "obtuse"
+    assert rep.width.value == pytest.approx(4.0, abs=1e-14)
+    assert rep.area.value == pytest.approx(math.pi + 16.0 * math.sqrt(3.0) / 3.0, abs=1e-14)
+    assert rep.area.gamma == pytest.approx(math.pi / 3.0, abs=1e-15) and rep.area.branch == "acute"
     assert rep.area.value > math.pi + 4.0 + 3.0 * math.sqrt(3.0)  # beats the obtuse peak
-    assert rep.inradius.value == pytest.approx(5.0 / 3.0, abs=1e-6)
+    assert rep.inradius.value == pytest.approx(5.0 / 3.0, abs=1e-14)
     assert rep.flags and any("16*sqrt(3)/3" in f for f in rep.flags)
 
 
@@ -365,25 +366,29 @@ def _differences_outside(body: ConvexBody, v) -> float:
     return float((diffs @ normals.T - offsets).max() / np.abs(diffs).max())
 
 
-def test_difference_body_is_the_hull_of_all_differences(rng):
-    """difference_body hulls only the <= 2k differences of _pair_table. Its
-    vertices are differences of vertices of K and all k^2 differences lie in
-    it to rounding. The hull of all k^2 (minkowski_sum_polygons through
-    ConvexBody.polygon) gives the same vertices and gauges bit for bit
-    wherever it holds them all too. It can fail to: on a thin o-symmetric
-    58-gon its chain drops a vertex of K - K that sticks out of it by 1e-8 of
-    the extent."""
+def _thin_58gon() -> ConvexBody:
+    """A thin o-symmetric 58-gon, ellipse points rounded to a few decimals."""
     ellipse = np.random.default_rng(308)
     ang = np.sort(ellipse.uniform(0.0, math.pi, int(ellipse.integers(12, 40))))
     ang = np.concatenate([ang, ang + math.pi])
     pts = np.c_[np.cos(ang), 0.15 * np.sin(ang)] @ np.array([[0.8, 0.6], [-0.6, 0.8]])
-    thin = ConvexBody.polygon(_strict_hull(np.round(pts, int(ellipse.integers(3, 10)))))
+    return ConvexBody.polygon(_strict_hull(np.round(pts, int(ellipse.integers(3, 10)))))
+
+
+def test_difference_body_is_the_hull_of_all_differences(rng):
+    """difference_body hulls only the <= 2k differences of _pair_table. Its
+    vertices are differences of vertices of K and all k^2 differences lie in
+    it to rounding. The hull of all k^2 (through ConvexBody.polygon) gives
+    the same vertices and gauges bit for bit wherever it holds them all too.
+    It can fail to: on a thin o-symmetric 58-gon its chain drops a vertex of
+    K - K that sticks out of it by 1e-8 of the extent."""
+    thin = _thin_58gon()
     same = 0
     for body in _difference_test_polygons(rng, 1200) + [thin]:
         v = body.vertices
-        got, want = difference_body(body), ConvexBody.polygon(minkowski_sum_polygons(v, -v))
-        diffs = {tuple(p) for p in (v[None, :, :] - v[:, None, :]).reshape(-1, 2).tolist()}
-        assert {tuple(p) for p in got.vertices.tolist()} <= diffs
+        diffs = (v[None, :, :] - v[:, None, :]).reshape(-1, 2)
+        got, want = difference_body(body), ConvexBody.polygon(_strict_hull(diffs))
+        assert {tuple(p) for p in got.vertices.tolist()} <= {tuple(p) for p in diffs.tolist()}
         assert _differences_outside(got, v) <= 1e-13
         if _differences_outside(want, v) <= 1e-13:
             deltas = rng.normal(size=(40, 2)) * np.abs(v).max()
@@ -392,6 +397,30 @@ def test_difference_body_is_the_hull_of_all_differences(rng):
             same += 1
     assert len(thin.vertices) == 58 and _differences_outside(want, thin.vertices) > 1e-8
     assert same >= 1000
+
+
+def test_minkowski_sum_keeps_every_vertex(rng):
+    """minkowski_sum_polygons sums the lowest vertices of P and Q per cell
+    of their common normal fan: at most k1 + k2 vertex sums, a convex
+    counter-clockwise cycle, and every one of the k1 k2 sums lies in it to
+    rounding, also on the thin 58-gon whose hull of all sums drops one."""
+    unit = [b.vertices - b.vertices.mean(axis=0) for b in _difference_test_polygons(rng, 400)]
+    unit = [v / np.abs(v).max() for v in unit]
+    thin = _thin_58gon().vertices
+    pairs = [(thin, -thin), (thin, thin)] + list(zip(unit[::2], unit[1::2]))
+    pairs += [(v, -v) for v in unit[:100]] + [(thin, v) for v in unit[:100]]
+    for p, q in pairs:
+        s = minkowski_sum_polygons(p, q)
+        sums = (p[None, :, :] + q[:, None, :]).reshape(-1, 2)
+        assert {tuple(x) for x in s.tolist()} <= {tuple(x) for x in sums.tolist()}
+        assert len(s) <= len(p) + len(q)
+        edges = np.roll(s, -1, axis=0) - s
+        length = np.hypot(edges[:, 0], edges[:, 1])
+        turns = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        assert (length > 0.0).all() and (turns >= -1e-13 * length * np.roll(length, -1)).all()
+        normals = np.c_[edges[:, 1], -edges[:, 0]] / length[:, None]
+        outside = (sums @ normals.T - np.einsum("ij,ij->i", normals, s)).max()
+        assert outside <= 1e-13 * np.abs(sums).max()
 
 
 def test_pair_gauges_equal_minkowski_norm(rng):

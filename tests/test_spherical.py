@@ -7,6 +7,8 @@ import pytest
 
 from helpers import pole_grid, random_cap_packing, tangent_cap_chain
 from sepgeom.bodies import GeometryError
+from sepgeom import spherical
+from sepgeom._kernels import fibonacci_sphere
 from sepgeom.spherical import (
     Cap,
     Zone,
@@ -16,7 +18,6 @@ from sepgeom.spherical import (
     circle_avoids_cap,
     cuboctahedral_packing,
     enclosing_cap,
-    fibonacci_sphere,
     is_ts_cap_packing,
     octahedral_packing,
     separable_tammes,
@@ -253,14 +254,46 @@ def test_cap_cover_check_guards(rng):
 def test_zones_cover_check():
     w = math.asin(1.0 / math.sqrt(3.0))
     zones = [Zone(EX, w), Zone(EY, w), Zone(EZ, w)]
-    rep = zones_cover_check(zones, samples=60000)
+    rep = zones_cover_check(zones)
     assert rep.covers and rep.holds()
     assert rep.slack == pytest.approx(6.0 * w - math.pi, abs=1e-12)
-    rep = zones_cover_check([Zone(EZ, math.pi / 2.0)], samples=10000)
+    rep = zones_cover_check([Zone(EZ, math.pi / 2.0)])
     assert rep.covers and rep.slack == pytest.approx(0.0, abs=1e-12)
-    rep = zones_cover_check([Zone(EZ, 0.2)], samples=10000)
+    rep = zones_cover_check([Zone(EZ, 0.2)])
     assert not rep.covers and rep.holds()
     assert not Zone(EZ, 0.2).contains_point(rep.witness)
+    # just narrower octant zones leave the corner directions uncovered
+    zones = [Zone(EX, w - 1e-6), Zone(EY, w), Zone(EZ, w)]
+    rep = zones_cover_check(zones)
+    assert not rep.covers and not any(z.contains_point(rep.witness) for z in zones)
+
+
+def test_zones_cover_check_matches_a_dense_sample(rng):
+    """On random families of 2-6 zones (total width 0.5 pi to 1.5 pi), the
+    exact verdict equals that of 200 000 Fibonacci points wherever the best
+    uncovered margin is more than 1e-3 from 0, and every witness misses
+    every zone."""
+    points = pole_grid()
+    count = covered = 0
+    while count < 220:
+        k = int(rng.integers(2, 7))
+        poles = rng.normal(size=(k, 3))
+        poles /= np.linalg.norm(poles, axis=1, keepdims=True)
+        w = rng.uniform(0.2, 1.0, k)
+        w = np.minimum(w / w.sum() * math.pi * rng.uniform(0.5, 1.5), math.pi / 2.0)
+        margin = spherical._best_pole(poles, w, split=False)[0]
+        if abs(margin) <= 1e-3:
+            continue
+        count += 1
+        rep = zones_cover_check([Zone(p, x) for p, x in zip(poles, w)])
+        assert rep.covers == (margin <= 0.0)
+        assert rep.covers == (not (np.abs(points @ poles.T) > np.sin(w)).all(axis=1).any())
+        if rep.covers:
+            covered += 1
+            assert rep.witness is None
+        else:
+            assert (np.abs(poles @ rep.witness) > np.sin(w)).all()
+    assert 60 <= covered <= 160
 
 
 def test_separable_tammes_table():
