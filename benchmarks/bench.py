@@ -2,8 +2,8 @@
 
 Run from the root of a checkout:
 
-    python3 benchmarks/bench.py --out BENCH_12.json --label change
-    python3 benchmarks/bench.py --out BENCH_12.json --label parent --src ../parent
+    python3 benchmarks/bench.py --out BENCH_14.json --label change
+    python3 benchmarks/bench.py --out BENCH_14.json --label parent --src ../parent
 
 ``--src`` names the checkout to measure (by default the one holding this
 script). Each run stores its rows under its label and keeps the other
@@ -17,7 +17,15 @@ labels of the file, so a parent and a change sit side by side. Rows:
   of this checkout;
 - ``cli/<command>``: the wall time of one ``python -m sepgeom.cli`` process
   per call, best of 3, on the inputs of the ``cli-cold`` workload;
-- ``import``: ``import sepgeom.cli`` in a fresh interpreter, best of 3.
+- ``import``: ``import sepgeom.cli`` in a fresh interpreter, best of 3:
+  what a CLI call loads before its subcommand imports its own submodules;
+- ``import/all``: ``import sepgeom; from sepgeom import *``, the whole
+  library, in a fresh interpreter, best of 3.
+
+Each run also records whether the interpreters could use bytecode caches:
+``sys.dont_write_bytecode`` and whether ``src/sepgeom/__pycache__`` of the
+measured checkout existed when the run started. Without caches every fresh
+interpreter compiles each module it imports, which the cli rows include.
 
 ``--smallest`` runs each call row at its smallest size, one try each, and
 each workload for 1 s: a check that the script runs, not a measurement.
@@ -131,7 +139,10 @@ def _child(name: str, n: int, tries: int) -> None:
     print(json.dumps({"seconds": best, "peak_rss_mb": rss}))
 
 
-IMPORT = "import time; t = time.perf_counter(); import sepgeom.cli; print(time.perf_counter() - t)"
+IMPORTS = {
+    "import": "import sepgeom.cli",
+    "import/all": "import sepgeom; from sepgeom import *",
+}
 
 
 def _run(argv, src: Path, stdin=None, stderr=None) -> str:
@@ -165,8 +176,9 @@ def measure(src: Path, smallest: bool) -> dict:
             _run([sys.executable, "-m", "sepgeom.cli", *argv], src, stdin, subprocess.DEVNULL)
             best = min(best, time.perf_counter() - t0)
         rows[f"cli/{name}"] = {"seconds": best}
-    best = min(float(_run([sys.executable, "-c", IMPORT], src)) for _ in range(tries))
-    rows["import"] = {"seconds": best}
+    for row, stmt in IMPORTS.items():
+        code = f"import time; t = time.perf_counter(); {stmt}; print(time.perf_counter() - t)"
+        rows[row] = {"seconds": min(float(_run([sys.executable, "-c", code], src)) for _ in range(tries))}
     return rows
 
 
@@ -208,6 +220,10 @@ def main() -> None:
     report["machine"] = machine()
     report["runs"][args.label] = {
         "commit": _commit(src),
+        "bytecode": {
+            "dont_write_bytecode": sys.dont_write_bytecode,
+            "pycache": (src / "src" / "sepgeom" / "__pycache__").is_dir(),
+        },
         "seed": SEED,
         "seconds": 1.0 if args.smallest else SECONDS,
         "tries": 1 if args.smallest else TRIES,

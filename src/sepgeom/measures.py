@@ -22,7 +22,7 @@ from .bodies import (
     raw_support,
 )
 from ._kernels import lp3
-from .separability import _fan_mids, _inward_rays, _member_features
+from .separability import _BLOCK, _fan_mids, _inward_rays, _member_features
 
 TWO_PI = 2.0 * math.pi
 
@@ -403,10 +403,15 @@ def hull_perimeter(bodies) -> float:
 
 def hull_diameter(bodies) -> float:
     """Largest |p_a - p_b| + r_a + r_b over pairs of features, a feature
-    paired with itself too: a lone disk gives 2r."""
+    paired with itself too: a lone disk gives 2r. The pairs are taken in
+    row blocks of about _BLOCK entries, so memory is O(m + _BLOCK)."""
     p, r = _hull_features(bodies)
-    d = p[:, None, :] - p[None, :, :]
-    return float((np.hypot(d[..., 0], d[..., 1]) + r[:, None] + r[None, :]).max())
+    step = max(1, _BLOCK // len(p))
+    best = -math.inf
+    for i in range(0, len(p), step):
+        d = p[i:i + step, None, :] - p[None, :, :]
+        best = max(best, float((np.hypot(d[..., 0], d[..., 1]) + r[i:i + step, None] + r[None, :]).max()))
+    return best
 
 
 def hull_circumradius(bodies) -> tuple[np.ndarray, float]:

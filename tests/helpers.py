@@ -2,11 +2,25 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
+import sepgeom
 from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
+
+SRC = str(Path(sepgeom.__file__).resolve().parents[1])
+
+
+def fresh_python(code: str, *args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """python -c code args in a new interpreter that imports this sepgeom."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
 def random_symmetric_polygon(rng, k: int | None = None, scale: float = 1.0) -> ConvexBody:

@@ -23,16 +23,18 @@ def test_bench_smallest_writes_every_row(tmp_path):
     assert set(report["machine"]) == {"cpus", "cpu_model", "python", "numpy", "system"}
     assert set(report["runs"]) == {"parent", "smoke"}  # other labels are kept
     run = report["runs"]["smoke"]
-    assert set(run) == {"commit", "seed", "seconds", "tries", "rows"}
+    assert set(run) == {"commit", "bytecode", "seed", "seconds", "tries", "rows"}
+    assert set(run["bytecode"]) == {"dont_write_bytecode", "pycache"}
+    assert all(isinstance(v, bool) for v in run["bytecode"].values())
     rows = run["rows"]
     calls = {f"{name}/{sizes[0]}" for name, (sizes, _, _) in bench.CALLS.items()}
     workloads = {f"workload/{w}" for w in bench.WORKLOADS}
     cli = {k for k in rows if k.startswith("cli/")}
     assert {"cli/check-ns", "cli/cover", "cli/verify-ts", "cli/verify-ls"} <= cli
-    assert set(rows) == calls | workloads | cli | {"import"}
+    assert set(rows) == calls | workloads | cli | {"import", "import/all"}
     for key in workloads:
         assert rows[key]["correct"] is True and set(rows[key]["metrics"]) == METRICS
     for key in calls:
         assert rows[key]["seconds"] > 0.0 and rows[key]["peak_rss_mb"] > 0.0
-    for key in cli | {"import"}:
+    for key in cli | {"import", "import/all"}:
         assert rows[key]["seconds"] > 0.0

@@ -2,16 +2,11 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sepgeom
-from helpers import house7_centers
+from helpers import fresh_python, house7_centers
 from sepgeom import svg
 from sepgeom.cli import main
 
@@ -399,10 +394,7 @@ assert not scipy_modules(), scipy_modules()
 
 
 def test_cold_import_and_cover_load_no_scipy():
-    src = str(Path(sepgeom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", COLD_RUN], env=env, capture_output=True, text=True)
+    run = fresh_python(COLD_RUN)
     assert run.returncode == 0, run.stderr
 
 

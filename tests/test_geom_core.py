@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sepgeom.bodies import (
 )
 from helpers import random_convex_polygon
 from sepgeom.measures import (
+    _hull_features,
     area,
     disk_box_area,
     enclosing_disk_of_disks,
@@ -282,6 +284,32 @@ def test_hull_diameter_and_circumradius_match_plain_python(rng):
         assert np.abs(c - np.array(c_ref)).max() <= 1e-12 * r_ref, trial
     lone = ConvexBody.disk((5.0, -2.0), 0.75)
     assert hull_diameter([lone]) == 1.5 and hull_circumradius([lone])[1] == 0.75
+
+
+def _full_table_diameter(bodies) -> float:
+    """hull_diameter from the whole m x m table of feature pairs at once."""
+    p, r = _hull_features(bodies)
+    d = p[:, None, :] - p[None, :, :]
+    return float((np.hypot(d[..., 0], d[..., 1]) + r[:, None] + r[None, :]).max())
+
+
+def test_hull_diameter_is_the_full_table_max_in_bounded_memory(rng):
+    """Row blocks give the full table's maximum bit for bit, on one block
+    and on many, and a 1 500-vertex ellipse (a 36 MB table) peaks under 8 MB."""
+    for trial in range(30):
+        bodies = _random_mix(rng, int(rng.integers(1, 150)))
+        assert hull_diameter(bodies) == _full_table_diameter(bodies), trial
+    t = np.linspace(0.0, 2.0 * math.pi, 1500, endpoint=False)
+    ellipse = ConvexBody.polygon(np.column_stack([3.0 * np.cos(t), np.sin(t)]))
+    want = _full_table_diameter([ellipse])
+    tracemalloc.start()
+    try:
+        got = hull_diameter([ellipse])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * 2**20, peak
 
 
 def test_hull_perimeter_closed_forms(rng):
