@@ -91,6 +91,17 @@ def _lattice(sg, np, gen, n):
     return sg.ConvexBody.polygon(blk["poly"]), np.array(blk["centers"])
 
 
+def _lattice_bodies(sg, np, gen, n):
+    """The members of _lattice's block as bodies."""
+    k, centers = _lattice(sg, np, gen, n)
+    return [k.translate(c) for c in centers]
+
+
+def _caps(name: str):
+    """The octahedral or cuboctahedral cap packing of sepgeom.spherical."""
+    return lambda sg, np, gen, n: getattr(sg, f"{name}_packing")()
+
+
 def _unpacked(path: str, *extra):
     """The call sepgeom.<path>(*arg, *extra) on a tuple input arg, for CALLS."""
     return lambda sg: lambda arg: functools.reduce(getattr, path.split("."), sg)(*arg, *extra)
@@ -106,6 +117,9 @@ CALLS = {
     "min_cover_ratio/ns-disk": ((32, 128, 256), _homothets("disk", False), "min_cover_ratio"),
     "hull_circumradius/points": ((64, 192, 400), _segments, "measures.hull_circumradius"),
     "is_ts_packing/polyomino": ((1000, 2000), _polyominoes, "is_ts_packing"),
+    "is_ts_packing/lattice-12gon": ((100, 256), _lattice_bodies, "is_ts_packing"),
+    "is_ts_cap_packing/octahedral": ((8,), _caps("octahedral"), "is_ts_cap_packing"),
+    "is_ts_cap_packing/cuboctahedral": ((6,), _caps("cuboctahedral"), "is_ts_cap_packing"),
     "is_ls_packing/spiral": ((10000,), _spiral, "is_ls_packing"),
     "is_rho_separable/lattice-12gon": ((900, 3600), _lattice, _unpacked("is_rho_separable", 3.0)),
     "contact_graph/lattice-12gon": ((10000,), _lattice, _unpacked("contact_graph")),

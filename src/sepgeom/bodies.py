@@ -48,6 +48,27 @@ def perp(v) -> np.ndarray:
     return np.array([-v[1], v[0]], dtype=float)
 
 
+def distinct(a) -> np.ndarray:
+    """The distinct values of a 1-D array, or the distinct rows of a 2-D one,
+    sorted (rows lexicographically, first column first): np.unique(a), and
+    np.unique(a, axis=0), on values free of NaN.
+
+    np.unique without return flags, np.union1d and np.setdiff1d import
+    numpy.ma on first use (about 14 ms and 1.3 MB in a cold process). A 1-D
+    array is sorted as np.unique sorts it, so the result is the same to the
+    bit. Of rows equal but for the sign of a zero the first in a is kept,
+    where np.unique may keep another.
+    """
+    a = np.asarray(a)
+    if a.ndim == 1:
+        a = np.sort(a)
+        new = a[1:] != a[:-1]
+    else:
+        a = a[np.lexsort(a.T[::-1])]
+        new = (a[1:] != a[:-1]).any(axis=1)
+    return a[np.concatenate([[True], new])] if len(a) else a
+
+
 def _strict_hull(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """CCW convex hull with collinear points dropped (monotone chain).
 
@@ -58,11 +79,9 @@ def _strict_hull(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     vertices when it is scaled or moved, and points that are collinear up to
     that rounding are dropped wherever they lie.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = distinct(np.asarray(points, dtype=float))  # sorted by x, then y
     if len(pts) < 3:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
     scale = float(np.abs(pts - pts[0]).max())
     size = float(np.abs(pts).max())
     t = scale * (tol * scale + _ROUNDING * size)
@@ -118,7 +137,7 @@ class ConvexBody:
         hull = _strict_hull(verts)
         if len(hull) < 3:
             raise GeometryError("polygon degenerate: vertices collinear")
-        if len(hull) != len(np.unique(verts, axis=0)):
+        if len(hull) != len(distinct(verts)):
             raise GeometryError("polygon not strictly convex: collinear or interior vertex")
         return ConvexBody(kind="polygon", vertices=_freeze(hull))
 

@@ -18,6 +18,7 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     _strict_hull,
+    distinct,
     polygon_facets,
     raw_support,
 )
@@ -420,7 +421,7 @@ def hull_circumradius(bodies) -> tuple[np.ndarray, float]:
 
 def hull_of_centers(points: np.ndarray) -> np.ndarray:
     """Convex hull vertex cycle (CCW); may degenerate to 1 or 2 points."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = distinct(np.asarray(points, dtype=float))
     if len(pts) <= 2:
         return pts
     hull = _strict_hull(pts)

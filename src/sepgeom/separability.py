@@ -22,6 +22,7 @@ from .bodies import (
     _finite,
     _gauges,
     _require_planar,
+    distinct,
     perp,
     polygon_facets,
     raw_support,
@@ -129,7 +130,7 @@ def candidate_directions(family1, family2=None) -> np.ndarray:
     out = np.vstack([diffs[keep] / lens[keep, None]] + normals)
     if len(out) == 0:
         out = np.array([[1.0, 0.0]])
-    return np.unique(out, axis=0)
+    return distinct(out)
 
 
 def separation_margin(plane: Hyperplane, left_bodies, right_bodies) -> float:
@@ -233,7 +234,7 @@ def _fan_mids(*rays) -> np.ndarray:
     """One angle inside each cell of the common refinement of the normal
     fans with these rays: the midpoint after each distinct ray mod 2 pi, in
     increasing order."""
-    ends = np.unique(np.remainder(np.concatenate(rays), TWO_PI))
+    ends = distinct(np.remainder(np.concatenate(rays), TWO_PI))
     return 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
 
 
@@ -252,13 +253,13 @@ def _pair_table(ref: np.ndarray) -> np.ndarray:
     rays = _inward_rays(ref)
     mids = _fan_mids(rays, rays + math.pi)
     proj = np.cos(mids)[:, None] * ref[:, 0] + np.sin(mids)[:, None] * ref[:, 1]
-    return np.stack(np.divmod(np.unique(proj.argmin(axis=1) * k + proj.argmax(axis=1)), k), axis=1)
+    return np.stack(np.divmod(distinct(proj.argmin(axis=1) * k + proj.argmax(axis=1)), k), axis=1)
 
 
 def _mod_pi(angles) -> tuple[np.ndarray, np.ndarray]:
     """The distinct angles mod pi, sorted, and the midpoint after each, the
     last one past pi."""
-    ends = np.unique(np.remainder(angles, math.pi))
+    ends = distinct(np.remainder(angles, math.pi))
     return ends, 0.5 * (ends + np.append(ends[1:], ends[:1] + math.pi))
 
 
@@ -739,14 +740,20 @@ def _critical_angles(pts, rad, i, j, best, rows=None) -> np.ndarray:
     members' edge normals and best, and the midpoints between them. With
     rows (_pair_table), the members are translates of one body: a pair's arc
     is that of its difference body's vertices, the differences at the rows,
-    and every member has the first one's edge normals."""
-    lo, hi = _arcs(_differences(pts, i, j, rows), (rad[i] + rad[j])[:, None])
-    members = np.union1d(i, j) if rows is None else i[:1]
+    and every member has the first one's edge normals. The arcs are built in
+    blocks of about _BLOCK feature differences."""
+    step = max(1, _BLOCK // (pts.shape[1] ** 2 if rows is None else len(rows)))
+    arcs = []
+    for s in range(0, len(i), step):
+        bi, bj = i[s : s + step], j[s : s + step]
+        lo, hi = _arcs(_differences(pts, bi, bj, rows), (rad[bi] + rad[bj])[:, None])
+        arc = lo < hi
+        arcs += [lo[arc], hi[arc]]
+    members = distinct(np.concatenate([i, j])) if rows is None else i[:1]
     edges = (np.roll(pts, -1, axis=1) - pts)[members].reshape(-1, 2)
     normals = np.arctan2(-edges[:, 0], edges[:, 1])[(edges != 0.0).any(axis=1)]
-    arc = lo < hi
-    ends, mids = _mod_pi(np.concatenate([lo[arc], hi[arc], normals, best]))
-    return np.union1d(ends, np.remainder(mids, math.pi))
+    ends, mids = _mod_pi(np.concatenate(arcs + [normals, best]))
+    return distinct(np.concatenate([ends, np.remainder(mids, math.pi)]))
 
 
 def _hood_pairs(table):
@@ -777,8 +784,20 @@ def _refine(feats, table, pairs, tol: float, rows=None):
     above tol, so its threshold-0 arc is open, its ends are critical angles
     and the midpoints between them are swept. So the best directions are
     looked up for the given pairs only, by a search over their sorted keys.
-    They go first, the most frequent first, then the rest for the
-    subfamilies still unsettled, in blocks of about _BLOCK entries.
+
+    The first stage sweeps, the most frequent first, those best directions
+    and the normal of each touching pair's offset (the difference of the
+    two members' first feature rows; for translates, the translation between
+    them). Touching members in a row along a lattice vector share that
+    normal, and it is the direction of the free lines between the rows, so
+    the first stage settles a lattice block, where the best direction of a
+    corner-to-corner contact is only the first tied candidate and splits
+    nothing. The second stage sweeps the rest of the critical directions
+    (_critical_angles) for the subfamilies still unsettled. Any free cut
+    splits its pair, whatever its direction, and a pair is left unsplit only
+    after every critical direction, so the extra normals keep the check
+    exact; they only change which free cut is found first. Directions go in
+    blocks of about _BLOCK entries.
 
     rows, if given, is the _pair_table of a reference of which the members
     are translates (_critical_angles).
@@ -798,19 +817,22 @@ def _refine(feats, table, pairs, tol: float, rows=None):
     d = pairs[3][pos[near]]
     best = np.full(len(hood), np.nan)
     best[near] = np.remainder(np.arctan2(d[:, 1], d[:, 0]), math.pi)
+    touch = np.flatnonzero(near)[pairs[2][pos[near]] <= tol]
+    off = pts[gj[touch], 0] - pts[gi[touch], 0]
+    normals = np.remainder(np.arctan2(off[:, 0], -off[:, 1]), math.pi)
     first, block = np.full((2, len(hood)), -1)
     live = np.arange(len(hood))
     swept = [np.empty((0, 2))]
     for stage in range(2):
         if stage == 0:
-            theta, count = np.unique(best[near], return_counts=True)
-            theta = theta[np.argsort(-count, kind="stable")]
+            theta, count = np.unique(np.concatenate([best[near], normals]), return_counts=True)
+            theta = tried = theta[np.argsort(-count, kind="stable")]
         elif len(live):
             rel = np.isin(hood, hood[live])
             # a pair in several subfamilies has one arc
-            i, j = np.divmod(np.unique(gi[rel] * n + gj[rel]), n)
+            i, j = np.divmod(distinct(gi[rel] * n + gj[rel]), n)
             theta = _critical_angles(pts, rad, i, j, best[rel & near], rows)
-            theta = np.setdiff1d(theta, best[near])
+            theta = theta[~np.isin(theta, tried)]
         while len(theta) and len(live):
             subs, r = np.unique(hood[live], return_inverse=True)
             step = max(1, _BLOCK // (len(subs) * m * k))
@@ -854,10 +876,15 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     """Check total separability: every pair split by a line missing all interiors.
 
     Decided exactly over the critical directions (_refine), ``lines_checked``
-    of them. A split pair gets the first free cut splitting it, one certificate
-    per cut; no such line splits a pair in unresolved, a refutation at tol
-    (scaled by min(1, extent of the packing)). The certificates make the
-    result O(n^2) whatever the packing.
+    of them. The first stage sweeps the near pairs' best directions and the
+    normals of the touching pairs' offsets, which settles the blocks of a
+    totally separable lattice; the rest of the critical directions are swept
+    only for pairs still unsplit. A free cut along any direction is a valid
+    split, and a pair is refuted only after every critical direction, so the
+    verdict is exact. A split pair gets the first free cut splitting it, one
+    certificate per cut; no such line splits a pair in unresolved, a
+    refutation at tol (scaled by min(1, extent of the packing)). The
+    certificates make the result O(n^2) whatever the packing.
     """
     bodies = _as_bodies(bodies)
     n = len(bodies)
@@ -899,7 +926,7 @@ def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     touch = pairs[2] <= t
     table, hoods = _neighbourhoods(n, pairs[0][touch], pairs[1][touch])
     hood, first, _, _ = _refine(feats, table, pairs, t)
-    failing = tuple(np.unique(hood[first < 0]).tolist())
+    failing = tuple(distinct(hood[first < 0]).tolist())
     return LSResult(not failing, failing, hoods)
 
 
@@ -937,7 +964,7 @@ def is_rho_separable(
     rows = _pair_table(pts[0])
     feats = pts[0] + cs[:, None, :], np.repeat(rad, n)
     *_, gi, gj = _hood_pairs(table)
-    i, j = np.divmod(np.unique(gi * n + gj), n)
+    i, j = np.divmod(distinct(gi * n + gj), n)
     hood, first, _, _ = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j, rows), tol, rows)
     failing = hood[first < 0].tolist()
     return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

@@ -322,8 +322,13 @@ def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
 
     Any circle missing every cap within tol can be moved to the best pole of
     its sign pattern, which is among _split_poles and keeps every cap on its
-    side. So each pair gets the best-scoring of those poles that avoid every
-    cap and split it, and a pair with none is refuted exactly. A cap wider
+    side. The blocks of _split_poles are drawn until every pair holds a
+    certificate: each pair gets the best-scoring pole among the blocks drawn
+    that avoids every cap and splits it. A pair with none after every block
+    is refuted exactly. ``poles_checked`` counts the poles of the blocks
+    drawn: below the full candidate count when the packing is TS before the
+    last block, as the octahedral packing is by the poles resting on pairs
+    (56 of 184; the cuboctahedral one needs its triples). A cap wider
     than pi/2 meets every great circle, so it refutes every pair. unresolved
     is always empty; it stays for callers that read it.
     """
@@ -354,6 +359,8 @@ def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
         score[better] = block[k, pairs][better]
         # orient each circle with cap i on the positive side
         found[better] = p[k[better]] * np.sign(dots[k[better], i[better]])[:, None]
+        if (score > -math.inf).all():
+            break
     ok = score > -math.inf
     certificates = {(int(a), int(b)): found[k] for k, (a, b) in enumerate(zip(i, j)) if ok[k]}
     refuted = tuple((int(a), int(b)) for a, b in zip(i[~ok], j[~ok]))

@@ -29,6 +29,7 @@ from sepgeom.spherical import (
     cap_cover_check,
     cuboctahedral_packing,
     enclosing_cap,
+    _split_poles,
     is_ts_cap_packing,
     octahedral_packing,
 )
@@ -52,6 +53,10 @@ def _raw(caps) -> list:
 
 
 def test_spherical_certificates_pass_the_checker(rng):
+    """Every circle of the two cap packings, under 5 rotations, passes the
+    checker. The check stops drawing poles once every pair has a circle: the
+    octahedral packing is settled by the poles of pairs, before any triple
+    (the cuboctahedral one needs its triples: no pair pole misses every cap)."""
     ck = _bench_module("checker")
     for packing in (octahedral_packing(), cuboctahedral_packing()):
         for _ in range(5):
@@ -63,6 +68,10 @@ def test_spherical_certificates_pass_the_checker(rng):
             assert res.is_ts and len(res.certificates) == len(caps) * (len(caps) - 1) // 2
             for (i, j), pole in res.certificates.items():
                 ck.check_cap_pair_circle(tuple(map(float, pole)), raw, i, j, 1e-8)
+            centers = np.array([c.center for c in caps])
+            radii = np.array([c.radius for c in caps])
+            every = sum(map(len, _split_poles(centers, radii, 1 << 16)))
+            assert res.poles_checked < every if len(caps) == 8 else res.poles_checked <= every
     for k in range(3, 8):
         caps = tangent_cap_chain(rng, k)
         rep = cap_cover_check(caps)
@@ -111,6 +120,40 @@ def test_ts_certificates_pass_the_checker(rng):
                 normal, offset, [raw[m] for m in cert.left], [raw[m] for m in cert.right]
             )
             assert clearance >= -tol and abs(clearance - cert.margin) <= tol
+
+
+def test_lattice_blocks_are_settled_by_the_touching_rows(monkeypatch):
+    """Blocks of TS lattices (1-5 rows and columns, cells of 3-6 vertex pairs,
+    quarter turns, moves on the grid of 2^-20) are decided TS and
+    3-separable in the first stage of _refine, from the touching pairs'
+    directions and the normals of their offsets: _critical_angles, which
+    only the second stage calls, raises here. Every TS certificate passes
+    the checker."""
+    ck, gen = (_bench_module(name) for name in ("checker", "inputs"))
+
+    def second_stage(*args):
+        raise AssertionError("a lattice block reached the critical angles")
+
+    monkeypatch.setattr(separability, "_critical_angles", second_stage)
+    draw = random.Random(15)
+    for turn in range(40):
+        rows, cols, k = draw.randint(1, 5), draw.randint(1, 5), draw.randint(3, 6)
+        blk = gen.lattice_block(draw, rows, cols, k)
+        poly, centers = blk["poly"], blk["centers"]
+        for _ in range(turn % 4):
+            poly, centers = ([(-y, x) for x, y in pts] for pts in (poly, centers))
+        dx, dy = (draw.randint(-(1 << 22), 1 << 22) * 2.0**-20 for _ in range(2))
+        centers = np.array([(x + dx, y + dy) for x, y in centers])
+        ref = ConvexBody.polygon(poly)
+        bodies = [ref.translate(c) for c in centers]
+        raw = [_raw_body(b) for b in bodies]
+        tol = 1e-9 * ck.scale_of(raw)
+        n = len(bodies)
+        res = is_ts_packing(bodies)
+        assert res.is_ts and len(res.certificates) == n * (n - 1) // 2, turn
+        for (i, j), cert in res.certificates.items():
+            ck.check_pair_line(tuple(map(float, cert.plane.normal)), cert.plane.offset, raw, i, j, tol)
+        assert separability.is_rho_separable(ref, centers, 3.0).separable, turn
 
 
 def _moved(rng, bodies) -> list:

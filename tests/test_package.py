@@ -75,7 +75,9 @@ def test_cold_import_loads_no_submodule_and_resolves_every_name():
     assert run.returncode == 0, run.stderr
 
 
-# one sepgeom.cli.main call in a fresh interpreter: [exit code, loaded submodules]
+# one sepgeom.cli.main call in a fresh interpreter: [exit code, loaded submodules,
+# whether numpy.ma was loaded though scipy was not: scipy.spatial (kertesz) loads
+# it with its copy of numpy's namespace]
 CLI_CALL = """
 import contextlib, io, json, sys
 from sepgeom import cli
@@ -85,7 +87,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         cli.main(json.loads(sys.argv[1]))
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m[len("sepgeom."):] for m in sys.modules if m.startswith("sepgeom."))]))
+loaded = sorted(m[len("sepgeom."):] for m in sys.modules if m.startswith("sepgeom."))
+print(json.dumps([code, loaded, "numpy.ma" in sys.modules and "scipy" not in sys.modules]))
 """
 
 DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
@@ -129,9 +132,11 @@ CLI_CASES = [
                          ids=[" ".join(case[0]) + ("" if case[2] == 0 else " (bad input)") for case in CLI_CASES])
 def test_a_cli_call_loads_only_what_its_command_reads(argv, stdin, code, modules):
     """Each subcommand imports its own submodules: only svg output loads svg,
-    and only lambda-density loads lambda_density."""
+    and only lambda-density loads lambda_density. None loads numpy.ma, which
+    np.unique without return flags imports on first use, unless scipy does."""
     run = fresh_python(CLI_CALL, json.dumps(argv), stdin=None if stdin is None else json.dumps(stdin))
     assert run.returncode == 0, run.stderr
-    got_code, loaded = json.loads(run.stdout)
+    got_code, loaded, masked = json.loads(run.stdout)
     assert got_code == code
     assert set(loaded) == modules
+    assert not masked

@@ -469,6 +469,32 @@ def test_ts_ls_rho_match_the_tangent_line_pool(rng):
     assert len(seen) == 6
 
 
+def test_a_non_ts_packing_still_reaches_the_critical_angles(rng, monkeypatch):
+    """Random packings of polygons and disks that the tangent-line pool
+    judges not TS are refuted only after the second stage of _refine, the
+    critical angles, and leave the pool's pairs unresolved."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _critical_angles(*args)
+
+    monkeypatch.setattr(separability, "_critical_angles", counted)
+    refuted = 0
+    for _ in range(20):
+        poly = random_convex_polygon(rng, 6, 0.6)
+        shapes = [ConvexBody.disk((0.0, 0.0), 0.5), poly.translate(-poly.centroid())]
+        bodies = move_bodies(rng, touching_packing(rng, shapes, int(rng.integers(4, 9))))
+        is_ts, unresolved = ts_reference(bodies)
+        if is_ts:
+            continue
+        calls.clear()
+        res = is_ts_packing(bodies)
+        assert calls and (res.is_ts, sorted(res.unresolved)) == (False, unresolved)
+        refuted += 1
+    assert refuted >= 3
+
+
 def test_rho_separability_matches_ts_of_each_neighbourhood(rng):
     """is_rho_separable prices pairs through the reference (_pair_table);
     each member's neighbourhood, by plain-Python gauges, handed to
