@@ -117,6 +117,7 @@ CALLS = {
     "min_cover_ratio/ns-disk": ((32, 128, 256), _homothets("disk", False), "min_cover_ratio"),
     "hull_circumradius/points": ((64, 192, 400), _segments, "measures.hull_circumradius"),
     "is_ts_packing/polyomino": ((1000, 2000), _polyominoes, "is_ts_packing"),
+    "is_ts_packing/spiral": ((1000, 10000), _spiral, "is_ts_packing"),
     "is_ts_packing/lattice-12gon": ((100, 256), _lattice_bodies, "is_ts_packing"),
     "is_ts_cap_packing/octahedral": ((8,), _caps("octahedral"), "is_ts_cap_packing"),
     "is_ts_cap_packing/cuboctahedral": ((6,), _caps("cuboctahedral"), "is_ts_cap_packing"),

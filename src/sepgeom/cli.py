@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _jsonify(x):
         return x.tolist()
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return {str(k): _jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +80,7 @@ class SNSResult:
 @dataclass(frozen=True)
 class TSResult:
     is_ts: bool
-    certificates: dict
+    certificates: Mapping
     unresolved: tuple[tuple[int, int], ...]
     lines_checked: int
 
@@ -624,6 +626,13 @@ def _near_translates(body: ConvexBody, centers, reach: float, tol: float):
     return _near_pairs(proj - h, proj + h, tol * float(h.max()))
 
 
+def _x_units(shape) -> np.ndarray:
+    """Unit directions (1, 0), shape (..., 2): the default where none is defined."""
+    out = np.zeros(shape)
+    out[..., 0] = 1.0
+    return out
+
+
 def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-line clearance of the pairs (i[p], j[p]) of members, with its unit
     direction u and mid-gap offset s: member i[p] lies below the line
@@ -633,7 +642,10 @@ def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Along a unit u the gap is min over feature pairs of <u, b - a> - r_i -
     r_j, and its maximum over u is attained along a vertex b - a of the
     pair's difference body or an edge normal of either member, so only those
-    directions and their opposites are evaluated. The edge normals come from
+    directions and their opposites are evaluated, from one projection onto
+    each direction: along -u a member's top is minus its minimum along u.
+    The projection runs over (pair, feature, direction), so the max and min
+    over features are elementwise passes. The edge normals come from
     the padded feature rows; directions that are not defined (coincident
     features, the zero edges of padding) are set to (1, 0), and any unit
     direction only gives a lower gap. Without rows every feature pair is
@@ -657,27 +669,25 @@ def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
         edges = np.roll(pts, -1, axis=1) - pts
         normals = np.stack([edges[..., 1], -edges[..., 0]], axis=2)
         length = np.linalg.norm(normals, axis=2, keepdims=True)
-        normals = np.divide(
-            normals, length, out=np.broadcast_to((1.0, 0.0), normals.shape).copy(), where=length > 0.0
-        )
+        normals = np.divide(normals, length, out=_x_units(normals.shape), where=length > 0.0)
     cands = k * k + 2 * normals.shape[1] if rows is None else len(rows) + normals.shape[1]
     step = max(1, _BLOCK // (2 * cands * k))
     for lo in range(0, len(i), step):
         bi, bj = i[lo : lo + step], j[lo : lo + step]
-        a, b = pts[bi], pts[bj]
         p = _differences(pts, bi, bj, rows)
         length = np.hypot(p[..., 0], p[..., 1])[..., None]
-        u = np.broadcast_to((1.0, 0.0), p.shape).copy()
-        np.divide(p, length, out=u, where=length > 0.0)
+        u = np.divide(p, length, out=_x_units(p.shape), where=length > 0.0)
         u = np.concatenate([u, normals[bi]] + ([normals[bj]] if rows is None else []), axis=1)
-        u = np.concatenate([u, -u], axis=1)
-        hi = (u @ a.transpose(0, 2, 1)).max(axis=2) + rad[bi, None]
-        top = (u @ b.transpose(0, 2, 1)).min(axis=2) - rad[bj, None]
+        # projections (2, pairs, k, candidates) of both members
+        proj = pts[np.concatenate([bi, bj])].reshape(2, len(bi), k, 2) @ u.transpose(0, 2, 1)
+        most, least = proj.max(axis=2), proj.min(axis=2)
+        hi = np.concatenate([most[0], -least[0]], axis=1) + rad[bi, None]
+        top = np.concatenate([least[1], -most[1]], axis=1) - rad[bj, None]
         best = np.argmax(top - hi, axis=1)
         at = np.arange(len(bi))
         hi, top = hi[at, best], top[at, best]
         gaps[lo : lo + step] = top - hi
-        dirs[lo : lo + step] = u[at, best]
+        dirs[lo : lo + step] = np.concatenate([u, -u], axis=1)[at, best]
         offs[lo : lo + step] = 0.5 * (top + hi)
     return gaps, dirs, offs
 
@@ -729,9 +739,10 @@ def _cuts(u, pts, rad, table, tol: float):
     valid = table >= 0
     lo, hi = np.where(valid, lo[:, at], np.inf), np.where(valid, hi[:, at], -np.inf)
     order, gaps = sweep(lo, hi)
-    free = gaps >= -tol
-    ids = np.concatenate([np.zeros(free.shape[:2] + (1,), int), np.cumsum(free, axis=2)], axis=2)
-    np.put_along_axis(ids, order, ids.copy(), axis=2)  # back to the order of table
+    block = np.zeros_like(order)
+    np.cumsum(gaps >= -tol, axis=2, out=block[..., 1:])
+    ids = np.empty_like(block)  # back to the order of table
+    ids.reshape(-1)[order + np.arange(0, order.size, order.shape[2]).reshape(order.shape[:2] + (1,))] = block
     return lo, hi, ids
 
 
@@ -756,18 +767,35 @@ def _critical_angles(pts, rad, i, j, best, rows=None) -> np.ndarray:
     return distinct(np.concatenate([ends, np.remainder(mids, math.pi)]))
 
 
-def _hood_pairs(table):
-    """Per pair of members of a row of table (padding -1), row-major and in
-    np.triu_indices order within a row: the row, the two columns, and the two
-    members, the smaller first."""
-    m = table.shape[1]
-    hood, a, c = np.nonzero(np.triu(np.ones((m, m), dtype=bool), 1) & (table >= 0)[:, None, :])
-    gi, gj = np.sort([table[hood, a], table[hood, c]], axis=0)
-    return hood, a, c, gi, gj
+def _row_pairs(table, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (i, j), i < j, of the n members that share a row of
+    table (padding -1), sorted by i n + j."""
+    a, c = np.triu_indices(table.shape[1], 1)
+    x, y = table[:, a].ravel(), table[:, c].ravel()
+    both = (x >= 0) & (y >= 0)
+    x, y = x[both], y[both]
+    return np.divmod(distinct(np.minimum(x, y) * n + np.maximum(x, y)), n)
+
+
+def _shared_rows(table, n: int, i, j) -> np.ndarray:
+    """Per pair (i[p], j[p]) of the n members, the number of rows of table
+    (padding -1) holding both: each row of member i[p] is looked up among
+    the (member, row) entries of j[p], O(pairs times rows per member)."""
+    h, c = np.nonzero(table >= 0)
+    rows = len(table)
+    key = np.sort(table[h, c] * rows + h)  # (member, row), member-major
+    start = key.searchsorted(np.arange(n + 1) * rows)
+    count = start[i + 1] - start[i]
+    p = np.repeat(np.arange(len(i)), count)
+    at = np.arange(len(p)) + np.repeat(start[i] - np.cumsum(count) + count, count)
+    want = j[p] * rows + key[at] % rows
+    hit = key[np.minimum(key.searchsorted(want), len(key) - 1)] == want
+    return np.bincount(p[hit], minlength=len(i))
 
 
 def _refine(feats, table, pairs, tol: float, rows=None):
-    """Partition refinement of subfamilies of a packing over critical directions.
+    """Partition refinement of subfamilies of a packing by member labels over
+    critical directions.
 
     Row h of table lists the members of subfamily h of a packing, padded with
     -1; feats is its _member_features and pairs some of its pairs (i, j),
@@ -783,78 +811,81 @@ def _refine(feats, table, pairs, tol: float, rows=None):
     set can be that one direction. A pair that is not near has a clearance
     above tol, so its threshold-0 arc is open, its ends are critical angles
     and the midpoints between them are swept. So the best directions are
-    looked up for the given pairs only, by a search over their sorted keys.
+    those of the given pairs only.
 
-    The first stage sweeps, the most frequent first, those best directions
-    and the normal of each touching pair's offset (the difference of the
-    two members' first feature rows; for translates, the translation between
-    them). Touching members in a row along a lattice vector share that
-    normal, and it is the direction of the free lines between the rows, so
-    the first stage settles a lattice block, where the best direction of a
-    corner-to-corner contact is only the first tied candidate and splits
-    nothing. The second stage sweeps the rest of the critical directions
-    (_critical_angles) for the subfamilies still unsettled. Any free cut
-    splits its pair, whatever its direction, and a pair is left unsplit only
-    after every critical direction, so the extra normals keep the check
-    exact; they only change which free cut is found first. Directions go in
-    blocks of about _BLOCK entries.
+    Every entry of a row carries a label, at first one per row (and one per
+    padding entry). A block of directions relabels the entries of the rows
+    not yet settled by the rank of (label, block along each direction of
+    the block), one lexicographic sort: two members of a row share a label
+    exactly when no direction so far puts them in different blocks. A row
+    is settled when its labels are distinct, and the sweep stops once every
+    row is. No pair is tracked: besides the labels, a block's intervals take
+    O(entries) per direction, and only the directions that split a label
+    keep theirs, for the TS certificates.
+
+    The first stage sweeps, the most frequent first (a pair counting once per
+    row holding it), those best directions and the normal of each touching
+    pair's offset (the difference of the two members' first feature rows;
+    for translates, the translation between them). Touching members in a row
+    along a lattice vector share that normal, and it is the direction of the
+    free lines between the rows, so the first stage settles a lattice block,
+    where the best direction of a corner-to-corner contact is only the first
+    tied candidate and splits nothing. The second stage sweeps the rest of
+    the critical directions (_critical_angles) of every pair of the rows
+    still unsettled. Any free cut splits its pair, whatever its direction,
+    and a pair is left unsplit only after every critical direction, so the
+    extra normals keep the check exact; they only change which free cut is
+    found first. Directions go in blocks of about _BLOCK entries.
 
     rows, if given, is the _pair_table of a reference of which the members
     are translates (_critical_angles).
 
-    Returns, per pair of members of a subfamily (row-major, np.triu_indices
-    order within a row), its row, the index into the returned directions of
-    the first one whose free cuts split it (-1 if none does) and the block
-    below that cut, and the directions swept.
+    Returns the rows left unsettled, the final labels (H, m), the number of
+    directions swept, and per block the directions that split some label,
+    with their intervals and blocks (_cuts, (D, rows, m)) in the rows that
+    were unsettled before the block.
     """
     pts, rad = feats
-    (n, k), m = pts.shape[:2], table.shape[1]
-    hood, a, c, gi, gj = _hood_pairs(table)
-    # priced pairs are sorted by the key i n + j; n n ends the keys as a sentinel
-    keys, want = np.append(pairs[0] * n + pairs[1], n * n), gi * n + gj
-    pos = np.searchsorted(keys, want)
-    near = keys[pos] == want
-    d = pairs[3][pos[near]]
-    best = np.full(len(hood), np.nan)
-    best[near] = np.remainder(np.arctan2(d[:, 1], d[:, 0]), math.pi)
-    touch = np.flatnonzero(near)[pairs[2][pos[near]] <= tol]
-    off = pts[gj[touch], 0] - pts[gi[touch], 0]
+    (n, k), (h, m) = pts.shape[:2], table.shape
+    i, j, gaps, dirs = pairs[:4]
+    best = np.remainder(np.arctan2(dirs[:, 1], dirs[:, 0]), math.pi)
+    touch = gaps <= tol
+    off = pts[j[touch], 0] - pts[i[touch], 0]
     normals = np.remainder(np.arctan2(off[:, 0], -off[:, 1]), math.pi)
-    first, block = np.full((2, len(hood)), -1)
-    live = np.arange(len(hood))
-    swept = [np.empty((0, 2))]
+    shared = _shared_rows(table, n, i, j)
+    weight = np.concatenate([shared, shared[touch]])
+    angles = np.concatenate([best, normals])[weight > 0]
+    theta = distinct(angles)
+    count = np.bincount(theta.searchsorted(angles), weights=weight[weight > 0], minlength=len(theta))
+    theta = tried = theta[np.argsort(-count, kind="stable")]
+    valid = table >= 0
+    lab = np.arange(h)[:, None] * (m + 1) + np.where(valid, 0, np.arange(1, m + 1))
+    live = np.flatnonzero(valid.sum(axis=1) > 1)
+    swept, cuts = 0, []
     for stage in range(2):
-        if stage == 0:
-            theta, count = np.unique(np.concatenate([best[near], normals]), return_counts=True)
-            theta = tried = theta[np.argsort(-count, kind="stable")]
-        elif len(live):
-            rel = np.isin(hood, hood[live])
-            # a pair in several subfamilies has one arc
-            i, j = np.divmod(distinct(gi[rel] * n + gj[rel]), n)
-            theta = _critical_angles(pts, rad, i, j, best[rel & near], rows)
+        if stage == 1 and len(live):
+            a, b = _row_pairs(table[live], n)
+            priced, want = np.append(i * n + j, n * n), a * n + b
+            pos = priced.searchsorted(want)
+            theta = _critical_angles(pts, rad, a, b, best[pos[priced[pos] == want]], rows)
             theta = theta[~np.isin(theta, tried)]
         while len(theta) and len(live):
-            subs, r = np.unique(hood[live], return_inverse=True)
-            step = max(1, _BLOCK // (len(subs) * m * k))
-            u = np.stack([np.cos(theta[:step]), np.sin(theta[:step])], axis=1)
-            b = _cuts(u, pts, rad, table[subs], tol)[2]
-            # label members by the first of their class; a pair splits only if one leaves it
-            lab = np.tile(np.arange(m), (len(subs), 1))
-            np.minimum.at(lab, (r, c[live]), a[live])
-            moved = (b != np.take_along_axis(b, np.broadcast_to(lab, b.shape), axis=2)).any(axis=0)
-            cand = np.flatnonzero(moved[r, a[live]] | moved[r, c[live]])
-            size = max(1, _BLOCK // len(u))
-            for s in range(0, len(cand), size):
-                p, rp = live[cand[s : s + size]], r[cand[s : s + size]]
-                x, y = b[:, rp, a[p]], b[:, rp, c[p]]
-                hit = x != y
-                split = hit.any(axis=0)
-                at = hit.argmax(axis=0)[split]
-                first[p[split]] = sum(map(len, swept)) + at
-                block[p[split]] = np.minimum(x, y)[at, np.flatnonzero(split)]
-            live, theta = live[first[live] < 0], theta[step:]
-            swept.append(u)
-    return hood, first, block, np.vstack(swept)
+            step = max(1, _BLOCK // (len(live) * m * k))
+            u = np.empty((len(theta[:step]), 2))
+            u[:, 0], u[:, 1] = np.cos(theta[:step]), np.sin(theta[:step])
+            lo, hi, ids = _cuts(u, pts, rad, table[live], tol)
+            keys = np.concatenate([lab[live][None], ids]).reshape(len(u) + 1, -1)
+            order = np.lexsort(keys[::-1])
+            # apart[d, q]: key d tells the entries at sorted positions q, q + 1 apart
+            apart = np.diff(keys[:, order], axis=1) != 0
+            new = np.empty_like(order)
+            new[order] = np.concatenate([[0], np.cumsum(apart.any(axis=0))])
+            lab[live] = new.reshape(len(live), m)
+            split = np.bincount(apart.argmax(axis=0), minlength=len(u) + 1)[1:] > 0
+            cuts.append((u[split], lo[split], hi[split], ids[split]))
+            settled = (np.bincount(new)[new] == 1).reshape(len(live), m).all(axis=1)
+            live, theta, swept = live[~settled], theta[step:], swept + len(u)
+    return live, lab, swept, cuts
 
 
 def _neighbourhoods(n: int, i, j):
@@ -872,39 +903,120 @@ def _neighbourhoods(n: int, i, j):
     return table, hoods
 
 
+def _label_pairs(label, same: bool):
+    """The pairs (i, j), i < j, in np.triu_indices order, of members whose
+    labels are equal (same) or differ."""
+    for i in range(len(label) - 1):
+        j = np.flatnonzero((label[i + 1 :] == label[i]) == same) + (i + 1)
+        yield from zip(itertools.repeat(i), j.tolist())
+
+
+class _PairLines(Mapping):
+    """The certificates of a TS check: (i, j) -> SeparationCertificate for
+    every split pair i < j, in np.triu_indices order, each built on access.
+
+    From the directions u (U, 2) of _refine that split a label, with the
+    members' intervals lo, hi and blocks ids (U, n) along each: a pair's
+    line is the cut after the smaller of its two blocks along the first of
+    them that puts the pair in different blocks, the first swept direction
+    that does. label (n,) holds the members' final labels, shared exactly by
+    the pairs that no line splits, which are absent. Memory is O(n U), and
+    one certificate per cut once built.
+    """
+
+    def __init__(self, label, u, lo, hi, ids):
+        self._label, self._u, self._lo, self._hi, self._ids = label, u, lo, hi, ids
+        self._paths = None
+        self._lines = {}
+
+    def __len__(self) -> int:
+        n = len(self._label)
+        size = np.unique(self._label, return_counts=True)[1]
+        return n * (n - 1) // 2 - int((size * (size - 1) // 2).sum())
+
+    def __iter__(self):
+        return _label_pairs(self._label, same=False)
+
+    def _blocks(self, key):
+        """The blocks along u of the members of key, a split pair (i, j),
+        i < j, or None for any other key."""
+        if self._paths is None:
+            self._paths = self._ids.T.tolist()
+        try:
+            i, j = map(operator.index, key)
+        except (TypeError, ValueError):
+            return None
+        if 0 <= i < j < len(self._paths) and self._paths[i] != self._paths[j]:
+            return self._paths[i], self._paths[j]
+        return None
+
+    def __contains__(self, key) -> bool:
+        return self._blocks(key) is not None
+
+    def __getitem__(self, key) -> SeparationCertificate:
+        blocks = self._blocks(key)
+        if blocks is None:
+            raise KeyError(key)
+        for f, (x, y) in enumerate(zip(*blocks)):
+            if x != y:
+                break
+        line = self._lines.get((f, min(x, y)))
+        return self._cut(np.array([f]), np.array([min(x, y)]))[0] if line is None else line
+
+    def _cut(self, f, c) -> list[SeparationCertificate]:
+        """The certificates of the cuts after block c[q] along u[f[q]], those
+        not built yet in one _certificates call."""
+        keys = list(zip(f.tolist(), c.tolist()))
+        new = [q for q, key in enumerate(keys) if key not in self._lines]
+        if new:
+            fn, cn = f[new], c[new]
+            lines = _certificates(self._u[fn], self._lo[fn], self._hi[fn], self._ids[fn] <= cn[:, None])
+            self._lines.update(zip((keys[q] for q in new), lines))
+        return [self._lines[key] for key in keys]
+
+    def items(self):
+        """Every (pair, certificate), built in one vectorized pass."""
+        i, j = np.triu_indices(len(self._label), 1)
+        keep = self._label[i] != self._label[j]
+        i, j = i[keep], j[keep]
+        if not len(i):
+            return {}.items()
+        f = (self._ids[:, i] != self._ids[:, j]).argmax(axis=0)
+        n = len(self._label)
+        cut, which = np.unique(f * n + np.minimum(self._ids[f, i], self._ids[f, j]), return_inverse=True)
+        lines = self._cut(*np.divmod(cut, n))
+        return dict(zip(zip(i.tolist(), j.tolist()), map(lines.__getitem__, which.tolist()))).items()
+
+
 def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     """Check total separability: every pair split by a line missing all interiors.
 
     Decided exactly over the critical directions (_refine), ``lines_checked``
-    of them. The first stage sweeps the near pairs' best directions and the
-    normals of the touching pairs' offsets, which settles the blocks of a
-    totally separable lattice; the rest of the critical directions are swept
-    only for pairs still unsplit. A free cut along any direction is a valid
-    split, and a pair is refuted only after every critical direction, so the
-    verdict is exact. A split pair gets the first free cut splitting it, one
-    certificate per cut; no such line splits a pair in unresolved, a
-    refutation at tol (scaled by min(1, extent of the packing)). The
-    certificates make the result O(n^2) whatever the packing.
+    of them, by refining member labels. The first stage sweeps the near
+    pairs' best directions and the normals of the touching pairs' offsets,
+    which settles the blocks of a totally separable lattice; the rest of the
+    critical directions are swept only while two members still share a
+    label. A free cut along any direction is a valid split, and a pair is
+    refuted only after every critical direction, so the verdict is exact.
+    ``certificates`` is a read-only mapping: a split pair's line, the first
+    free cut splitting it, is built when it is looked up (_PairLines), so
+    the result keeps O(n) numbers per direction that split a label. No such
+    line splits a pair in unresolved, a refutation at tol (scaled by min(1,
+    extent of the packing)).
     """
     bodies = _as_bodies(bodies)
     n = len(bodies)
     if n == 0:
         raise GeometryError("empty packing")
     feats, t, pairs = _packing_pairs(bodies, tol)
-    pts, rad = feats
-    table = np.arange(n)[None, :]
-    _, first, block, dirs = _refine(feats, table, pairs, t)
-    split = first >= 0
-    cuts, which = np.unique(first[split] * n + block[split], return_inverse=True)
-    u = dirs[cuts // n]
-    lo, hi, b = (x[:, 0] for x in _cuts(u, pts, rad, table, t))
-    certs = _certificates(u, lo, hi, b <= (cuts % n)[:, None])
-    i, j = np.triu_indices(n, 1)
-    certificates = dict(
-        zip(zip(i[split].tolist(), j[split].tolist()), map(certs.__getitem__, which.tolist()))
-    )
-    unresolved = tuple(zip(i[~split].tolist(), j[~split].tolist()))
-    return TSResult(not unresolved, certificates, unresolved, len(dirs))
+    live, lab, swept, cuts = _refine(feats, np.arange(n)[None, :], pairs, t)
+    if cuts:
+        u, lo, hi, ids = (np.concatenate(x) for x in zip(*cuts))
+    else:
+        u, lo, hi, ids = (np.empty((0, 2)),) + (np.empty((0, 1, n), int),) * 3
+    unresolved = tuple(_label_pairs(lab[0], same=True)) if len(live) else ()
+    certificates = _PairLines(lab[0], u, lo[:, 0], hi[:, 0], ids[:, 0])
+    return TSResult(not unresolved, certificates, unresolved, swept)
 
 
 def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
@@ -917,7 +1029,9 @@ def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
 
 def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     """Check local separability: each member plus its touching neighbours is
-    TS, at tol scaled by min(1, extent of the packing)."""
+    TS, at tol scaled by min(1, extent of the packing). The neighbourhoods
+    are the rows of one label refinement (_refine); a failing member is one
+    whose row keeps two members on one label."""
     bodies = _as_bodies(bodies)
     n = len(bodies)
     if n == 0:
@@ -925,8 +1039,7 @@ def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     feats, t, pairs = _packing_pairs(bodies, tol)
     touch = pairs[2] <= t
     table, hoods = _neighbourhoods(n, pairs[0][touch], pairs[1][touch])
-    hood, first, _, _ = _refine(feats, table, pairs, t)
-    failing = tuple(distinct(hood[first < 0]).tolist())
+    failing = tuple(_refine(feats, table, pairs, t)[0].tolist())
     return LSResult(not failing, failing, hoods)
 
 
@@ -942,7 +1055,9 @@ def is_rho_separable(
     a gauge, and only the pairs sharing a neighbourhood a clearance. The
     members are priced through the reference K: a pair's clearance and arc
     read only the at most 2k vertices of K - K (_pair_table), not k^2
-    feature differences.
+    feature differences. The neighbourhoods are the rows of one label
+    refinement (_refine); the failing member is the first whose row keeps
+    two members on one label.
     """
     if rho < 1.0:
         raise GeometryError("rho must be at least 1")
@@ -963,8 +1078,6 @@ def is_rho_separable(
     pts, rad = _member_features([reference])
     rows = _pair_table(pts[0])
     feats = pts[0] + cs[:, None, :], np.repeat(rad, n)
-    *_, gi, gj = _hood_pairs(table)
-    i, j = np.divmod(distinct(gi * n + gj), n)
-    hood, first, _, _ = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j, rows), tol, rows)
-    failing = hood[first < 0].tolist()
+    i, j = _row_pairs(table, n)
+    failing = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j, rows), tol, rows)[0].tolist()
     return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

@@ -12,15 +12,17 @@ import numpy as np
 from helpers import (
     _plain_features,
     disk_bodies,
+    move_bodies,
     random_convex_polygon,
     random_reference,
     random_symmetric_polygon,
     tangent_cap_chain,
     thirteen_ts_centers,
+    touching_packing,
     ts_lattice_subset,
 )
 from sepgeom import separability
-from sepgeom.bodies import ConvexBody, HomothetFamily, polygon_facets
+from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, polygon_facets
 from sepgeom.covering import _containment_violation, min_cover_ratio
 from sepgeom.packing import polyomino_packing
 from sepgeom.separability import find_separating_hyperplane, is_non_separable, is_ts_packing
@@ -154,6 +156,101 @@ def test_lattice_blocks_are_settled_by_the_touching_rows(monkeypatch):
         for (i, j), cert in res.certificates.items():
             ck.check_pair_line(tuple(map(float, cert.plane.normal)), cert.plane.offset, raw, i, j, tol)
         assert separability.is_rho_separable(ref, centers, 3.0).separable, turn
+
+
+def _z2(turn: int, pts) -> np.ndarray:
+    """Symmetry number turn (0 to 7) of Z^2 on points (..., 2): turn % 4
+    quarter turns, then y -> -y from turn 4 on. Exact in floating point."""
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
+    for _ in range(turn % 4):
+        x, y = -y, x
+    return np.stack([x, -y if turn >= 4 else y], axis=-1)
+
+
+def _mapped(bodies, f) -> list:
+    return [
+        ConvexBody.disk(f(b.center), b.radius) if b.kind == "disk" else ConvexBody.polygon(f(b.vertices))
+        for b in bodies
+    ]
+
+
+def _on_grid(draw) -> ConvexBody:
+    """A polygon from draw() with its vertices rounded to the grid of 2^-8."""
+    while True:
+        try:
+            return ConvexBody.polygon(np.round(draw().vertices * 256.0) / 256.0)
+        except GeometryError:
+            continue
+
+
+def _packing_answers(ck, bodies) -> tuple:
+    """TS and LS answers of a packing, each TS certificate checked."""
+    raw = [_raw_body(b) for b in bodies]
+    tol = 1e-9 * ck.scale_of(raw)
+    ts, ls = is_ts_packing(bodies), separability.is_ls_packing(bodies)
+    for (i, j), cert in ts.certificates.items():
+        ck.check_pair_line(tuple(map(float, cert.plane.normal)), cert.plane.offset, raw, i, j, tol)
+    return ts.is_ts, ts.unresolved, ls.failing_members, ls.neighborhoods
+
+
+def _rho_answers(ref, centers) -> list:
+    out = []
+    for rho in (3.0, 4.5):
+        res = separability.is_rho_separable(ref, centers, rho)
+        out.append((res.separable, res.failing_member, res.neighborhoods))
+    return out
+
+
+def test_packing_answers_do_not_change_under_exact_maps(rng):
+    """TS, LS and rho give the same verdicts, unresolved pairs, failing
+    members and neighbourhoods under the 8 symmetries of Z^2 and under
+    translations by multiples of 2^-20. Both maps are exact here, so
+    touching members stay touching: the symmetries on any coordinates, the
+    translations on packings whose coordinates lie on a coarse dyadic grid
+    (polygons with vertices on the grid of 2^-8, attached at vertices and
+    edge midpoints, and verdictbench's lattice blocks). Every TS
+    certificate passes checker.check_pair_line."""
+    ck, gen = (_bench_module(name) for name in ("checker", "inputs"))
+    disk = ConvexBody.disk((0.0, 0.0), 0.5)
+    cases = []  # (bodies, reference and centers for rho or None, on the grid)
+    for t in range(24):
+        n = int(rng.integers(3, 9))
+        if t % 3 == 0:
+            poly = random_convex_polygon(rng, 6, 0.6)
+            shapes = [disk, poly.translate(-poly.centroid())]
+            cases.append((move_bodies(rng, touching_packing(rng, shapes, n)), None, False))
+        elif t % 3 == 1:
+            shapes = [_on_grid(lambda: random_convex_polygon(rng, int(rng.integers(3, 7)), 0.6)) for _ in range(2)]
+            cases.append((touching_packing(rng, shapes, n), None, True))
+        else:
+            ref = _on_grid(lambda: random_symmetric_polygon(rng))
+            members = touching_packing(rng, [ref], n)
+            centers = np.array([b.vertices[0] - ref.vertices[0] for b in members])
+            cases.append((members, (ref, centers), True))
+    draw = random.Random(16)
+    for rows, cols, k in ((2, 3, 4), (3, 3, 3), (1, 4, 6), (3, 4, 5)):
+        blk = gen.lattice_block(draw, rows, cols, k)
+        ref, centers = ConvexBody.polygon(blk["poly"]), np.array(blk["centers"])
+        cases.append(([ref.translate(c) for c in centers], (ref, centers), True))
+    seen = set()
+    for q, (bodies, translates, grid) in enumerate(cases):
+        want = _packing_answers(ck, bodies)
+        rho = translates and _rho_answers(*translates)
+        maps = [(lambda p, turn=turn: _z2(turn, p), True) for turn in range(1, 8)]
+        if grid:
+            # on the grid of 2^-20 and below 2^12, so sums with the shifts are exact
+            coords = np.concatenate([b.vertices for b in bodies]) * 2.0**20
+            assert (coords == np.round(coords)).all() and np.abs(coords).max() < 2.0**32, q
+            shifts = rng.integers(-(1 << 30), 1 << 30, (2, 2)) * 2.0**-20
+            maps += [(lambda p, s=s: p + s, False) for s in shifts]
+        for f, turns in maps:
+            assert _packing_answers(ck, _mapped(bodies, f)) == want, q
+            if translates:
+                ref, centers = translates
+                assert _rho_answers(_mapped([ref], f)[0] if turns else ref, f(centers)) == rho, q
+        seen |= {("ts", want[0]), ("ls", not want[2])} | {("rho", r[0]) for r in rho or ()}
+    assert len(seen) == 6, seen
 
 
 def _moved(rng, bodies) -> list:

@@ -1,6 +1,7 @@
 """NS / SNS decisions, separation certificates, TS / LS / rho packings."""
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -493,6 +494,78 @@ def test_a_non_ts_packing_still_reaches_the_critical_angles(rng, monkeypatch):
         assert calls and (res.is_ts, sorted(res.unresolved)) == (False, unresolved)
         refuted += 1
     assert refuted >= 3
+
+
+def _plain_clearance(cert, bodies) -> float:
+    """Smallest clearance of the certificate's left members below its line
+    and right members above it, in plain Python."""
+    (nx, ny), s = map(float, cert.plane.normal), cert.plane.offset
+    out = math.inf
+    for members, below in ((cert.left, True), (cert.right, False)):
+        for m in members:
+            pts, r, _ = _plain_features(bodies[m])
+            proj = [nx * x + ny * y for x, y in pts]
+            out = min(out, (s - max(proj) if below else min(proj) - s) - r)
+    return out
+
+
+def test_ts_certificates_act_like_a_dict(rng, monkeypatch):
+    """TSResult.certificates is a read-only mapping that acts like a dict of
+    one line per split pair i < j in np.triu_indices order. On random
+    touching packings and packings of members apart, some certified or
+    refuted only in the second stage of _refine, len, iteration, keys,
+    items() and dict() give the keys reconstructed in plain Python from the
+    unresolved pairs; a lookup gives the line that items() gives, and that
+    line splits its pair with its margin. (j, i), unresolved pairs and any
+    other key raise KeyError."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _critical_angles(*args)
+
+    monkeypatch.setattr(separability, "_critical_angles", counted)
+    seen = {"TS in stage two": 0, "refuted": 0}
+    for t in range(36):
+        poly = random_convex_polygon(rng, 6, 0.6)
+        shapes = [ConvexBody.disk((0.0, 0.0), 0.5), poly.translate(-poly.centroid())]
+        if t % 3 < 2:
+            bodies = move_bodies(rng, touching_packing(rng, shapes[t % 2 :], int(rng.integers(3, 9))))
+        else:
+            # apart: pairs that are not near get no best direction
+            bodies = []
+            for c in rng.uniform(-3.0, 3.0, (40, 2)):
+                b = shapes[int(rng.integers(2))].translate(c)
+                if len(bodies) < 7 and all(pair_separation(b, o) > 1e-6 for o in bodies):
+                    bodies.append(b)
+        n = len(bodies)
+        calls.clear()
+        res = is_ts_packing(bodies)
+        seen["TS in stage two"] += res.is_ts and bool(calls)
+        seen["refuted"] += not res.is_ts
+        certs = res.certificates
+        keys = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in res.unresolved]
+        assert isinstance(certs, Mapping) and not isinstance(certs, dict), t
+        assert len(certs) == len(keys) and list(certs) == keys and list(certs.keys()) == keys, t
+        # lookups first, each line built on access, then items() in one pass
+        looked = dict(certs)
+        items = certs.items()
+        assert list(looked) == keys and len(items) == len(keys) and [key for key, _ in items] == keys, t
+        assert res.is_ts == (len(certs) == n * (n - 1) // 2), t
+        for (i, j), cert in items:
+            got = looked[i, j]
+            assert (got.plane.normal == cert.plane.normal).all() and got.plane.offset == cert.plane.offset, t
+            assert (got.left, got.right, got.margin) == (cert.left, cert.right, cert.margin), t
+            assert (i in cert.left) != (j in cert.left) and sorted(cert.left + cert.right) == list(range(n))
+            assert abs(_plain_clearance(cert, bodies) - cert.margin) <= 1e-9, t
+            assert (i, j) in certs and (j, i) not in certs
+            with pytest.raises(KeyError):
+                certs[j, i]
+        for key in list(res.unresolved) + [(0, n), (-1, 0), (0, 0), (n - 1, n), (0, 1, 2), "01", 0, (0.5, 1)]:
+            assert key not in certs, (t, key)
+            with pytest.raises(KeyError):
+                certs[key]
+    assert min(seen.values()) >= 4, seen
 
 
 def test_rho_separability_matches_ts_of_each_neighbourhood(rng):
