@@ -97,6 +97,12 @@ def _lattice_bodies(sg, np, gen, n):
     return [k.translate(c) for c in centers]
 
 
+def _regular(sg, np, gen, n):
+    """The regular n-gon of circumradius 1, a vertex on the x axis."""
+    ang = 2.0 * np.pi * np.arange(n) / n
+    return sg.ConvexBody.polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
 def _caps(name: str):
     """The octahedral or cuboctahedral cap packing of sepgeom.spherical."""
     return lambda sg, np, gen, n: getattr(sg, f"{name}_packing")()
@@ -115,6 +121,8 @@ CALLS = {
     "is_non_separable/ns-disk": ((32, 128, 256), _homothets("disk", False), "is_non_separable"),
     "is_non_separable/spread-disk": ((32, 128, 256), _homothets("disk", True), "is_non_separable"),
     "min_cover_ratio/ns-disk": ((32, 128, 256), _homothets("disk", False), "min_cover_ratio"),
+    "min_cover_ratio/ns-24gon": ((32, 128, 256), _homothets("poly", False), "min_cover_ratio"),
+    "inscribed_disk/regular": ((12, 512), _regular, "measures.inscribed_disk"),
     "hull_circumradius/points": ((64, 192, 400), _segments, "measures.hull_circumradius"),
     "is_ts_packing/polyomino": ((1000, 2000), _polyominoes, "is_ts_packing"),
     "is_ts_packing/spiral": ((1000, 10000), _spiral, "is_ts_packing"),

@@ -1,13 +1,14 @@
-"""Shared numeric kernels and helpers, all vectorized numpy.
+"""Shared numeric kernels and helpers, vectorized numpy but for one event loop.
 
 One home for the pieces several modules use: the interval sweep behind
 every gap computation over directions, the Fibonacci sphere of the sampled
 d >= 3 searches, the blocks of index triples behind the spherical support
-sets, the exact 3-variable linear programs of the cover and the inradius, the
-homothet gap profile, the sample count of Rogers' simplex density and the
+sets, the kinetic collapse of facet lines behind the exact cover and inradius,
+the homothet gap profile, the sample count of Rogers' simplex density and the
 pole margins of the spherical checks.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -24,8 +25,11 @@ def sweep(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where the gap is positive; its widest value is the best such line.
     """
     order = np.argsort(los, axis=-1, kind="stable")
-    cover = np.maximum.accumulate(np.take_along_axis(his, order, axis=-1), axis=-1)
-    return order, np.take_along_axis(los, order, axis=-1)[..., 1:] - cover[..., :-1]
+    # one flat index gathers both, as np.take_along_axis would along the last axis
+    rows = math.prod(los.shape[:-1])
+    flat = order + (los.shape[-1] * np.arange(rows)).reshape(los.shape[:-1] + (1,))
+    cover = np.maximum.accumulate(np.take(his, flat), axis=-1)
+    return order, np.take(los, flat)[..., 1:] - cover[..., :-1]
 
 
 def sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -60,69 +64,59 @@ def triple_blocks(n: int):
             rows, count = [], 0
 
 
-# rows violated by more than this, relative to |a| . |x| + |b|, join the working set
-_LP_TOL = 1e-12
+def collapse(m, c, w) -> tuple[float, np.ndarray]:
+    """The largest lam for which {x : m_j . x <= c_j - lam w_j} is nonempty,
+    and a point of that set.
 
-
-def _cross(u, v) -> np.ndarray:
-    """Row-wise cross products of 3-vectors (np.cross without its axis handling)."""
-    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
-
-
-def _excess(a, b, x) -> np.ndarray:
-    """Violation beyond round-off (where positive) of each row of a x <= b at
-    each point x, shape (3,) or (p, 3); rows last."""
-    return x @ a.T - b - _LP_TOL * (np.abs(x) @ np.abs(a).T + np.abs(b))
-
-
-def lp3(c, a, b, lo, hi) -> np.ndarray:
-    """A minimiser of c . x subject to a x <= b, x in R^3, at a vertex.
-
-    lo <= x <= hi must hold at some minimiser. Those six bounds seed the
-    working set, so every sub-program is bounded and its minimum sits at a
-    vertex where three independent rows are tight. The most violated row
-    joins the set until none is violated; the vertex is then optimal for the
-    whole program. The new minimum lies on the row r2 that joined (the
-    segment to the old minimum crosses it), so only the triples of two rows
-    r0, r1 of the set with r2 are solved, by Cramer's rule: x = (b0 r1 x r2 +
-    b1 r2 x r0 + b2 r0 x r1) / r0 . (r1 x r2), skipping determinants that
-    are zero to rounding (parallel facets). The products r0 x r1 carry over
-    from round to round. A row violated at the current vertex is not in the
-    set, so this ends within len(b) rounds. Each column of a is divided by
-    its largest entry, and x scaled back, so that test sees balanced rows
-    whatever the units of the three variables.
+    The rows m_j are in ccw order, and {x : m . x <= w} must have every line
+    as a facet. Then every line bounds the set for lam low enough, and the
+    set shrinks as lam grows: a kinetic collapse of the lines, the last node
+    of a weighted straight skeleton (Aichholzer et al. 1995; Eppstein and
+    Erickson 1999). While the edge on line b keeps its neighbours a and d,
+    its length is affine in lam and reaches 0 where the three lines meet, at
+    lam = (y . c) / (y . w) over the three, with the cofactor weights
+    y = (m_b x m_d, m_d x m_a, m_a x m_b) (y . m = 0). The edge that reaches 0
+    first leaves, and a and d become adjacent; a line that left stays
+    implied by its neighbours' wedge. A heap orders the events. The collapse
+    ends at an edge whose neighbours are pi or more apart, or with three
+    lines left: those lines span the plane positively, so no larger lam is
+    feasible, and the set is a point or a segment holding the point where
+    the three lines meet. O(k log k) time and O(k) memory, in Python scalars.
     """
-    a = np.asarray(a, dtype=float)
-    scale = np.abs(a).max(axis=0, initial=0.0)
-    scale[scale == 0.0] = 1.0
-    c = np.asarray(c, dtype=float) / scale
-    lo, hi = np.asarray(lo, dtype=float) * scale, np.asarray(hi, dtype=float) * scale
-    eye = np.eye(3)
-    a = np.vstack([eye, -eye, a / scale])
-    b = np.concatenate([hi, -lo, b])
-    size = np.linalg.norm(a, axis=1)
-    x, work = np.where(c > 0.0, lo, hi), list(range(6))
-    # the pairs p < q of positions in work, and a[work[p]] x a[work[q]]
-    p, q = np.triu_indices(6, 1)
-    pair = _cross(a[p], a[q])
-    while True:
-        excess = _excess(a, b, x)
-        k = int(np.argmax(excess))
-        if excess[k] <= 0.0:
-            return x / scale
-        w = np.array(work)
-        side = _cross(a[w], a[k])  # a[work[p]] x a[k]
-        det = pair @ a[k]
-        ok = np.abs(det) > 1e-12 * size[w[p]] * size[w[q]] * size[k]
-        cand = b[w[p], None] * side[q] - b[w[q], None] * side[p] + b[k] * pair
-        cand = cand[ok] / det[ok, None]
-        work.append(k)
-        cand = cand[(_excess(a[work], b[work], cand) <= 0.0).all(axis=1)]
-        if not len(cand):
-            raise GeometryError("linear program has no vertex inside its bounds")
-        x = cand[int(np.argmin(cand @ c))]
-        p, q = np.append(p, np.arange(len(w))), np.append(q, np.full(len(w), len(w)))
-        pair = np.vstack([pair, side])
+    mx, my = (np.asarray(m, dtype=float).T).tolist()
+    c, w = np.asarray(c, dtype=float).tolist(), np.asarray(w, dtype=float).tolist()
+    k = len(c)
+    prev, nxt = [k - 1, *range(k - 1)], [*range(1, k), 0]
+
+    def cross(i, j):
+        return mx[i] * my[j] - my[i] * mx[j]
+
+    def event(a, b, d):
+        ya, yb, yd = cross(b, d), cross(d, a), cross(a, b)
+        den = ya * w[a] + yb * w[b] + yd * w[d]
+        lam = (ya * c[a] + yb * c[b] + yd * c[d]) / den if den > 0.0 else math.inf
+        return lam, b, a, d
+
+    heap = [event(prev[b], b, nxt[b]) for b in range(k)]
+    heapq.heapify(heap)
+    left = k
+    while heap:
+        lam, b, a, d = heapq.heappop(heap)
+        if prev[b] != a or nxt[b] != d:
+            continue  # b left, or its neighbours changed since this event
+        if lam == math.inf:
+            break
+        if left == 3 or cross(a, d) <= 0.0:
+            # the point on the two of the three lines that meet at the widest angle
+            i, j = max(((a, b), (b, d), (a, d)), key=lambda p: abs(cross(*p)) / (
+                math.hypot(mx[p[0]], my[p[0]]) * math.hypot(mx[p[1]], my[p[1]])))
+            ei, ej, det = c[i] - lam * w[i], c[j] - lam * w[j], cross(i, j)
+            return lam, np.array([(ei * my[j] - ej * my[i]) / det, (mx[i] * ej - mx[j] * ei) / det])
+        nxt[a], prev[d], prev[b], nxt[b] = d, a, -1, -1
+        left -= 1
+        heapq.heappush(heap, event(prev[a], a, d))
+        heapq.heappush(heap, event(a, d, nxt[d]))
+    raise GeometryError("the lines do not collapse: {m . x <= w} misses a facet")
 
 
 def gap_profile(cx, cy, tau, hplus, hminus, cos_t, sin_t):

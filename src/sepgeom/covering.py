@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import lp3, sweep
+from ._kernels import collapse, sweep
 from .bodies import (
     EPS,
     ConvexBody,
@@ -101,9 +101,13 @@ def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomo
 def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     """Smallest ratio homothet of the reference covering the whole family.
 
-    Polygon references reduce to a linear program over the cover's center
-    and ratio with one row per facet, solved exactly at a vertex (lp3); disk
-    references reduce to the exact smallest disk enclosing the member disks.
+    For a polygon reference, t + mu K covers member x + tau K exactly when
+    n . t + mu h_K(n) >= n . x + tau h_K(n) on every facet normal n of K:
+    the cover's facet lines, moving in as mu falls, must stay outside the
+    members. The least mu is where those lines collapse to a point or a
+    segment (_kernels.collapse), found exactly in O(k log k) for k facets.
+    Disk references reduce to the exact smallest disk enclosing the member
+    disks.
     """
     k = family.reference
     _require_planar([k], "min_cover_ratio")
@@ -122,28 +126,20 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
         return _cover(family, t, float(mu), float(mu / total), "enclosing-disk", tol)
 
     # about the vertex mean g of K and the mean o of the members' copies of
-    # g, which keeps the vertex solve well scaled: t' + mu (K - g) covers
-    # member c + tau K when n . t' + mu h >= n . (c + tau g - o) + tau h on
-    # every facet, h = h_K(n) - n . g > 0; mu >= 0 is the lower bound of the box
+    # g, which keeps the collapse well scaled: t' + mu (K - g) covers member
+    # c + tau K when -n . t' <= mu h - n . (c + tau g - o) - tau h on every
+    # facet, h = h_K(n) - n . g > 0; the least such mu is -lam of the collapse
     g = k.vertices.mean(axis=0)
     normals, offsets = polygon_facets(k)
     h = np.einsum("ij,ij->i", normals, k.vertices - g)
     # the copies of g less o, summed so that nothing large cancels
-    anchors = centers - centers.mean(axis=0) + (ratios - ratios.mean())[:, None] * g
-    o = centers.mean(axis=0) + ratios.mean() * g
+    c_mean, tau_mean = centers.mean(axis=0), ratios.mean()
+    anchors = centers - c_mean + (ratios - tau_mean)[:, None] * g
+    o = c_mean + tau_mean * g
     need = (anchors @ normals.T + ratios[:, None] * h).max(axis=0)
-    # t' = 0 is feasible from mu0 on; member points lie within max |anchor|
-    # + max tau |K - g| of 0 per coordinate, and an optimum's t' within
-    # mu0 |K - g| of each, so the box holds every optimum with room to spare
-    mu0 = float((need / h).max())
-    extent = float(np.abs(k.vertices - g).max())
-    box = 2.0 * (float(np.abs(anchors).max()) + (ratios.max() + mu0) * extent)
-    x = lp3(
-        (0.0, 0.0, 1.0), -np.column_stack([normals, h]), -need,
-        (-box, -box, 0.0), (box, box, 2.0 * mu0),
-    )
-    mu = float(x[2])
-    t = o + x[:2] - mu * g
+    lam, x = collapse(-normals, -need, h)
+    mu = -lam
+    t = o + x - mu * g
     return _cover(family, t, mu, mu / total, "facet-vertices", tol, (normals, offsets))
 
 

@@ -22,7 +22,7 @@ from .bodies import (
     polygon_facets,
     raw_support,
 )
-from ._kernels import lp3
+from ._kernels import collapse
 from .separability import _BLOCK, _fan_mids, _inward_rays, _member_features
 
 TWO_PI = 2.0 * math.pi
@@ -70,15 +70,20 @@ def _triple_candidates(cs, rs, idx, scale: float, tol: float):
     measured against scale, the extent of the members.
     """
     m, r = cs[idx], rs[idx]
-    a_mat = 2.0 * (m[:, 1:] - m[:, :1])
-    keep = np.abs(np.linalg.det(a_mat)) > 1e-12 * scale * scale
-    idx, m, r, a_mat = idx[keep], m[keep], r[keep], a_mat[keep]
+    # rows 2 (m1 - m0) and 2 (m2 - m0) of the 2 x 2 system of each triple
+    e1, e2 = 2.0 * (m[:, 1] - m[:, 0]), 2.0 * (m[:, 2] - m[:, 0])
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    keep = np.abs(det) > 1e-12 * scale * scale
+    idx, m, r, e1, e2, det = (x[keep] for x in (idx, m, r, e1, e2, det))
     sq = np.einsum("tij,tij->ti", m, m)
     u_vec = sq[:, 1:] - sq[:, :1] + r[:, :1] ** 2 - r[:, 1:] ** 2
     v_vec = -2.0 * (r[:, :1] - r[:, 1:])
-    inv = np.linalg.inv(a_mat)
-    p = (inv @ u_vec[:, :, None])[:, :, 0]  # c(R) = p + R*q
-    q = (inv @ v_vec[:, :, None])[:, :, 0]
+
+    def solve(f):  # the system's solution for right-hand sides f, by Cramer's rule
+        return np.column_stack([e2[:, 1] * f[:, 0] - e1[:, 1] * f[:, 1],
+                                e1[:, 0] * f[:, 1] - e2[:, 0] * f[:, 0]]) / det[:, None]
+
+    p, q = solve(u_vec), solve(v_vec)  # c(R) = p + R*q
     # |p + R q - m0|^2 = (R - r0)^2
     w = p - m[:, 0]
     r0 = r[:, 0]
@@ -115,10 +120,12 @@ def _support_candidates(cs, rs, k: int, basis: list, scale: float, tol: float):
     # pairs: center on the segment, tangent to both
     pair_r = 0.5 * (d + rs[k] + rs[b])[keep]
     pair_c = cs[k] + (pair_r - rs[k])[:, None] * (diff[keep] / d[keep, None])
-    idx = np.array([[k, *pair] for pair in itertools.combinations(basis, 2)], dtype=int).reshape(-1, 3)
-    tri_c, tri_r, rows = _triple_candidates(cs, rs, idx, scale, tol)
-    sets = [[k]] + [[k, j] for j in b[keep].tolist()] + rows.tolist()
-    return sets, np.vstack([cs[[k]], pair_c, tri_c]), np.concatenate([rs[[k]], pair_r, tri_r])
+    sets, cand_c, cand_r = [[k]] + [[k, j] for j in b[keep].tolist()], [cs[[k]], pair_c], [rs[[k]], pair_r]
+    if len(basis) > 1:
+        idx = np.array([[k, *pair] for pair in itertools.combinations(basis, 2)])
+        tri_c, tri_r, rows = _triple_candidates(cs, rs, idx, scale, tol)
+        sets, cand_c, cand_r = sets + rows.tolist(), cand_c + [tri_c], cand_r + [tri_r]
+    return sets, np.vstack(cand_c), np.concatenate(cand_r)
 
 
 def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
@@ -169,22 +176,17 @@ def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
 
 
 def inscribed_disk(body: ConvexBody) -> tuple[np.ndarray, float]:
-    """Chebyshev center and inradius; for polygons the exact vertex of the
-    program max r subject to n . x + r <= h on every facet (lp3)."""
+    """Chebyshev center and inradius; for polygons exactly, the largest r
+    with n . x <= h - r feasible on every facet, where the facet lines moved
+    in by r collapse (_kernels.collapse)."""
     if body.kind == "disk":
         return np.array(body.center), body.radius
     normals, _ = polygon_facets(body)
-    # about the vertex mean o, which keeps the vertex solve well scaled; the
-    # center lies in the bounding box and r is below its larger side
+    # about the vertex mean o, which keeps the collapse well scaled
     o = body.vertices.mean(axis=0)
-    v = body.vertices - o
-    h = np.einsum("ij,ij->i", normals, v)
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    x = lp3(
-        (0.0, 0.0, -1.0), np.column_stack([normals, np.ones(len(h))]), h,
-        (*lo, 0.0), (*hi, float((hi - lo).max())),
-    )
-    return o + x[:2], float(x[2])
+    h = np.einsum("ij,ij->i", normals, body.vertices - o)
+    r, x = collapse(normals, h, np.ones(len(h)))
+    return o + x, r
 
 
 # ---------------------------------------------------------------------------

@@ -314,11 +314,11 @@ def _best_angle(p, r, lo: float, hi: float) -> float:
     There each row is within pi/2 of its peak, the angle of p_q, so the rows
     and their minimum are strictly concave, and the maximum rests on at most
     two rows: at a row's peak, a crossing <u, p_a - p_b> = r_a - r_b, or an
-    arc end. An LP-type working set finds it, as in enclosing_disk_of_disks
-    and lp3: the row lowest at the current angle joins, the new maximum is
-    the best of its peak, its crossings with the working rows and the arc
-    ends, and the rows active there with the largest and the smallest slope
-    are the next set. The value falls from round to round, so only rounding
+    arc end. An LP-type working set finds it, as in enclosing_disk_of_disks:
+    the row lowest at the current angle joins, the new maximum is the best
+    of its peak, its crossings with the working rows and the arc ends, and
+    the rows active there with the largest and the smallest slope are the
+    next set. The value falls from round to round, so only rounding
     can bring a set back; that, or no row below the value by more than
     round-off, ends the loop.
     """

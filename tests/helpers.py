@@ -85,6 +85,39 @@ def ns_family(rng, reference: ConvexBody, n: int) -> HomothetFamily:
     return HomothetFamily(reference, centers, ratios)
 
 
+def spanning_dual(m, c, w) -> float:
+    """min y . c over y >= 0 with y . m = 0 and y . w = 1, by enumeration.
+
+    By LP duality this is the largest lam with {x : m x <= c - lam w}
+    nonempty. A basic y is positive on three rows whose normals span the
+    plane positively (y their cofactors) or on two antiparallel rows. Every
+    triple and pair is tried in exact rational arithmetic on the float
+    inputs, in no particular order.
+    """
+    from fractions import Fraction
+    from itertools import combinations
+
+    m = [(Fraction(float(a)), Fraction(float(b))) for a, b in m]
+    c, w = [Fraction(float(v)) for v in c], [Fraction(float(v)) for v in w]
+
+    def cross(i, j):
+        return m[i][0] * m[j][1] - m[i][1] * m[j][0]
+
+    best = None
+    for a, b, d in combinations(range(len(c)), 3):
+        y = {a: cross(b, d), b: cross(d, a), d: cross(a, b)}
+        if all(v > 0 for v in y.values()) or all(v < 0 for v in y.values()):
+            val = sum(y[i] * c[i] for i in y) / sum(y[i] * w[i] for i in y)
+            best = val if best is None else min(best, val)
+    for a, b in combinations(range(len(c)), 2):
+        dot = m[a][0] * m[b][0] + m[a][1] * m[b][1]
+        if cross(a, b) == 0 and dot < 0:
+            s = -dot / (m[a][0] ** 2 + m[a][1] ** 2)  # m_b = -s m_a
+            val = (s * c[a] + c[b]) / (s * w[a] + w[b])
+            best = val if best is None else min(best, val)
+    return float(best)
+
+
 def sns_disk_centers(rng, n: int, radius: float = 1.0) -> np.ndarray:
     """Packing of unit disks built by tangent attachment, SNS by construction."""
     centers = [np.zeros(2)]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ns_family, random_reference, random_symmetric_polygon
+from helpers import ns_family, random_reference, random_symmetric_polygon, spanning_dual
 from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, polygon_facets
 from sepgeom.covering import (
     build_triangle_counterexample,
@@ -248,6 +248,85 @@ def test_inradius_of_a_512_gon():
     for circumradius in (1.0, 3.0):
         _, r = inscribed_disk(_regular(512, circumradius))
         assert r == pytest.approx(math.cos(math.pi / 512) * circumradius, rel=1e-12, abs=0.0)
+
+
+def _dual_cover_ratio(fam) -> float:
+    """The largest cover ratio any facet triple or antiparallel pair of K
+    forces, enumerated exactly: t + mu K covers member x + tau K iff
+    n . t + mu h_K(n) >= n . x + tau h_K(n) on every facet normal n."""
+    k = fam.reference
+    normals, _ = polygon_facets(k)
+    h = (normals @ k.vertices.T).max(axis=1)
+    need = (fam.centers @ normals.T + fam.ratios[:, None] * h).max(axis=0)
+    return -spanning_dual(-normals, -need, h)
+
+
+def _check_cover(fam, want: float, center=None) -> None:
+    cover = min_cover_ratio(fam)
+    assert cover.contains_all and cover.method == "facet-vertices"
+    assert cover.ratio == pytest.approx(want, rel=1e-12, abs=0.0)
+    if center is not None:
+        assert np.abs(cover.center - center).max() <= 1e-12 * max(1.0, float(np.abs(center).max()))
+
+
+def _random_facets(rng, m: int) -> ConvexBody:
+    """m points on a random ellipse, at least 0.05 rad apart: m facets."""
+    while True:
+        ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, m))
+        if np.diff(np.append(ang, ang[0] + 2.0 * math.pi)).min() > 0.05:
+            pts = np.column_stack([np.cos(ang), rng.uniform(0.3, 1.0) * np.sin(ang)])
+            return ConvexBody.polygon(pts + rng.normal(size=2))
+
+
+def test_cover_ratio_is_the_dual_maximum(rng):
+    """On polygons of 3-16 facets and random families of 1-12 members the
+    ratio equals the enumerated dual maximum."""
+    for _ in range(120):
+        ref = _random_facets(rng, int(rng.integers(3, 17)))
+        fam = _random_members(rng, ref, int(rng.integers(1, 13)))
+        _check_cover(fam, _dual_cover_ratio(fam))
+
+
+def test_cover_ties(rng):
+    """Covers where many events tie or the optimum is not unique: symmetric
+    families of regular k-gons, square and rectangle families whose optimal
+    centers form a segment, coincident members and single members."""
+    for k in (3, 4, 5, 6, 8, 12, 16):
+        ref = _regular(k)
+        turn = 2.0 * math.pi / k
+        for radius in (0.0, 0.5, 3.0):
+            # the orbit of one point under the k-gon's rotations, all of ratio 1
+            ang = turn * np.arange(k) + 0.3
+            fam = HomothetFamily(ref, radius * np.column_stack([np.cos(ang), np.sin(ang)]), np.ones(k))
+            _check_cover(fam, _dual_cover_ratio(fam))
+    for half_w, half_h in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.25)):
+        ref = ConvexBody.polygon([[-half_w, -half_h], [half_w, -half_h], [half_w, half_h], [-half_w, half_h]])
+        # two unit copies 3 apart along y: ratio (2 half_h + 3) / (2 half_h),
+        # and the center is free along x
+        fam = HomothetFamily(ref, [[0.0, 0.0], [0.0, 3.0]], [1.0, 1.0])
+        _check_cover(fam, (2.0 * half_h + 3.0) / (2.0 * half_h))
+        fam = HomothetFamily(ref, [[0.0, 0.0], [0.5, 3.0], [-1.0, 1.0]], [1.0, 0.5, 2.0])
+        _check_cover(fam, _dual_cover_ratio(fam))
+    for ref in (_random_facets(rng, 7), _regular(6), _regular(4)):
+        x = rng.normal(size=2)
+        _check_cover(HomothetFamily(ref, np.tile(x, (5, 1)), np.full(5, 0.7)), 0.7, x)
+        fam = HomothetFamily(ref, np.tile(x, (3, 1)), [0.5, 2.0, 1.0])
+        _check_cover(fam, _dual_cover_ratio(fam))
+        _check_cover(HomothetFamily(ref, [x], [1.5]), 1.5, x)
+
+
+def test_inscribed_center_lies_in_the_polygon(rng):
+    """The inscribed center is at distance at least r from every facet line,
+    to round-off, also where it is not unique (rectangles)."""
+    bodies = [_random_facets(rng, int(rng.integers(3, 17))) for _ in range(100)]
+    bodies += [_regular(k, 2.0) for k in (3, 4, 6, 12, 512)]
+    bodies += [ConvexBody.polygon([[0.0, 0.0], [w, 0.0], [w, 1.0], [0.0, 1.0]]) for w in (1.0, 2.0, 1e3)]
+    for body in bodies:
+        x, r = inscribed_disk(body)
+        normals, offsets = polygon_facets(body)
+        assert (normals @ x + r - offsets).max() <= 1e-12 * float(np.abs(body.vertices).max())
+        if len(offsets) <= 16:
+            assert r == pytest.approx(spanning_dual(normals, offsets, np.ones(len(offsets))), rel=1e-12, abs=0.0)
 
 
 def test_cover_ratio_is_scale_and_translation_invariant():
