@@ -356,7 +356,7 @@ def cmd_kertesz(args) -> int:
         "volume_bound": rep.volume_bound,
         "holds_surface": rep.holds_surface,
         "holds_volume": rep.holds_volume,
-        "provenance": {"method": "halfspace-intersection"},
+        "provenance": {"method": "vertex-enumeration", "exact": True},
     }
     _emit(args, payload)
     return EXIT_OK if rep.holds_surface and rep.holds_volume else EXIT_VIOLATED
@@ -435,15 +435,12 @@ def cmd_lambda_density(args) -> int:
     elif geom == "spherical":
         if args.rho is None:
             raise GeometryError("spherical bound needs --rho")
-        bound = lambda_density.density_bound_sphere(args.rho, args.lam, samples=args.samples, seed=args.seed)
+        bound = lambda_density.density_bound_sphere(args.rho, args.lam)
     else:
         if args.rho is None:
             raise GeometryError("hyperbolic bound needs --rho")
-        bound = lambda_density.density_bound_hyper(args.rho, args.lam, samples=args.samples, seed=args.seed)
+        bound = lambda_density.density_bound_hyper(args.rho, args.lam)
     dens = bound.density
-    prov: dict = {"method": dens.method}
-    if dens.method == "qmc":
-        prov.update({"samples": args.samples, "seed": args.seed})
     payload = {
         "geometry": geom,
         "lambda": args.lam,
@@ -451,8 +448,7 @@ def cmd_lambda_density(args) -> int:
         "value": bound.value,
         "branch": bound.branch,
         "triangle_sides": list(dens.triangle.sides),
-        "error": dens.error,
-        "provenance": prov,
+        "provenance": {"method": "voronoi-fan", "exact": True},
     }
     _emit(args, payload)
     return EXIT_OK
@@ -549,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "tammes", cmd_tammes, "separable Tammes radius for k caps", needs_input=False)
     p.add_argument("--k", type=int, required=True)
     p = _command(sub, "lambda-density", cmd_lambda_density,
-                 "density bound for lambda-separable packings", needs_input=False,
-                 samples=160_000, seed=True)
+                 "density bound for lambda-separable packings", needs_input=False)
     p.add_argument("--geometry", choices=("euclidean", "spherical", "hyperbolic"), required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--rho", type=float)

@@ -261,160 +261,115 @@ def regular_base_hyper(lam: float) -> float:
 @dataclass(frozen=True)
 class TriangleDensity:
     value: float
-    method: str
-    error: float
     triangle: Triangle
     rho: float
 
 
-def _vertex_clearances(tri: Triangle) -> list[float]:
-    """Distance from each vertex to the opposite side segment."""
+def _roots01(a: float, b: float, c: float) -> list[float]:
+    """Roots of a t^2 + 2 b t + c strictly between 0 and 1, ascending."""
+    disc = b * b - a * c
+    if disc < 0.0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    roots = ([c / q] if q != 0.0 else []) + ([q / a] if a != 0.0 else [])
+    return sorted(t for t in roots if 0.0 < t < 1.0)
+
+
+class _Model:
+    """A plane of constant curvature eps in R^3 with the form <x, y> = x1 y1
+    + x2 y2 + eps x3 y3: the Euclidean plane lifted to z = 1 (eps = 0), the
+    unit sphere (eps = 1) or the hyperboloid <x, x> = -1 (eps = -1). Its
+    geodesics are planes through the origin, and <p - w, p - w> grows with
+    the distance from p to w: at distance rho it is twice sector, the area
+    of the disk's sector per radian."""
+
+    def __init__(self, geometry: str, rho: float):
+        self.eps = {"euclidean": 0.0, "spherical": 1.0, "hyperbolic": -1.0}[geometry]
+        self.metric = np.array([1.0, 1.0, self.eps])
+        self.sector = {0.0: rho * rho / 2.0, 1.0: 1.0 - math.cos(rho), -1.0: math.cosh(rho) - 1.0}[self.eps]
+
+    def dot(self, p, q) -> float:
+        return float(p @ (self.metric * q))
+
+    def unit(self, p):
+        return p / math.sqrt(self.eps * self.dot(p, p)) if self.eps else p
+
+    def nearer(self, p, w, v) -> float:
+        """Linear in p, and positive where p is nearer to w than to v (the
+        last term vanishes on the curved planes, where <w, w> = eps)."""
+        return self.dot(p, w - v) - 0.5 * (self.dot(w, w) - self.dot(v, v)) * p[2]
+
+    def within(self, w, p) -> bool:
+        return self.dot(p - w, p - w) <= 2.0 * self.sector
+
+    def crossings(self, w, a, b) -> list[float]:
+        """Where the point at a + t (b - a) is at distance rho from w. On the
+        curved planes that is <p, w>^2 = kappa^2 eps <p, p> for kappa = eps -
+        sector, squared, so a root may also be where <p, w> = -kappa."""
+        d, e = b - a, a - w
+        if not self.eps:
+            return _roots01(self.dot(d, d), self.dot(e, d), self.dot(e, e) - 2.0 * self.sector)
+        k2 = self.eps * (self.eps - self.sector) ** 2
+        aw, dw = self.dot(a, w), self.dot(d, w)
+        return _roots01(dw * dw - k2 * self.dot(d, d), aw * dw - k2 * self.dot(a, d),
+                        aw * aw - k2 * self.dot(a, a))
+
+    def piece(self, w, p, q) -> tuple[float, float]:
+        """Area of the geodesic triangle wpq, and its angle at w between the
+        tangents p - lam w, lam = 1 on the plane and eps <p, w> otherwise."""
+        det = abs(float(w @ np.cross(p, q)))
+        wp, wq = (x[2] if not self.eps else self.eps * self.dot(x, w) for x in (p, q))
+        angle = math.atan2(det, self.dot(p - wp * w, q - wq * w))
+        if not self.eps:
+            return 0.5 * det, angle
+        rest = 1.0 + self.eps * (self.dot(w, p) + self.dot(p, q) + self.dot(q, w))
+        return 2.0 * math.atan2(det, rest), angle
+
+
+def _clip(poly: list, side, unit) -> list:
+    """The part of the convex polygon poly where the linear functional side
+    is >= 0 (Sutherland-Hodgman), starting at poly[0] when that stays."""
+    s = [side(p) for p in poly]
     out = []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        if tri.angles[i] <= PI / 2.0 + 1e-12 and tri.angles[j] <= PI / 2.0 + 1e-12:
-            # the foot lies in the segment: right-triangle rule at vertex i
-            hyp = tri.sides[j]  # side from vertex k to vertex i
-            if tri.geometry == "euclidean":
-                out.append(hyp * math.sin(tri.angles[i]))
-            elif tri.geometry == "spherical":
-                out.append(_asin(math.sin(hyp) * math.sin(tri.angles[i])))
-            else:
-                out.append(math.asinh(math.sinh(hyp) * math.sin(tri.angles[i])))
-        else:
-            # nearest point is an endpoint, at the full adjacent side length
-            out.append(min(tri.sides[i], tri.sides[j]))
+    for a, b, sa, sb in zip(poly, poly[1:] + poly[:1], s, s[1:] + s[:1]):
+        if sa >= 0.0:
+            out.append(a)
+        if sa * sb < 0.0:
+            out.append(unit((sa * b - sb * a) / (sa - sb)))
     return out
 
 
-def _sector_density(tri: Triangle, rho: float) -> float:
-    if tri.geometry == "euclidean":
-        return PI * rho * rho / 2.0 / tri.area
-    if tri.geometry == "spherical":
-        return (PI + tri.area) * (1.0 - math.cos(rho)) / tri.area
-    return (PI - tri.area) * (math.cosh(rho) - 1.0) / tri.area
-
-
-def _qmc_batches(samples: int, seed: int, n_batches: int = 8):
-    from scipy.stats import qmc
-
-    per = max(samples // n_batches, 256)
-    for k in range(n_batches):
-        yield qmc.Halton(d=2, scramble=True, seed=seed + k).random(per)
-
-
-def _qmc_density_euclid(tri: Triangle, rho: float, samples: int, seed: int):
-    v = triangle_vertices(tri)
-    ratios = []
-    for u in _qmc_batches(samples, seed):
-        # fold the unit square onto the triangle, area uniform
-        flip = u.sum(axis=1) > 1.0
-        u[flip] = 1.0 - u[flip]
-        pts = v[0] + u[:, :1] * (v[1] - v[0]) + u[:, 1:] * (v[2] - v[0])
-        d2 = ((pts[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-        ratios.append(float((d2.min(axis=1) <= rho * rho).mean()))
-    return float(np.mean(ratios)), float(np.std(ratios) / math.sqrt(len(ratios)))
-
-
-def _qmc_density_sphere(tri: Triangle, rho: float, samples: int, seed: int):
-    v = triangle_vertices(tri)
-    normals = np.array([np.cross(v[(k + 1) % 3], v[(k + 2) % 3]) for k in range(3)])
-    normals *= np.sign(np.einsum("ij,ij->i", normals, v))[:, None]
-    center = v.sum(axis=0)
-    center /= np.linalg.norm(center)
-    cap = max(_acos(float(np.clip(center @ p, -1.0, 1.0))) for p in v) + 1e-9
-    e1 = np.cross(center, v[0] - center * (center @ v[0]))
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
-    cos_rho = math.cos(rho)
-    zmin = math.cos(cap)
-    ratios = []
-    for u in _qmc_batches(samples, seed):
-        z = zmin + (1.0 - zmin) * u[:, 0]
-        phi = 2.0 * PI * u[:, 1]
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = (
-            z[:, None] * center[None, :]
-            + (r * np.cos(phi))[:, None] * e1[None, :]
-            + (r * np.sin(phi))[:, None] * e2[None, :]
-        )
-        inside = ((pts @ normals.T) >= -1e-12).all(axis=1)
-        if inside.sum() == 0:
-            continue
-        covered = (pts[inside] @ v.T).max(axis=1) >= cos_rho
-        ratios.append(float(covered.mean()))
-    if not ratios:
-        raise GeometryError("sampling never hit the triangle")
-    return float(np.mean(ratios)), float(np.std(ratios) / math.sqrt(len(ratios)))
-
-
-def _lorentz_dot(a, b):
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
-
-
-def _qmc_density_hyper(tri: Triangle, rho: float, samples: int, seed: int):
-    v = triangle_vertices(tri)
-    m = v.sum(axis=0)
-    center = m / math.sqrt(max(-float(_lorentz_dot(m, m)), 1e-300))
-    # side planes pass through the origin; the Euclidean cross product is a
-    # valid linear functional for sidedness on the hyperboloid
-    normals = np.array([np.cross(v[(k + 1) % 3], v[(k + 2) % 3]) for k in range(3)])
-    normals *= np.sign(np.einsum("ij,ij->i", normals, v))[:, None]
-    reach = max(math.acosh(max(-float(_lorentz_dot(center, p)), 1.0)) for p in v) + 1e-9
-    a = np.array([1.0, 0.0, 0.0])
-    e1 = a + _lorentz_dot(a, center) * center
-    e1 /= math.sqrt(float(_lorentz_dot(e1, e1)))
-    bvec = np.array([0.0, 1.0, 0.0])
-    e2 = bvec + _lorentz_dot(bvec, center) * center - _lorentz_dot(bvec, e1) * e1
-    e2 /= math.sqrt(float(_lorentz_dot(e2, e2)))
-    cosh_rho = math.cosh(rho)
-    ratios = []
-    for u in _qmc_batches(samples, seed):
-        r = np.arccosh(1.0 + u[:, 0] * (math.cosh(reach) - 1.0))
-        th = 2.0 * PI * u[:, 1]
-        pts = (
-            np.cosh(r)[:, None] * center[None, :]
-            + (np.sinh(r) * np.cos(th))[:, None] * e1[None, :]
-            + (np.sinh(r) * np.sin(th))[:, None] * e2[None, :]
-        )
-        inside = ((pts @ normals.T) >= -1e-12).all(axis=1)
-        if inside.sum() == 0:
-            continue
-        sub = pts[inside]
-        cosh_d = -(
-            sub[:, None, 0] * v[None, :, 0]
-            + sub[:, None, 1] * v[None, :, 1]
-            - sub[:, None, 2] * v[None, :, 2]
-        )
-        covered = (cosh_d <= cosh_rho).any(axis=1)
-        ratios.append(float(covered.mean()))
-    if not ratios:
-        raise GeometryError("sampling never hit the triangle")
-    return float(np.mean(ratios)), float(np.std(ratios) / math.sqrt(len(ratios)))
-
-
-def triangle_disk_density(
-    tri: Triangle, rho: float, samples: int = 160_000, seed: int = 0
-) -> TriangleDensity:
+def triangle_disk_density(tri: Triangle, rho: float) -> TriangleDensity:
     """Fraction of the triangle covered by disks of radius rho at its vertices.
 
-    When the disks stay pairwise disjoint and inside the triangle the three
-    circular sectors give the exact value; otherwise quasi-Monte Carlo
-    sampling takes over and the batch spread is reported as the error.
+    Exact in all three geometries. A point is covered exactly when it lies
+    within rho of its nearest vertex, so the triangle splits into the
+    Voronoi cells of its vertices. Every geodesic is a plane through the
+    origin of R^3 (_Model), so a cell is the triangle clipped by two linear
+    bisector functionals. It is a fan of triangles (w, a, b) about its
+    vertex w. Each is split where ab is at distance rho from w, a quadratic
+    in the chord parameter, and a piece adds its own area inside the disk
+    and its sector at w outside it.
     """
     if rho <= 0.0:
         raise GeometryError("need rho > 0")
-    # a side short by eps leaves a lens of area O(eps^1.5); 1e-7 is harmless
-    clean = min(tri.sides) >= 2.0 * rho - 1e-7 and min(_vertex_clearances(tri)) >= rho - 1e-7
-    if clean:
-        return TriangleDensity(_sector_density(tri, rho), "sectors", 0.0, tri, rho)
-    sampler = {
-        "euclidean": _qmc_density_euclid,
-        "spherical": _qmc_density_sphere,
-        "hyperbolic": _qmc_density_hyper,
-    }[tri.geometry]
-    value, err = sampler(tri, rho, samples, seed)
-    return TriangleDensity(value, "qmc", err, tri, rho)
+    geo = _Model(tri.geometry, rho)
+    v = triangle_vertices(tri)
+    v = list(np.c_[v, np.ones(3)] if v.shape[1] == 2 else v)
+    covered = total = 0.0
+    for k, w in enumerate(v):
+        cell = v[k:] + v[:k]
+        for other in cell[1:]:
+            cell = _clip(cell, lambda p: geo.nearer(p, w, other), geo.unit)
+        for a, b in zip(cell[1:], cell[2:]):
+            ts = [0.0, *geo.crossings(w, a, b), 1.0]
+            pts = [a, *(geo.unit(a + t * (b - a)) for t in ts[1:-1]), b]
+            for t0, t1, p, q in zip(ts, ts[1:], pts, pts[1:]):
+                area, angle = geo.piece(w, p, q)
+                total += area
+                inside = geo.within(w, geo.unit(a + 0.5 * (t0 + t1) * (b - a)))
+                covered += area if inside else geo.sector * angle
+    return TriangleDensity(covered / total, tri, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +402,7 @@ def density_bound_euclid(lam: float) -> DensityBound:
     return DensityBound(PI / (4.0 * lam), "squeezed", triangle_disk_density(tri, 1.0), 1.0, lam)
 
 
-def density_bound_sphere(
-    rho: float, lam: float, samples: int = 160_000, seed: int = 0
-) -> DensityBound:
+def density_bound_sphere(rho: float, lam: float) -> DensityBound:
     """Upper density bound for lambda-separable packings of caps of radius rho.
 
     Three regimes: a short-leg isosceles Delaunay triangle with legs 2 rho, a
@@ -481,13 +434,11 @@ def density_bound_sphere(
         # lambda = 0 below pi/4 falls to the regular triangle as well
         tri = regular_triangle("spherical", 2.0 * rho)
         branch = "regular"
-    dens = triangle_disk_density(tri, rho, samples, seed)
+    dens = triangle_disk_density(tri, rho)
     return DensityBound(dens.value, branch, dens, rho, lam)
 
 
-def density_bound_hyper(
-    rho: float, lam: float, samples: int = 160_000, seed: int = 0
-) -> DensityBound:
+def density_bound_hyper(rho: float, lam: float) -> DensityBound:
     """Upper density bound for lambda-separable packings of hyperbolic disks."""
     if rho <= 0.0:
         raise GeometryError("need rho > 0")
@@ -500,5 +451,5 @@ def density_bound_hyper(
     else:
         tri = regular_triangle("hyperbolic", 2.0 * rho)
         branch = "regular"
-    dens = triangle_disk_density(tri, rho, samples, seed)
+    dens = triangle_disk_density(tri, rho)
     return DensityBound(dens.value, branch, dens, rho, lam)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from .bodies import (
     _gauges,
     _require_planar,
     _strict_hull,
+    distinct,
     unit,
 )
 from .measures import (
@@ -857,15 +859,52 @@ class PartitionReport:
     holds_volume: bool
 
 
+def _cell_measures(normals: np.ndarray, offsets: np.ndarray, center) -> tuple[float, float]:
+    """Surface and volume of the cell {x : n . x <= offset} of unit normals n
+    around a point center inside it, or zero volume when it is degenerate.
+
+    Its vertices are the feasible solutions of every three of its planes,
+    solved about center in blocks of about _BLOCK entries. A plane's face
+    is the polygon of the vertices on it, sorted by angle in the plane, and
+    the cell is the union of the pyramids from center over its faces.
+    """
+    height = offsets - normals @ center
+    tol = 1e-9 * float(height.max())
+    combos = itertools.combinations(range(len(height)), 3)
+    step = max(1, _BLOCK // len(height))
+    found = []
+    while (triple := np.array(list(itertools.islice(combos, step)), dtype=np.intp)).size:
+        m = normals[triple]
+        keep = np.abs(np.linalg.det(m)) > 1e-12
+        x = np.linalg.solve(m[keep], height[triple[keep]][..., None])[..., 0]
+        found.append(x[(x @ normals.T <= height + tol).all(axis=1)])
+    x = np.concatenate(found)
+    if len(x) < 4:
+        return 0.0, 0.0
+    surface = volume = 0.0
+    for n, h in zip(normals, height):
+        face = x[np.abs(x @ n - h) <= tol]
+        if len(face) < 3:
+            continue
+        d = face - face.mean(axis=0)
+        e1 = d[np.argmax((d * d).sum(axis=1))]
+        d = d[np.argsort(np.arctan2(d @ np.cross(n, e1), d @ e1))]
+        area = 0.5 * float(np.cross(d, np.roll(d, -1, axis=0)).sum(axis=0) @ n)
+        surface += area
+        volume += area * h / 3.0
+    return surface, volume
+
+
 def kertesz_check(partition: GuillotinePartition, tol: float = 1e-7) -> PartitionReport:
     """Surface and volume bounds for ball-carrying guillotine partitions.
 
     A cube split by successive plane cuts into N convex cells, each containing
     a ball of radius r, has total cell surface at least 24 N r^2 and volume at
     least 8 N r^3.
-    """
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
+    Each cell is measured exactly from its vertices (_cell_measures), and a
+    cell with fewer than 4 of them or no volume is degenerate.
+    """
     lo = np.asarray(partition.lo, dtype=float)
     hi = np.asarray(partition.hi, dtype=float)
     side = hi - lo
@@ -913,15 +952,12 @@ def kertesz_check(partition: GuillotinePartition, tol: float = 1e-7) -> Partitio
     volumes = []
     surfaces = []
     for ci, cell in enumerate(cells):
-        arr = np.array([[a[0], a[1], a[2], -b] for a, b in cell])
-        center = balls[owner[ci]][0]
-        try:
-            hs = HalfspaceIntersection(arr, center)
-            hull = ConvexHull(hs.intersections)
-        except QhullError as exc:
-            raise GeometryError(f"cell {ci} is degenerate: {exc}") from exc
-        volumes.append(float(hull.volume))
-        surfaces.append(float(hull.area))
+        planes = distinct(np.array([[*a, b] for a, b in cell]))
+        surface, volume = _cell_measures(planes[:, :3], planes[:, 3], balls[owner[ci]][0])
+        if volume <= 0.0:
+            raise GeometryError(f"cell {ci} is degenerate")
+        volumes.append(volume)
+        surfaces.append(surface)
 
     vol = float(side.prod())
     if abs(sum(volumes) - vol) > 1e-6 * vol:

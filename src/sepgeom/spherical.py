@@ -201,8 +201,9 @@ def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
 
     Exact: the best pole of every sign pattern is among _split_poles, so the
     family is separable exactly when one of them splits the centers with a
-    margin above tol. margin is the best split margin among them, which is
-    the best of all circles whenever that exceeds -min sin r.
+    margin above tol. margin is the best split margin of all circles when
+    that exceeds -min sin r, and -inf, meaning at most -min sin r,
+    otherwise: below it the best candidate need not be the best circle.
     """
     caps = list(caps)
     if len(caps) < 2:
@@ -210,8 +211,10 @@ def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
     if any(c.radius >= PI / 2.0 for c in caps):
         # such a cap meets every great circle, so no circle can split
         return SphericalSplitDecision(True, None, -math.inf, 0)
-    best, pole, count = _best_pole(*_cap_arrays(caps), split=True)
-    return SphericalSplitDecision(best <= tol, pole if best > tol else None, best, count)
+    centers, radii = _cap_arrays(caps)
+    best, pole, count = _best_pole(centers, radii, split=True)
+    margin = best if best > -math.sin(float(radii.min())) else -math.inf
+    return SphericalSplitDecision(best <= tol, pole if best > tol else None, margin, count)
 
 
 # ---------------------------------------------------------------------------

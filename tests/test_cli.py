@@ -258,12 +258,19 @@ def test_lambda_density(capsys):
     code, payload = run(["lambda-density", "--geometry", "euclidean", "--lam", "0.3"], capsys)
     assert code == 0
     assert payload["value"] == pytest.approx(math.pi / math.sqrt(12.0), abs=1e-12)
+    assert payload["provenance"] == {"method": "voronoi-fan", "exact": True}
+    assert "error" not in payload
     code, payload = run(
-        ["lambda-density", "--geometry", "spherical", "--lam", "0.3", "--rho", "0.5",
-         "--samples", "20000"],
+        ["lambda-density", "--geometry", "spherical", "--lam", "0.3", "--rho", "0.5"],
         capsys,
     )
     assert code == 0 and payload["branch"] == "regular"
+    code, payload = run(
+        ["lambda-density", "--geometry", "spherical", "--lam", "0.1", "--rho", "1.2"],
+        capsys,
+    )
+    assert code == 0 and payload["branch"] == "long-leg"
+    assert payload["value"] == pytest.approx(0.88276, abs=1e-3)
     code, _ = run(["lambda-density", "--geometry", "spherical", "--lam", "0.3"], capsys)
     assert code == 3  # missing --rho
 
@@ -431,6 +438,8 @@ def test_bad_numeric_input_exits_3(argv, tmp_path, capsys):
         ["contact", "GRID", "--seed", "1"],
         ["check-ns", "GRID", "--seed", "1"],
         ["extremal-3disks", "--samples", "0"],
+        ["lambda-density", "--geometry", "spherical", "--lam", "0.3", "--rho", "1.1", "--samples", "1000"],
+        ["lambda-density", "--geometry", "spherical", "--lam", "0.3", "--rho", "1.1", "--seed", "1"],
     ],
 )
 def test_flags_a_command_does_not_read_exit_3(argv, grid_file, capsys):

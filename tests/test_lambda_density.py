@@ -2,13 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sepgeom.bodies import GeometryError
 from sepgeom.lambda_density import (
-    _qmc_density_euclid,
-    _qmc_density_hyper,
-    _qmc_density_sphere,
     density_bound_euclid,
     density_bound_hyper,
     density_bound_sphere,
@@ -121,38 +119,115 @@ def test_legs_flatten_to_euclid():
     assert leg_hyper(y, lam) == pytest.approx(flat, rel=1e-3)
 
 
+def _sectors(tri, rho):
+    """The density of three disjoint vertex disks inside the triangle: three
+    sectors whose angles sum to the angle sum of the triangle."""
+    if tri.geometry == "euclidean":
+        return math.pi * rho * rho / 2.0 / tri.area
+    if tri.geometry == "spherical":
+        return (math.pi + tri.area) * (1.0 - math.cos(rho)) / tri.area
+    return (math.pi - tri.area) * (math.cosh(rho) - 1.0) / tri.area
+
+
 def test_sector_densities_exact():
     oct_ = regular_triangle("spherical", math.pi / 2.0)
     d = triangle_disk_density(oct_, math.pi / 4.0)
-    assert d.method == "sectors" and d.error == 0.0
     assert d.value == pytest.approx(3.0 * (1.0 - math.sqrt(2.0) / 2.0), abs=1e-14)
     e = triangle_disk_density(regular_triangle("euclidean", 2.0), 1.0)
-    assert e.method == "sectors"
     assert e.value == pytest.approx(math.pi / SQRT12, abs=1e-14)
     with pytest.raises(GeometryError):
         triangle_disk_density(oct_, 0.0)
 
 
-def test_qmc_matches_sectors():
-    tri = regular_triangle("euclidean", 2.5)
-    truth = triangle_disk_density(tri, 1.0).value
-    val, err = _qmc_density_euclid(tri, 1.0, 160_000, 0)
-    assert val == pytest.approx(truth, abs=1e-3)
-    oct_ = regular_triangle("spherical", math.pi / 2.0)
-    truth = triangle_disk_density(oct_, math.pi / 4.0).value
-    val, err = _qmc_density_sphere(oct_, math.pi / 4.0, 160_000, 0)
-    assert val == pytest.approx(truth, abs=1.5e-3)
-    hyp = regular_triangle("hyperbolic", 2.0)
-    truth = triangle_disk_density(hyp, 1.0).value
-    val, err = _qmc_density_hyper(hyp, 1.0, 160_000, 0)
-    assert val == pytest.approx(truth, abs=1.5e-3)
+def test_fan_matches_sectors_on_clean_triangles():
+    """Where the vertex disks are disjoint and inside the triangle, the
+    Voronoi fan gives the sector closed form: on the regular and isosceles
+    triangles below, and on every short-leg and regular triangle of the
+    spherical and hyperbolic bounds (hyperbolic radii up to 3.5)."""
+    cases = [
+        (regular_triangle("euclidean", 2.0), 1.0),
+        (regular_triangle("euclidean", 2.5), 1.0),
+        (isosceles_triangle("euclidean", 2.0, 3.0), 1.0),
+        (regular_triangle("spherical", math.pi / 2.0), math.pi / 4.0),
+        (regular_triangle("hyperbolic", 2.0), 1.0),
+    ]
+    for rho in np.arange(0.05, 1.55, 0.05):
+        for lam in np.arange(0.0, 0.8, 0.1):
+            try:
+                bound = density_bound_sphere(float(rho), float(lam))
+            except GeometryError:
+                continue
+            if bound.branch != "long-leg":
+                cases.append((bound.density.triangle, float(rho)))
+    for rho in (0.31, 0.33, 0.35, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+        for lam in (0.0, 0.1, 0.3):
+            if lam <= rho:
+                cases.append((density_bound_hyper(rho, lam).density.triangle, rho))
+    assert len(cases) > 120
+    for tri, rho in cases:
+        got = triangle_disk_density(tri, rho).value
+        assert got == pytest.approx(_sectors(tri, rho), rel=1e-11), (tri, rho)
 
 
 def test_overlapping_disks_cover_thin_triangle():
     tri = triangle_from_sides("euclidean", 2.0, 1.2, 1.2)
     d = triangle_disk_density(tri, 1.0)
-    assert d.method == "qmc"
-    assert d.value == 1.0
+    assert d.value == pytest.approx(1.0, abs=1e-12)
+
+
+def _plain_monte_carlo(tri, rho, seed, points=4_000_000):
+    """Covered fraction of uniform points of the triangle, and its standard
+    error: the plane folds the unit square onto it, the sphere keeps the
+    points of the whole sphere that fall inside it."""
+    rng = np.random.default_rng(seed)
+    v = triangle_vertices(tri)
+    inside = covered = 0
+    for _ in range(points // 1_000_000):
+        if tri.geometry == "euclidean":
+            u = rng.random((1_000_000, 2))
+            flip = u.sum(axis=1) > 1.0
+            u[flip] = 1.0 - u[flip]
+            p = v[0] + u[:, :1] * (v[1] - v[0]) + u[:, 1:] * (v[2] - v[0])
+            hit = (((p[:, None, :] - v) ** 2).sum(axis=2) <= rho * rho).any(axis=1)
+        else:
+            normals = np.cross(np.roll(v, -1, axis=0), np.roll(v, -2, axis=0))
+            normals *= np.sign((normals * v).sum(axis=1))[:, None]
+            p = rng.normal(size=(1_000_000, 3))
+            p /= np.linalg.norm(p, axis=1)[:, None]
+            p = p[(p @ normals.T >= 0.0).all(axis=1)]
+            hit = (p @ v.T >= math.cos(rho)).any(axis=1)
+        inside += len(hit)
+        covered += int(hit.sum())
+    f = covered / inside
+    return f, math.sqrt(f * (1.0 - f) / inside)
+
+
+def test_fan_matches_plain_monte_carlo_where_disks_overlap_or_stick_out():
+    cases = [
+        (triangle_from_sides("euclidean", 1.0, 3.0, 3.5), 1.0),
+        (triangle_from_sides("euclidean", 4.0, 2.1, 2.1), 1.0),
+        (density_bound_sphere(1.1, 0.3).density.triangle, 1.1),
+        (density_bound_sphere(1.2, 0.1).density.triangle, 1.2),
+    ]
+    for seed, (tri, rho) in enumerate(cases):
+        want, err = _plain_monte_carlo(tri, rho, seed)
+        assert abs(triangle_disk_density(tri, rho).value - want) <= 5.0 * err, (tri, rho)
+
+
+def test_long_leg_bound_reaches_the_whole_triangle():
+    """The wide long-leg triangle has points farther from its vertex mean
+    than any vertex; a plain Monte Carlo of 4e7 points of the sphere gives
+    0.882781 +- 0.000074 here."""
+    assert density_bound_sphere(1.2, 0.1).value == pytest.approx(0.88276, abs=1e-3)
+
+
+def test_curved_fans_flatten_to_euclid():
+    # curvature moves the density of a triangle of size s by O(s^2)
+    for sides in ((1.0, 3.0, 3.5), (4.0, 2.1, 2.1)):
+        flat = triangle_disk_density(triangle_from_sides("euclidean", *sides), 1.0).value
+        for geometry in ("spherical", "hyperbolic"):
+            small = triangle_from_sides(geometry, *(1e-3 * x for x in sides))
+            assert triangle_disk_density(small, 1e-3).value == pytest.approx(flat, abs=1e-6)
 
 
 def test_density_bound_euclid():
@@ -161,7 +236,6 @@ def test_density_bound_euclid():
     assert flat.value == pytest.approx(math.pi / SQRT12, abs=1e-14)
     sq = density_bound_euclid(0.95)
     assert sq.branch == "squeezed"
-    assert sq.density.method == "sectors"
     assert sq.value == pytest.approx(math.pi / (4.0 * 0.95), abs=1e-12)
     assert min(sq.density.triangle.sides) == pytest.approx(2.0, abs=1e-12)
     knee = math.sqrt(3.0) / 2.0
@@ -176,11 +250,11 @@ def test_density_bound_euclid():
 
 def test_density_bound_sphere_branches():
     lam = 0.3
-    short = density_bound_sphere(0.32, lam, samples=40_000)
+    short = density_bound_sphere(0.32, lam)
     assert short.branch == "short-leg" and 0.0 < short.value < 1.0
-    reg = density_bound_sphere(0.5, lam, samples=40_000)
-    assert reg.branch == "regular" and reg.density.method == "sectors"
-    long_ = density_bound_sphere(1.1, lam, samples=40_000)
+    reg = density_bound_sphere(0.5, lam)
+    assert reg.branch == "regular"
+    long_ = density_bound_sphere(1.1, lam)
     assert long_.branch == "long-leg" and 0.0 < long_.value < 1.0
     small, big = regular_base_sphere(lam)
     lo = density_bound_sphere(small - 1e-9, lam).value
@@ -191,10 +265,10 @@ def test_density_bound_sphere_branches():
     assert lo == pytest.approx(hi, abs=1e-6)
     # large lambda: the regular window opens above pi/4, leaving only a thin
     # long-leg sliver between the window left end asin(tan lambda) and it
-    assert density_bound_sphere(0.78, 0.62, samples=20_000).branch == "short-leg"
+    assert density_bound_sphere(0.78, 0.62).branch == "short-leg"
     sliver = 0.5 * (math.asin(math.tan(0.62)) + regular_base_sphere(0.62)[0])
-    assert density_bound_sphere(sliver, 0.62, samples=20_000).branch == "long-leg"
-    assert density_bound_sphere(0.80, 0.62, samples=20_000).branch == "regular"
+    assert density_bound_sphere(sliver, 0.62).branch == "long-leg"
+    assert density_bound_sphere(0.80, 0.62).branch == "regular"
     assert density_bound_sphere(0.5, 0.0).branch == "regular"
     with pytest.raises(GeometryError):
         density_bound_sphere(1.6, 0.1)
@@ -206,9 +280,9 @@ def test_density_bound_sphere_branches():
 
 def test_density_bound_hyper_branches():
     lam = 0.3
-    short = density_bound_hyper(0.33, lam, samples=40_000)
+    short = density_bound_hyper(0.33, lam)
     assert short.branch == "short-leg"
-    reg = density_bound_hyper(0.35, lam, samples=40_000)
+    reg = density_bound_hyper(0.35, lam)
     assert reg.branch == "regular"
     ysh = regular_base_hyper(lam)
     lo = density_bound_hyper(ysh - 1e-9, lam).value

@@ -16,6 +16,7 @@ from sepgeom.bodies import ConvexBody, GeometryError, _gauges, _strict_hull, min
 from sepgeom.measures import area, min_area_parallelogram, minkowski_sum_polygons
 from sepgeom.packing import (
     GuillotinePartition,
+    _cell_measures,
     _in_loop,
     _pair_gauges,
     PlaneCut,
@@ -326,6 +327,26 @@ def test_kertesz_random_partitions(rng):
         rep = kertesz_check(part)
         assert rep.holds_surface and rep.holds_volume
         assert rep.n_cells == len(part.cuts) + 1
+
+
+def test_cell_measures_match_qhull(rng):
+    """Random cells of 4-15 oblique planes inside a box, about a random
+    center: vertex enumeration gives Qhull's surface and volume."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    for _ in range(200):
+        k = int(rng.integers(4, 16))
+        normals = rng.normal(size=(k, 3))
+        normals = np.vstack([normals / np.linalg.norm(normals, axis=1)[:, None], np.eye(3), -np.eye(3)])
+        center = rng.normal(size=3)
+        offsets = np.r_[rng.uniform(0.2, 2.0, k), np.full(6, 3.0)] + normals @ center
+        surface, volume = _cell_measures(normals, offsets, center)
+        hull = ConvexHull(HalfspaceIntersection(np.c_[normals, -offsets], center).intersections)
+        assert surface == pytest.approx(hull.area, rel=1e-12)
+        assert volume == pytest.approx(hull.volume, rel=1e-12)
+    # a slab of no thickness has no volume
+    flat = np.vstack([np.eye(3), -np.eye(3)])
+    assert _cell_measures(flat, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0]), np.zeros(3))[1] == 0.0
 
 
 def _difference_test_polygons(rng, count: int):

@@ -157,6 +157,17 @@ def test_two_caps_best_margin_is_closed_form(rng):
             assert dec.non_separable == (want <= 1e-9)
 
 
+def test_split_margin_is_reported_only_above_minus_min_sin_r():
+    """The best candidate circle here clears the caps by -0.313, below
+    -min sin r = -0.059. It need not be the best circle, so the margin is
+    -inf, meaning at most -min sin r."""
+    centers = np.array([[-0.677, -0.344, 0.651], [-0.593, -0.634, 0.497], [-0.557, -0.559, 0.614]])
+    caps = [Cap(c / np.linalg.norm(c), r) for c, r in zip(centers, (0.059, 0.536, 0.076))]
+    dec = caps_non_separable(caps)
+    assert dec.non_separable and dec.pole is None
+    assert dec.margin == -math.inf
+
+
 def _random_caps(rng, spread: float) -> tuple[np.ndarray, np.ndarray]:
     k = int(rng.integers(2, 7))
     centers = rng.normal(size=3) + spread * rng.normal(size=(k, 3))
