@@ -116,10 +116,10 @@ def _unpacked(path: str, *extra):
 # name -> (sizes, input builder (sg, np, gen, n), the call: an attribute path in
 # sepgeom, called on the input, or _unpacked)
 CALLS = {
-    "is_non_separable/ns-24gon": ((32, 128, 256), _homothets("poly", False), "is_non_separable"),
-    "is_non_separable/spread-24gon": ((32, 128, 256), _homothets("poly", True), "is_non_separable"),
-    "is_non_separable/ns-disk": ((32, 128, 256), _homothets("disk", False), "is_non_separable"),
-    "is_non_separable/spread-disk": ((32, 128, 256), _homothets("disk", True), "is_non_separable"),
+    "is_non_separable/ns-24gon": ((32, 128, 256, 512), _homothets("poly", False), "is_non_separable"),
+    "is_non_separable/spread-24gon": ((32, 128, 256, 512), _homothets("poly", True), "is_non_separable"),
+    "is_non_separable/ns-disk": ((32, 128, 256, 512), _homothets("disk", False), "is_non_separable"),
+    "is_non_separable/spread-disk": ((32, 128, 256, 512), _homothets("disk", True), "is_non_separable"),
     "min_cover_ratio/ns-disk": ((32, 128, 256), _homothets("disk", False), "min_cover_ratio"),
     "min_cover_ratio/ns-24gon": ((32, 128, 256), _homothets("poly", False), "min_cover_ratio"),
     "inscribed_disk/regular": ((12, 512), _regular, "measures.inscribed_disk"),

@@ -28,7 +28,7 @@ from .measures import (
     hull_perimeter,
     perimeter,
 )
-from .separability import _MACHINE_EPS, _member_features, _project, is_non_separable
+from .separability import _MACHINE_EPS, _project, is_non_separable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -70,10 +70,14 @@ def _cover(family: HomothetFamily, center, ratio: float, normalized: float, meth
     times min(1, extent of the family) plus the round-off of the family's
     largest coordinate."""
     viol = _containment_violation(family, center, ratio, facets)
-    pts, rad = _member_features([family.reference])
+    k = family.reference
+    if k.kind == "disk":
+        lo_k, hi_k = k.center - k.radius, k.center + k.radius
+    else:
+        lo_k, hi_k = k.vertices.min(axis=0), k.vertices.max(axis=0)
     c, tau = family.centers, family.ratios[:, None]
-    lo = (c + tau * (pts[0].min(axis=0) - rad[0])).min(axis=0)
-    hi = (c + tau * (pts[0].max(axis=0) + rad[0])).max(axis=0)
+    lo = (c + tau * lo_k).min(axis=0)
+    hi = (c + tau * hi_k).max(axis=0)
     size = float(np.abs([lo, hi]).max())
     within = viol <= tol * min(1.0, float((hi - lo).max())) + 64.0 * _MACHINE_EPS * size
     return CoverHomothet(center, ratio, normalized, method, bool(within), viol)
@@ -95,7 +99,8 @@ def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomo
         raise GeometryError("homothety ratios must be positive")
     total = float(ratios.sum())
     x = (ratios[:, None] * centers).sum(axis=0) / total
-    return _cover(family, x, total, 1.0, "weighted-centroid", tol)
+    facets = None if k.kind == "disk" else polygon_facets(k)
+    return _cover(family, x, total, 1.0, "weighted-centroid", tol, facets)
 
 
 def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:

@@ -37,8 +37,24 @@ class Triangle:
     area: float
 
 
+def _lhuilier(f, sides) -> float:
+    """4 atan sqrt(f(s/2) f((s-a)/2) f((s-b)/2) f((s-c)/2)) for the half
+    perimeter s of sides (a, b, c): the spherical excess for f = tan, the
+    hyperbolic defect for f = tanh."""
+    a, b, c = sides
+    halves = (0.25 * (a + b + c), 0.25 * (b + c - a), 0.25 * (a + c - b), 0.25 * (a + b - c))
+    return 4.0 * math.atan(math.sqrt(math.prod(map(f, halves))))
+
+
 def triangle_from_sides(geometry: str, a: float, b: float, c: float) -> Triangle:
-    """Solve a triangle from its side lengths."""
+    """Solve a triangle from its side lengths.
+
+    The curved areas come from the sides, not from the angle sum, whose
+    arccos angles lose the excess of a small triangle to round-off:
+    L'Huilier's tan(E/4)^2 = tan(s/2) tan((s-a)/2) tan((s-b)/2) tan((s-c)/2)
+    on the sphere, and the same with tanh for the defect in the hyperbolic
+    plane, s the half perimeter and s - a taken as (b + c - a)/2.
+    """
     if geometry not in GEOMETRIES:
         raise GeometryError(f"unknown geometry {geometry!r}")
     s = (float(a), float(b), float(c))
@@ -69,7 +85,7 @@ def triangle_from_sides(geometry: str, a: float, b: float, c: float) -> Triangle
             _acos((cb - ca * cc) / (sa * sc)),
             _acos((cc - ca * cb) / (sa * sb)),
         )
-        return Triangle(geometry, s, ang, sum(ang) - PI)
+        return Triangle(geometry, s, ang, _lhuilier(math.tan, s))
     ca, cb, cc = (math.cosh(v) for v in s)
     sa, sb, sc = (math.sinh(v) for v in s)
     ang = (
@@ -77,7 +93,7 @@ def triangle_from_sides(geometry: str, a: float, b: float, c: float) -> Triangle
         _acos((ca * cc - cb) / (sa * sc)),
         _acos((ca * cb - cc) / (sa * sb)),
     )
-    return Triangle(geometry, s, ang, PI - sum(ang))
+    return Triangle(geometry, s, ang, _lhuilier(math.tanh, s))
 
 
 def isosceles_triangle(geometry: str, base: float, leg: float) -> Triangle:

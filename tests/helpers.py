@@ -418,3 +418,42 @@ def move_bodies(rng, bodies) -> list:
     rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     t = rng.uniform(-3.0, 3.0, 2)
     return [b.transform(rot, t) for b in bodies]
+
+
+def ns_pair_sweep(family, tol: float = 1e-9):
+    """Non-separability of a planar family by the all-pairs midpoint sweep,
+    a test-only oracle for is_non_separable: (non_separable, directions
+    swept, widest gap, number of components of the never-split graph).
+
+    Every pair's arc of splitting directions (threshold tol scaled by
+    min(1, extent of the family)) over all k^2 feature differences, and the
+    widest gap at the midpoints between all their ends taken mod pi: at most
+    n(n - 1) directions, with no component reduction. The components of the
+    pairs with an empty arc come from a plain union-find.
+    """
+    from sepgeom import separability as sp
+    from sepgeom._kernels import sweep
+
+    bodies = family.bodies() if isinstance(family, HomothetFamily) else list(family)
+    n = len(bodies)
+    pts, rad = sp._member_features(bodies)
+    t = sp._scaled_tol(pts, rad, tol)
+    i, j = np.triu_indices(n, 1)
+    lo, hi = sp._arcs(sp._differences(pts, i, j), (rad[i] + rad[j] + t)[:, None])
+    split = lo < hi
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a, b in zip(i[~split].tolist(), j[~split].tolist()):
+        root[find(a)] = find(b)
+    c = len({find(a) for a in range(n)})
+    if not split.any():
+        return True, 0, -math.inf, c
+    _, mids = sp._mod_pi(np.concatenate([lo[split], hi[split]]))
+    dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    widest = float(sweep(*sp._project(dirs, pts, rad))[1].max())
+    return not widest > t, len(dirs), widest, c

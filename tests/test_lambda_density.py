@@ -41,6 +41,26 @@ def test_triangle_from_sides_guards():
         triangle_from_sides("elliptic", 1.0, 1.0, 1.0)
 
 
+def test_small_curved_triangles_keep_their_area():
+    """The spherical excess and the hyperbolic defect come from the sides
+    (L'Huilier's formula and its tanh analogue), so small regular triangles
+    keep them to 1e-12 relative, where the angle sum of arccos angles loses
+    them to round-off; on larger triangles they equal the angle sum."""
+    for side in (1e-3, 1e-4):
+        flat = math.sqrt(3.0) / 4.0 * side * side
+        sph, hyp = regular_triangle("spherical", side), regular_triangle("hyperbolic", side)
+        want = 4.0 * math.atan(math.sqrt(math.tan(0.75 * side) * math.tan(0.25 * side) ** 3))
+        assert sph.area == pytest.approx(want, rel=1e-12)
+        want = 4.0 * math.atan(math.sqrt(math.tanh(0.75 * side) * math.tanh(0.25 * side) ** 3))
+        assert hyp.area == pytest.approx(want, rel=1e-12)
+        assert 0.0 < hyp.area < flat < sph.area
+        assert sph.area == pytest.approx(flat, rel=side) and hyp.area == pytest.approx(flat, rel=side)
+    for sides in ((1.0, 1.2, 0.9), (0.3, 2.0, 1.8)):
+        sph, hyp = triangle_from_sides("spherical", *sides), triangle_from_sides("hyperbolic", *sides)
+        assert sph.area == pytest.approx(sum(sph.angles) - math.pi, abs=1e-12)
+        assert hyp.area == pytest.approx(math.pi - sum(hyp.angles), abs=1e-12)
+
+
 def test_triangle_solutions():
     t = triangle_from_sides("euclidean", 3.0, 4.0, 5.0)
     assert t.angles[2] == pytest.approx(math.pi / 2.0, abs=1e-12)

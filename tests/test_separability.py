@@ -5,6 +5,8 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     _plain_features,
@@ -12,6 +14,7 @@ from helpers import (
     house7_centers,
     move_bodies,
     ns_family,
+    ns_pair_sweep,
     pair_clearance_reference,
     random_convex_polygon,
     random_reference,
@@ -31,6 +34,7 @@ from sepgeom.separability import (
     Hyperplane,
     _critical_angles,
     _member_features,
+    _merge,
     _near_pairs,
     _pair_gaps,
     _pair_table,
@@ -217,6 +221,32 @@ def test_rho_separable_thresholds():
         is_rho_separable(tri, square_lattice, 2.0)
 
 
+def test_rho_verdicts_do_not_change_at_small_scales(rng):
+    """is_rho_separable cuts at tol scaled by min(1, extent of the packing),
+    as the TS and LS checks do, so a touching lattice block of K keeps its
+    verdict, failing member and neighbourhoods when K and the block shrink
+    by 1e-6 or 1e-9. The gauges are scale-free and keep the raw tol. Half
+    the blocks have their last member moved a row up, over two members of
+    the top row, which is not rho-separable at rho = 3: with an absolute
+    1e-9 as the cut tolerance, the block at 1e-9 was judged separable."""
+    seen = set()
+    for t in range(24):
+        ref = ConvexBody.disk((0.0, 0.0), 1.0) if t % 5 == 4 else random_symmetric_polygon(rng)
+        rows, cols = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        centers = ts_lattice_subset(rng, ref, rows, cols)
+        if t % 2:
+            u, v = centers[1] - centers[0], centers[cols] - centers[0]
+            centers[-1] += v - float(rng.uniform(0.2, 0.8)) * u
+        for rho in (3.0, 4.5):
+            res = is_rho_separable(ref, centers, rho)
+            seen.add(res.separable)
+            for s in (1e-6, 1e-9):
+                small = is_rho_separable(ref.transform(np.eye(2) * s), centers * s, rho)
+                assert (small.separable, small.failing_member, small.neighborhoods) == (
+                    res.separable, res.failing_member, res.neighborhoods), (t, rho, s)
+    assert seen == {True, False}
+
+
 def test_tangency_pairs_grid():
     grid = unit_disks([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (0.0, 5.0)])
     pairs = tangency_pairs(grid)
@@ -282,6 +312,167 @@ def test_planar_directions_checked_bounded(rng):
         dec = is_non_separable(fam)
         assert dec.directions_checked <= n * (n - 1)
         assert not dec.approximate
+
+
+def _witness_clearance(bodies, w) -> float:
+    """Clearance of the witness line from the members, in plain Python from
+    raw coordinates: the least distance of a left member below it or a right
+    member above it, after checking that the sides partition the family."""
+    assert w.left and w.right and sorted(w.left + w.right) == list(range(len(bodies)))
+    nx, ny = (float(v) for v in w.plane.normal)
+    s = float(w.plane.offset)
+    gap = math.inf
+    for side, members in ((-1.0, w.left), (1.0, w.right)):
+        for m in members:
+            vs, r, _ = _plain_features(bodies[m])
+            gap = min(gap, min(side * (nx * x + ny * y - s) for x, y in vs) - r)
+    return gap
+
+
+def _clusters(rng, anchors) -> list:
+    """Two to four overlapping disks and polygons of size about 1 around each
+    anchor: one never-split component per anchor when the anchors are far apart."""
+    fam = []
+    for a in anchors:
+        for c in a + rng.uniform(-0.4, 0.4, (int(rng.integers(2, 5)), 2)):
+            if rng.random() < 0.5:
+                fam.append(ConvexBody.disk(c, float(rng.uniform(0.8, 1.0))))
+            else:
+                fam.append(ConvexBody.polygon(c + 0.9 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], float)))
+    return fam
+
+
+def test_merge_labels_components_by_their_smallest_member(rng):
+    """_merge, fed the edges of a random graph in chunks as is_non_separable
+    feeds it the never-split pairs of each block, labels every member with
+    the smallest member of its component, as a plain union-find does; paths
+    in scrambled order need several rounds of pointer jumping."""
+    for trial in range(60):
+        n = int(rng.integers(1, 60))
+        if trial % 3 == 0:
+            perm = rng.permutation(n)
+            edges = np.column_stack([perm[:-1], perm[1:]]) if n > 1 else np.empty((0, 2), int)
+        else:
+            edges = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+        edges = edges[rng.permutation(len(edges))]
+        root = list(range(n))
+
+        def find(a):
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for a, b in edges.tolist():
+            root[max(find(a), find(b))] = min(find(a), find(b))
+        comp = np.arange(n)
+        for chunk in np.array_split(edges, int(rng.integers(1, 4))):
+            comp = _merge(comp, chunk[:, 0], chunk[:, 1])
+        assert comp.tolist() == [find(a) for a in range(n)], trial
+
+
+def test_ns_components_match_the_pair_sweep(rng):
+    """is_non_separable sweeps only the ends of the arcs S(A, B) between
+    components of the never-split graph; the parent's sweep over the ends of
+    every pair arc (helpers.ns_pair_sweep) gives the same verdict on random
+    disks, polygons, mixed bodies and homothets. A ring of overlapping disks
+    around a free one is NS with two components and no direction swept; three
+    far clusters are split by a cut grouping two of them. Every witness
+    clears the members from raw coordinates by its margin, and at most
+    c(c - 1) directions are swept for c components."""
+    fams = []
+    for trial in range(64):
+        n = int(rng.integers(2, 10))
+        centers = rng.uniform(-1.0, 1.0, (n, 2)) * rng.uniform(1.0, 5.0)
+        kind = trial % 4
+        if kind == 3:
+            fams.append(("any", HomothetFamily(random_reference(rng), centers, rng.uniform(0.3, 1.2, n))))
+            continue
+        fam = []
+        for c in centers:
+            if kind == 0 or (kind == 2 and rng.random() < 0.5):
+                fam.append(ConvexBody.disk(c, float(rng.uniform(0.3, 1.2))))
+            else:
+                fam.append(random_convex_polygon(rng, k=int(rng.integers(3, 8)), scale=0.8).translate(c))
+        fams.append(("any", fam))
+    for m in (6, 9, 14):
+        ang = 2.0 * math.pi * np.arange(m) / m
+        ring = 3.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+        radius = 0.6 * 6.0 * math.sin(math.pi / m)  # 1.2 half chords: neighbours overlap
+        fams.append(("ring", disk_bodies(ring, radius) + [ConvexBody.disk((0.1, -0.2), 0.5)]))
+    for trial in range(12):
+        if trial % 2:
+            anchors = np.array([[0.0, 0.0], [8.0, 0.0], [16.0, 0.0]])
+        else:
+            anchors = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 7.0]])
+        fams.append(("three", _clusters(rng, anchors + rng.normal(size=2))))
+    kinds = {"ns": 0, "split": 0}
+    for tag, fam in fams:
+        dec = is_non_separable(fam)
+        bodies = fam.bodies() if isinstance(fam, HomothetFamily) else fam
+        ns, _, widest, c = ns_pair_sweep(fam)
+        assert not dec.approximate and dec.directions_checked <= c * (c - 1)
+        t = separability._scaled_tol(*_member_features(bodies), 1e-9)
+        if abs(widest - t) > 1e-9:
+            assert dec.non_separable == ns, (tag, widest)
+        if tag == "ring":
+            assert dec.non_separable and c == 2 and dec.directions_checked == 0
+        if tag == "three":
+            assert not dec.non_separable and c == 3
+        if dec.witness is None:
+            kinds["ns"] += 1
+            continue
+        kinds["split"] += 1
+        assert dec.witness.margin > 0.0
+        clearance = _witness_clearance(bodies, dec.witness)
+        assert clearance >= dec.witness.margin * (1.0 - 1e-9) - 1e-12
+    assert min(kinds.values()) >= 10, kinds
+
+
+def _similarity(fam, angle: float, scale: float, shift) -> object:
+    """fam under x -> scale (R(angle) x + shift): a HomothetFamily through
+    its transform, a list of bodies member by member."""
+    c, s = math.cos(angle), math.sin(angle)
+    m = scale * np.array([[c, -s], [s, c]])
+    t = scale * np.asarray(shift, dtype=float)
+    if isinstance(fam, HomothetFamily):
+        return fam.transform(m, t)
+    return [b.transform(m, t) for b in fam]
+
+
+def _spread(rng, fam: HomothetFamily) -> list:
+    """The members of fam, those above the median along a random u moved up
+    until a slab of width 0.5 across u parts them from the rest."""
+    bodies = fam.bodies()
+    a = float(rng.uniform(0.0, 2.0 * math.pi))
+    u = np.array([math.cos(a), math.sin(a)])
+    lo, hi = (np.array([f(x @ u for x in _plain_features(b)[0]) for b in bodies]) for f in (min, max))
+    rad = np.array([_plain_features(b)[1] for b in bodies])
+    lo, hi = lo - rad, hi + rad
+    up = fam.centers @ u > np.median(fam.centers @ u)
+    shift = hi[~up].max() - lo[up].min() + 0.5
+    return [b.translate(shift * u) if k else b for b, k in zip(bodies, up)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    split=st.booleans(),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    log_scale=st.floats(-6.0, 6.0),
+    shift=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+)
+def test_ns_verdicts_do_not_change_under_similarities(seed, split, angle, log_scale, shift):
+    """A family whose members overlap a neighbour (NS) or that a slab of
+    width 0.5 parts (separable) keeps its verdict under rotation, scaling
+    by 1e-6 to 1e6 and translation by up to 1e6 in its own units: every
+    clearance that decides it is far above the tolerance."""
+    rng = np.random.default_rng(seed)
+    fam = ns_family(rng, random_reference(rng), int(rng.integers(2, 9)))
+    if split:
+        fam = _spread(rng, fam)
+    assert is_non_separable(fam).non_separable == (not split)
+    moved = _similarity(fam, angle, 10.0**log_scale, shift)
+    assert is_non_separable(moved).non_separable == (not split)
 
 
 def test_two_disk_margin_is_exact(rng):
