@@ -14,7 +14,9 @@ labels of the file, so a parent and a change sit side by side. Rows:
 - ``<call>/<input>/<n>``: one library call on one input of size n, each in
   a fresh interpreter, the best of 3 ``perf_counter`` wall times, with the
   interpreter's peak RSS; inputs are drawn by ``verdictbench/inputs.py``
-  of this checkout;
+  of this checkout. The best of 3 reuses one input, so a reference body's
+  derived geometry is built in the first try only; the ``-cold`` rows
+  rebuild the reference inside each timed call;
 - ``cli/<command>``: the wall time of one ``python -m sepgeom.cli`` process
   per call, best of 3, on the inputs of the ``cli-cold`` workload;
 - ``import``: ``import sepgeom.cli`` in a fresh interpreter, best of 3:
@@ -113,6 +115,29 @@ def _unpacked(path: str, *extra):
     return lambda sg: lambda arg: functools.reduce(getattr, path.split("."), sg)(*arg, *extra)
 
 
+def _fresh(sg, k):
+    """A body equal to k built afresh, with none of k's derived geometry."""
+    return sg.ConvexBody.disk(k.center, k.radius) if k.kind == "disk" else sg.ConvexBody.polygon(k.vertices)
+
+
+def _cold(path: str, *extra):
+    """_unpacked on a (K, centers) input, or sepgeom.<path>(family), with the
+    reference K rebuilt from its vertices inside the timed call: what a
+    one-shot call pays, derived geometry of K included."""
+
+    def call(sg):
+        func = functools.reduce(getattr, path.split("."), sg)
+
+        def cold(arg):
+            if isinstance(arg, tuple):
+                return func(_fresh(sg, arg[0]), *arg[1:], *extra)
+            return func(sg.HomothetFamily(_fresh(sg, arg.reference), arg.centers, arg.ratios), *extra)
+
+        return cold
+
+    return call
+
+
 # name -> (sizes, input builder (sg, np, gen, n), the call: an attribute path in
 # sepgeom, called on the input, or _unpacked)
 CALLS = {
@@ -132,6 +157,9 @@ CALLS = {
     "is_ls_packing/spiral": ((10000,), _spiral, "is_ls_packing"),
     "is_rho_separable/lattice-12gon": ((900, 3600), _lattice, _unpacked("is_rho_separable", 3.0)),
     "contact_graph/lattice-12gon": ((10000,), _lattice, _unpacked("contact_graph")),
+    "is_rho_separable/lattice-12gon-cold": ((16, 900), _lattice, _cold("is_rho_separable", 3.0)),
+    "contact_graph/lattice-12gon-cold": ((16, 10000), _lattice, _cold("contact_graph")),
+    "min_cover_ratio/ns-24gon-cold": ((8, 32), _homothets("poly", False), _cold("min_cover_ratio")),
 }
 
 

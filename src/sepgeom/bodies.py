@@ -27,6 +27,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _derived(body: "ConvexBody", name: str, build):
+    """build(body), computed on the first call for name and kept in the
+    body's __dict__ under name. A body is frozen and its arrays are
+    read-only, so a value derived from the body alone stays valid for the
+    body's life. Arrays in the value, alone or in a tuple, are made
+    read-only, so no caller can change what the next one reads."""
+    value = body.__dict__.get(name)
+    if value is None:
+        value = build(body)
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        body.__dict__[name] = value
+    return value
+
+
 def _finite(a, what: str) -> np.ndarray:
     """a as a float array; NaN or infinite entries are rejected."""
     a = np.asarray(a, dtype=float)
@@ -207,21 +223,32 @@ class ConvexBody:
         return ConvexBody(kind=self.kind, vertices=_freeze(verts), degenerate=self.degenerate)
 
     def is_origin_symmetric(self, tol: float = EPS) -> bool:
+        """Whether the body equals its reflection in the origin: a disk
+        centred within tol of it, or vertices -v_i each within 10 tol times
+        max(1, largest |coordinate|) of a distinct vertex, matched greedily
+        (_symmetry_gap, computed once per body)."""
         if self.kind == "disk":
             return bool(np.linalg.norm(self.center) <= tol * max(1.0, self.radius))
         if self.kind in ("polygon", "segment", "polytope"):
-            v = self.vertices
-            limit = tol * max(1.0, float(np.abs(v).max())) * 10
-            # match every vertex -v_i greedily with the nearest unused v_j,
-            # row i of the distances |v_j - (-v_i)|
-            used = [False] * len(v)
-            for row in np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2).tolist():
-                d, j = min((d, j) for j, d in enumerate(row) if not used[j])
-                if d > limit:
-                    return False
-                used[j] = True
-            return True
+            scale, worst = _derived(self, "_symmetry_gap", _symmetry_gap)
+            return bool(worst <= tol * scale * 10)
         return False
+
+
+def _symmetry_gap(body: ConvexBody) -> tuple[float, float]:
+    """max(1, largest |coordinate|) of the body's vertices, and the largest
+    distance of the greedy matching of every -v_i, in order, with the
+    nearest vertex not matched yet. The matching does not depend on a
+    tolerance, so one pass answers is_origin_symmetric for any tol."""
+    v = body.vertices
+    used, worst = [False] * len(v), 0.0
+    # row i of the distances |v_j - (-v_i)|
+    for row in np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2).tolist():
+        d, j = min((d, j) for j, d in enumerate(row) if not used[j])
+        used[j] = True
+        if d > worst:
+            worst = d
+    return max(1.0, float(np.abs(v).max())), worst
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +317,14 @@ def polygon_facets(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit edge normals and support offsets h(n) of a polygon.
 
     The polygon is {x : normals @ x <= offsets} when the origin is interior.
+    Both arrays are computed once per body and are read-only.
     """
     if body.kind != "polygon":
         raise GeometryError("facets need a polygon")
+    return _derived(body, "_facets", _facets)
+
+
+def _facets(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     v = body.vertices
     edges = np.roll(v, -1, axis=0) - v
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)

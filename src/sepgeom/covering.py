@@ -28,7 +28,7 @@ from .measures import (
     hull_perimeter,
     perimeter,
 )
-from .separability import _MACHINE_EPS, _project, is_non_separable
+from .separability import _box_tol, _project, is_non_separable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,11 +45,10 @@ class CoverHomothet:
     violation: float
 
 
-def _containment_violation(family: HomothetFamily, center, ratio: float, facets=None) -> float:
+def _containment_violation(family: HomothetFamily, center, ratio: float) -> float:
     """Largest signed protrusion of a member outside center + ratio*K, exact.
 
-    For a polygon K, facets is polygon_facets(K) where the caller has it;
-    every member is tested against every facet in one pass."""
+    For a polygon K every member is tested against every facet in one pass."""
     k = family.reference
     centers = np.asarray(family.centers, dtype=float)
     ratios = np.asarray(family.ratios, dtype=float)
@@ -58,18 +57,18 @@ def _containment_violation(family: HomothetFamily, center, ratio: float, facets=
         cov_c = center + ratio * k.center
         d = np.linalg.norm(mem_c - cov_c, axis=1)
         return float((d + ratios * k.radius - ratio * k.radius).max())
-    normals, offsets = polygon_facets(k) if facets is None else facets
+    normals, offsets = polygon_facets(k)
     lhs = centers @ normals.T + ratios[:, None] * offsets
     return float((lhs - (normals @ center + ratio * offsets)).max())
 
 
 def _cover(family: HomothetFamily, center, ratio: float, normalized: float, method: str,
-           tol: float, facets=None) -> CoverHomothet:
+           tol: float) -> CoverHomothet:
     """The cover center + ratio*K and its violation, the largest protrusion
-    of a member. It contains every member when the violation is at most tol
-    times min(1, extent of the family) plus the round-off of the family's
-    largest coordinate."""
-    viol = _containment_violation(family, center, ratio, facets)
+    of a member. It contains every member when the violation is at most
+    _box_tol of the family: tol times min(1, extent of the family) plus the
+    round-off of the family's largest coordinate."""
+    viol = _containment_violation(family, center, ratio)
     k = family.reference
     if k.kind == "disk":
         lo_k, hi_k = k.center - k.radius, k.center + k.radius
@@ -78,9 +77,7 @@ def _cover(family: HomothetFamily, center, ratio: float, normalized: float, meth
     c, tau = family.centers, family.ratios[:, None]
     lo = (c + tau * lo_k).min(axis=0)
     hi = (c + tau * hi_k).max(axis=0)
-    size = float(np.abs([lo, hi]).max())
-    within = viol <= tol * min(1.0, float((hi - lo).max())) + 64.0 * _MACHINE_EPS * size
-    return CoverHomothet(center, ratio, normalized, method, bool(within), viol)
+    return CoverHomothet(center, ratio, normalized, method, bool(viol <= _box_tol(lo, hi, tol)), viol)
 
 
 def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
@@ -99,8 +96,7 @@ def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomo
         raise GeometryError("homothety ratios must be positive")
     total = float(ratios.sum())
     x = (ratios[:, None] * centers).sum(axis=0) / total
-    facets = None if k.kind == "disk" else polygon_facets(k)
-    return _cover(family, x, total, 1.0, "weighted-centroid", tol, facets)
+    return _cover(family, x, total, 1.0, "weighted-centroid", tol)
 
 
 def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
@@ -135,7 +131,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     # c + tau K when -n . t' <= mu h - n . (c + tau g - o) - tau h on every
     # facet, h = h_K(n) - n . g > 0; the least such mu is -lam of the collapse
     g = k.vertices.mean(axis=0)
-    normals, offsets = polygon_facets(k)
+    normals, _ = polygon_facets(k)
     h = np.einsum("ij,ij->i", normals, k.vertices - g)
     # the copies of g less o, summed so that nothing large cancels
     c_mean, tau_mean = centers.mean(axis=0), ratios.mean()
@@ -145,7 +141,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     lam, x = collapse(-normals, -need, h)
     mu = -lam
     t = o + x - mu * g
-    return _cover(family, t, mu, mu / total, "facet-vertices", tol, (normals, offsets))
+    return _cover(family, t, mu, mu / total, "facet-vertices", tol)
 
 
 def build_triangle_counterexample(n: int = 3) -> HomothetFamily:

@@ -17,6 +17,8 @@ from .bodies import (
     EPS,
     ConvexBody,
     GeometryError,
+    _derived,
+    _freeze,
     _strict_hull,
     distinct,
     polygon_facets,
@@ -242,12 +244,17 @@ def support_width(body: ConvexBody, dirs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParallelogramFit:
-    """Circumscribed parallelogram {x : lo_k <= <n_k, x> <= hi_k, k = 1, 2}."""
+    """Circumscribed parallelogram {x : lo_k <= <n_k, x> <= hi_k, k = 1, 2},
+    its arrays read-only."""
 
     normals: np.ndarray  # (2, 2) unit rows
     los: np.ndarray
     his: np.ndarray
     area: float
+
+    def __post_init__(self):
+        for name in ("normals", "los", "his"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def corners(self) -> np.ndarray:
         n1, n2 = self.normals
@@ -267,7 +274,10 @@ class ParallelogramFit:
         return True
 
 
-def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> ParallelogramFit:
+_PGRAM_TOL = 1e-12
+
+
+def min_area_parallelogram(body: ConvexBody, tol: float = _PGRAM_TOL) -> ParallelogramFit:
     """Smallest-area circumscribed parallelogram, exact for polygons.
 
     With unit side normals n1, n2 the area is w(n1) w(n2) / |sin(n1, n2)|,
@@ -275,9 +285,16 @@ def min_area_parallelogram(body: ConvexBody, tol: float = 1e-12) -> Parallelogra
     where the antipodal vertex pair of n2 changes, so it is monotone there,
     and some optimum has both side pairs flush with polygon edges
     (Schwarz, Teich, Vainshtein, Welzl and Evans, SoCG 1995). Every pair of
-    edge normals with |sin| above tol is tried.
+    edge normals with |sin| above tol is tried. The fit at the default tol
+    is computed once per body.
     """
     body.require_full_dimensional("min_area_parallelogram")
+    if tol == _PGRAM_TOL:
+        return _derived(body, "_parallelogram", _parallelogram)
+    return _parallelogram(body, tol)
+
+
+def _parallelogram(body: ConvexBody, tol: float = _PGRAM_TOL) -> ParallelogramFit:
     if body.kind == "disk":
         c, r = body.center, body.radius
         normals = np.array([[1.0, 0.0], [0.0, 1.0]])

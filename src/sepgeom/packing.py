@@ -13,6 +13,7 @@ from .bodies import (
     EPS,
     ConvexBody,
     GeometryError,
+    _derived,
     _freeze,
     _gauges,
     _require_planar,
@@ -36,7 +37,7 @@ from .separability import (
     TSResult,
     _near_pairs,
     _near_translates,
-    _pair_table,
+    _reference_table,
     _require_disjoint,
     is_ts_packing,
 )
@@ -57,14 +58,19 @@ def difference_body(body: ConvexBody) -> ConvexBody:
     For a polygon it is the hull of the differences v_b - v_a at the rows
     (a, b) of _pair_table only: at most 2k of them, among which are all the
     vertices of K - K, in place of all k^2. Their hull is strictly convex
-    already, so ConvexBody.polygon does not take it a second time.
+    already, so ConvexBody.polygon does not take it a second time. It is
+    built once per body and kept on it, with its own derived geometry.
     """
     _require_planar([body], "difference body")
     body.require_full_dimensional("difference body")
+    return _derived(body, "_difference_body", _difference_body)
+
+
+def _difference_body(body: ConvexBody) -> ConvexBody:
     if body.kind == "disk":
         return ConvexBody.disk((0.0, 0.0), 2.0 * body.radius)
     v = body.vertices
-    rows = _pair_table(v)
+    rows = _reference_table(body)
     return ConvexBody(kind="polygon", vertices=_freeze(_strict_hull(v[rows[:, 1]] - v[rows[:, 0]])))
 
 

@@ -21,6 +21,7 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     HomothetFamily,
+    _derived,
     _finite,
     _gauges,
     _require_planar,
@@ -165,11 +166,38 @@ def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
     return pts, rad
 
 
+def _reference_features(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """_member_features([body]) of a reference, computed once per body."""
+    return _derived(body, "_member_features", lambda b: _member_features([b]))
+
+
+def _reference_table(body: ConvexBody) -> np.ndarray:
+    """_pair_table of a planar reference's features (_member_features: a
+    disk's center, a polygon's vertices), computed once per body."""
+    return _derived(
+        body, "_pair_table", lambda b: _pair_table(b.center[None, :] if b.kind == "disk" else b.vertices)
+    )
+
+
+_MACHINE_EPS = np.finfo(float).eps
+# round-off allowed per unit of the largest |coordinate| in a tolerance
+_ROUND_OFF = 64.0 * float(_MACHINE_EPS)
+
+
+def _box_tol(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+    """tol times min(1, longest side of the bounding box [lo, hi]), plus the
+    round-off of its largest |coordinate|, which outgrows tol alone above
+    unit extent."""
+    lo, hi = lo.tolist(), hi.tolist()
+    extent = max(map(operator.sub, hi, lo))
+    return tol * min(1.0, extent) + _ROUND_OFF * max(max(hi), -min(lo))
+
+
 def _scaled_tol(pts: np.ndarray, rad: np.ndarray, tol: float) -> float:
-    """tol times min(1, largest coordinate range of the members' union)."""
+    """_box_tol of the members' union."""
     hi = (pts.max(axis=1) + rad[:, None]).max(axis=0)
     lo = (pts.min(axis=1) - rad[:, None]).min(axis=0)
-    return tol * min(1.0, float((hi - lo).max()))
+    return _box_tol(lo, hi, tol)
 
 
 # pair and projection temporaries are built in blocks of about this many entries
@@ -455,7 +483,7 @@ def _homothet_features(family: HomothetFamily):
     """_member_features of a planar homothet family, formed from the
     reference as Homothet.as_body forms each member, with no member body;
     and the reference's own features and radius."""
-    ref, ref_rad = _member_features([family.reference])
+    ref, ref_rad = _reference_features(family.reference)
     centers, ratios = family.centers, family.ratios
     pts = _finite(centers[:, None] + ratios[:, None, None] * ref[0], "homothet vertices")
     rad = ratios * ref_rad[0]
@@ -527,7 +555,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     if homothets:
         pts, rad, ref, ref_rad = _homothet_features(family)
         # a disk's one feature gives one difference either way
-        table = _pair_table(ref[0]) if ref.shape[1] > 1 else None
+        table = _reference_table(family.reference) if ref.shape[1] > 1 else None
     else:
         pts, rad = _member_features(bodies)
         table = None
@@ -647,7 +675,6 @@ def is_sns(family, tol: float = EPS) -> SNSResult:
 # boxes meet at a corner, would double the pairs priced
 _H = math.sqrt(0.5)
 _AXES = np.array([[1.0, 0.0], [0.0, 1.0], [_H, _H], [_H, -_H]])
-_MACHINE_EPS = np.finfo(float).eps
 
 
 def _near_pairs(lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -664,7 +691,7 @@ def _near_pairs(lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
     n, m = lo.shape
     if n < 2:
         return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    reach = 2.0 * tol + 64.0 * _MACHINE_EPS * max(hi.max(), -lo.min())
+    reach = 2.0 * tol + _ROUND_OFF * max(hi.max(), -lo.min())
     order = lo[:, 0].argsort()
     # rows of [lo, -hi] over members in sweep order: two intervals meet when the
     # larger lo plus the larger -hi is at most reach
@@ -690,13 +717,19 @@ def _near_pairs(lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
 def _near_translates(body: ConvexBody, centers, reach: float, tol: float):
     """_near_pairs of the centers whose translates of body, scaled by reach
     about its origin, can meet: every pair at gauge |c_j - c_i|_body at most
-    2 reach + tol among them."""
+    2 reach + tol among them. The body's extents along _AXES are computed
+    once per body."""
     if body.dim != 2 or centers.shape[1] != 2:
         raise GeometryError("the gauge supports planar bodies only")
-    feats = body.center[None, :] if body.kind == "disk" else body.vertices
-    h = reach * (np.abs(feats @ _AXES.T).max(axis=0) + body.radius)
+    h = reach * _derived(body, "_axis_extents", _axis_extents)
     proj = centers @ _AXES.T
     return _near_pairs(proj - h, proj + h, tol * float(h.max()))
+
+
+def _axis_extents(body: ConvexBody) -> np.ndarray:
+    """Largest |<a, x>| over the body, one per row a of _AXES."""
+    feats = body.center[None, :] if body.kind == "disk" else body.vertices
+    return np.abs(feats @ _AXES.T).max(axis=0) + body.radius
 
 
 def _x_units(shape) -> np.ndarray:
@@ -1150,8 +1183,8 @@ def is_rho_separable(
     if rho < 3.0:
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
-    pts, rad = _member_features([reference])
-    rows = _pair_table(pts[0])
+    pts, rad = _reference_features(reference)
+    rows = _reference_table(reference)
     feats = pts[0] + cs[:, None, :], np.repeat(rad, n)
     i, j = _row_pairs(table, n)
     t = _scaled_tol(*feats, tol)

@@ -22,7 +22,7 @@ from helpers import (
     ts_lattice_subset,
 )
 from sepgeom import separability
-from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, polygon_facets
+from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily
 from sepgeom.covering import _containment_violation, min_cover_ratio
 from sepgeom.packing import polyomino_packing
 from sepgeom.separability import find_separating_hyperplane, is_non_separable, is_ts_packing
@@ -375,8 +375,7 @@ def test_cover_violation_matches_a_facet_loop(rng):
     K in one numpy pass. On the ns-arrangements families of seeds 1-5, at
     the minimal cover and at three covers moved and shrunk off it, it
     equals a plain loop over facets and members to 1e-15 of the family's
-    size, with polygon_facets(K) handed over or not; every minimal cover
-    contains its family."""
+    size; every minimal cover contains its family."""
     _, _, wl = (_bench_module(name) for name in ("checker", "inputs", "workloads"))
     polygons = 0
     for seed in range(1, 6):
@@ -403,7 +402,6 @@ def test_cover_violation_matches_a_facet_loop(rng):
                     for (cx, cy), tau in zip(fam["centers"], fam["ratios"]):
                         member = nx * cx + ny * cy + tau * h
                         worst, size = max(worst, member - cover), max(size, abs(member), abs(cover))
-                for facets in (None, polygon_facets(k)):
-                    got = _containment_violation(family, center, ratio, facets)
-                    assert abs(got - worst) <= 1e-15 * size
+                got = _containment_violation(family, center, ratio)
+                assert abs(got - worst) <= 1e-15 * size
     assert polygons == 5 * (len(wl.NS_SIZES) + len(wl.SPREAD_SIZES))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ns_family, random_reference, random_symmetric_polygon, spanning_dual
 from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, polygon_facets
@@ -75,6 +77,29 @@ def test_cover_ratio_similarity_invariant(rng):
         ref, np.asarray(fam.centers) * 3.0 + np.array([10.0, -4.0]), np.asarray(fam.ratios) * 3.0
     )
     assert min_cover_ratio(shifted).normalized == pytest.approx(lam, abs=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    log_scale=st.floats(-6.0, 6.0),
+    shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+def test_covers_do_not_change_under_similarities(seed, angle, log_scale, shift):
+    """A non-separable family of homothets of a random o-symmetric polygon
+    or disk keeps, under rotation, scaling by 1e-6 to 1e6 and translation
+    by up to 1e6 min(1, scale), whether its weighted-centroid and minimal
+    covers contain it, and their ratios to 1e-9."""
+    rng = np.random.default_rng(seed)
+    fam = ns_family(rng, random_reference(rng), int(rng.integers(2, 9)))
+    scale = 10.0**log_scale
+    c, s = math.cos(angle), math.sin(angle)
+    moved = fam.transform(scale * np.array([[c, -s], [s, c]]), 1e6 * min(1.0, scale) * np.array(shift))
+    for cover in (goodman_goodman_cover, min_cover_ratio):
+        want, got = cover(fam), cover(moved)
+        assert got.contains_all == want.contains_all
+        assert got.ratio == pytest.approx(want.ratio, rel=1e-9, abs=0.0)
 
 
 def test_triangle_counterexample_value():

@@ -247,6 +247,36 @@ def test_rho_verdicts_do_not_change_at_small_scales(rng):
     assert seen == {True, False}
 
 
+def test_packing_answers_do_not_change_at_large_scales():
+    """Above unit extent the packing tolerance is tol plus the round-off of
+    the largest coordinate (_scaled_tol), so 30 touching lattice blocks of
+    random o-symmetric polygons and disks (every fifth), and each block with
+    its last member moved a row up over two members of the top row, keep
+    their TS verdict and unresolved pairs and their rho = 3 verdict, failing
+    member and neighbourhoods when K and the block grow by 1e6. With tol
+    alone two scaled blocks were taken for overlapping, and 8 TS and 9 rho
+    answers changed."""
+    rng = np.random.default_rng(5)
+    seen = set()
+    for t in range(30):
+        ref = ConvexBody.disk((0.0, 0.0), 1.0) if t % 5 == 4 else random_symmetric_polygon(rng)
+        rows, cols = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        block = ts_lattice_subset(rng, ref, rows, cols)
+        moved = block.copy()
+        moved[-1] += block[cols] - block[0] - 0.5 * (block[1] - block[0])
+        big = ref.transform(np.eye(2) * 1e6)
+
+        def answers(k, centers):
+            ts, rho = is_ts_packing([k.translate(c) for c in centers]), is_rho_separable(k, centers, 3.0)
+            return ts.is_ts, ts.unresolved, rho.separable, rho.failing_member, rho.neighborhoods
+
+        for centers in (block, moved):
+            want = answers(ref, centers)
+            assert answers(big, centers * 1e6) == want, t
+            seen.add((want[0], want[2]))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 def test_tangency_pairs_grid():
     grid = unit_disks([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (0.0, 5.0)])
     pairs = tangency_pairs(grid)
