@@ -32,15 +32,6 @@ def sweep(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take(los, flat)[..., 1:] - cover[..., :-1]
 
 
-def sweep_gaps(los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Per column, widest gap left open by the union of intervals.
-
-    Row i of column k is the interval [los[i, k], his[i, k]]; the gap is
-    negative (an overlap depth) when the union is connected.
-    """
-    return sweep(los.T, his.T)[1].max(axis=-1)
-
-
 def fibonacci_sphere(m: int) -> np.ndarray:
     """m nearly uniform points on the unit sphere."""
     i = np.arange(m, dtype=float) + 0.5
@@ -125,10 +116,11 @@ def gap_profile(cx, cy, tau, hplus, hminus, cos_t, sin_t):
     Member i projects onto u = (cos_t[k], sin_t[k]) as the interval
     [c_i . u - tau_i * hminus[k], c_i . u + tau_i * hplus[k]], where hplus
     and hminus are the reference supports h_K(u) and h_K(-u). A positive
-    value certifies a strict separation perpendicular to u.
+    value certifies a strict separation perpendicular to u, a negative one
+    is an overlap depth: the union of the intervals is connected.
     """
-    proj = np.outer(cx, cos_t) + np.outer(cy, sin_t)  # (n, m)
-    return sweep_gaps(proj - tau[:, None] * hminus[None, :], proj + tau[:, None] * hplus[None, :])
+    proj = np.outer(cos_t, cx) + np.outer(sin_t, cy)  # (m, n)
+    return sweep(proj - hminus[:, None] * tau, proj + hplus[:, None] * tau)[1].max(axis=-1)
 
 
 def simplex_covered(verts, uniform01):

@@ -85,11 +85,11 @@ def distinct(a) -> np.ndarray:
     return a[np.concatenate([[True], new])] if len(a) else a
 
 
-def _strict_hull(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _strict_hull(points: np.ndarray) -> np.ndarray:
     """CCW convex hull with collinear points dropped (monotone chain).
 
     Each orientation is measured from a point of the chain, never from the
-    origin. A turn counts only above tol times the squared extent of the
+    origin. A turn counts only above 1e-12 times the squared extent of the
     points about the first of them, and above the error that rounding
     coordinates of their magnitude can put into it, so a polygon keeps its
     vertices when it is scaled or moved, and points that are collinear up to
@@ -100,7 +100,7 @@ def _strict_hull(points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         return pts
     scale = float(np.abs(pts - pts[0]).max())
     size = float(np.abs(pts).max())
-    t = scale * (tol * scale + _ROUNDING * size)
+    t = scale * (1e-12 * scale + _ROUNDING * size)
 
     def build(seq):
         out = []
@@ -124,8 +124,8 @@ class ConvexBody:
     """A convex body: planar disk, strictly convex CCW polygon, polytope,
     or (flagged) degenerate segment.
 
-    Degenerate bodies are only accepted by support evaluation and
-    steiner_area; everything else rejects them.
+    Degenerate bodies are only accepted by support evaluation, area and
+    perimeter; everything else rejects them.
     """
 
     kind: str
@@ -276,16 +276,6 @@ def support_batch(body: ConvexBody, dirs: np.ndarray) -> np.ndarray:
     return (dirs @ body.vertices.T).max(axis=1)
 
 
-def project_interval(body: ConvexBody, u) -> tuple[float, float]:
-    """Orthogonal projection [min, max] of the body onto a unit direction."""
-    u = np.asarray(u, dtype=float)
-    n = float(np.linalg.norm(u))
-    if abs(n - 1.0) > 1e-6:
-        raise GeometryError("project_interval expects a unit direction")
-    v = u / n
-    return (-raw_support(body, -v), raw_support(body, v))
-
-
 def _gauges(body: ConvexBody, deltas) -> np.ndarray:
     """Gauges |x|_K of the rows x of an (m, 2) array; the caller has checked
     that K is o-symmetric. Each row is evaluated on its own, so a row's
@@ -333,14 +323,6 @@ def _facets(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
-def body_contains_point(body: ConvexBody, p, tol: float = EPS) -> bool:
-    p = np.asarray(p, dtype=float)
-    if body.kind == "disk":
-        return bool(np.linalg.norm(p - body.center) <= body.radius + tol)
-    normals, offsets = polygon_facets(body)
-    return bool((normals @ p <= offsets + tol).all())
-
-
 # ---------------------------------------------------------------------------
 # homothets
 # ---------------------------------------------------------------------------
@@ -378,6 +360,8 @@ class HomothetFamily:
 
     def __post_init__(self):
         centers = np.atleast_2d(_finite(self.centers, "homothet centers"))
+        if centers.ndim != 2 or centers.shape[1] != self.reference.dim:
+            raise GeometryError(f"homothet centers must be an (n, {self.reference.dim}) array")
         ratios = (
             np.ones(len(centers))
             if self.ratios is None

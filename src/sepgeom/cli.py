@@ -465,7 +465,10 @@ def cmd_extremal_3disks(args) -> int:
     payload["flags"] = list(rep.flags)
     payload["provenance"] = {"method": "closed-form", "exact": True}
     if args.centers:
-        c = np.asarray(json.loads(args.centers), dtype=float)
+        try:
+            c = np.asarray(json.loads(args.centers), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"--centers must be a JSON list of three centers: {exc}") from exc
         ns = packing.three_disk_non_separable(c)
         payload["triple"] = {"non_separable": ns}
         if ns:

@@ -172,10 +172,11 @@ def leg_euclid(y: float, lam: float) -> float:
     return y * y / (2.0 * math.sqrt((y - lam) * (y + lam)))
 
 
-def _bisect_decreasing(f, lo: float, hi: float, target: float) -> float:
+def _bisect(f, lo: float, hi: float, target: float, increasing: bool) -> float:
+    """200 halvings of [lo, hi] towards where f, monotone there, meets target."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) > target:
+        if (f(mid) < target) if increasing else (f(mid) > target):
             lo = mid
         else:
             hi = mid
@@ -197,18 +198,8 @@ def short_leg_sphere_inverse(rho: float, lam: float, increasing: bool = False) -
         # the leg meets pi/4 exactly at the ends, where its slope blows up
         return PI / 2.0 if increasing else _asin(math.tan(lam))
     knee = _asin(math.sqrt(2.0) * math.sin(lam))
-    if increasing:
-        lo, hi = knee, PI / 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if short_leg_sphere(mid, lam) < rho:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    return _bisect_decreasing(
-        lambda y: short_leg_sphere(y, lam), _asin(math.tan(lam)), knee, rho
-    )
+    lo, hi = (knee, PI / 2.0) if increasing else (_asin(math.tan(lam)), knee)
+    return _bisect(lambda y: short_leg_sphere(y, lam), lo, hi, rho, increasing)
 
 
 def leg_hyper_inverse(rho: float, lam: float, increasing: bool = False) -> float:
@@ -222,14 +213,7 @@ def leg_hyper_inverse(rho: float, lam: float, increasing: bool = False) -> float
         hi = knee + 1.0
         while leg_hyper(hi, lam) < rho:
             hi = 2.0 * hi
-        lo = knee
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if leg_hyper(mid, lam) < rho:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(lambda y: leg_hyper(y, lam), knee, hi, rho, True)
     # decreasing piece: shrink the bracket toward lambda until it straddles
     # rho; the leg blows up there, so stop once floats cannot get closer
     lo = lam + 0.5 * (knee - lam)
@@ -238,7 +222,7 @@ def leg_hyper_inverse(rho: float, lam: float, increasing: bool = False) -> float
         if step <= 4e-16 * max(lam, 1.0):
             return lo
         lo = lam + step
-    return _bisect_decreasing(lambda y: leg_hyper(y, lam), lo, knee, rho)
+    return _bisect(lambda y: leg_hyper(y, lam), lo, knee, rho, False)
 
 
 def regular_base_sphere(lam: float) -> tuple[float, float] | None:

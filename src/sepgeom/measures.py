@@ -274,10 +274,7 @@ class ParallelogramFit:
         return True
 
 
-_PGRAM_TOL = 1e-12
-
-
-def min_area_parallelogram(body: ConvexBody, tol: float = _PGRAM_TOL) -> ParallelogramFit:
+def min_area_parallelogram(body: ConvexBody) -> ParallelogramFit:
     """Smallest-area circumscribed parallelogram, exact for polygons.
 
     With unit side normals n1, n2 the area is w(n1) w(n2) / |sin(n1, n2)|,
@@ -285,16 +282,14 @@ def min_area_parallelogram(body: ConvexBody, tol: float = _PGRAM_TOL) -> Paralle
     where the antipodal vertex pair of n2 changes, so it is monotone there,
     and some optimum has both side pairs flush with polygon edges
     (Schwarz, Teich, Vainshtein, Welzl and Evans, SoCG 1995). Every pair of
-    edge normals with |sin| above tol is tried. The fit at the default tol
-    is computed once per body.
+    edge normals with |sin| above 1e-12 is tried. The fit is computed once
+    per body.
     """
     body.require_full_dimensional("min_area_parallelogram")
-    if tol == _PGRAM_TOL:
-        return _derived(body, "_parallelogram", _parallelogram)
-    return _parallelogram(body, tol)
+    return _derived(body, "_parallelogram", _parallelogram)
 
 
-def _parallelogram(body: ConvexBody, tol: float = _PGRAM_TOL) -> ParallelogramFit:
+def _parallelogram(body: ConvexBody) -> ParallelogramFit:
     if body.kind == "disk":
         c, r = body.center, body.radius
         normals = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -309,7 +304,7 @@ def _parallelogram(body: ConvexBody, tol: float = _PGRAM_TOL) -> ParallelogramFi
     # sin of the counterclockwise turn from n1 (rows) to n2 (columns)
     sin = normals[:, None, 0] * normals[None, :, 1] - normals[:, None, 1] * normals[None, :, 0]
     areas = np.full(sin.shape, math.inf)
-    turn = sin > tol
+    turn = sin > 1e-12
     areas[turn] = (widths[:, None] * widths[None, :])[turn] / sin[turn]
     k1, k2 = np.unravel_index(int(np.argmin(areas)), areas.shape)
     pair = normals[[k1, k2]]
@@ -359,17 +354,6 @@ def sum_area(q: ConvexBody, k: ConvexBody) -> float:
 def mixed_area(q: ConvexBody, k: ConvexBody) -> float:
     """A(Q, K) = (area(Q + K) - area(Q) - area(K)) / 2."""
     return 0.5 * (sum_area(q, k) - area(q) - area(k))
-
-
-def steiner_area(t: ConvexBody, rho: float) -> float:
-    """Area of the outer parallel body T + rho * B^2 (Steiner formula).
-
-    Degenerate segments are allowed: a segment of length L has area 0 and
-    perimeter 2L.
-    """
-    if rho < 0:
-        raise GeometryError("parallel distance must be nonnegative")
-    return area(t) + rho * perimeter(t) + math.pi * rho * rho
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,8 @@ from .bodies import (
     EPS,
     ConvexBody,
     GeometryError,
-    _derived,
-    _freeze,
+    _finite,
     _gauges,
-    _require_planar,
-    _strict_hull,
     distinct,
     unit,
 )
@@ -32,13 +29,12 @@ from .measures import (
     sum_area,
 )
 from .separability import (
-    _AXES,
     _BLOCK,
     TSResult,
-    _near_pairs,
-    _near_translates,
-    _reference_table,
-    _require_disjoint,
+    _difference_body,
+    _separation_test,
+    _translate_gauges,
+    is_sns,
     is_ts_packing,
 )
 from ._kernels import simplex_covered
@@ -53,25 +49,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def difference_body(body: ConvexBody) -> ConvexBody:
-    """Central symmetral K + (-K), an o-symmetric body at the origin.
-
-    For a polygon it is the hull of the differences v_b - v_a at the rows
-    (a, b) of _pair_table only: at most 2k of them, among which are all the
-    vertices of K - K, in place of all k^2. Their hull is strictly convex
-    already, so ConvexBody.polygon does not take it a second time. It is
-    built once per body and kept on it, with its own derived geometry.
-    """
-    _require_planar([body], "difference body")
-    body.require_full_dimensional("difference body")
-    return _derived(body, "_difference_body", _difference_body)
-
-
-def _difference_body(body: ConvexBody) -> ConvexBody:
-    if body.kind == "disk":
-        return ConvexBody.disk((0.0, 0.0), 2.0 * body.radius)
-    v = body.vertices
-    rows = _reference_table(body)
-    return ConvexBody(kind="polygon", vertices=_freeze(_strict_hull(v[rows[:, 1]] - v[rows[:, 0]])))
+    """Central symmetral K + (-K), an o-symmetric body at the origin, built
+    once per body from at most 2k vertex differences."""
+    return _difference_body(body)
 
 
 def translate_gauge(reference: ConvexBody, delta) -> float:
@@ -83,16 +63,6 @@ def translate_gauge(reference: ConvexBody, delta) -> float:
     """
     delta = np.asarray(delta, dtype=float)
     return 2.0 * float(_gauges(difference_body(reference), delta[None, :])[0])
-
-
-def _pair_gauges(reference: ConvexBody, centers: np.ndarray, tol: float):
-    """The pairs i < j, in np.triu_indices order, of translates reference + c
-    that can touch or overlap, and their translate_gauge. They are the
-    _near_translates of the difference body at reach 1/2, so any other pair
-    is at translate_gauge above 2 + tol."""
-    diff = difference_body(reference)
-    i, j = _near_translates(diff, centers, 0.5, tol)
-    return i, j, 2.0 * _gauges(diff, centers[j] - centers[i])
 
 
 @dataclass(frozen=True)
@@ -116,8 +86,7 @@ class TranslatePacking:
 
     def validate(self, tol: float = EPS) -> None:
         """Raise if any two translates have overlapping interiors."""
-        i, j, g = _pair_gauges(self.reference, self.centers, tol)
-        _require_disjoint(i, j, g < 2.0 - tol)
+        _translate_gauges(self.reference, self.centers, 1.0, tol)
 
     def contact_graph(self, tol: float = EPS) -> "ContactGraph":
         return contact_graph(self.reference, self.centers, tol)
@@ -325,8 +294,7 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
     idx = np.asarray(loop, dtype=int)
     if idx.ndim != 1 or len(idx) < 1 or idx.min() < 0 or idx.max() >= n:
         raise GeometryError("loop must index rows of centers")
-    i, j = _near_translates(reference, c, 1.0, tol)
-    _require_disjoint(i, j, _gauges(reference, c[j] - c[i]) < 2.0 - tol)
+    _translate_gauges(reference, c, 1.0, tol)
 
     poly = c[idx]
     span = poly - poly[0]
@@ -386,41 +354,6 @@ def radon_mixed_area_check(reference: ConvexBody, q_vertices, tol: float = EPS) 
 # ---------------------------------------------------------------------------
 
 
-def _dist_to_hull(p, pts: np.ndarray) -> float:
-    hv = hull_of_centers(pts)
-    ends = np.roll(hv, -1, axis=0)
-    if len(hv) > 2:
-        edges, rel = ends - hv, p - hv
-        if (edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] >= 0.0).all():
-            return 0.0
-    return float(_seg_dists(p[None], hv, ends).min())
-
-
-def _successive_ordering(c: np.ndarray, tol: float) -> tuple[int, ...] | None:
-    """Greedy order where each unit disk reaches the hull of the previous ones.
-
-    A disk misses the hull of a subset only if it misses the hull of every
-    sub-subset, so greedy growth from each start is exhaustive.
-    """
-    n = len(c)
-    for start in range(n):
-        order = [start]
-        rest = [i for i in range(n) if i != start]
-        while rest:
-            pick = None
-            for i in rest:
-                if _dist_to_hull(c[i], c[order]) <= 2.0 + tol:
-                    pick = i
-                    break
-            if pick is None:
-                break
-            order.append(pick)
-            rest.remove(pick)
-        if not rest:
-            return tuple(order)
-    return None
-
-
 @dataclass(frozen=True)
 class ChainPerimeterReport:
     n: int
@@ -439,23 +372,28 @@ def sns_perimeter_check(centers, ordering=None, tol: float = EPS) -> ChainPerime
     Each disk after the first must intersect the hull of its predecessors;
     equality needs collinear centers spaced exactly 2 apart. The mean width
     bound 2 + (4n - 4) / pi is the same statement via per = pi * mw.
+
+    A disk meets the hull of other disks exactly when no line separates it
+    from them, so the ordering is is_sns's on the unit disks, and a given
+    ordering is checked with the same separation test, at its tolerance.
     """
     c = np.asarray(centers, dtype=float)
     n = len(c)
     if n < 1:
         raise GeometryError("need at least one disk")
+    disks = [ConvexBody.disk(p, 1.0) for p in c]
     if ordering is None:
-        found = _successive_ordering(c, tol)
-        if found is None:
+        found = is_sns(disks, tol)
+        if not found.is_sns:
             raise GeometryError("no ordering attaches every disk to the previous hull")
-        ordering = found
+        ordering = found.ordering
     else:
         ordering = tuple(int(i) for i in ordering)
         if sorted(ordering) != list(range(n)):
             raise GeometryError("ordering must be a permutation of the disks")
+        separable = _separation_test(disks, tol)
         for k in range(1, n):
-            d = _dist_to_hull(c[ordering[k]], c[list(ordering[:k])])
-            if d > 2.0 + tol:
+            if separable(list(ordering[:k]), [ordering[k]]):
                 raise GeometryError(
                     f"ordering is not successive: disk {ordering[k]} misses the previous hull"
                 )
@@ -485,7 +423,7 @@ def three_disk_non_separable(centers, tol: float = EPS) -> bool:
     Holds exactly when each center is within 2 of the segment joining the
     other two.
     """
-    c = np.asarray(centers, dtype=float)
+    c = _finite(centers, "disk centers")
     if c.shape != (3, 2):
         raise GeometryError("expected three centers")
     # each center against the segment joining the other two
@@ -598,28 +536,10 @@ class ContactGraph:
 def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGraph:
     """Touching pairs among the translates reference + c."""
     c = np.asarray(centers, dtype=float)
-    n = len(c)
-    rounded = np.round(c)
-    integral = (
-        reference.kind == "disk"
-        and abs(reference.radius - 0.5) <= 1e-12
-        and np.abs(c - rounded).max() <= 1e-9
-    )
-    if integral:
-        # unit-diameter disks on lattice points: exact integer arithmetic on
-        # the pairs at most one step apart along every sweep axis
-        proj = rounded @ _AXES.T
-        i, j = _near_pairs(proj - 0.5, proj + 0.5, 0.0)
-        pts = rounded.astype(np.int64)
-        d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
-        _require_disjoint(i, j, d2 == 0)
-        touch = d2 == 1
-    else:
-        i, j, g = _pair_gauges(reference, c, tol)
-        _require_disjoint(i, j, g < 2.0 - tol)
-        touch = g <= 2.0 + tol
+    i, j, g = _translate_gauges(reference, c, 1.0, tol)
+    touch = g <= 2.0 + tol
     edges = tuple(zip(i[touch].tolist(), j[touch].tolist()))
-    degrees = np.bincount(np.concatenate([i[touch], j[touch]]), minlength=n).astype(np.int64)
+    degrees = np.bincount(np.concatenate([i[touch], j[touch]]), minlength=len(c)).astype(np.int64)
     return ContactGraph(edges, len(edges), degrees)
 
 
@@ -820,6 +740,8 @@ def rogers_sigma(d: int, samples: int = 2_000_000, seed: int = 0) -> MonteCarloE
     """
     if samples < 1:
         raise GeometryError("need samples >= 1")
+    if seed < 0:
+        raise GeometryError("seed must be >= 0")
     verts = np.ascontiguousarray(simplex_vertices(d))
     rng = np.random.default_rng(seed)
     hits = 0

@@ -23,8 +23,10 @@ from .bodies import (
     HomothetFamily,
     _derived,
     _finite,
+    _freeze,
     _gauges,
     _require_planar,
+    _strict_hull,
     distinct,
     perp,
     polygon_facets,
@@ -177,6 +179,28 @@ def _reference_table(body: ConvexBody) -> np.ndarray:
     return _derived(
         body, "_pair_table", lambda b: _pair_table(b.center[None, :] if b.kind == "disk" else b.vertices)
     )
+
+
+def _difference_body(body: ConvexBody) -> ConvexBody:
+    """Central symmetral K + (-K) of a planar reference, an o-symmetric body
+    at the origin, computed once per body.
+
+    For a polygon it is the hull of the differences v_b - v_a at the rows
+    (a, b) of _pair_table only: at most 2k of them, among which are all the
+    vertices of K - K, in place of all k^2. Their hull is strictly convex
+    already, so ConvexBody.polygon does not take it a second time.
+    """
+    _require_planar([body], "difference body")
+    body.require_full_dimensional("difference body")
+    return _derived(body, "_difference_body", _symmetral)
+
+
+def _symmetral(body: ConvexBody) -> ConvexBody:
+    if body.kind == "disk":
+        return ConvexBody.disk((0.0, 0.0), 2.0 * body.radius)
+    v = body.vertices
+    rows = _reference_table(body)
+    return ConvexBody(kind="polygon", vertices=_freeze(_strict_hull(v[rows[:, 1]] - v[rows[:, 0]])))
 
 
 _MACHINE_EPS = np.finfo(float).eps
@@ -714,16 +738,27 @@ def _near_pairs(lo, hi, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(key, n)
 
 
-def _near_translates(body: ConvexBody, centers, reach: float, tol: float):
-    """_near_pairs of the centers whose translates of body, scaled by reach
-    about its origin, can meet: every pair at gauge |c_j - c_i|_body at most
-    2 reach + tol among them. The body's extents along _AXES are computed
-    once per body."""
-    if body.dim != 2 or centers.shape[1] != 2:
-        raise GeometryError("the gauge supports planar bodies only")
-    h = reach * _derived(body, "_axis_extents", _axis_extents)
+def _translate_gauges(reference: ConvexBody, centers: np.ndarray, reach: float, tol: float):
+    """The pairs i < j, in np.triu_indices order, of the translates
+    reference + c that can lie within translate gauge 2 reach + tol of each
+    other, and their translate gauges 2 |c_j - c_i|_D, D = K - K
+    (_difference_body): 2 exactly when the two translates touch, above 2
+    when they are apart, below 2 when their interiors overlap, which raises
+    at 2 - tol. For an o-symmetric K the gauge is |c_j - c_i|_K.
+
+    The pairs are the _near_pairs of the centers' projections onto _AXES,
+    each enlarged by D's extents (computed once per body) at reach / 2, so
+    every pair at gauge 2 reach + tol or less is among them.
+    """
+    diff = _difference_body(reference)
+    if centers.ndim != 2 or centers.shape[1] != 2:
+        raise GeometryError("centers must be an (n, 2) array")
+    h = 0.5 * reach * _derived(diff, "_axis_extents", _axis_extents)
     proj = centers @ _AXES.T
-    return _near_pairs(proj - h, proj + h, tol * float(h.max()))
+    i, j = _near_pairs(proj - h, proj + h, tol * float(h.max()))
+    gauges = 2.0 * _gauges(diff, centers[j] - centers[i])
+    _require_disjoint(i, j, gauges < 2.0 - tol)
+    return i, j, gauges
 
 
 def _axis_extents(body: ConvexBody) -> np.ndarray:
@@ -823,11 +858,6 @@ def pair_separation(a: ConvexBody, b: ConvexBody) -> float:
     """Largest one-line clearance between two bodies, negative on overlap."""
     _require_planar([a, b], "packing checks")
     return float(_pair_gaps(_member_features([a, b]), [0], [1])[0][0])
-
-
-def validate_packing(bodies, tol: float = EPS) -> None:
-    """Raise unless all interiors are pairwise disjoint (touching allowed)."""
-    _packing_pairs(bodies, tol)
 
 
 def _cuts(u, pts, rad, table, tol: float):
@@ -1157,7 +1187,7 @@ def is_rho_separable(
     The packing is rho-separable when, for each member, the sub-packing of
     members contained in the rho-enlarged copy around it is totally
     separable. Containment reduces to gauge distance at most rho - 1, so
-    only the pairs of _near_translates with reach max(1, (rho - 1) / 2) get
+    only the pairs of _translate_gauges with reach max(1, (rho - 1) / 2) get
     a gauge, and only the pairs sharing a neighbourhood a clearance. The
     members are priced through the reference K: a pair's clearance and arc
     read only the at most 2k vertices of K - K (_pair_table), not k^2
@@ -1174,9 +1204,7 @@ def is_rho_separable(
         raise GeometryError("rho-separability requires an origin-symmetric reference")
     cs = np.atleast_2d(np.asarray(centers, dtype=float))
     n = len(cs)
-    i, j = _near_translates(reference, cs, max(1.0, 0.5 * (rho - 1.0)), tol)
-    gauge = _gauges(reference, cs[j] - cs[i])
-    _require_disjoint(i, j, gauge < 2.0 - tol)
+    i, j, gauge = _translate_gauges(reference, cs, max(1.0, 0.5 * (rho - 1.0)), tol)
     edge = gauge <= rho - 1.0 + tol
     i, j = i[edge], j[edge]
     table, hoods = _neighbourhoods(n, i, j)

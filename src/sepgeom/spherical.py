@@ -77,6 +77,8 @@ def circle_avoids_cap(pole, cap: Cap, tol: float = 0.0) -> bool:
 
 
 def _cap_arrays(caps) -> tuple[np.ndarray, np.ndarray]:
+    if not caps:
+        raise GeometryError("need at least one cap")
     centers = np.ascontiguousarray([c.center for c in caps], dtype=float)
     radii = np.array([c.radius for c in caps], dtype=float)
     return centers, radii

@@ -112,10 +112,6 @@ class Drawing:
                 )
         return head + "\n".join(rows) + "\n</g>\n</svg>\n"
 
-    def save(self, path: str, px: int = 640) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_svg(px=px))
-
 
 def family_drawing(family: HomothetFamily, cover=None, contacts=None) -> Drawing:
     """Draw a homothet family, optional dashed cover, optional contact edges."""

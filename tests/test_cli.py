@@ -446,6 +446,27 @@ def test_flags_a_command_does_not_read_exit_3(argv, grid_file, capsys):
     assert run([grid_file if a == "GRID" else a for a in argv], capsys)[0] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["contact", "IN"], {"body": dict(DISK, radius=0.5), "centers": []}),
+        (["cover", "IN"], {"body": DISK, "centers": []}),
+        (["verify-ts", "IN"], {"body": DISK, "centers": []}),
+        (["verify-ls", "IN"], {"body": DISK, "centers": []}),
+        (["caps", "IN", "--check", "ts"], {"caps": []}),
+        (["extremal-3disks", "--centers", "xx"], None),
+        (["extremal-3disks", "--centers", "[[0, 0], [2, 0], [NaN, 0]]"], None),
+        (["lattice", "--n", "5", "--d", "3", "--mode", "rogers", "--seed", "-1"], None),
+    ],
+)
+def test_malformed_input_exits_3(argv, given, tmp_path, capsys):
+    """Input that names no valid family, cap list, center list or seed is
+    refused with exit 3, never answered as "violated" (exit 1)."""
+    path = write_json(tmp_path / "in.json", given)
+    code, payload = run([path if a == "IN" else a for a in argv], capsys)
+    assert code == 3 and payload is None
+
+
 def test_cover_tiny_disk_family_exits_0(tmp_path, capsys):
     """Nine unit disks on a ring, scaled by 1e-8: the smallest cover rests on
     three of them, and the scale of the enclosing disk follows the input."""

@@ -29,7 +29,7 @@ def test_sweep_gaps_known_values():
     # at least 5; three intervals that only touch
     los = np.array([[0.0, 0.0, 0.0], [3.0, 2.0, 1.0], [1.5, 5.0, 2.0]])
     his = np.array([[1.0, 10.0, 1.0], [4.0, 3.0, 2.0], [2.0, 6.0, 2.5]])
-    assert _kernels.sweep_gaps(los, his).tolist() == [1.0, -5.0, 0.0]
+    assert _kernels.sweep(los.T, his.T)[1].max(axis=-1).tolist() == [1.0, -5.0, 0.0]
 
 
 def test_simplex_covered_known_values():

@@ -18,7 +18,6 @@ from sepgeom.packing import (
     GuillotinePartition,
     _cell_measures,
     _in_loop,
-    _pair_gauges,
     PlaneCut,
     TranslatePacking,
     area_bound_check,
@@ -43,6 +42,7 @@ from sepgeom.packing import (
     ulam_spiral,
     window_density,
 )
+from sepgeom.separability import _translate_gauges, is_sns
 
 DISK = ConvexBody.disk((0.0, 0.0), 1.0)
 TRIANGLE = ConvexBody.polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -200,6 +200,28 @@ def test_sns_perimeter_random_families(rng):
         assert rep.mean_width <= rep.mean_width_bound + 1e-9
 
 
+def test_sns_perimeter_ordering_is_that_of_is_sns(rng):
+    """The ordering found is is_sns's on the unit disks, on families built
+    SNS and on uniform ones, which is_sns may refuse; a given ordering whose
+    next disk misses the previous hull is refused by name."""
+    refused = 0
+    for k in range(60):
+        n = int(rng.integers(2, 9))
+        centers = sns_disk_centers(rng, n) if k % 2 else rng.uniform(-2.0 * n, 2.0 * n, (n, 2))
+        want = is_sns([ConvexBody.disk(c, 1.0) for c in centers])
+        if want.is_sns:
+            assert sns_perimeter_check(centers).ordering == want.ordering
+        else:
+            refused += 1
+            with pytest.raises(GeometryError, match="no ordering attaches every disk"):
+                sns_perimeter_check(centers)
+    assert refused >= 5
+    chain = [(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]
+    assert sns_perimeter_check(chain, ordering=(1, 2, 0)).ordering == (1, 2, 0)
+    with pytest.raises(GeometryError, match="ordering is not successive: disk 2 misses the previous hull"):
+        sns_perimeter_check(chain, ordering=(0, 2, 1))
+
+
 def test_three_disk_predicates():
     tight = 2.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     assert three_disk_non_separable(tight)
@@ -228,6 +250,22 @@ def test_contact_graph_grid():
     g = contact_graph(DISK, centers)
     assert g.count == 12
     assert sorted(g.degrees)[-1] == 4
+
+
+def test_contact_graph_of_a_spiral_moves_with_it(rng):
+    """A square spiral of unit-diameter disks on lattice points, and the same
+    spiral rotated and translated off the lattice, have the same contacts."""
+    half = ConvexBody.disk((0.0, 0.0), 0.5)
+    for n in (16, 30, 100):
+        spiral = polyomino_packing(n)
+        want = contact_graph(half, spiral.centers)
+        assert want.count == spiral.contacts
+        for _ in range(5):
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            got = contact_graph(half, spiral.centers @ rot.T + rng.uniform(-1e3, 1e3, 2))
+            assert got.edges == want.edges
+            assert got.degrees.tolist() == want.degrees.tolist()
 
 
 def test_crystallization_table():
@@ -444,18 +482,37 @@ def test_minkowski_sum_keeps_every_vertex(rng):
         assert outside <= 1e-13 * np.abs(sums).max()
 
 
+def _random_translates(rng, ref: ConvexBody, n: int) -> np.ndarray:
+    """n random translates of the o-symmetric ref that do not overlap, with a
+    touching 2 x 2 lattice block of it beside them."""
+    cs = np.empty((0, 2))
+    while len(cs) < n:
+        c = rng.uniform(-6.0, 6.0, 2)
+        if not len(cs) or _gauges(ref, cs - c).min() >= 2.0:
+            cs = np.vstack([cs, c])
+    return np.vstack([cs, ts_lattice_subset(rng, ref, 2, 2) + 20.0])
+
+
 def test_pair_gauges_equal_minkowski_norm(rng):
+    """_translate_gauges gives the near pairs of translates, every pair
+    within translate gauge 2 + tol among them, and their gauges through the
+    difference body, which for an o-symmetric reference are its own gauges
+    to the bit. Overlapping translates are refused by name."""
     for ref in [DISK, SQUARE] + [random_symmetric_polygon(rng) for _ in range(6)]:
-        cs = rng.uniform(-4.0, 4.0, (9, 2))
+        cs = _random_translates(rng, ref, 9)
         i, j = np.triu_indices(len(cs), 1)
         deltas = cs[j] - cs[i]
         assert _gauges(ref, deltas).tolist() == [minkowski_norm(ref, d) for d in deltas]
         diff = difference_body(ref)
         gauges = {(a, b): 2.0 * minkowski_norm(diff, d) for a, b, d in zip(i.tolist(), j.tolist(), deltas)}
-        ni, nj, g = _pair_gauges(ref, cs, 1e-9)
+        ni, nj, g = _translate_gauges(ref, cs, 1.0, 1e-9)
         pairs = list(zip(ni.tolist(), nj.tolist()))
         # near pairs in np.triu_indices order, every pair within gauge 2 + tol among them
         assert pairs == sorted(set(pairs)) and all(a < b for a, b in pairs)
         assert {p for p, x in gauges.items() if x <= 2.0 + 1e-9} <= set(pairs)
         assert g.tolist() == [gauges[p] for p in pairs]
+        assert g.tolist() == _gauges(ref, cs[nj] - cs[ni]).tolist()
+        assert (g <= 2.0 + 1e-9).sum() >= 4
+        with pytest.raises(GeometryError, match="members 1 and 2 overlap"):
+            _translate_gauges(ref, cs[[0, 1]].repeat([1, 2], axis=0), 1.0, 1e-9)
 

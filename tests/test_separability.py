@@ -49,7 +49,6 @@ from sepgeom.separability import (
     separation_margin,
     strictly_separates,
     tangency_pairs,
-    validate_packing,
 )
 
 # three mutually tangent unit disks, the classic non-TS triple
@@ -163,8 +162,8 @@ def test_pair_separation_and_validate():
     a = ConvexBody.disk((0.0, 0.0), 1.0)
     b = ConvexBody.disk((3.0, 0.0), 1.0)
     assert pair_separation(a, b) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(GeometryError):
-        validate_packing([a, ConvexBody.disk((0.5, 0.0), 1.0)])
+    with pytest.raises(GeometryError, match="members 0 and 1 overlap"):
+        tangency_pairs([a, ConvexBody.disk((0.5, 0.0), 1.0)])
 
 
 def test_ts_grid_and_hex_triple():
@@ -589,7 +588,6 @@ def test_packing_checks_name_the_same_overlap(rng):
             None,
         )
         if first is None:
-            validate_packing(bodies)
             assert tangency_pairs(bodies) == [
                 (a, b) for a in range(n) for b in range(a + 1, n)
                 if pair_clearance_reference(bodies[a], bodies[b]) <= 1e-9
@@ -597,7 +595,7 @@ def test_packing_checks_name_the_same_overlap(rng):
             continue
         named += 1
         msg = f"members {first[0]} and {first[1]} overlap"
-        for check in (validate_packing, tangency_pairs, is_ts_packing, is_ls_packing):
+        for check in (tangency_pairs, is_ts_packing, is_ls_packing):
             with pytest.raises(GeometryError, match=msg):
                 check(bodies)
     assert named >= 10
