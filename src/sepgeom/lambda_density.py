@@ -1,9 +1,15 @@
-"""Critical triangles and density bounds for lambda-separable disk packings."""
+"""Critical triangles and density bounds for lambda-separable disk packings.
+
+Each formula is written once for the planes of curvature eps = 0, 1, -1, in
+their sine, cosine and arcsine S, C, S^-1 = (x, 1, x), (sin, cos, arcsin),
+(sinh, cosh, arcsinh) (_PLANES). The leg inverses are closed-form roots.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -11,15 +17,38 @@ from .bodies import GeometryError
 
 PI = math.pi
 
-GEOMETRIES = ("euclidean", "spherical", "hyperbolic")
-
 
 def _asin(x: float) -> float:
     return math.asin(min(1.0, max(-1.0, x)))
 
 
-def _acos(x: float) -> float:
-    return math.acos(min(1.0, max(-1.0, x)))
+class _Plane(NamedTuple):
+    """A plane of constant curvature eps and its sine, cosine and arcsine."""
+
+    eps: float
+    S: Callable[[float], float]
+    C: Callable[[float], float]
+    Sinv: Callable[[float], float]
+
+
+_PLANES = {
+    "euclidean": _Plane(0.0, lambda x: x, lambda x: 1.0, lambda x: x),
+    "spherical": _Plane(1.0, math.sin, math.cos, _asin),
+    "hyperbolic": _Plane(-1.0, math.sinh, math.cosh, math.asinh),
+}
+_FLAT, _SPHERE, _HYPER = _PLANES.values()
+
+GEOMETRIES = tuple(_PLANES)
+
+
+def _roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a t^2 + 2 b t + c, ascending (one when a = 0), each
+    from the form that does not cancel."""
+    disc = b * b - a * c
+    if disc < 0.0:
+        return []
+    q = -(b + math.copysign(math.sqrt(disc), b))
+    return sorted(([c / q] if q != 0.0 else []) + ([q / a] if a != 0.0 else []))
 
 
 # ---------------------------------------------------------------------------
@@ -37,63 +66,37 @@ class Triangle:
     area: float
 
 
-def _lhuilier(f, sides) -> float:
-    """4 atan sqrt(f(s/2) f((s-a)/2) f((s-b)/2) f((s-c)/2)) for the half
-    perimeter s of sides (a, b, c): the spherical excess for f = tan, the
-    hyperbolic defect for f = tanh."""
-    a, b, c = sides
-    halves = (0.25 * (a + b + c), 0.25 * (b + c - a), 0.25 * (a + c - b), 0.25 * (a + b - c))
-    return 4.0 * math.atan(math.sqrt(math.prod(map(f, halves))))
-
-
 def triangle_from_sides(geometry: str, a: float, b: float, c: float) -> Triangle:
     """Solve a triangle from its side lengths.
 
-    The curved areas come from the sides, not from the angle sum, whose
-    arccos angles lose the excess of a small triangle to round-off:
-    L'Huilier's tan(E/4)^2 = tan(s/2) tan((s-a)/2) tan((s-b)/2) tan((s-c)/2)
-    on the sphere, and the same with tanh for the defect in the hyperbolic
-    plane, s the half perimeter and s - a taken as (b + c - a)/2.
+    With p the half perimeter and p - a taken as (b + c - a)/2, each angle
+    is sin^2(alpha/2) = S(p - b) S(p - c) / (S(b) S(c)), and the area is
+    4 G(sqrt(T(p/2) T((p - a)/2) T((p - b)/2) T((p - c)/2))) for T = S/C
+    and G the identity on the plane and arctan otherwise (Heron; L'Huilier
+    for the spherical excess and the hyperbolic defect). Both keep a small
+    or thin triangle, which arccos angles and the angle sum lose to round-off.
     """
-    if geometry not in GEOMETRIES:
+    plane = _PLANES.get(geometry)
+    if plane is None:
         raise GeometryError(f"unknown geometry {geometry!r}")
     s = (float(a), float(b), float(c))
     if min(s) <= 0.0:
         raise GeometryError("sides must be positive")
-    for k in range(3):
-        if s[k] >= s[(k + 1) % 3] + s[(k + 2) % 3]:
-            raise GeometryError("sides must satisfy the strict triangle inequality")
-    if geometry == "euclidean":
-        a, b, c = s
-        ang = (
-            _acos((b * b + c * c - a * a) / (2.0 * b * c)),
-            _acos((a * a + c * c - b * b) / (2.0 * a * c)),
-            _acos((a * a + b * b - c * c) / (2.0 * a * b)),
-        )
-        p = sum(s) / 2.0
-        area = math.sqrt(max(0.0, p * (p - a) * (p - b) * (p - c)))
-        return Triangle(geometry, s, ang, area)
-    if geometry == "spherical":
+    d = tuple(0.5 * (s[k - 2] + s[k - 1] - s[k]) for k in range(3))
+    if min(d) <= 0.0:
+        raise GeometryError("sides must satisfy the strict triangle inequality")
+    if plane.eps > 0.0:
         if max(s) >= PI:
             raise GeometryError("spherical sides must stay below pi")
         if sum(s) >= 2.0 * PI:
             raise GeometryError("spherical perimeter must stay below 2*pi")
-        ca, cb, cc = (math.cos(v) for v in s)
-        sa, sb, sc = (math.sin(v) for v in s)
-        ang = (
-            _acos((ca - cb * cc) / (sb * sc)),
-            _acos((cb - ca * cc) / (sa * sc)),
-            _acos((cc - ca * cb) / (sa * sb)),
-        )
-        return Triangle(geometry, s, ang, _lhuilier(math.tan, s))
-    ca, cb, cc = (math.cosh(v) for v in s)
-    sa, sb, sc = (math.sinh(v) for v in s)
-    ang = (
-        _acos((cb * cc - ca) / (sb * sc)),
-        _acos((ca * cc - cb) / (sa * sc)),
-        _acos((ca * cb - cc) / (sa * sb)),
+    S = plane.S
+    angles = tuple(
+        2.0 * _asin(math.sqrt(S(d[k - 2]) * S(d[k - 1]) / (S(s[k - 2]) * S(s[k - 1]))))
+        for k in range(3)
     )
-    return Triangle(geometry, s, ang, _lhuilier(math.tanh, s))
+    r = math.sqrt(math.prod(S(h) / plane.C(h) for h in (0.25 * sum(s), *(0.5 * x for x in d))))
+    return Triangle(geometry, s, angles, 4.0 * (math.atan(r) if plane.eps else r))
 
 
 def isosceles_triangle(geometry: str, base: float, leg: float) -> Triangle:
@@ -106,34 +109,37 @@ def regular_triangle(geometry: str, side: float) -> Triangle:
 
 
 def triangle_vertices(tri: Triangle) -> np.ndarray:
-    """Vertex coordinates: plane points, sphere unit vectors, or hyperboloid
-    points with the time coordinate last."""
-    a, b, c = tri.sides
+    """Vertex coordinates (0, 0, 1), (S(c), 0, C(c)) and (S(b) cos(alpha),
+    S(b) sin(alpha), C(b)): sphere unit vectors, hyperboloid points with the
+    time coordinate last, or plane points without their last coordinate 1."""
+    plane = _PLANES[tri.geometry]
+    _, b, c = tri.sides
     alpha = tri.angles[0]
-    if tri.geometry == "euclidean":
-        return np.array(
-            [[0.0, 0.0], [c, 0.0], [b * math.cos(alpha), b * math.sin(alpha)]]
-        )
-    if tri.geometry == "spherical":
-        return np.array(
-            [
-                [0.0, 0.0, 1.0],
-                [math.sin(c), 0.0, math.cos(c)],
-                [math.sin(b) * math.cos(alpha), math.sin(b) * math.sin(alpha), math.cos(b)],
-            ]
-        )
-    return np.array(
+    v = np.array(
         [
             [0.0, 0.0, 1.0],
-            [math.sinh(c), 0.0, math.cosh(c)],
-            [math.sinh(b) * math.cos(alpha), math.sinh(b) * math.sin(alpha), math.cosh(b)],
+            [plane.S(c), 0.0, plane.C(c)],
+            [plane.S(b) * math.cos(alpha), plane.S(b) * math.sin(alpha), plane.C(b)],
         ]
     )
+    return v if plane.eps else v[:, :2]
 
 
 # ---------------------------------------------------------------------------
 # legs of the critical isosceles triangles
 # ---------------------------------------------------------------------------
+
+
+def _leg(plane: _Plane, y: float, lam: float) -> float:
+    """Half leg 1/2 S^-1(C(lam) S(y)^2 / sqrt(S(y - lam) S(y + lam))) of the
+    tight isosceles triangle on the base 2 y; the product under the root is
+    S(y)^2 - S(lam)^2, without its cancellation near y = lam."""
+    prod = plane.S(y - lam) * plane.S(y + lam)
+    arg = plane.C(lam) * plane.S(y) ** 2 / math.sqrt(prod) if prod > 0.0 else math.inf
+    if plane.eps > 0.0 and arg >= 1.0 - 1e-14:
+        # the spherical short leg meets pi/4 at both ends of its window
+        return PI / 4.0
+    return 0.5 * plane.Sinv(arg)
 
 
 def short_leg_sphere(y: float, lam: float) -> float:
@@ -142,14 +148,7 @@ def short_leg_sphere(y: float, lam: float) -> float:
         raise GeometryError("need 0 <= lambda < pi/4")
     if math.sin(y) < math.tan(lam) - 1e-12 or y > PI / 2.0 + 1e-12:
         raise GeometryError("need arcsin(tan(lambda)) <= y <= pi/2")
-    # sin^2 y - sin^2 lam = sin(y - lam) sin(y + lam), stable near the left end
-    prod = math.sin(y - lam) * math.sin(y + lam)
-    if prod <= 0.0:
-        return PI / 4.0
-    arg = math.cos(lam) * math.sin(y) ** 2 / math.sqrt(prod)
-    if arg >= 1.0 - 1e-14:
-        return PI / 4.0
-    return 0.5 * math.asin(arg)
+    return _leg(_SPHERE, y, lam)
 
 
 def long_leg_sphere(y: float, lam: float) -> float:
@@ -161,26 +160,37 @@ def leg_hyper(y: float, lam: float) -> float:
     """Half leg length of the tight hyperbolic isosceles triangle."""
     if lam < 0.0 or y <= lam:
         raise GeometryError("need 0 <= lambda < y")
-    prod = math.sinh(y - lam) * math.sinh(y + lam)
-    return 0.5 * math.asinh(math.cosh(lam) * math.sinh(y) ** 2 / math.sqrt(prod))
+    return _leg(_HYPER, y, lam)
 
 
 def leg_euclid(y: float, lam: float) -> float:
     """Half leg length of the tight Euclidean isosceles triangle."""
     if lam < 0.0 or y <= lam:
         raise GeometryError("need 0 <= lambda < y")
-    return y * y / (2.0 * math.sqrt((y - lam) * (y + lam)))
+    return _leg(_FLAT, y, lam)
 
 
-def _bisect(f, lo: float, hi: float, target: float, increasing: bool) -> float:
-    """200 halvings of [lo, hi] towards where f, monotone there, meets target."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < target) if increasing else (f(mid) > target):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _leg_inverse(plane: _Plane, rho: float, lam: float, increasing: bool) -> float:
+    """Base half-length y whose leg is rho, where the leg falls to lambda at
+    the knee S(y) = sqrt(2) S(lam) or, if increasing, rises from it.
+
+    s = S(y)^2 solves C(lam)^2 s^2 - S(2 rho)^2 s + S(2 rho)^2 S(lam)^2 = 0,
+    whose roots are S(2 rho)^2 (1 -+ r) / (2 C(lam)^2) for r^2 = S(2 rho -
+    2 lam) S(2 rho + 2 lam) / S(2 rho)^2. The small one is their product
+    over the big one, so neither cancels, and nothing is squared past
+    S(2 rho). A y that rounds to lambda becomes the next float above it.
+    """
+    w = plane.S(2.0 * rho)
+    r = math.sqrt(plane.S(2.0 * (rho - lam)) / w) * math.sqrt(plane.S(2.0 * (rho + lam)) / w)
+    small = 2.0 * plane.S(lam) ** 2 / (1.0 + r)
+    if not increasing:
+        return max(plane.Sinv(math.sqrt(small)), math.nextafter(lam, math.inf))
+    root = w * math.sqrt(0.5 * (1.0 + r)) / plane.C(lam)
+    if plane.eps > 0.0:
+        # cos^2 y = 1 - root^2 = cos^2(2 rho) / (1 - small), which keeps the
+        # small cosine near y = pi/2 that 1 - root^2 cancels away
+        return math.atan2(root, math.cos(2.0 * rho) / math.sqrt(1.0 - small))
+    return plane.Sinv(root)
 
 
 def short_leg_sphere_inverse(rho: float, lam: float, increasing: bool = False) -> float:
@@ -188,41 +198,41 @@ def short_leg_sphere_inverse(rho: float, lam: float, increasing: bool = False) -
 
     The short leg runs from pi/4 down to lambda and back up as y sweeps
     [arcsin(tan(lambda)), arcsin(sqrt(2) sin(lambda)), pi/2]; the flag picks
-    the monotone piece.
+    the monotone piece. The answer is a closed-form root, to a few ulps of
+    y, and meets the ends arcsin(tan(lambda)) and pi/2 at rho = pi/4.
     """
     if not 0.0 < lam < PI / 4.0:
         raise GeometryError("need 0 < lambda < pi/4")
     if not lam <= rho <= PI / 4.0 + 1e-12:
         raise GeometryError("need lambda <= rho <= pi/4")
-    if rho >= PI / 4.0 - 1e-12:
-        # the leg meets pi/4 exactly at the ends, where its slope blows up
-        return PI / 2.0 if increasing else _asin(math.tan(lam))
-    knee = _asin(math.sqrt(2.0) * math.sin(lam))
-    lo, hi = (knee, PI / 2.0) if increasing else (_asin(math.tan(lam)), knee)
-    return _bisect(lambda y: short_leg_sphere(y, lam), lo, hi, rho, increasing)
+    return _leg_inverse(_SPHERE, min(rho, PI / 4.0), lam, increasing)
 
 
 def leg_hyper_inverse(rho: float, lam: float, increasing: bool = False) -> float:
-    """Base half-length whose hyperbolic leg equals rho (two monotone pieces)."""
+    """Base half-length whose hyperbolic leg equals rho (two monotone pieces).
+
+    The answer is a closed-form root, to a few ulps of y. On the decreasing
+    piece a large rho puts y within a few ulps of lambda, where the leg
+    blows up and one ulp of y moves it visibly (lambda = 2.6e-4, rho = 3.9:
+    the y returned gives back rho to 2.4e-4); a y that rounds to lambda
+    becomes the next float above it.
+    """
     if lam <= 0.0:
         raise GeometryError("need lambda > 0")
     if rho < lam:
         raise GeometryError("need rho >= lambda")
-    knee = math.asinh(math.sqrt(2.0) * math.sinh(lam))
-    if increasing:
-        hi = knee + 1.0
-        while leg_hyper(hi, lam) < rho:
-            hi = 2.0 * hi
-        return _bisect(lambda y: leg_hyper(y, lam), knee, hi, rho, True)
-    # decreasing piece: shrink the bracket toward lambda until it straddles
-    # rho; the leg blows up there, so stop once floats cannot get closer
-    lo = lam + 0.5 * (knee - lam)
-    while leg_hyper(lo, lam) < rho:
-        step = 0.5 * (lo - lam)
-        if step <= 4e-16 * max(lam, 1.0):
-            return lo
-        lo = lam + step
-    return _bisect(lambda y: leg_hyper(y, lam), lo, knee, rho, False)
+    return _leg_inverse(_HYPER, rho, lam, increasing)
+
+
+def _regular_bases(plane: _Plane, lam: float) -> list[float]:
+    """Base half-lengths, ascending, where the tight triangle turns regular:
+    the roots s = S(y)^2 >= 0 of 4 eps s^2 - (3 + 5 eps S(lam)^2) s + 4
+    S(lam)^2 = 0."""
+    if lam < 0.0:
+        raise GeometryError("need lambda >= 0")
+    sl = plane.S(lam) ** 2
+    roots = _roots(4.0 * plane.eps, -0.5 * (3.0 + 5.0 * plane.eps * sl), 4.0 * sl)
+    return [plane.Sinv(math.sqrt(s)) for s in roots if s >= 0.0]
 
 
 def regular_base_sphere(lam: float) -> tuple[float, float] | None:
@@ -231,26 +241,12 @@ def regular_base_sphere(lam: float) -> tuple[float, float] | None:
     Returns the (small, big) pair, or None when sin(lambda) > 3/5 and the
     defining quadratic has no real root.
     """
-    if lam < 0.0:
-        raise GeometryError("need lambda >= 0")
-    s = math.sin(lam) ** 2
-    disc = 9.0 - 34.0 * s + 25.0 * s * s
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    return (
-        _asin(math.sqrt((3.0 + 5.0 * s - root) / 8.0)),
-        _asin(math.sqrt((3.0 + 5.0 * s + root) / 8.0)),
-    )
+    return tuple(_regular_bases(_SPHERE, lam)) or None
 
 
 def regular_base_hyper(lam: float) -> float:
     """Base half-length where the tight hyperbolic triangle turns regular."""
-    if lam < 0.0:
-        raise GeometryError("need lambda >= 0")
-    s = math.sinh(lam) ** 2
-    root = math.sqrt(25.0 * s * s + 34.0 * s + 9.0)
-    return math.asinh(math.sqrt(max(5.0 * s - 3.0 + root, 0.0) / 8.0))
+    return _regular_bases(_HYPER, lam)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +261,19 @@ class TriangleDensity:
     rho: float
 
 
-def _roots01(a: float, b: float, c: float) -> list[float]:
-    """Roots of a t^2 + 2 b t + c strictly between 0 and 1, ascending."""
-    disc = b * b - a * c
-    if disc < 0.0:
-        return []
-    q = -(b + math.copysign(math.sqrt(disc), b))
-    roots = ([c / q] if q != 0.0 else []) + ([q / a] if a != 0.0 else [])
-    return sorted(t for t in roots if 0.0 < t < 1.0)
-
-
 class _Model:
     """A plane of constant curvature eps in R^3 with the form <x, y> = x1 y1
     + x2 y2 + eps x3 y3: the Euclidean plane lifted to z = 1 (eps = 0), the
     unit sphere (eps = 1) or the hyperboloid <x, x> = -1 (eps = -1). Its
     geodesics are planes through the origin, and <p - w, p - w> grows with
-    the distance from p to w: at distance rho it is twice sector, the area
-    of the disk's sector per radian."""
+    the distance from p to w: at distance rho it is 4 S(rho/2)^2, twice
+    sector, the area of the disk's sector per radian."""
 
     def __init__(self, geometry: str, rho: float):
-        self.eps = {"euclidean": 0.0, "spherical": 1.0, "hyperbolic": -1.0}[geometry]
+        plane = _PLANES[geometry]
+        self.eps = plane.eps
         self.metric = np.array([1.0, 1.0, self.eps])
-        self.sector = {0.0: rho * rho / 2.0, 1.0: 1.0 - math.cos(rho), -1.0: math.cosh(rho) - 1.0}[self.eps]
+        self.sector = 2.0 * plane.S(0.5 * rho) ** 2
 
     def dot(self, p, q) -> float:
         return float(p @ (self.metric * q))
@@ -295,8 +282,12 @@ class _Model:
         return p / math.sqrt(self.eps * self.dot(p, p)) if self.eps else p
 
     def nearer(self, p, w, v) -> float:
-        """Linear in p, and positive where p is nearer to w than to v (the
-        last term vanishes on the curved planes, where <w, w> = eps)."""
+        """Linear in p, and positive where p is nearer to w than to v. The
+        plane's last term is left out on the curved planes, where <w, w> =
+        <v, v> = eps: there it holds only the round-off of <v, v>, about
+        7e-11 at distance 7 on the hyperboloid, which moves the bisector."""
+        if self.eps:
+            return self.dot(p, w - v)
         return self.dot(p, w - v) - 0.5 * (self.dot(w, w) - self.dot(v, v)) * p[2]
 
     def within(self, w, p) -> bool:
@@ -308,11 +299,13 @@ class _Model:
         sector, squared, so a root may also be where <p, w> = -kappa."""
         d, e = b - a, a - w
         if not self.eps:
-            return _roots01(self.dot(d, d), self.dot(e, d), self.dot(e, e) - 2.0 * self.sector)
-        k2 = self.eps * (self.eps - self.sector) ** 2
-        aw, dw = self.dot(a, w), self.dot(d, w)
-        return _roots01(dw * dw - k2 * self.dot(d, d), aw * dw - k2 * self.dot(a, d),
-                        aw * aw - k2 * self.dot(a, a))
+            roots = _roots(self.dot(d, d), self.dot(e, d), self.dot(e, e) - 2.0 * self.sector)
+        else:
+            k2 = self.eps * (self.eps - self.sector) ** 2
+            aw, dw = self.dot(a, w), self.dot(d, w)
+            roots = _roots(dw * dw - k2 * self.dot(d, d), aw * dw - k2 * self.dot(a, d),
+                           aw * aw - k2 * self.dot(a, a))
+        return [t for t in roots if 0.0 < t < 1.0]
 
     def piece(self, w, p, q) -> tuple[float, float]:
         """Area of the geodesic triangle wpq, and its angle at w between the
@@ -349,16 +342,20 @@ def triangle_disk_density(tri: Triangle, rho: float) -> TriangleDensity:
     bisector functionals. It is a fan of triangles (w, a, b) about its
     vertex w. Each is split where ab is at distance rho from w, a quadratic
     in the chord parameter, and a piece adds its own area inside the disk
-    and its sector at w outside it.
+    and its sector at w outside it. Each cell is summed with its vertex at
+    the apex (0, 0, 1), where the hyperboloid's coordinates are smallest:
+    a vertex at distance 7 has coordinates near 550, which cost the angles
+    of its pieces up to 7e-11 of their value.
     """
     if rho <= 0.0:
         raise GeometryError("need rho > 0")
     geo = _Model(tri.geometry, rho)
-    v = triangle_vertices(tri)
-    v = list(np.c_[v, np.ones(3)] if v.shape[1] == 2 else v)
     covered = total = 0.0
-    for k, w in enumerate(v):
-        cell = v[k:] + v[:k]
+    for k in range(3):
+        turned = (t[k:] + t[:k] for t in (tri.sides, tri.angles))
+        v = triangle_vertices(Triangle(tri.geometry, *turned, tri.area))
+        cell = list(np.c_[v, np.ones(3)] if v.shape[1] == 2 else v)
+        w = cell[0]
         for other in cell[1:]:
             cell = _clip(cell, lambda p: geo.nearer(p, w, other), geo.unit)
         for a, b in zip(cell[1:], cell[2:]):
@@ -390,15 +387,16 @@ def density_bound_euclid(lam: float) -> DensityBound:
     """Largest density of lambda-separable packings of unit disks.
 
     pi/sqrt(12) up to lambda = sqrt(3)/2 (hexagonal extremal packing), then
-    pi/(4 lambda) with a squeezed isosceles extremal triangle.
+    pi/(4 lambda) with a squeezed isosceles extremal triangle: legs 2 on the
+    base 2 y whose tight leg is 1, on the piece where the leg falls.
     """
     if not 0.0 <= lam <= 1.0:
         raise GeometryError("need 0 <= lambda <= 1")
     if lam <= math.sqrt(3.0) / 2.0:
         tri = regular_triangle("euclidean", 2.0)
         return DensityBound(PI / math.sqrt(12.0), "regular", triangle_disk_density(tri, 1.0), 1.0, lam)
-    y = math.sqrt(2.0 - 2.0 * math.sqrt(1.0 - lam * lam))
-    tri = isosceles_triangle("euclidean", 2.0 * y, 2.0 * leg_euclid(y, lam))
+    y = _leg_inverse(_FLAT, 1.0, lam, False)
+    tri = isosceles_triangle("euclidean", 2.0 * y, 2.0)
     return DensityBound(PI / (4.0 * lam), "squeezed", triangle_disk_density(tri, 1.0), 1.0, lam)
 
 
@@ -415,11 +413,7 @@ def density_bound_sphere(rho: float, lam: float) -> DensityBound:
         raise GeometryError("need 0 <= lambda <= rho")
     if lam > PI / 2.0 - rho + 1e-15:
         raise GeometryError("need lambda <= pi/2 - rho")
-    switch = regular_base_sphere(lam)
-    if switch is None:
-        small, big = None, None
-    else:
-        small, big = switch
+    small, big = regular_base_sphere(lam) or (None, None)
     if lam > 0.0 and rho <= (PI / 4.0 if small is None else min(small, PI / 4.0)) + 1e-15:
         y = short_leg_sphere_inverse(min(rho, PI / 4.0), lam)
         tri = isosceles_triangle("spherical", 2.0 * y, 2.0 * rho)

@@ -437,7 +437,9 @@ def three_disk_hull_metrics(centers) -> tuple[float, float, float, float]:
     The hull is conv(centers) + unit disk, so area, perimeter, width and
     inradius all reduce to triangle quantities.
     """
-    c = np.asarray(centers, dtype=float)
+    c = _finite(centers, "disk centers")
+    if c.shape != (3, 2):
+        raise GeometryError("expected three centers")
     hv = hull_of_centers(c)
     # a point or a segment (its perimeter counted twice) has no area, width or inradius
     t_area, t_per, t_w, t_r = abs(polygon_area(hv)), polygon_perimeter(hv), 0.0, 0.0

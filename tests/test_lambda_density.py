@@ -7,6 +7,7 @@ import pytest
 
 from sepgeom.bodies import GeometryError
 from sepgeom.lambda_density import (
+    _Model,
     density_bound_euclid,
     density_bound_hyper,
     density_bound_sphere,
@@ -132,6 +133,47 @@ def test_leg_inverses_round_trip():
         leg_hyper_inverse(0.5, 0.0)
 
 
+def test_leg_inverses_at_the_float_reach_and_the_window_ends():
+    """The inverses are closed-form roots. Where the hyperbolic leg blows up
+    at y = lambda, the root stays within the floats' reach: the y for a
+    small lambda and a large rho, about 2e-14 of lambda above it, gives
+    back rho to 1e-3, and a y that rounds to lambda becomes the next float
+    above it. At rho = pi/4 the spherical roots meet the window ends."""
+    lam = 0.0002556621901960224
+    y = leg_hyper_inverse(3.902716152684962, lam)
+    assert leg_hyper(y, lam) == pytest.approx(3.902716152684962, rel=1e-3)
+    y = leg_hyper_inverse(10.0, 1.0)
+    assert y > 1.0 and leg_hyper(y, 1.0) > 9.0
+    for lam in (0.05, 0.3, 0.7):
+        assert short_leg_sphere_inverse(math.pi / 4.0, lam) == pytest.approx(
+            math.asin(math.tan(lam)), rel=1e-12)
+        assert short_leg_sphere_inverse(math.pi / 4.0, lam, increasing=True) == pytest.approx(
+            math.pi / 2.0, rel=1e-12)
+
+
+def test_triangle_vertices_realise_their_triangles():
+    """The vertices lie at the side lengths from each other, 2 S^-1 of half
+    the model chord, and the angles measured at them in the model are the
+    triangle's angles, on random triangles kept off the degenerate ones."""
+    rng = np.random.default_rng(22)
+    inverse = {"euclidean": lambda x: x, "spherical": math.asin, "hyperbolic": math.asinh}
+    for geometry, top in (("euclidean", 5.0), ("spherical", 2.0), ("hyperbolic", 3.0)):
+        model, checked = _Model(geometry, 1.0), 0
+        while checked < 300:
+            sides = rng.uniform(0.05, 1.0, 3) * top
+            if 2.0 * sides.max() - sides.sum() > -0.05 * sides.max():
+                continue
+            tri = triangle_from_sides(geometry, *sides)
+            v = triangle_vertices(tri)
+            v = np.c_[v, np.ones(3)] if v.shape[1] == 2 else v
+            for k in range(3):
+                p, q = v[k - 2], v[k - 1]
+                chord = math.sqrt(model.dot(p - q, p - q))
+                assert 2.0 * inverse[geometry](0.5 * chord) == pytest.approx(sides[k], rel=1e-12)
+                assert model.piece(v[k], p, q)[1] == pytest.approx(tri.angles[k], rel=1e-12)
+            checked += 1
+
+
 def test_legs_flatten_to_euclid():
     y, lam = 1e-3, 5e-4
     flat = leg_euclid(y, lam)
@@ -163,7 +205,7 @@ def test_fan_matches_sectors_on_clean_triangles():
     """Where the vertex disks are disjoint and inside the triangle, the
     Voronoi fan gives the sector closed form: on the regular and isosceles
     triangles below, and on every short-leg and regular triangle of the
-    spherical and hyperbolic bounds (hyperbolic radii up to 3.5)."""
+    spherical and hyperbolic bounds (hyperbolic radii up to 5)."""
     cases = [
         (regular_triangle("euclidean", 2.0), 1.0),
         (regular_triangle("euclidean", 2.5), 1.0),
@@ -179,7 +221,7 @@ def test_fan_matches_sectors_on_clean_triangles():
                 continue
             if bound.branch != "long-leg":
                 cases.append((bound.density.triangle, float(rho)))
-    for rho in (0.31, 0.33, 0.35, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+    for rho in (0.31, 0.33, 0.35, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0):
         for lam in (0.0, 0.1, 0.3):
             if lam <= rho:
                 cases.append((density_bound_hyper(rho, lam).density.triangle, rho))

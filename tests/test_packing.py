@@ -1,6 +1,7 @@
 """Packing analysis: densities, area bounds, chains, contacts, partitions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ def test_three_disk_predicates():
     assert per == pytest.approx(2.0 * math.pi + 8.0, abs=1e-7)
     assert width == pytest.approx(2.0, abs=1e-9)
     assert inr == pytest.approx(1.0, abs=1e-9)
+
+
+def test_three_disk_hull_metrics_refuses_bad_centers():
+    """Non-finite centers or a wrong shape raise before any arithmetic
+    warns, as three_disk_non_separable does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="finite"):
+            three_disk_hull_metrics([[0.0, 0.0], [2.0, 0.0], [math.inf, 0.0]])
+        with pytest.raises(GeometryError, match="three centers"):
+            three_disk_hull_metrics([[0.0, 0.0], [2.0, 0.0]])
 
 
 def test_three_disk_extrema_branches():
