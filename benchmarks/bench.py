@@ -110,6 +110,13 @@ def _caps(name: str):
     return lambda sg, np, gen, n: getattr(sg, f"{name}_packing")()
 
 
+def _random_caps(sg, np, gen, n):
+    """n caps of radius 0.01 about seeded unit centers (default_rng(3)),
+    spread over a third of the sphere, so that an enclosing cap exists."""
+    rng = np.random.default_rng(3)
+    return [sg.Cap(c, 0.01) for c in np.array([0.0, 0.0, 1.0]) + 0.5 * rng.normal(size=(n, 3))]
+
+
 def _unpacked(path: str, *extra):
     """The call sepgeom.<path>(*arg, *extra) on a tuple input arg, for CALLS."""
     return lambda sg: lambda arg: functools.reduce(getattr, path.split("."), sg)(*arg, *extra)
@@ -154,6 +161,8 @@ CALLS = {
     "is_ts_packing/lattice-12gon": ((100, 256), _lattice_bodies, "is_ts_packing"),
     "is_ts_cap_packing/octahedral": ((8,), _caps("octahedral"), "is_ts_cap_packing"),
     "is_ts_cap_packing/cuboctahedral": ((6,), _caps("cuboctahedral"), "is_ts_cap_packing"),
+    "caps_non_separable/random": ((8, 64, 160), _random_caps, "caps_non_separable"),
+    "enclosing_cap/random": ((8, 64, 160), _random_caps, "enclosing_cap"),
     "is_ls_packing/spiral": ((10000,), _spiral, "is_ls_packing"),
     "is_rho_separable/lattice-12gon": ((900, 3600), _lattice, _unpacked("is_rho_separable", 3.0)),
     "contact_graph/lattice-12gon": ((10000,), _lattice, _unpacked("contact_graph")),

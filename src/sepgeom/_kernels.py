@@ -43,16 +43,24 @@ def fibonacci_sphere(m: int) -> np.ndarray:
 
 def triple_blocks(n: int):
     """Index triples i < j < k of n items, i-major, as (m, 3) arrays of whole
-    runs of one first index, each about 2^15 rows, so memory stays O(n^2)."""
-    i, j = np.triu_indices(n, 1)
-    rows, count = [], 0
-    for first in range(n - 2):
-        rest = i > first
-        rows.append(np.column_stack([np.full(int(rest.sum()), first), i[rest], j[rest]]))
-        count += len(rows[-1])
-        if count >= 1 << 15 or first == n - 3:
-            yield np.vstack(rows)
-            rows, count = [], 0
+    runs of one first index, each about 2^15 rows, so memory stays O(n^2).
+
+    The triples with first index f are f followed by the pairs j < k with
+    j > f, a suffix of the i-major pair list, so each block gathers its
+    suffixes with one index array. A block ends after the first run that
+    brings it to 2^15 rows."""
+    a = np.arange(n)
+    i, j = np.nonzero(a[:, None] < a)
+    # the suffix of first index f starts at the pairs of f + 1
+    start = np.searchsorted(i, a[1 : n - 1])
+    cum = np.concatenate([[0], np.cumsum(len(i) - start)])
+    lo = 0
+    while lo < n - 2:
+        hi = min(int(np.searchsorted(cum, cum[lo] + (1 << 15))), n - 2)
+        size = cum[lo + 1 : hi + 1] - cum[lo:hi]
+        pos = np.arange(cum[lo], cum[hi]) + np.repeat(start[lo:hi] - cum[lo:hi], size)
+        yield np.column_stack([np.repeat(a[lo:hi], size), i[pos], j[pos]])
+        lo = hi
 
 
 def collapse(m, c, w) -> tuple[float, np.ndarray]:

@@ -1,7 +1,10 @@
 """Spherical caps and zones: splitting circles, covers, cap packings.
 
 Every check is exact: its candidates are the caps and circles resting on at
-most three support caps."""
+most three support caps. Each pair or triple of caps with independent
+centers gets one dual basis of its span (_support_sets), and a candidate
+resting on it is a sum of those rows (_combine): one basis serves every sign
+pattern of the centers, and a block's candidates come from one broadcast."""
 
 from __future__ import annotations
 
@@ -84,39 +87,72 @@ def _cap_arrays(caps) -> tuple[np.ndarray, np.ndarray]:
     return centers, radii
 
 
-def _support_sets(centers, radii, signed=False):
-    """Yield the signed centers (t, k, 3), their Gram matrices and radii
-    (t, k) of every pair, then of every triple in blocks, of caps with
+def _support_sets(centers, radii):
+    """Yield the radii r (t, k), the centers c (t, k, 3) and the dual rows
+    (t, k, 3) of every pair, then of every triple in blocks, of caps with
     linearly independent centers.
 
-    With signed=True each cap may also stand for its antipode. Only the sign
-    patterns whose first sign is + are listed: flipping every sign turns each
-    solution u below into -u, the same great circle.
+    The dual basis e_a of a support set lies in the span of its centers with
+    c_a . e_b = delta_ab. Flipping the sign of c_a flips e_a, so one basis
+    serves every sign pattern. Close centers make the e_a large and nearly
+    cancelling, so the rows hold the sum e_0 + ... + e_k-1 and then e_1, ...,
+    e_k-1 (see _combine), each written with the differences d_a = c_a - c_0:
+    - pair: the sum 2 (c_0 + c_1) / |c_0 + c_1|^2, and e_1 = (d_1 - (c_0 .
+      d_1) c_0) / |c_0 x d_1|^2, which is (c_1 - g c_0) / |c_0 x c_1|^2 for
+      g = c_0 . c_1;
+    - triple: the sum d_1 x d_2 / det, e_1 = d_2 x c_0 / det = c_2 x c_0 /
+      det and e_2 = c_0 x d_1 / det = c_0 x c_1 / det, det = c_0 . (d_1 x
+      d_2).
     """
-    pairs = np.column_stack(np.triu_indices(len(centers), 1))
+    a = np.arange(len(centers))
+    pairs = np.column_stack(np.nonzero(a[:, None] < a))
     for idx in itertools.chain([pairs], triple_blocks(len(centers))):
-        k = idx.shape[1]
-        signs = np.array([(1.0,) + p for p in itertools.product((1.0, -1.0), repeat=k - 1)])
-        signs = signs if signed else signs[:1]
-        m = centers[np.tile(idx, (len(signs), 1))] * np.repeat(signs, len(idx), axis=0)[..., None]
-        vol = np.linalg.det(m) if k == 3 else np.linalg.norm(np.cross(m[:, 0], m[:, 1]), axis=1)
-        ok = np.abs(vol) > 1e-12
-        yield m[ok], m[ok] @ m[ok].transpose(0, 2, 1), np.tile(radii[idx], (len(signs), 1))[ok]
+        c = centers[idx]
+        c0, d = c[:, 0], c[:, 1:] - c[:, :1]
+        if idx.shape[1] == 2:
+            x = _cross(c0, d[:, 0])
+            vol2 = _dots(x, x)
+            ok = np.sqrt(vol2) > 1e-12
+            c0, d1, s = c0[ok], d[ok, 0], c0[ok] + c[ok, 1]
+            rows = np.stack([2.0 * s / _dots(s, s)[:, None],
+                             (d1 - _dots(c0, d1)[:, None] * c0) / vol2[ok, None]], axis=1)
+        else:
+            v = np.concatenate([d, c[:, :1]], axis=1)  # d_1, d_2, c_0
+            rows = _cross(v, v[:, [1, 2, 0]])
+            vol = _dots(c0, rows[:, 0])
+            ok = np.abs(vol) > 1e-12
+            rows = rows[ok] / vol[ok, None, None]
+        yield radii[idx[ok]], c[ok], rows
 
 
-def _span(m, gram, x) -> tuple[np.ndarray, np.ndarray]:
-    """The vectors v_0, v_1 in the span of each row set m with m @ v_c = x[..., c]."""
-    v = np.linalg.solve(gram, x).transpose(0, 2, 1) @ m
-    return v[:, 0], v[:, 1]
+def _combine(x, rows) -> np.ndarray:
+    """sum_a x_a e_a over the dual basis of each support set, for
+    coefficients x (..., t, k) and the rows (t, k, 3) of _support_sets:
+    x_0 (e_0 + ... + e_k-1) + sum_a>0 (x_a - x_0) e_a, so that near-equal
+    coefficients on close centers do not cancel large rows."""
+    y = x.copy()
+    y[..., 1:] -= x[..., :1]
+    return (y[..., None, :] @ rows)[..., 0, :]
 
 
 def _dots(a, b) -> np.ndarray:
     return np.einsum("...j,...j->...", a, b)
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b along the last axis; np.cross costs several times more on these
+    small arrays."""
+    a0, a1, a2, b0, b1, b2 = a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _angles(a, b) -> np.ndarray:
     """Angles between unit vectors, accurate also when they nearly coincide."""
-    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), _dots(a, b))
+    return np.arctan2(np.linalg.norm(_cross(a, b), axis=-1), _dots(a, b))
+
+
+# the sign patterns of a pair and a triple whose first sign is +
+_SIGNS = {k: np.array([(1.0,) + p for p in itertools.product((1.0, -1.0), repeat=k - 1)]) for k in (2, 3)}
 
 
 def _split_poles(centers, radii, rows: int):
@@ -125,13 +161,18 @@ def _split_poles(centers, radii, rows: int):
 
     For signs s_k the margin min_k(s_k c_k . u - sin r_k) of a pole u is
     largest where it rests on at most three support caps: s_k c_k . u =
-    sin r_k + m on each, with u in the span of their centers. So u = P + m Q,
-    and |u| = 1 is a quadratic in m whose larger root is the best margin of
-    that support set. A cap alone gives u = c_k.
+    sin r_k + m on each, with u in the span of their centers. With the dual
+    rows e_k of _support_sets that is u = P + m Q for P = sum s_k sin r_k
+    e_k and Q = sum s_k e_k, formed for all patterns of a block at once,
+    pattern-major. |u| = 1 is a quadratic in m whose larger root is the best
+    margin of that support set. A cap alone gives u = c_k. Only patterns
+    whose first sign is + are listed: flipping every sign turns u into -u,
+    the same great circle.
     """
     yield from (centers[lo : lo + rows] for lo in range(0, len(centers), rows))
-    for m, gram, r in _support_sets(centers, radii, signed=True):
-        p, q = _span(m, gram, np.stack([np.sin(r), np.ones_like(r)], axis=2))
+    for r, _, e in _support_sets(centers, radii):
+        signs = _SIGNS[r.shape[1]][:, None, :]  # (patterns, 1, k): pattern-major
+        p, q = (_combine(signs * w, e).reshape(-1, 3) for w in (np.sin(r), np.ones_like(r)))
         pq, qq = _dots(p, q), _dots(q, q)
         disc = pq * pq - qq * (_dots(p, p) - 1.0)
         real = disc >= 0.0
@@ -144,16 +185,17 @@ def _enclosing_candidates(centers, radii) -> tuple[np.ndarray, np.ndarray]:
     """Caps resting on one, two or three of the caps, in that order.
 
     A cap (u, R) rests on cap (c, r) when angle(u, c) + r = R, that is
-    c . u = cos(R - r), so on a pair or triple u = cos R A + sin R B with A
-    and B in the span of the centers. On a pair at distance d, R = (d + r_a
-    + r_b)/2. On a triple, |u| = 1 reads (a + c)/2 + (a - c)/2 cos 2R +
-    b sin 2R = 1 for a = |A|^2, b = A . B and c = |B|^2: two roots R in
-    [0, pi), smaller first. Admitted: the caps themselves, pairs wider than
-    both members, and triple roots in [largest radius, pi).
+    c . u = cos(R - r), so on a pair or triple u = cos R A + sin R B for
+    A = sum cos r_k e_k and B = sum sin r_k e_k over the dual rows e_k of
+    _support_sets. On a pair at distance d, R = (d + r_a + r_b)/2. On a
+    triple, |u| = 1 reads (a + c)/2 + (a - c)/2 cos 2R + b sin 2R = 1 for
+    a = |A|^2, b = A . B and c = |B|^2: two roots R in [0, pi), smaller
+    first. Admitted: the caps themselves, pairs wider than both members, and
+    triple roots in [largest radius, pi).
     """
     us, rs = [centers], [radii]
-    for m, gram, r in _support_sets(centers, radii):
-        a_vec, b_vec = _span(m, gram, np.stack([np.cos(r), np.sin(r)], axis=2))
+    for r, m, e in _support_sets(centers, radii):
+        a_vec, b_vec = (_combine(w, e) for w in (np.cos(r), np.sin(r)))
         if m.shape[1] == 2:
             rad = 0.5 * (_angles(m[:, 0], m[:, 1]) + r.sum(axis=1))
             keep = rad > r.max(axis=1) + 1e-15
@@ -338,7 +380,8 @@ def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
     is always empty; it stays for callers that read it.
     """
     centers, radii = _cap_arrays(list(caps))
-    i, j = np.triu_indices(len(centers), 1)
+    a = np.arange(len(centers))
+    i, j = np.nonzero(a[:, None] < a)
     overlap = np.flatnonzero(_angles(centers[i], centers[j]) < radii[i] + radii[j] - tol)
     if len(overlap):
         k = overlap[0]
@@ -367,8 +410,8 @@ def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
         if (score > -math.inf).all():
             break
     ok = score > -math.inf
-    certificates = {(int(a), int(b)): found[k] for k, (a, b) in enumerate(zip(i, j)) if ok[k]}
-    refuted = tuple((int(a), int(b)) for a, b in zip(i[~ok], j[~ok]))
+    certificates = {(a, b): found[k] for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())) if ok[k]}
+    refuted = tuple(zip(i[~ok].tolist(), j[~ok].tolist()))
     return CapTSResult(not refuted, certificates, (), refuted, count)
 
 

@@ -273,6 +273,9 @@ def test_lambda_density(capsys):
     assert payload["value"] == pytest.approx(0.88276, abs=1e-3)
     code, _ = run(["lambda-density", "--geometry", "spherical", "--lam", "0.3"], capsys)
     assert code == 3  # missing --rho
+    # past rho = 8 the hyperbolic bound is refused, not answered wrong
+    code, _ = run(["lambda-density", "--geometry", "hyperbolic", "--lam", "0", "--rho", "12"], capsys)
+    assert code == 3
 
 
 def test_extremal_3disks(capsys):

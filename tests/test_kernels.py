@@ -1,5 +1,6 @@
 """Known values of the shared numeric kernels."""
 
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,24 @@ def test_pole_margins_known_values():
     assert margins[:2].tolist() == [-0.5, -0.5]
     assert abs(margins[2] - 0.1) < 1e-15
     assert split.tolist() == [False, False, True]
+
+
+def test_triple_blocks_match_combinations():
+    """The blocks list itertools.combinations(range(n), 3) in its order, each
+    block holds whole runs of one first index, and a block ends with the
+    first run that brings it to 2^15 rows; n from 60 on gives several."""
+    several = 0
+    for n in range(0, 101):
+        blocks = list(_kernels.triple_blocks(n))
+        want = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+        got = np.vstack(blocks) if blocks else np.empty((0, 3), dtype=np.intp)
+        assert np.array_equal(got, want), n
+        for block, after in zip(blocks, blocks[1:]):
+            assert block[-1, 0] < after[0, 0]  # a run is never split
+            last_run = int((block[:, 0] == block[-1, 0]).sum())
+            assert len(block) - last_run < 1 << 15 <= len(block)
+        several += len(blocks) > 1
+    assert several == 41  # n = 60 .. 100
 
 
 def test_sweep_gathers_as_take_along_axis(rng):

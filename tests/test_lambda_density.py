@@ -357,3 +357,17 @@ def test_density_bound_hyper_branches():
     assert 3.0 / math.pi - vals[2] < 5e-3
     with pytest.raises(GeometryError):
         density_bound_hyper(0.5, 0.6)
+
+
+def test_density_bound_hyper_holds_to_its_largest_radius():
+    """Up to rho = 8 the bound is the sector closed form to 1e-9; past it,
+    where the fan's error outgrows 1e-9 (2e-9 at 9, a ValueError at 12 and
+    20, 1.0 against 3/pi at 60), it is refused."""
+    for lam in (0.0, 0.05, 0.3, 2.0, 7.9, 8.0):
+        bound = density_bound_hyper(8.0, lam)
+        assert abs(bound.value - _sectors(bound.density.triangle, 8.0)) <= 1e-9
+        assert bound.value < 3.0 / math.pi
+    for rho in (8.0 + 1e-12, 12.0, 20.0, 60.0):
+        for lam in (0.0, 0.3):
+            with pytest.raises(GeometryError, match="rho <= 8"):
+                density_bound_hyper(rho, lam)

@@ -168,6 +168,74 @@ def test_split_margin_is_reported_only_above_minus_min_sin_r():
     assert dec.margin == -math.inf
 
 
+def _dual_rows(rows) -> np.ndarray:
+    """The dual basis e_0, ..., e_k-1 from the rows of _support_sets."""
+    e = rows.copy()
+    e[:, 0] -= rows[:, 1:].sum(axis=1)
+    return e
+
+
+def test_support_sets_hold_the_dual_basis(rng):
+    """c_a . e_b = delta_ab to 1e-12 (times |e_b| where that exceeds 1) on
+    random centers, tight clusters and nearly coplanar sets; and the sums
+    sum_a x_a e_a of _combine meet c_a . v = x_a to 1e-12 (times |v| where
+    that exceeds 1) for x = cos r and sin r, also on the clusters where
+    the e_a are large and nearly cancel."""
+    sets = 0
+    for kind in ("random", "cluster", "flat"):
+        for _ in range(20):
+            if kind == "random":
+                c = rng.normal(size=(6, 3))
+            elif kind == "cluster":
+                c = rng.normal(size=3) + 1e-3 * rng.normal(size=(6, 3))
+            else:
+                c = rng.normal(size=(6, 3)) * np.array([1.0, 1.0, 1e-4])
+            c /= np.linalg.norm(c, axis=1, keepdims=True)
+            radii = rng.uniform(0.01, 0.3, 6)
+            for r, centers, rows in spherical._support_sets(c, radii):
+                e = _dual_rows(rows)
+                scale = np.maximum(1.0, np.linalg.norm(e, axis=2))[:, None, :]
+                delta = np.einsum("tad,tbd->tab", centers, e) - np.eye(r.shape[1])
+                assert (np.abs(delta) <= 1e-12 * scale).all(), kind
+                for x in (np.cos(r), np.sin(r)):
+                    v = spherical._combine(x, rows)
+                    scale = np.maximum(1.0, np.linalg.norm(v, axis=1))[:, None]
+                    assert (np.abs(np.einsum("tad,td->ta", centers, v) - x) <= 1e-12 * scale).all(), kind
+                sets += len(r)
+    assert sets == 3 * 20 * (15 + 20)
+
+
+def test_spherical_checks_are_rotation_invariant(rng):
+    """Rotating a cap family changes no verdict, refuted pair or
+    poles_checked of is_ts_cap_packing and caps_non_separable, nor
+    zones_cover_check.covers on zones about the same poles, and moves the
+    enclosing_cap radius by at most 1e-12."""
+    families = [octahedral_packing(), cuboctahedral_packing()]
+    families += [random_cap_packing(rng, int(rng.integers(3, 9)), 0.1, 0.4) for _ in range(10)]
+    families += [tangent_cap_chain(rng, int(rng.integers(3, 8))) for _ in range(10)]
+    seen = {"ts": 0, "ns": 0, "covers": 0}
+
+    def answers(caps):
+        ts = is_ts_cap_packing(caps)
+        ns = caps_non_separable(caps)
+        zones = [Zone(c.center, min(2.0 * c.radius, math.pi / 2.0)) for c in caps]
+        return ((ts.is_ts, ts.refuted, ts.poles_checked), (ns.non_separable, ns.poles_checked),
+                zones_cover_check(zones).covers, enclosing_cap(caps)[1])
+
+    for caps in families:
+        ts, ns, covers, radius = answers(caps)
+        seen["ts"] += ts[0]
+        seen["ns"] += ns[0]
+        seen["covers"] += covers
+        for _ in range(4):
+            rot = _rotation(rng)
+            got = answers([Cap(rot @ c.center, c.radius) for c in caps])
+            assert got[:3] == (ts, ns, covers)
+            assert abs(got[3] - radius) <= 1e-12
+    # each verdict is reached both ways
+    assert all(0 < count < len(families) for count in seen.values()), seen
+
+
 def _random_caps(rng, spread: float) -> tuple[np.ndarray, np.ndarray]:
     k = int(rng.integers(2, 7))
     centers = rng.normal(size=3) + spread * rng.normal(size=(k, 3))
