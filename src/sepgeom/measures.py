@@ -63,71 +63,48 @@ def perimeter(body: ConvexBody) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _triple_candidates(cs, rs, idx, scale: float, tol: float):
-    """Disks internally tangent to the three members of each row of idx.
-
-    |c - m_k| = R - r_k, linearized pairwise then solved in R; returns the
-    centers and radii of the roots and the row of idx of each, in row
-    order, smaller root first. Determinants and the linear case are
-    measured against scale, the extent of the members.
-    """
-    m, r = cs[idx], rs[idx]
-    # rows 2 (m1 - m0) and 2 (m2 - m0) of the 2 x 2 system of each triple
-    e1, e2 = 2.0 * (m[:, 1] - m[:, 0]), 2.0 * (m[:, 2] - m[:, 0])
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    keep = np.abs(det) > 1e-12 * scale * scale
-    idx, m, r, e1, e2, det = (x[keep] for x in (idx, m, r, e1, e2, det))
-    sq = np.einsum("tij,tij->ti", m, m)
-    u_vec = sq[:, 1:] - sq[:, :1] + r[:, :1] ** 2 - r[:, 1:] ** 2
-    v_vec = -2.0 * (r[:, :1] - r[:, 1:])
-
-    def solve(f):  # the system's solution for right-hand sides f, by Cramer's rule
-        return np.column_stack([e2[:, 1] * f[:, 0] - e1[:, 1] * f[:, 1],
-                                e1[:, 0] * f[:, 1] - e2[:, 0] * f[:, 0]]) / det[:, None]
-
-    p, q = solve(u_vec), solve(v_vec)  # c(R) = p + R*q
-    # |p + R q - m0|^2 = (R - r0)^2
-    w = p - m[:, 0]
-    r0 = r[:, 0]
-    aa = np.einsum("ti,ti->t", q, q) - 1.0
-    bb = 2.0 * (np.einsum("ti,ti->t", w, q) + r0)
-    cc = np.einsum("ti,ti->t", w, w) - r0**2
-    linear = np.abs(aa) < 1e-14
-    disc = bb * bb - 4 * aa * cc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sdisc = np.sqrt(disc)
-        roots = np.where(
-            linear[:, None],
-            np.stack([-cc / bb, np.full_like(bb, np.nan)], axis=1),
-            np.stack([(-bb - sdisc) / (2 * aa), (-bb + sdisc) / (2 * aa)], axis=1),
-        )
-    valid = np.where(
-        linear[:, None],
-        np.stack([np.abs(bb) > 1e-14 * scale, np.zeros_like(linear)], axis=1),
-        (disc >= 0)[:, None],
-    )
-    valid &= roots > r.max(axis=1)[:, None] - tol
-    t, k = np.nonzero(valid)
-    return p[t] + roots[t, k, None] * q[t], roots[t, k], idx[t]
-
-
-def _support_candidates(cs, rs, k: int, basis: list, scale: float, tol: float):
+def _tangent_disks(pts, rad, k: int, basis: list, scale: float, tol: float):
     """The disks internally tangent to member k and to at most two members
-    of basis, as (support sets, centers, radii): the singleton first, then
-    the pairs, then the triples (_triple_candidates)."""
-    b = np.array(basis)
-    diff = cs[b] - cs[k]
-    d = np.linalg.norm(diff, axis=1)
-    keep = d > tol
-    # pairs: center on the segment, tangent to both
-    pair_r = 0.5 * (d + rs[k] + rs[b])[keep]
-    pair_c = cs[k] + (pair_r - rs[k])[:, None] * (diff[keep] / d[keep, None])
-    sets, cand_c, cand_r = [[k]] + [[k, j] for j in b[keep].tolist()], [cs[[k]], pair_c], [rs[[k]], pair_r]
-    if len(basis) > 1:
-        idx = np.array([[k, *pair] for pair in itertools.combinations(basis, 2)])
-        tri_c, tri_r, rows = _triple_candidates(cs, rs, idx, scale, tol)
-        sets, cand_c, cand_r = sets + rows.tolist(), cand_c + [tri_c], cand_r + [tri_r]
-    return sets, np.vstack(cand_c), np.concatenate(cand_r)
+    of basis, as (support set, x, y, radius) in Python floats: the singleton
+    first, then the pairs, then the triples, root (-b - sqrt) / 2a first.
+
+    A pair's center lies on the segment of the two. A triple solves
+    |c - m_a| = R - r_a, linearized pairwise as a 2 x 2 system with
+    c(R) = p + R q by Cramer's rule, then R from |c(R) - m_k| = R - r_k.
+    Determinants and the linear case are measured against scale, the extent
+    of the members.
+    """
+    (xk, yk), rk = pts[k], rad[k]
+    yield [k], xk, yk, rk
+    for j in basis:
+        dx, dy = pts[j][0] - xk, pts[j][1] - yk
+        d = math.sqrt(dx * dx + dy * dy)
+        if d > tol:
+            big = 0.5 * (d + rk + rad[j])
+            yield [k, j], xk + (big - rk) * (dx / d), yk + (big - rk) * (dy / d), big
+    s0 = xk * xk + yk * yk
+    for i, j in itertools.combinations(basis, 2):
+        (x1, y1), (x2, y2), r1, r2 = pts[i], pts[j], rad[i], rad[j]
+        a, b, c, d = 2.0 * (x1 - xk), 2.0 * (y1 - yk), 2.0 * (x2 - xk), 2.0 * (y2 - yk)
+        det = a * d - b * c
+        if not abs(det) > 1e-12 * scale * scale:
+            continue
+        u1, u2 = x1 * x1 + y1 * y1 - s0 + rk * rk - r1 * r1, x2 * x2 + y2 * y2 - s0 + rk * rk - r2 * r2
+        v1, v2 = -2.0 * (rk - r1), -2.0 * (rk - r2)
+        px, py = (d * u1 - b * u2) / det, (a * u2 - c * u1) / det
+        qx, qy = (d * v1 - b * v2) / det, (a * v2 - c * v1) / det
+        wx, wy = px - xk, py - yk
+        aa = qx * qx + qy * qy - 1.0
+        bb = 2.0 * (wx * qx + wy * qy + rk)
+        cc = wx * wx + wy * wy - rk * rk
+        if abs(aa) < 1e-14:
+            roots = [-cc / bb] if abs(bb) > 1e-14 * scale else []
+        else:
+            disc = bb * bb - 4 * aa * cc
+            roots = [(-bb - math.sqrt(disc)) / (2 * aa), (-bb + math.sqrt(disc)) / (2 * aa)] if disc >= 0 else []
+        for big in roots:
+            if big > max(rk, r1, r2) - tol:
+                yield [k, i, j], px + big * qx, py + big * qy, big
 
 
 def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
@@ -138,16 +115,19 @@ def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
     the optimum of a set with one member more than a basis, that member
     protruding from the basis's disk, has the new member on its boundary.
     So, from the largest member alone, each round takes the member that
-    protrudes most and keeps the smallest disk tangent to it and to at most
-    two basis members (one singleton, up to three pairs and three triples,
-    in closed form) that covers the basis and the new member; its support
-    set is the next basis. In exact arithmetic the radius grows strictly
-    from round to round, so no basis comes back; in floating point a step
-    may grow it by less than one ulp, so the radii are not compared and a
-    basis that comes back is what ends a search that cannot settle. The
-    loop ends when no member protrudes by more than tol. Coordinates are taken about the middle of the members'
-    bounding box and tol is 1e-11 times its extent, so the disk scales and
-    moves with the input. Memory O(n).
+    protrudes most (one numpy pass over all members) and keeps the smallest
+    disk tangent to it and to at most two basis members (_tangent_disks: one
+    singleton, up to three pairs and six triple roots) that covers the basis
+    and the new member, the first listed among equal radii; its support set
+    is the next basis. That step handles at most ten candidates against four
+    members, so it runs in Python floats. In exact arithmetic the radius
+    grows strictly from round to round, so no basis comes back; in floating
+    point a step may grow it by less than one ulp, so the radii are not
+    compared and a basis that comes back is what ends a search that cannot
+    settle. The loop ends when no member protrudes by more than tol.
+    Coordinates are taken about the middle of the members' bounding box and
+    tol is 1e-11 times its extent, so the disk scales and moves with the
+    input. Memory O(n).
     """
     cs = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -156,22 +136,25 @@ def enclosing_disk_of_disks(centers, radii) -> tuple[np.ndarray, float]:
     cs = cs - mid
     scale = float((hi - lo).max())
     tol = 1e-11 * scale
+    pts, rad = cs.tolist(), rs.tolist()
     basis = [int(np.argmax(rs))]
-    best_c, best_r = cs[basis[0]], float(rs[basis[0]])
+    (bx, by), best_r = pts[basis[0]], rad[basis[0]]
     seen = {frozenset(basis)}
     while True:
-        out = np.linalg.norm(cs - best_c, axis=1) + rs - best_r
+        out = np.linalg.norm(cs - (bx, by), axis=1) + rs - best_r
         k = int(np.argmax(out))
         if not out[k] > tol:
-            return mid + best_c, best_r
-        sets, cand_c, cand_r = _support_candidates(cs, rs, k, basis, scale, tol)
-        held = basis + [k]
-        dist = np.linalg.norm(cs[held][None, :, :] - cand_c[:, None, :], axis=2)
-        covers = (dist + rs[held] <= cand_r[:, None] + tol).all(axis=1)
-        if not covers.any():
+            return mid + (bx, by), best_r
+        held, pick = [(*pts[h], rad[h]) for h in basis + [k]], None
+        for cand in _tangent_disks(pts, rad, k, basis, scale, tol):
+            _, x, y, big = cand
+            if (pick is None or big < pick[3]) and all(
+                math.sqrt((hx - x) * (hx - x) + (hy - y) * (hy - y)) + hr <= big + tol for hx, hy, hr in held
+            ):
+                pick = cand
+        if pick is None:
             raise GeometryError("enclosing disk search failed")
-        pick = int(np.flatnonzero(covers)[np.argmin(cand_r[covers])])
-        basis, best_c, best_r = sets[pick], cand_c[pick], float(cand_r[pick])
+        basis, bx, by, best_r = pick
         if frozenset(basis) in seen:
             raise GeometryError("enclosing disk search failed")
         seen.add(frozenset(basis))

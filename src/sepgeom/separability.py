@@ -377,30 +377,36 @@ def _best_angle(p, r, lo: float, hi: float) -> float:
     the rows active there with the largest and the smallest slope are the
     next set. The value falls from round to round, so only rounding
     can bring a set back; that, or no row below the value by more than
-    round-off, ends the loop.
+    round-off, ends the loop. The row minimum over every pair is one numpy
+    pass; a round's at most seven angles on at most three rows are Python
+    floats.
     """
     slack = 4.0 * _MACHINE_EPS * (np.hypot(p[:, 0], p[:, 1]) + np.abs(r))
     theta, work, seen = 0.5 * (lo + hi), [], set()
     while True:
         g = p @ np.array([math.cos(theta), math.sin(theta)]) - r
         k = int(np.argmin(g + slack))
-        if not g[k] + slack[k] < (g[work].min() if work else math.inf):
+        if not g[k] + slack[k] < min((g[w] for w in work), default=math.inf):
             return theta
         rows = work + [k]
-        d = p[work] - p[k]
-        size = np.hypot(d[:, 0], d[:, 1])
-        ratio = np.divide(r[work] - r[k], size, out=np.zeros(len(work)), where=size > 0.0)
-        psi, turn = np.arctan2(d[:, 1], d[:, 0]), np.arccos(np.clip(ratio, -1.0, 1.0))
-        cand = np.concatenate([[math.atan2(p[k, 1], p[k, 0])], psi - turn, psi + turn])
-        cand = lo + np.remainder(cand - lo, TWO_PI)
-        cand = np.append(cand[cand <= hi], [lo, hi])
-        vals = np.cos(cand)[:, None] * p[rows, 0] + np.sin(cand)[:, None] * p[rows, 1] - r[rows]
-        best = int(np.argmax(vals.min(axis=1)))
-        theta = float(cand[best])
+        pts, rad = p[rows].tolist(), r[rows].tolist()
+        (xk, yk), rk = pts[-1], rad[-1]
+        cross = []  # the crossings <u, p_w - p_k> = r_w - r_k, at psi -+ turn
+        for (x, y), rw in zip(pts[:-1], rad):
+            size = math.hypot(x - xk, y - yk)
+            ratio = (rw - rk) / size if size > 0.0 else 0.0
+            cross.append((math.atan2(y - yk, x - xk), math.acos(min(max(ratio, -1.0), 1.0))))
+        cand = [math.atan2(yk, xk)] + [a - t for a, t in cross] + [a + t for a, t in cross]
+        cand = [c for c in (lo + (c - lo) % TWO_PI for c in cand) if c <= hi] + [lo, hi]
+        vals = [[math.cos(c) * x + math.sin(c) * y - rw for (x, y), rw in zip(pts, rad)] for c in cand]
+        low = [min(v) for v in vals]
+        best = low.index(max(low))
+        theta = cand[best]
         # a crossing's angle carries the round-off of arccos, its rows' values a few ulps more
-        active = np.array(rows)[vals[best] <= vals[best].min() + 16.0 * slack[rows].max()]
-        slope = p[active] @ np.array([-math.sin(theta), math.cos(theta)])
-        work = sorted({int(active[np.argmax(slope)]), int(active[np.argmin(slope)])})
+        bound = low[best] + 16.0 * float(slack[rows].max())
+        sin, cos = math.sin(theta), math.cos(theta)
+        slope = {w: x * -sin + y * cos for (x, y), v, w in zip(pts, vals[best], rows) if v <= bound}
+        work = sorted({max(slope, key=slope.get), min(slope, key=slope.get)})
         if tuple(work) in seen:
             return theta
         seen.add(tuple(work))

@@ -181,8 +181,23 @@ def _split_poles(centers, radii, rows: int):
         yield from (u[lo : lo + rows] for lo in range(0, len(u), rows))
 
 
-def _enclosing_candidates(centers, radii) -> tuple[np.ndarray, np.ndarray]:
-    """Caps resting on one, two or three of the caps, in that order.
+def _enclosing_candidates(centers, radii):
+    """Caps resting on one, two or three of the caps, in that order, yielded
+    as blocks of centers and radii: the caps themselves with the pairs, then
+    each triple block of _support_sets (_resting_caps). Only the block drawn
+    is held, not the arrays it was built from.
+    """
+    top = radii.max()
+    blocks = map(lambda s: _resting_caps(*s, top), _support_sets(centers, radii))
+    u, rad = next(blocks)  # the pairs
+    yield np.vstack([centers, u]), np.concatenate([radii, rad])
+    yield from blocks
+
+
+def _resting_caps(r, m, e, top: float):
+    """The caps resting on each support set of one block of _support_sets,
+    and their radii: on a pair wider than both members, on a triple at least
+    top, the largest radius of the family.
 
     A cap (u, R) rests on cap (c, r) when angle(u, c) + r = R, that is
     c . u = cos(R - r), so on a pair or triple u = cos R A + sin R B for
@@ -190,29 +205,24 @@ def _enclosing_candidates(centers, radii) -> tuple[np.ndarray, np.ndarray]:
     _support_sets. On a pair at distance d, R = (d + r_a + r_b)/2. On a
     triple, |u| = 1 reads (a + c)/2 + (a - c)/2 cos 2R + b sin 2R = 1 for
     a = |A|^2, b = A . B and c = |B|^2: two roots R in [0, pi), smaller
-    first. Admitted: the caps themselves, pairs wider than both members, and
-    triple roots in [largest radius, pi).
+    first.
     """
-    us, rs = [centers], [radii]
-    for r, m, e in _support_sets(centers, radii):
-        a_vec, b_vec = (_combine(w, e) for w in (np.cos(r), np.sin(r)))
-        if m.shape[1] == 2:
-            rad = 0.5 * (_angles(m[:, 0], m[:, 1]) + r.sum(axis=1))
-            keep = rad > r.max(axis=1) + 1e-15
-        else:
-            a, b, c = _dots(a_vec, a_vec), _dots(a_vec, b_vec), _dots(b_vec, b_vec)
-            amp, rhs = np.hypot(0.5 * (a - c), b), 1.0 - 0.5 * (a + c)
-            real = (amp > 0.0) & (np.abs(rhs) <= amp)
-            turn = np.arccos(rhs[real] / amp[real])
-            phase = np.arctan2(b, 0.5 * (a - c))[real]
-            rad = np.mod(np.stack([phase - turn, phase + turn], axis=1), 2.0 * PI) / 2.0
-            rad = np.sort(rad, axis=1).ravel()
-            a_vec, b_vec = np.repeat(a_vec[real], 2, axis=0), np.repeat(b_vec[real], 2, axis=0)
-            keep = rad >= radii.max()
-        u = np.cos(rad[keep])[:, None] * a_vec[keep] + np.sin(rad[keep])[:, None] * b_vec[keep]
-        us.append(u / np.linalg.norm(u, axis=1, keepdims=True))
-        rs.append(rad[keep])
-    return np.vstack(us), np.concatenate(rs)
+    a_vec, b_vec = (_combine(w, e) for w in (np.cos(r), np.sin(r)))
+    if m.shape[1] == 2:
+        rad = 0.5 * (_angles(m[:, 0], m[:, 1]) + r.sum(axis=1))
+        keep = rad > r.max(axis=1) + 1e-15
+    else:
+        a, b, c = _dots(a_vec, a_vec), _dots(a_vec, b_vec), _dots(b_vec, b_vec)
+        amp, rhs = np.hypot(0.5 * (a - c), b), 1.0 - 0.5 * (a + c)
+        real = (amp > 0.0) & (np.abs(rhs) <= amp)
+        turn = np.arccos(rhs[real] / amp[real])
+        phase = np.arctan2(b, 0.5 * (a - c))[real]
+        rad = np.mod(np.stack([phase - turn, phase + turn], axis=1), 2.0 * PI) / 2.0
+        rad = np.sort(rad, axis=1).ravel()
+        a_vec, b_vec = np.repeat(a_vec[real], 2, axis=0), np.repeat(b_vec[real], 2, axis=0)
+        keep = rad >= top
+    u = np.cos(rad[keep])[:, None] * a_vec[keep] + np.sin(rad[keep])[:, None] * b_vec[keep]
+    return u / np.linalg.norm(u, axis=1, keepdims=True), rad[keep]
 
 
 @dataclass(frozen=True)
@@ -271,19 +281,27 @@ def enclosing_cap(caps, tol: float = 1e-9) -> tuple[np.ndarray, float]:
 
     It rests on at most three of them (Welzl, 1991), so it is the smallest
     of _enclosing_candidates that covers every cap within tol, the first
-    listed among equal radii.
+    listed among equal radii. Each block is tested as it is drawn: only its
+    candidates strictly smaller than the best cap so far, in the order of
+    their radii, in chunks of _BLOCK // n rows, up to the first that covers.
+    So memory is O(n^2), as in the split checks.
     """
     centers, radii = _cap_arrays(list(caps))
-    u, r = _enclosing_candidates(centers, radii)
-    order = np.argsort(r, kind="stable")
+    best_u, best_r = None, math.inf
     step = max(1, _BLOCK // len(radii))
-    for lo in range(0, len(order), step):
-        part = order[lo : lo + step]
-        covers = (_angles(u[part, None], centers) + radii <= r[part, None] + tol).all(axis=1)
-        if covers.any():
-            k = part[int(np.argmax(covers))]
-            return u[k], float(r[k])
-    raise GeometryError("no enclosing cap smaller than the sphere was found")
+    for u, r in _enclosing_candidates(centers, radii):
+        order = np.flatnonzero(r < best_r)
+        order = order[np.argsort(r[order], kind="stable")]
+        for lo in range(0, len(order), step):
+            part = order[lo : lo + step]
+            covers = (_angles(u[part, None], centers) + radii <= r[part, None] + tol).all(axis=1)
+            if covers.any():
+                k = part[int(np.argmax(covers))]
+                best_u, best_r = u[k], float(r[k])
+                break
+    if best_u is None:
+        raise GeometryError("no enclosing cap smaller than the sphere was found")
+    return best_u, best_r
 
 
 @dataclass(frozen=True)

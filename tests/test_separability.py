@@ -540,6 +540,55 @@ def test_kirchberger_matches_direct_mixed_bodies(rng):
     assert 0 < separable < 60
 
 
+def _critical_angle_scan(p, r, lo: float, hi: float) -> float:
+    """The largest min_q(<u(t), p_q> - r_q) over every critical angle in
+    [lo, hi]: each row's peak, both crossings of each pair of rows and the
+    arc ends, listed one at a time in plain Python."""
+    rows = [(float(x), float(y), float(w)) for (x, y), w in zip(p, r)]
+    angles = [lo, hi] + [math.atan2(y, x) for x, y, _ in rows]
+    for a, (xa, ya, ra) in enumerate(rows):
+        for xb, yb, rb in rows[a + 1 :]:
+            size = math.hypot(xa - xb, ya - yb)
+            if size > abs(ra - rb):
+                psi, turn = math.atan2(ya - yb, xa - xb), math.acos((ra - rb) / size)
+                angles += [psi - turn, psi + turn]
+    best = -math.inf
+    for t in angles:
+        t = lo + (t - lo) % (2.0 * math.pi)
+        if t <= hi:
+            best = max(best, min(math.cos(t) * x + math.sin(t) * y - w for x, y, w in rows))
+    return best
+
+
+def test_best_angle_matches_a_scan_of_every_critical_angle(rng):
+    """On random polygon and disk families split by a line, the margin at
+    _best_angle equals the best over every critical angle of the arc to
+    1e-12 relative to the rows' size."""
+    compared = 0
+    for _ in range(80):
+        bodies = []
+        for _ in range(int(rng.integers(2, 5))):
+            if rng.random() < 0.4:
+                bodies.append(ConvexBody.disk(rng.normal(size=2), float(rng.uniform(0.1, 1.0))))
+            else:
+                bodies.append(random_convex_polygon(rng, int(rng.integers(3, 7)), 0.6).translate(rng.normal(size=2)))
+        n1 = int(rng.integers(1, len(bodies)))
+        ang = float(rng.uniform(0.0, 2.0 * math.pi))
+        shift = float(rng.uniform(2.0, 6.0)) * np.array([math.cos(ang), math.sin(ang)])
+        bodies[n1:] = [b.translate(shift) for b in bodies[n1:]]
+        pts, rad = _member_features(bodies)
+        lo, hi, p, r = separability._separating_arc(pts, rad, slice(0, n1), slice(n1, None), 0.0)
+        if not lo < hi:
+            continue
+        theta = separability._best_angle(p, r, lo, hi)
+        assert lo <= theta <= hi
+        got = float((p @ np.array([math.cos(theta), math.sin(theta)]) - r).min())
+        size = float(np.hypot(p[:, 0], p[:, 1]).max() + np.abs(r).max())
+        assert abs(got - _critical_angle_scan(p, r, lo, hi)) <= 1e-12 * size
+        compared += 1
+    assert compared >= 40, compared
+
+
 def _mixed_packing_family(rng, n: int) -> list:
     """Disks and polygons at random, some overlapping, with touching pairs:
     each disk after the first touches the member before it when that is a

@@ -298,6 +298,62 @@ def test_ts_cap_packing_certifies_every_pair_the_grid_does(rng):
     assert seen["certified"] > 0 and seen["refuted"] > 0
 
 
+def _enclosing_cap_reference(caps, tol: float = 1e-9):
+    """enclosing_cap as one search over every candidate: all blocks of
+    _enclosing_candidates joined, sorted by radius (stable), and tested in
+    chunks of _BLOCK // n in that order up to the first that covers. Also
+    returns how many candidates share the answer's radius."""
+    centers, radii = spherical._cap_arrays(list(caps))
+    u, r = (np.concatenate(x) for x in zip(*spherical._enclosing_candidates(centers, radii)))
+    order = np.argsort(r, kind="stable")
+    step = max(1, spherical._BLOCK // len(radii))
+    for lo in range(0, len(order), step):
+        part = order[lo : lo + step]
+        covers = (spherical._angles(u[part, None], centers) + radii <= r[part, None] + tol).all(axis=1)
+        if covers.any():
+            k = part[int(np.argmax(covers))]
+            return u[k], float(r[k]), int((r == r[k]).sum())
+    raise GeometryError("no enclosing cap smaller than the sphere was found")
+
+
+def _ring(k: int, polar: float, radius: float) -> list:
+    """k equal caps at equal steps on the circle at angle polar from the pole."""
+    a = 2.0 * math.pi * np.arange(k) / k
+    s, c = math.sin(polar), math.cos(polar)
+    return [Cap(np.array([s * math.cos(t), s * math.sin(t), c]), radius) for t in a]
+
+
+def test_enclosing_cap_matches_the_sort_everything_search(rng):
+    """Drawing the candidates block by block gives the cap of one sorted
+    search over all of them, to the bit: on random, clustered and tight
+    families, on symmetric ones whose candidates tie in radius (squares and
+    rings of equal caps, a ring of 64 over several triple blocks, the
+    octahedral packing), and in the refusal when no cap smaller than the
+    sphere encloses the family."""
+    families = [octahedral_packing(), _ring(4, 0.4, 0.05), _ring(6, 0.7, 0.1), _ring(64, 0.5, 0.01)]
+    families += [[Cap(np.array([x, y, 0.8]), 0.1) for x, y in ((0.6, 0.0), (0.0, 0.6), (-0.6, 0.0), (0.0, -0.6))]]
+    for spread in (3.0, 0.3, 0.05):
+        for _ in range(15):
+            centers, radii = _random_caps(rng, spread)
+            families.append([Cap(c, r * min(1.0, spread)) for c, r in zip(centers, radii)])
+    s = 1.0 / math.sqrt(3.0)
+    tetra = [Cap(np.array(v) * s, 1.95) for v in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))]
+    families += [[Cap(EZ, 1.5), Cap(-EZ, 1.5)], tetra]
+    ties = refused = 0
+    for caps in families:
+        try:
+            want_u, want_r, same = _enclosing_cap_reference(caps)
+        except GeometryError as err:
+            with pytest.raises(GeometryError, match=str(err)):
+                enclosing_cap(caps)
+            refused += 1
+            continue
+        got_u, got_r = enclosing_cap(caps)
+        assert got_r == want_r and np.array_equal(got_u, want_u)
+        ties += same > 1
+    assert refused == 2 and ties >= 3, (refused, ties)
+
+
 def test_enclosing_cap_small_cases():
     c, r = enclosing_cap([Cap(EZ, 0.4)])
     assert angular_distance(c, EZ) == pytest.approx(0.0, abs=1e-9)
