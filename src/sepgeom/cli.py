@@ -8,6 +8,7 @@ import math
 import sys
 import time
 from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -59,9 +60,16 @@ def _caps(obj: dict) -> list:
 
 
 def _jsonify(x):
+    """x as JSON values. A report (a dataclass) gives its fields in order,
+    then the provenance it records, when it has one."""
+    if is_dataclass(x):
+        out = {f.name: _jsonify(getattr(x, f.name)) for f in fields(x)}
+        if hasattr(x, "provenance"):
+            out["provenance"] = _jsonify(x.provenance)
+        return out
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
+    if isinstance(x, np.generic):
         return x.item()
     if isinstance(x, Mapping):
         return {str(k): _jsonify(v) for k, v in x.items()}
@@ -70,14 +78,18 @@ def _jsonify(x):
     return x
 
 
-def _plane_json(plane) -> dict:
-    return {"normal": plane.normal.tolist(), "offset": plane.offset}
+def _emit(args, report, drawing=None, by=None, **keys) -> None:
+    """Write report as strict JSON and, for svg output, the figure that
+    drawing(svg) builds from the svg module, imported only then.
 
-
-def _emit(args, payload: dict, drawing=None) -> None:
-    """Write payload as JSON and, for svg output, the figure that
-    drawing(svg) builds from the svg module, imported only then."""
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2)
+    report is a library report, or a dict of reports that takes the
+    provenance of the report by. keys are added to its fields, or replace
+    them where the printed shape differs from the report's.
+    """
+    payload = _jsonify(report) | _jsonify(keys)
+    if by is not None:
+        payload["provenance"] = _jsonify(by.provenance)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     fmt = getattr(args, "format", "json")
     out = getattr(args, "out", None)
     if fmt in ("json", "both"):
@@ -118,29 +130,9 @@ def cmd_check_ns(args) -> int:
 
     fam = _family(_load(args.input))
     dec = separability.is_non_separable(fam, samples=args.samples, tol=args.tolerance)
-    payload = {
-        "non_separable": dec.non_separable,
-        "approximate": dec.approximate,
-        "directions_checked": dec.directions_checked,
-        "witness": None,
-        "provenance": (
-            {"method": "direction-search", "samples": args.samples}
-            if dec.approximate
-            else {"method": "pair-arc", "exact": True}
-        ),
-    }
-    if dec.witness is not None:
-        payload["witness"] = {
-            "plane": _plane_json(dec.witness.plane),
-            "left": list(dec.witness.left),
-            "right": list(dec.witness.right),
-            "margin": dec.witness.margin,
-        }
-    if args.sns:
-        r = separability.is_sns(fam, tol=args.tolerance)
-        payload["sns"] = {"is_sns": r.is_sns, "ordering": list(r.ordering or ())}
+    sns = {"sns": separability.is_sns(fam, tol=args.tolerance)} if args.sns else {}
     drawing = (lambda svg: svg.family_drawing(fam)) if fam.reference.dim == 2 else None
-    _emit(args, payload, drawing)
+    _emit(args, dec, drawing, **sns)
     return EXIT_OK if dec.non_separable else EXIT_VIOLATED
 
 
@@ -150,19 +142,9 @@ def cmd_cover(args) -> int:
     fam = _family(_load(args.input))
     gg = covering.goodman_goodman_cover(fam, tol=args.tolerance)
     best = covering.min_cover_ratio(fam, tol=args.tolerance)
-    payload = {
-        "goodman_goodman": {
-            "center": gg.center.tolist(), "ratio": gg.ratio,
-            "normalized": gg.normalized, "contains_all": gg.contains_all,
-        },
-        "smallest": {
-            "center": best.center.tolist(), "ratio": best.ratio,
-            "normalized": best.normalized, "contains_all": best.contains_all,
-        },
-        "provenance": {"method": best.method, "exact": True},
-    }
     cover = Homothet(best.center, best.ratio, fam.reference)
-    _emit(args, payload, lambda svg: svg.family_drawing(fam, cover=cover.as_body()))
+    _emit(args, {"goodman_goodman": gg, "smallest": best},
+          lambda svg: svg.family_drawing(fam, cover=cover.as_body()), by=best)
     return EXIT_OK if gg.contains_all and best.contains_all else EXIT_VIOLATED
 
 
@@ -171,17 +153,8 @@ def cmd_verify_ts(args) -> int:
 
     fam = _family(_load(args.input))
     res = separability.is_ts_packing(fam.bodies(), tol=args.tolerance)
-    payload = {
-        "is_ts": res.is_ts,
-        "lines_checked": res.lines_checked,
-        "unresolved": [list(p) for p in res.unresolved],
-        "certificates": {
-            f"{i},{j}": _plane_json(cert.plane)
-            for (i, j), cert in sorted(res.certificates.items())
-        },
-        "provenance": {"method": "critical-directions", "exact": True},
-    }
-    _emit(args, payload, lambda svg: svg.family_drawing(fam))
+    planes = {f"{i},{j}": cert.plane for (i, j), cert in sorted(res.certificates.items())}
+    _emit(args, res, lambda svg: svg.family_drawing(fam), certificates=planes)
     return EXIT_OK if res.is_ts else EXIT_VIOLATED
 
 
@@ -190,28 +163,16 @@ def cmd_verify_ls(args) -> int:
 
     fam = _family(_load(args.input))
     res = separability.is_ls_packing(fam.bodies(), tol=args.tolerance)
-    payload = {
-        "is_ls": res.is_ls,
-        "failing_members": list(res.failing_members),
-        "provenance": {"method": "neighbourhood-ts", "exact": True},
-    }
-    _emit(args, payload, lambda svg: svg.family_drawing(fam))
+    _emit(args, res, lambda svg: svg.family_drawing(fam))
     return EXIT_OK if res.is_ls else EXIT_VIOLATED
 
 
 def cmd_rho_sep(args) -> int:
     from . import separability
 
-    obj = _load(args.input)
-    fam = _family(obj)
+    fam = _family(_load(args.input))
     res = separability.is_rho_separable(fam.reference, fam.centers, args.rho, tol=args.tolerance)
-    payload = {
-        "separable": res.separable,
-        "rho": res.rho,
-        "failing_member": res.failing_member,
-        "provenance": {"method": "neighbourhood-ts", "exact": True},
-    }
-    _emit(args, payload, lambda svg: svg.family_drawing(fam))
+    _emit(args, res, lambda svg: svg.family_drawing(fam))
     return EXIT_OK if res.separable else EXIT_VIOLATED
 
 
@@ -223,24 +184,13 @@ def cmd_oler(args) -> int:
     if "loop" not in obj:
         raise GeometryError('input needs a "loop" list of center indices')
     rep = packing.oler_check(fam.reference, fam.centers, obj["loop"], tol=args.tolerance)
-    payload = {
-        "n": rep.n,
-        "enclosed_area": rep.enclosed_area,
-        "norm_length": rep.norm_length,
-        "pgram_area": rep.pgram_area,
-        "lhs": rep.lhs,
-        "slack": rep.slack,
-        "degenerate": rep.degenerate,
-        "holds": rep.holds(),
-        "provenance": {"method": "closed-form"},
-    }
 
     def drawing(svg):
         dr = svg.family_drawing(fam)
         dr.polygon(fam.centers[np.asarray(obj["loop"], dtype=int)], stroke="#d62728", dash="on")
         return dr
 
-    _emit(args, payload, drawing)
+    _emit(args, rep, drawing, holds=rep.holds())
     return EXIT_OK if rep.holds() else EXIT_VIOLATED
 
 
@@ -262,14 +212,8 @@ def cmd_density(args) -> int:
 
     body = _named_body(args.body)
     fit = min_area_parallelogram(body)
-    payload = {
-        "body": body_to_json(body),
-        "area": area(body),
-        "pgram_area": fit.area,
-        "separable_density": packing.separable_packing_density(body),
-        "provenance": {"method": "edge-normal-pairs", "exact": True},
-    }
-    _emit(args, payload)
+    _emit(args, {"body": body_to_json(body), "area": area(body), "pgram_area": fit.area,
+                 "separable_density": packing.separable_packing_density(body)}, by=fit)
     return EXIT_OK
 
 
@@ -280,52 +224,34 @@ def cmd_contact(args) -> int:
     g = packing.contact_graph(fam.reference, fam.centers, tol=args.tolerance)
     n = len(fam)
     bound = packing.crystallization_bound(n) if n >= 1 else 0
-    payload = {
-        "n": n,
-        "contacts": g.count,
-        "degrees": g.degrees.tolist(),
-        "edges": [list(e) for e in g.edges],
-        "square_lattice_bound": bound,
-        "within_bound": g.count <= bound,
-        "provenance": {"method": "gauge-distance"},
-    }
-    _emit(args, payload, lambda svg: svg.family_drawing(fam, contacts=g.edges))
+    _emit(args, g, lambda svg: svg.family_drawing(fam, contacts=g.edges), n=n, contacts=g.count,
+          square_lattice_bound=bound, within_bound=g.count <= bound)
     return EXIT_OK if g.count <= bound else EXIT_VIOLATED
 
 
 def cmd_lattice(args) -> int:
     from . import packing
 
-    payload: dict = {"n": args.n, "d": args.d}
+    lb = packing.lattice_contact_bounds(args.d, args.n)
+    payload: dict = {"n": args.n, "d": args.d, "lattice_bounds": lb}
+    by = lb
     if args.d == 2:
         payload["max_contacts"] = packing.crystallization_bound(args.n)
-        lb = packing.lattice_contact_bounds(2, args.n)
-        payload["lattice_bounds"] = {"lower": lb.lower, "upper": lb.upper, "exact": lb.exact}
-        payload["provenance"] = {"method": "closed-form"}
         if args.brute:
             if args.n > 12:
                 raise GeometryError("exhaustive search is limited to 12 cells")
-            res = packing.brute_force_lattice_contact(args.n)
-            payload["brute_force_max"] = res.max_contacts
-            payload["polyomino_counts"] = res.counts
-            payload["provenance"] = {"method": "brute-force"}
+            by = packing.brute_force_lattice_contact(args.n)
+            payload["brute_force_max"] = by.max_contacts
+            payload["polyomino_counts"] = by.counts
+    elif args.mode == "rogers":
+        by = packing.rogers_sigma(args.d, samples=args.samples, seed=args.seed)
+        payload["simplex_density"] = by
+        payload["max_contacts"] = packing.crystallization_bound(
+            args.n, d=args.d, mode="rogers", density=by.value
+        )
     else:
-        mode = args.mode or "hales"
-        if mode == "rogers":
-            est = packing.rogers_sigma(args.d, samples=args.samples, seed=args.seed)
-            payload["simplex_density"] = {"value": est.value, "stderr": est.stderr}
-            payload["max_contacts"] = packing.crystallization_bound(
-                args.n, d=args.d, mode="rogers", density=est.value
-            )
-            payload["provenance"] = {
-                "method": "monte-carlo", "samples": est.samples, "seed": est.seed,
-            }
-        else:
-            payload["max_contacts"] = packing.crystallization_bound(args.n, d=args.d, mode="hales")
-            payload["provenance"] = {"method": "closed-form"}
-        lb = packing.lattice_contact_bounds(args.d, args.n)
-        payload["lattice_bounds"] = {"lower": lb.lower, "upper": lb.upper, "exact": lb.exact}
-    _emit(args, payload)
+        payload["max_contacts"] = packing.crystallization_bound(args.n, d=args.d, mode="hales")
+    _emit(args, payload, by=by)
     return EXIT_OK
 
 
@@ -347,18 +273,7 @@ def cmd_kertesz(args) -> int:
     except (KeyError, TypeError) as exc:
         raise GeometryError(f"malformed partition object: {exc}") from exc
     rep = packing.kertesz_check(part, tol=args.tolerance)
-    payload = {
-        "n_cells": rep.n_cells,
-        "ball_radius": rep.ball_radius,
-        "total_surface": rep.total_surface,
-        "surface_bound": rep.surface_bound,
-        "volume": rep.volume,
-        "volume_bound": rep.volume_bound,
-        "holds_surface": rep.holds_surface,
-        "holds_volume": rep.holds_volume,
-        "provenance": {"method": "vertex-enumeration", "exact": True},
-    }
-    _emit(args, payload)
+    _emit(args, rep)
     return EXIT_OK if rep.holds_surface and rep.holds_volume else EXIT_VIOLATED
 
 
@@ -366,23 +281,23 @@ def cmd_caps(args) -> int:
     from . import spherical
 
     caps = _caps(_load(args.input))
-    payload: dict = {"n": len(caps), "provenance": {"method": "support-caps", "exact": True}}
+    payload: dict = {"n": len(caps)}
     rc = EXIT_OK
     if args.check in ("ns", "all"):
-        dec = spherical.caps_non_separable(caps, tol=args.tolerance)
+        by = dec = spherical.caps_non_separable(caps, tol=args.tolerance)
         payload["non_separable"] = {
             "value": dec.non_separable,
             "margin": None if math.isinf(dec.margin) else dec.margin,
-            "pole": None if dec.pole is None else dec.pole.tolist(),
+            "pole": dec.pole,
         }
         if not dec.non_separable:
             rc = max(rc, EXIT_VIOLATED)
     if args.check in ("ts", "all"):
-        res = spherical.is_ts_cap_packing(caps, tol=args.tolerance)
+        by = res = spherical.is_ts_cap_packing(caps, tol=args.tolerance)
         payload["totally_separable"] = {
             "value": res.is_ts,
-            "unresolved": [list(p) for p in res.unresolved],
-            "refuted": [list(p) for p in res.refuted],
+            "unresolved": res.unresolved,
+            "refuted": res.refuted,
             "poles_checked": res.poles_checked,
         }
         if res.refuted:
@@ -395,34 +310,25 @@ def cmd_caps(args) -> int:
                 raise
             payload["cover"] = {"applicable": False, "reason": str(exc)}
         else:
+            by = rep
             payload["cover"] = {
                 "applicable": True,
                 "total_radius": rep.total_radius,
-                "center": rep.center.tolist(),
+                "center": rep.center,
                 "radius": rep.radius,
                 "slack": rep.slack,
                 "holds": rep.holds(),
             }
             if not rep.holds():
                 rc = max(rc, EXIT_VIOLATED)
-    _emit(args, payload, lambda svg: svg.caps_drawing(caps))
+    _emit(args, payload, lambda svg: svg.caps_drawing(caps), by=by)
     return rc
 
 
 def cmd_tammes(args) -> int:
     from . import spherical
 
-    e = spherical.separable_tammes(args.k)
-    payload = {
-        "k": e.k,
-        "radius": e.radius,
-        "exact": e.exact,
-        "lower": e.lower,
-        "upper": e.upper,
-        "note": e.note,
-        "provenance": {"method": "closed-form"},
-    }
-    _emit(args, payload)
+    _emit(args, spherical.separable_tammes(args.k))
     return EXIT_OK
 
 
@@ -430,27 +336,16 @@ def cmd_lambda_density(args) -> int:
     from . import lambda_density
 
     geom = args.geometry
+    if geom != "euclidean" and args.rho is None:
+        raise GeometryError(f"{geom} bound needs --rho")
     if geom == "euclidean":
         bound = lambda_density.density_bound_euclid(args.lam)
     elif geom == "spherical":
-        if args.rho is None:
-            raise GeometryError("spherical bound needs --rho")
         bound = lambda_density.density_bound_sphere(args.rho, args.lam)
     else:
-        if args.rho is None:
-            raise GeometryError("hyperbolic bound needs --rho")
         bound = lambda_density.density_bound_hyper(args.rho, args.lam)
-    dens = bound.density
-    payload = {
-        "geometry": geom,
-        "lambda": args.lam,
-        "rho": bound.rho,
-        "value": bound.value,
-        "branch": bound.branch,
-        "triangle_sides": list(dens.triangle.sides),
-        "provenance": {"method": "voronoi-fan", "exact": True},
-    }
-    _emit(args, payload)
+    _emit(args, bound, geometry=geom, triangle_sides=bound.density.triangle.sides,
+          **{"lambda": args.lam})
     return EXIT_OK
 
 
@@ -458,23 +353,17 @@ def cmd_extremal_3disks(args) -> int:
     from . import packing
 
     rep = packing.three_disk_extrema()
-    payload = {
-        q: {k: getattr(getattr(rep, q), k) for k in ("value", "gamma", "branch")}
-        for q in ("area", "perimeter", "width", "inradius")
-    }
-    payload["flags"] = list(rep.flags)
-    payload["provenance"] = {"method": "closed-form", "exact": True}
+    more = {}
     if args.centers:
         try:
             c = np.asarray(json.loads(args.centers), dtype=float)
         except (TypeError, ValueError) as exc:
             raise GeometryError(f"--centers must be a JSON list of three centers: {exc}") from exc
-        ns = packing.three_disk_non_separable(c)
-        payload["triple"] = {"non_separable": ns}
-        if ns:
+        triple = more["triple"] = {"non_separable": packing.three_disk_non_separable(c)}
+        if triple["non_separable"]:
             a, p, w, r = packing.three_disk_hull_metrics(c)
-            payload["triple"].update({"area": a, "perimeter": p, "width": w, "inradius": r})
-    _emit(args, payload)
+            triple.update({"area": a, "perimeter": p, "width": w, "inradius": r})
+    _emit(args, rep, **more)
     return EXIT_OK
 
 

@@ -44,6 +44,10 @@ class CoverHomothet:
     contains_all: bool
     violation: float
 
+    @property
+    def provenance(self) -> dict:
+        return {"method": self.method, "exact": True}
+
 
 def _containment_violation(family: HomothetFamily, center, ratio: float) -> float:
     """Largest signed protrusion of a member outside center + ratio*K, exact.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -381,6 +381,8 @@ class DensityBound:
     density: TriangleDensity
     rho: float
     lam: float
+
+    provenance: ClassVar[dict] = {"method": "voronoi-fan", "exact": True}
 
 
 def density_bound_euclid(lam: float) -> DensityBound:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -234,6 +235,8 @@ class ParallelogramFit:
     los: np.ndarray
     his: np.ndarray
     area: float
+
+    provenance: ClassVar[dict] = {"method": "edge-normal-pairs", "exact": True}
 
     def __post_init__(self):
         for name in ("normals", "los", "his"):

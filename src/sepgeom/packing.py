@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -205,13 +206,13 @@ def minkowski_length(reference: ConvexBody, points, closed: bool = True) -> floa
     return float(_gauges(reference, steps).sum())
 
 
-def _segments_cross(a, b, c, d) -> bool:
-    """True when [a,b] and [c,d] share a point (endpoints included)."""
+def _segments_cross(a, b, c, d, eps: float) -> bool:
+    """True when [a,b] and [c,d] share a point (endpoints included), a point
+    within eps of a line counting as on it."""
 
     def orient(p, q, r):
         v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        scale = max(1.0, abs(q[0] - p[0]) + abs(q[1] - p[1]) + abs(r[0] - p[0]) + abs(r[1] - p[1]))
-        if abs(v) <= 1e-12 * scale:
+        if abs(v) <= eps * (abs(q[0] - p[0]) + abs(q[1] - p[1]) + abs(r[0] - p[0]) + abs(r[1] - p[1])):
             return 0
         return 1 if v > 0 else -1
 
@@ -221,21 +222,21 @@ def _segments_cross(a, b, c, d) -> bool:
         return True
 
     def on(p, q, r):
-        return orient(p, q, r) == 0 and min(p[0], q[0]) - 1e-12 <= r[0] <= max(
+        return orient(p, q, r) == 0 and min(p[0], q[0]) - eps <= r[0] <= max(
             p[0], q[0]
-        ) + 1e-12 and min(p[1], q[1]) - 1e-12 <= r[1] <= max(p[1], q[1]) + 1e-12
+        ) + eps and min(p[1], q[1]) - eps <= r[1] <= max(p[1], q[1]) + eps
 
     return on(a, b, c) or on(a, b, d) or on(c, d, a) or on(c, d, b)
 
 
-def _loop_is_simple(poly: np.ndarray) -> bool:
+def _loop_is_simple(poly: np.ndarray, eps: float) -> bool:
     m = len(poly)
     for i in range(m):
         a, b = poly[i], poly[(i + 1) % m]
         for j in range(i + 1, m):
             if j == i or (j + 1) % m == i or (i + 1) % m == j:
                 continue
-            if _segments_cross(a, b, poly[j], poly[(j + 1) % m]):
+            if _segments_cross(a, b, poly[j], poly[(j + 1) % m], eps):
                 return False
     return True
 
@@ -275,6 +276,8 @@ class OlerReport:
     slack: float
     degenerate: bool
 
+    provenance: ClassVar[dict] = {"method": "closed-form"}
+
     def holds(self, tol: float = 1e-9) -> bool:
         return self.slack >= -tol
 
@@ -284,7 +287,9 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
 
     centers must be pairwise at norm distance >= 2 and all lie in the region
     bounded by the closed polygonal curve through centers[loop]; then
-    area / pgram + length / 4 + 1 >= n.
+    area / pgram + length / 4 + 1 >= n. The curve's flatness, simplicity
+    and membership tolerances are relative to the extent of the loop, so
+    the verdict does not change under scaling.
     """
     reference.require_full_dimensional("norm inequality")
     if not reference.is_origin_symmetric(1e-9):
@@ -298,24 +303,23 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
 
     poly = c[idx]
     span = poly - poly[0]
-    scale = max(1.0, float(np.abs(span).max()))
+    extent = float(np.abs(span).max())
     cross = np.abs(span[:, None, 0] * span[None, :, 1] - span[:, None, 1] * span[None, :, 0])
-    degenerate = bool(cross.max() <= 1e-9 * scale * scale)
+    degenerate = bool(cross.max() <= 1e-9 * extent * extent)
 
     if degenerate:
         # out-and-back curve along a segment: zero area, membership on the hull
         hv = hull_of_centers(poly)
         a, b = (hv[0], hv[0]) if len(hv) == 1 else (hv[0], hv[-1])
-        if (_seg_dists(c, a[None], b[None]) > 1e-7).any():
+        if (_seg_dists(c, a[None], b[None]) > 1e-7 * extent).any():
             raise GeometryError("all centers must lie in the region bounded by the curve")
         enclosed = 0.0
     else:
-        if not _loop_is_simple(poly):
+        if not _loop_is_simple(poly, 1e-12 * extent):
             raise GeometryError("the curve must be simple")
         enclosed = abs(polygon_area(poly))
-        scale = max(1.0, float(np.abs(poly).max()))
         step = max(1, _BLOCK // len(poly))
-        if not all(_in_loop(c[s : s + step], poly, 1e-7 * scale).all() for s in range(0, n, step)):
+        if not all(_in_loop(c[s : s + step], poly, 1e-7 * extent).all() for s in range(0, n, step)):
             raise GeometryError("all centers must lie in the region bounded by the curve")
 
     pg = min_area_parallelogram(reference).area
@@ -490,6 +494,8 @@ class ThreeDiskReport:
     inradius: BranchExtremum
     flags: tuple[str, ...]
 
+    provenance: ClassVar[dict] = {"method": "closed-form", "exact": True}
+
 
 def three_disk_extrema() -> ThreeDiskReport:
     """Maxima of hull area, perimeter, width and inradius over such families.
@@ -533,6 +539,8 @@ class ContactGraph:
     edges: tuple[tuple[int, int], ...]
     count: int
     degrees: np.ndarray
+
+    provenance: ClassVar[dict] = {"method": "gauge-distance"}
 
 
 def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGraph:
@@ -639,6 +647,8 @@ class LatticeContactBounds:
     upper: int
     exact: bool
 
+    provenance: ClassVar[dict] = {"method": "closed-form"}
+
 
 def lattice_contact_bounds(d: int, n: int) -> LatticeContactBounds:
     """Bounds on the most contacts of n unit cubes (or balls) on the d-lattice.
@@ -664,6 +674,8 @@ class PolyominoSearch:
     n_max: int
     max_contacts: dict[int, int]
     counts: dict[int, int]
+
+    provenance: ClassVar[dict] = {"method": "brute-force"}
 
 
 def brute_force_lattice_contact(n_max: int) -> PolyominoSearch:
@@ -733,6 +745,10 @@ class MonteCarloEstimate:
     samples: int
     seed: int
 
+    @property
+    def provenance(self) -> dict:
+        return {"method": "monte-carlo", "samples": self.samples, "seed": self.seed}
+
 
 def rogers_sigma(d: int, samples: int = 2_000_000, seed: int = 0) -> MonteCarloEstimate:
     """Fraction of a regular edge-2 simplex covered by unit balls at its vertices.
@@ -788,6 +804,8 @@ class PartitionReport:
     holds_surface: bool
     holds_volume: bool
 
+    provenance: ClassVar[dict] = {"method": "vertex-enumeration", "exact": True}
+
 
 def _cell_measures(normals: np.ndarray, offsets: np.ndarray, center) -> tuple[float, float]:
     """Surface and volume of the cell {x : n . x <= offset} of unit normals n
@@ -833,7 +851,9 @@ def kertesz_check(partition: GuillotinePartition, tol: float = 1e-7) -> Partitio
     least 8 N r^3.
 
     Each cell is measured exactly from its vertices (_cell_measures), and a
-    cell with fewer than 4 of them or no volume is degenerate.
+    cell with fewer than 4 of them or no volume is degenerate. tol is
+    relative to the cube's side s: a ball may leave its cell by tol s, and
+    the surface and volume bounds hold to tol s^2 and tol s^3.
     """
     lo = np.asarray(partition.lo, dtype=float)
     hi = np.asarray(partition.hi, dtype=float)
@@ -867,8 +887,11 @@ def kertesz_check(partition: GuillotinePartition, tol: float = 1e-7) -> Partitio
     if any(r <= 0 for _, r in balls):
         raise GeometryError("balls need positive radius")
 
+    s = float(side[0])
+    t = tol * s
+
     def ball_inside(cell, center, r):
-        return all(a @ center + r <= b + tol for a, b in cell)
+        return all(a @ center + r <= b + t for a, b in cell)
 
     owner = [-1] * n_cells
     for bi, (center, r) in enumerate(balls):
@@ -904,6 +927,6 @@ def kertesz_check(partition: GuillotinePartition, tol: float = 1e-7) -> Partitio
         volume=vol,
         volume_bound=vb,
         cell_volumes=tuple(volumes),
-        holds_surface=surf >= sb - tol * max(1.0, sb),
-        holds_volume=vol >= vb - tol * max(1.0, vb),
+        holds_surface=surf >= sb - t * s,
+        holds_volume=vol >= vb - t * s * s,
     )

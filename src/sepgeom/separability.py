@@ -12,6 +12,7 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class NSDecision:
     directions_checked: int
     approximate: bool
 
+    @property
+    def provenance(self) -> dict:
+        """The method that decided: exact pair arcs in the plane, else a
+        search over the directions_checked sampled and candidate directions."""
+        if self.approximate:
+            return {"method": "direction-search", "samples": self.directions_checked}
+        return {"method": "pair-arc", "exact": True}
+
 
 @dataclass(frozen=True)
 class SNSResult:
@@ -87,12 +96,16 @@ class TSResult:
     unresolved: tuple[tuple[int, int], ...]
     lines_checked: int
 
+    provenance: ClassVar[dict] = {"method": "critical-directions", "exact": True}
+
 
 @dataclass(frozen=True)
 class LSResult:
     is_ls: bool
     failing_members: tuple[int, ...]
     neighborhoods: dict
+
+    provenance: ClassVar[dict] = {"method": "neighbourhood-ts", "exact": True}
 
 
 @dataclass(frozen=True)
@@ -101,6 +114,8 @@ class RhoSeparabilityResult:
     rho: float
     failing_member: int | None
     neighborhoods: dict
+
+    provenance: ClassVar[dict] = {"method": "neighbourhood-ts", "exact": True}
 
 
 def _as_bodies(family) -> list[ConvexBody]:
@@ -1203,8 +1218,8 @@ def is_rho_separable(
     with tol itself. The failing member is the first whose row keeps two
     members on one label.
     """
-    if rho < 1.0:
-        raise GeometryError("rho must be at least 1")
+    if not 1.0 <= rho < math.inf:
+        raise GeometryError("rho must be finite and at least 1")
     _require_planar([reference], "rho-separability")
     if not reference.is_origin_symmetric(1e-9):
         raise GeometryError("rho-separability requires an origin-symmetric reference")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -232,6 +233,8 @@ class SphericalSplitDecision:
     margin: float
     poles_checked: int
 
+    provenance: ClassVar[dict] = {"method": "support-caps", "exact": True}
+
 
 def _best_pole(centers, radii, split: bool) -> tuple[float, np.ndarray | None, int]:
     """The largest margin min_i(|p . c_i| - sin r_i) over the poles p of
@@ -312,6 +315,8 @@ class CapCoverReport:
     slack: float
     split_check: SphericalSplitDecision
 
+    provenance: ClassVar[dict] = {"method": "support-caps", "exact": True}
+
     def holds(self, tol: float = 1e-9) -> bool:
         return self.slack >= -tol
 
@@ -380,6 +385,8 @@ class CapTSResult:
     unresolved: tuple
     refuted: tuple
     poles_checked: int
+
+    provenance: ClassVar[dict] = {"method": "support-caps", "exact": True}
 
 
 def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
@@ -488,6 +495,8 @@ class TammesEntry:
     lower: float
     upper: float
     note: str
+
+    provenance: ClassVar[dict] = {"method": "closed-form"}
 
 
 _TAMMES_EXACT = {

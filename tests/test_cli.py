@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import fresh_python, house7_centers
-from sepgeom import svg
+from sepgeom import covering, lambda_density, packing, separability, spherical, svg
+from sepgeom.bodies import ConvexBody, HomothetFamily, body_from_json
 from sepgeom.cli import main
+from sepgeom.measures import min_area_parallelogram
+from sepgeom.packing import GuillotinePartition, PlaneCut
+from sepgeom.spherical import Cap
 
 DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
 
@@ -27,10 +31,26 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
+def _bent_caps():
+    """Three caps in a bent chain, each touching the next."""
+    r0, r1, r2 = 0.12, 0.10, 0.14
+    c1 = np.array([math.cos(r1), math.sin(r1), 0.0])
+    c2 = math.cos(r1 + r2) * c1 + math.sin(r1 + r2) * np.array([0.0, 0.0, 1.0])
+    return {"caps": [{"center": [math.cos(r0), -math.sin(r0), 0.0], "radius_rad": r0},
+                     {"center": c1.tolist(), "radius_rad": r1},
+                     {"center": c2.tolist(), "radius_rad": r2}]}
+
+
+_S3 = 1.0 / math.sqrt(3.0)
+GRID = {"body": DISK, "centers": [[2.0 * i, 2.0 * j] for i in range(3) for j in range(3)]}
+OCTA = {"caps": [{"center": [x * _S3, y * _S3, z * _S3], "radius_rad": math.asin(_S3)}
+                 for x in (1, -1) for y in (1, -1) for z in (1, -1)]}
+BENT = _bent_caps()
+
+
 @pytest.fixture
 def grid_file(tmp_path):
-    centers = [[2.0 * i, 2.0 * j] for i in range(3) for j in range(3)]
-    return write_json(tmp_path / "grid.json", {"body": DISK, "centers": centers})
+    return write_json(tmp_path / "grid.json", GRID)
 
 
 @pytest.fixture
@@ -41,28 +61,12 @@ def chain_file(tmp_path):
 
 @pytest.fixture
 def octa_file(tmp_path):
-    s = 1.0 / math.sqrt(3.0)
-    r = math.asin(s)
-    caps = [
-        {"center": [sx * s, sy * s, sz * s], "radius_rad": r}
-        for sx in (1, -1)
-        for sy in (1, -1)
-        for sz in (1, -1)
-    ]
-    return write_json(tmp_path / "octa.json", {"caps": caps})
+    return write_json(tmp_path / "octa.json", OCTA)
 
 
 @pytest.fixture
 def bent_caps_file(tmp_path):
-    r0, r1, r2 = 0.12, 0.10, 0.14
-    c1 = np.array([math.cos(r1), math.sin(r1), 0.0])
-    c2 = math.cos(r1 + r2) * c1 + math.sin(r1 + r2) * np.array([0.0, 0.0, 1.0])
-    caps = [
-        {"center": [math.cos(r0), -math.sin(r0), 0.0], "radius_rad": r0},
-        {"center": c1.tolist(), "radius_rad": r1},
-        {"center": c2.tolist(), "radius_rad": r2},
-    ]
-    return write_json(tmp_path / "bent.json", {"caps": caps})
+    return write_json(tmp_path / "bent.json", BENT)
 
 
 def test_check_ns(grid_file, chain_file, tmp_path, capsys):
@@ -95,9 +99,13 @@ def test_check_ns_provenance_sampled_in_3d(tmp_path, capsys):
     touching = write_json(
         tmp_path / "cubes.json", {"body": cube, "centers": [[0, 0, 0], [2, 0, 0], [4, 0, 0]]}
     )
-    code, payload = run(["check-ns", touching, "--samples", "256"], capsys)
-    assert code == 0 and payload["approximate"]
-    assert payload["provenance"] == {"method": "direction-search", "samples": 256}
+    # the sweep takes at least 1 024 sphere points, plus the 58 candidate
+    # directions of the cubes, and the provenance counts what it swept
+    for samples, swept in (("256", 1082), ("4096", 4154)):
+        code, payload = run(["check-ns", touching, "--samples", samples], capsys)
+        assert code == 0 and payload["approximate"]
+        assert payload["directions_checked"] == swept
+        assert payload["provenance"] == {"method": "direction-search", "samples": swept}
 
 
 def test_cover(chain_file, tmp_path, capsys):
@@ -294,6 +302,105 @@ def test_extremal_3disks(capsys):
     assert triple["perimeter"] == pytest.approx(2.0 * math.pi + 8.0, abs=1e-6)
 
 
+def _family(obj):
+    return HomothetFamily(body_from_json(obj["body"]), np.asarray(obj["centers"], dtype=float),
+                          np.asarray(obj["ratios"], dtype=float) if "ratios" in obj else None)
+
+
+def _cap_list(obj):
+    return [Cap(np.asarray(c["center"], dtype=float), c["radius_rad"]) for c in obj["caps"]]
+
+
+CUBES = {"body": {"type": "polytope", "vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                                   for z in (-1, 1)]},
+         "centers": [[0, 0, 0], [2, 0, 0], [4, 0, 0]]}
+SQUARE = [[-1, -1], [1, -1], [1, 1], [-1, 1]]
+SQUARES = {"body": {"type": "polygon", "vertices": SQUARE}, "centers": [[0, 0], [2, 0], [1, 2]],
+           "ratios": [1, 1, 0.5]}
+HALF_CUBE = {"box": {"lo": [0, 0, 0], "hi": [2, 2, 2]},
+             "cuts": [{"cell": 0, "normal": [0, 0, 1], "offset": 1.0}],
+             "balls": [{"center": [1.0, 1.0, 0.5], "r": 0.5}, {"center": [1.0, 1.0, 1.5], "r": 0.5}]}
+LOOPED_GRID = dict(GRID, loop=[0, 2, 8, 6])
+EXACT = {"exact": True}
+
+
+def _half_cube(obj):
+    return GuillotinePartition(
+        np.asarray(obj["box"]["lo"], dtype=float), np.asarray(obj["box"]["hi"], dtype=float),
+        tuple(PlaneCut(c["cell"], np.asarray(c["normal"], dtype=float), c["offset"]) for c in obj["cuts"]),
+        tuple((np.asarray(b["center"], dtype=float), b["r"]) for b in obj["balls"]),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, given, report, provenance",
+    [
+        pytest.param(["check-ns", "IN"], GRID, lambda o: separability.is_non_separable(_family(o)),
+                     {"method": "pair-arc", **EXACT}, id="ns-planar"),
+        # the sampled sweep counts the 1 024 sphere points it is floored at
+        # and the 58 candidate directions of the cubes, not --samples
+        pytest.param(["check-ns", "IN", "--samples", "256"], CUBES,
+                     lambda o: separability.is_non_separable(_family(o), samples=256),
+                     {"method": "direction-search", "samples": 1082}, id="ns-sampled"),
+        pytest.param(["cover", "IN"], GRID, lambda o: covering.min_cover_ratio(_family(o)),
+                     {"method": "enclosing-disk", **EXACT}, id="cover-disk"),
+        pytest.param(["cover", "IN"], SQUARES, lambda o: covering.min_cover_ratio(_family(o)),
+                     {"method": "facet-vertices", **EXACT}, id="cover-polygon"),
+        pytest.param(["verify-ts", "IN"], GRID,
+                     lambda o: separability.is_ts_packing(_family(o).bodies()),
+                     {"method": "critical-directions", **EXACT}, id="ts"),
+        pytest.param(["verify-ls", "IN"], GRID,
+                     lambda o: separability.is_ls_packing(_family(o).bodies()),
+                     {"method": "neighbourhood-ts", **EXACT}, id="ls"),
+        pytest.param(["rho-sep", "IN", "--rho", "3"], GRID,
+                     lambda o: separability.is_rho_separable(_family(o).reference, o["centers"], 3.0),
+                     {"method": "neighbourhood-ts", **EXACT}, id="rho"),
+        pytest.param(["oler", "IN"], LOOPED_GRID,
+                     lambda o: packing.oler_check(_family(o).reference, o["centers"], o["loop"]),
+                     {"method": "closed-form"}, id="oler"),
+        pytest.param(["contact", "IN"], GRID,
+                     lambda o: packing.contact_graph(_family(o).reference, o["centers"]),
+                     {"method": "gauge-distance"}, id="contact"),
+        pytest.param(["density", "--body", "square"], None,
+                     lambda o: min_area_parallelogram(ConvexBody.polygon(SQUARE)),
+                     {"method": "edge-normal-pairs", **EXACT}, id="density"),
+        pytest.param(["lattice", "--n", "9"], None, lambda o: packing.lattice_contact_bounds(2, 9),
+                     {"method": "closed-form"}, id="lattice"),
+        pytest.param(["lattice", "--n", "9", "--brute"], None,
+                     lambda o: packing.brute_force_lattice_contact(9),
+                     {"method": "brute-force"}, id="lattice-brute"),
+        pytest.param(["lattice", "--n", "100", "--d", "3", "--mode", "rogers", "--samples", "2000",
+                      "--seed", "5"], None, lambda o: packing.rogers_sigma(3, samples=2000, seed=5),
+                     {"method": "monte-carlo", "samples": 2000, "seed": 5}, id="lattice-rogers"),
+        pytest.param(["kertesz", "IN"], HALF_CUBE, lambda o: packing.kertesz_check(_half_cube(o)),
+                     {"method": "vertex-enumeration", **EXACT}, id="kertesz"),
+        pytest.param(["caps", "IN", "--check", "ns"], OCTA,
+                     lambda o: spherical.caps_non_separable(_cap_list(o)),
+                     {"method": "support-caps", **EXACT}, id="caps-ns"),
+        pytest.param(["caps", "IN", "--check", "ts"], OCTA,
+                     lambda o: spherical.is_ts_cap_packing(_cap_list(o)),
+                     {"method": "support-caps", **EXACT}, id="caps-ts"),
+        pytest.param(["caps", "IN", "--check", "cover"], BENT,
+                     lambda o: spherical.cap_cover_check(_cap_list(o)),
+                     {"method": "support-caps", **EXACT}, id="caps-cover"),
+        pytest.param(["tammes", "--k", "8"], None, lambda o: spherical.separable_tammes(8),
+                     {"method": "closed-form"}, id="tammes"),
+        pytest.param(["lambda-density", "--geometry", "euclidean", "--lam", "0.3"], None,
+                     lambda o: lambda_density.density_bound_euclid(0.3),
+                     {"method": "voronoi-fan", **EXACT}, id="lambda-density"),
+        pytest.param(["extremal-3disks"], None, lambda o: packing.three_disk_extrema(),
+                     {"method": "closed-form", **EXACT}, id="3-disks"),
+    ],
+)
+def test_payload_provenance_is_the_reports(argv, given, report, provenance, tmp_path, capsys):
+    """Each payload names the method that the library report records for
+    the same input, and no other."""
+    path = write_json(tmp_path / "in.json", given)
+    code, payload = run([path if a == "IN" else a for a in argv], capsys)
+    assert code == 0
+    assert payload["provenance"] == report(given).provenance == provenance
+
+
 def test_output_files(grid_file, tmp_path, capsys):
     base = str(tmp_path / "report")
     code, _ = run(
@@ -460,11 +567,14 @@ def test_flags_a_command_does_not_read_exit_3(argv, grid_file, capsys):
         (["extremal-3disks", "--centers", "xx"], None),
         (["extremal-3disks", "--centers", "[[0, 0], [2, 0], [NaN, 0]]"], None),
         (["lattice", "--n", "5", "--d", "3", "--mode", "rogers", "--seed", "-1"], None),
+        (["rho-sep", "IN", "--rho", "nan"], {"body": DISK, "centers": [[0, 0], [2, 0]]}),
+        (["rho-sep", "IN", "--rho", "inf"], {"body": DISK, "centers": [[0, 0], [2, 0]]}),
     ],
 )
 def test_malformed_input_exits_3(argv, given, tmp_path, capsys):
-    """Input that names no valid family, cap list, center list or seed is
-    refused with exit 3, never answered as "violated" (exit 1)."""
+    """Input that names no valid family, cap list, center list, seed or rho
+    is refused with exit 3, never answered as "violated" (exit 1) or with a
+    non-finite number in the output."""
     path = write_json(tmp_path / "in.json", given)
     code, payload = run([path if a == "IN" else a for a in argv], capsys)
     assert code == 3 and payload is None

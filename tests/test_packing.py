@@ -95,14 +95,16 @@ def test_area_bound_lattice_blocks(rng):
 
 
 def test_oler_equality_on_grid():
-    centers = np.array([(2.0 * i, 2.0 * j) for i in range(3) for j in range(4)])
     from scipy.spatial import ConvexHull
 
-    loop = ConvexHull(centers).vertices
-    rep = oler_check(DISK, centers, loop)
-    assert not rep.degenerate
-    assert rep.slack == pytest.approx(0.0, abs=1e-9)
-    assert rep.holds()
+    # the same grid scaled by 2^-20, exactly in binary: the verdict is the same
+    for scale in (1.0, 2.0**-20):
+        centers = scale * np.array([(2.0 * i, 2.0 * j) for i in range(3) for j in range(4)])
+        loop = ConvexHull(centers).vertices
+        rep = oler_check(ConvexBody.disk((0.0, 0.0), scale), centers, loop)
+        assert not rep.degenerate
+        assert rep.slack == pytest.approx(0.0, abs=1e-9)
+        assert rep.holds()
 
 
 def test_oler_collinear_chain_equality():
@@ -354,6 +356,15 @@ def test_kertesz_half_cube():
     assert rep.total_surface == pytest.approx(32.0, abs=1e-7)
     assert rep.surface_bound == pytest.approx(12.0, abs=1e-12)
     assert rep.holds_surface and rep.holds_volume
+    # the same partition scaled to side 2e-7, where an absolute tolerance
+    # lets each ball fit in both cells
+    s = 1e-7
+    small = kertesz_check(GuillotinePartition(
+        np.zeros(3), 2.0 * s * np.ones(3), (PlaneCut(0, cut.normal, s),),
+        tuple((s * np.array(c), s * r) for c, r in balls),
+    ))
+    assert small.total_surface == pytest.approx(32.0 * s * s, rel=1e-9)
+    assert small.holds_surface and small.holds_volume
 
 
 def test_kertesz_rejects_bad_partitions():
@@ -367,6 +378,17 @@ def test_kertesz_rejects_bad_partitions():
         kertesz_check(
             GuillotinePartition(
                 np.zeros(3), np.ones(3), (cut,), (((0.25, 0.5, 0.5), 0.4), ((0.75, 0.5, 0.5), 0.4))
+            )
+        )
+    # the half cube scaled to side 2e-5, with a ball leaving its cell by 1 % of
+    # its radius
+    s = 1e-5
+    half = PlaneCut(0, np.array([0.0, 0.0, 1.0]), s)
+    with pytest.raises(GeometryError):
+        kertesz_check(
+            GuillotinePartition(
+                np.zeros(3), 2.0 * s * np.ones(3), (half,),
+                ((s * np.array([1.0, 1.0, 0.495]), 0.5 * s), (s * np.array([1.0, 1.0, 1.5]), 0.5 * s)),
             )
         )
 
