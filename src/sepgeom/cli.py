@@ -243,7 +243,7 @@ def cmd_lattice(args) -> int:
             by = packing.brute_force_lattice_contact(args.n)
             payload["brute_force_max"] = by.max_contacts
             payload["polyomino_counts"] = by.counts
-    elif args.mode == "rogers":
+    elif (args.mode or packing.crystallization_mode(args.d)) == "rogers":
         by = packing.rogers_sigma(args.d, samples=args.samples, seed=args.seed)
         payload["simplex_density"] = by
         payload["max_contacts"] = packing.crystallization_bound(

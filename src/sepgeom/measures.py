@@ -24,6 +24,7 @@ from .bodies import (
     distinct,
     polygon_facets,
     raw_support,
+    support_batch,
 )
 from ._kernels import collapse
 from .separability import _BLOCK, _fan_mids, _inward_rays, _member_features
@@ -215,10 +216,7 @@ def size_report(body: ConvexBody) -> SizeReport:
 
 def support_width(body: ConvexBody, dirs: np.ndarray) -> np.ndarray:
     """Width h(u) + h(-u) for an array of unit directions."""
-    if body.kind == "disk":
-        return np.full(len(dirs), 2.0 * body.radius)
-    vals = dirs @ body.vertices.T
-    return vals.max(axis=1) - vals.min(axis=1)
+    return support_batch(body, dirs) + support_batch(body, -dirs)
 
 
 # ---------------------------------------------------------------------------

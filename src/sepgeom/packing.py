@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .separability import (
     is_sns,
     is_ts_packing,
 )
-from ._kernels import simplex_covered
+from ._kernels import simplex_covered, triple_blocks
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -138,15 +137,13 @@ class AreaBoundReport:
     symmetric: bool
     pgram_area: float
     hull_area: float
-    ts: TSResult | None
+    ts: TSResult
 
     def holds(self, tol: float = 1e-9) -> bool:
         return self.slack >= -tol
 
 
-def area_bound_check(
-    reference: ConvexBody, centers, tol: float = EPS, check_ts: bool = True
-) -> AreaBoundReport:
+def area_bound_check(reference: ConvexBody, centers, tol: float = EPS) -> AreaBoundReport:
     """Lower bound on area(conv(centers) + K) for totally separable packings.
 
     With n translates and C = conv of the centers, the sum C + K has area at
@@ -157,11 +154,9 @@ def area_bound_check(
     reference.require_full_dimensional("area bound")
     c = np.asarray(centers, dtype=float)
     n = len(c)
-    ts = None
-    if check_ts:
-        ts = is_ts_packing([reference.translate(p) for p in c], tol)
-        if not ts.is_ts:
-            raise GeometryError("the translates do not form a totally separable packing")
+    ts = is_ts_packing([reference.translate(p) for p in c], tol)
+    if not ts.is_ts:
+        raise GeometryError("the translates do not form a totally separable packing")
 
     hv = hull_of_centers(c)
     if len(hv) == 1:
@@ -553,6 +548,12 @@ def contact_graph(reference: ConvexBody, centers, tol: float = EPS) -> ContactGr
     return ContactGraph(edges, len(edges), degrees)
 
 
+def crystallization_mode(d: int) -> str:
+    """The bound crystallization_bound gives by default in dimension d >= 3:
+    "hales" for d = 3, "rogers" above."""
+    return "hales" if d == 3 else "rogers"
+
+
 def crystallization_bound(
     n: int, d: int = 2, mode: str | None = None, density: float | None = None
 ) -> int:
@@ -573,7 +574,7 @@ def crystallization_bound(
     if d < 3:
         raise GeometryError("dimension must be 2 or >= 3")
     if mode is None:
-        mode = "hales" if d == 3 else "rogers"
+        mode = crystallization_mode(d)
     if mode == "hales":
         if d != 3:
             raise GeometryError("the 1.206 constant is specific to d = 3")
@@ -812,16 +813,14 @@ def _cell_measures(normals: np.ndarray, offsets: np.ndarray, center) -> tuple[fl
     around a point center inside it, or zero volume when it is degenerate.
 
     Its vertices are the feasible solutions of every three of its planes,
-    solved about center in blocks of about _BLOCK entries. A plane's face
+    solved about center in the blocks of triple_blocks. A plane's face
     is the polygon of the vertices on it, sorted by angle in the plane, and
     the cell is the union of the pyramids from center over its faces.
     """
     height = offsets - normals @ center
     tol = 1e-9 * float(height.max())
-    combos = itertools.combinations(range(len(height)), 3)
-    step = max(1, _BLOCK // len(height))
     found = []
-    while (triple := np.array(list(itertools.islice(combos, step)), dtype=np.intp)).size:
+    for triple in triple_blocks(len(height)):
         m = normals[triple]
         keep = np.abs(np.linalg.det(m)) > 1e-12
         x = np.linalg.solve(m[keep], height[triple[keep]][..., None])[..., 0]

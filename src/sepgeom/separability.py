@@ -795,11 +795,11 @@ def _x_units(shape) -> np.ndarray:
     return out
 
 
-def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """One-line clearance of the pairs (i[p], j[p]) of members, with its unit
-    direction u and mid-gap offset s: member i[p] lies below the line
-    <u, x> = s and member j[p] above it. The clearance is negative on overlap.
-    feats is _member_features of the members.
+    direction u: along u member j[p] lies above member i[p] by the
+    clearance, which is negative on overlap. feats is _member_features of
+    the members.
 
     Along a unit u the gap is min over feature pairs of <u, b - a> - r_i -
     r_j, and its maximum over u is attained along a vertex b - a of the
@@ -817,14 +817,14 @@ def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
     normals are member j's as well.
 
     The packing checks price the near pairs (_near_pairs) only. Any other
-    pair has a clearance above tol, so it can neither overlap nor touch, and
+    pair has a positive clearance, so it can neither overlap nor touch, and
     _refine needs no best direction of it.
     """
     pts, rad = feats
     i, j = np.asarray(i, dtype=int), np.asarray(j, dtype=int)
-    gaps, dirs, offs = np.empty(len(i)), np.empty((len(i), 2)), np.empty(len(i))
+    gaps, dirs = np.empty(len(i)), np.empty((len(i), 2))
     if len(i) == 0:
-        return gaps, dirs, offs
+        return gaps, dirs
     k = pts.shape[1]
     normals = np.empty((len(pts), 0, 2))
     if k > 1:
@@ -845,13 +845,12 @@ def _pair_gaps(feats, i, j, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarr
         most, least = proj.max(axis=2), proj.min(axis=2)
         hi = np.concatenate([most[0], -least[0]], axis=1) + rad[bi, None]
         top = np.concatenate([least[1], -most[1]], axis=1) - rad[bj, None]
-        best = np.argmax(top - hi, axis=1)
+        gap = top - hi
+        best = np.argmax(gap, axis=1)
         at = np.arange(len(bi))
-        hi, top = hi[at, best], top[at, best]
-        gaps[lo : lo + step] = top - hi
+        gaps[lo : lo + step] = gap[at, best]
         dirs[lo : lo + step] = np.concatenate([u, -u], axis=1)[at, best]
-        offs[lo : lo + step] = 0.5 * (top + hi)
-    return gaps, dirs, offs
+    return gaps, dirs
 
 
 def _require_disjoint(i, j, overlap: np.ndarray) -> None:
@@ -934,41 +933,27 @@ def _row_pairs(table, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(distinct(np.minimum(x, y) * n + np.maximum(x, y)), n)
 
 
-def _shared_rows(table, n: int, i, j) -> np.ndarray:
-    """Per pair (i[p], j[p]) of the n members, the number of rows of table
-    (padding -1) holding both: each row of member i[p] is looked up among
-    the (member, row) entries of j[p], O(pairs times rows per member)."""
-    h, c = np.nonzero(table >= 0)
-    rows = len(table)
-    key = np.sort(table[h, c] * rows + h)  # (member, row), member-major
-    start = key.searchsorted(np.arange(n + 1) * rows)
-    count = start[i + 1] - start[i]
-    p = np.repeat(np.arange(len(i)), count)
-    at = np.arange(len(p)) + np.repeat(start[i] - np.cumsum(count) + count, count)
-    want = j[p] * rows + key[at] % rows
-    hit = key[np.minimum(key.searchsorted(want), len(key) - 1)] == want
-    return np.bincount(p[hit], minlength=len(i))
-
-
 def _refine(feats, table, pairs, tol: float, rows=None):
     """Partition refinement of subfamilies of a packing by member labels over
     critical directions.
 
     Row h of table lists the members of subfamily h of a packing, padded with
-    -1; feats is its _member_features and pairs some of its pairs (i, j),
-    sorted by i n + j and holding every touching pair, with their _pair_gaps
-    data, such as the near pairs of _packing_pairs. Two members are
-    split by a line missing every interior exactly when the free cuts
-    (_cuts) of some direction put them in different blocks. The directions
-    splitting a pair form a closed set, at whose ends two members'
-    projections touch: an end of a threshold-0 pair arc, the best direction
-    of a touching pair, or an edge normal bounding the normal cone of a
-    corner-to-corner contact. These and the midpoints between them decide
-    every pair. Only touching pairs need their best direction: their split
-    set can be that one direction. A pair that is not near has a clearance
-    above tol, so its threshold-0 arc is open, its ends are critical angles
-    and the midpoints between them are swept. So the best directions are
-    those of the given pairs only.
+    -1; feats is its _member_features and pairs (i, j, gaps, dirs) some of
+    its pairs, sorted by i n + j, with their _pair_gaps. Every pair of a row
+    at a clearance of 0 or less must be among them: the near pairs of
+    _packing_pairs and of _translate_gauges hold every such pair, since
+    their boxes carry the round-off allowance. Two members are split by a
+    line missing every interior exactly when the free cuts (_cuts) of some
+    direction put them in different blocks. The directions splitting a pair
+    form a closed set, at whose ends two members' projections touch: an end
+    of a threshold-0 pair arc, the best direction of a touching pair, or an
+    edge normal bounding the normal cone of a corner-to-corner contact.
+    These and the midpoints between them decide every pair. Only a pair at
+    a clearance of 0 or less needs its best direction: its split set can be
+    that one direction. A pair at a positive clearance has an open
+    threshold-0 arc, whose ends are critical angles and a midpoint between
+    which is swept. So the best directions are those of the given pairs
+    only.
 
     Every entry of a row carries a label, at first one per row (and one per
     padding entry). A block of directions relabels the entries of the rows
@@ -980,10 +965,10 @@ def _refine(feats, table, pairs, tol: float, rows=None):
     O(entries) per direction, and only the directions that split a label
     keep theirs, for the TS certificates.
 
-    The first stage sweeps, the most frequent first (a pair counting once per
-    row holding it), those best directions and the normal of each touching
-    pair's offset (the difference of the two members' first feature rows;
-    for translates, the translation between them). Touching members in a row
+    The first stage sweeps those best directions and the normal of each
+    touching pair's offset (the difference of the two members' first
+    feature rows; for translates, the translation between them), the ones
+    most of the given pairs give first. Touching members in a row
     along a lattice vector share that normal, and it is the direction of the
     free lines between the rows, so the first stage settles a lattice block,
     where the best direction of a corner-to-corner contact is only the first
@@ -1004,16 +989,14 @@ def _refine(feats, table, pairs, tol: float, rows=None):
     """
     pts, rad = feats
     (n, k), (h, m) = pts.shape[:2], table.shape
-    i, j, gaps, dirs = pairs[:4]
+    i, j, gaps, dirs = pairs
     best = np.remainder(np.arctan2(dirs[:, 1], dirs[:, 0]), math.pi)
     touch = gaps <= tol
     off = pts[j[touch], 0] - pts[i[touch], 0]
     normals = np.remainder(np.arctan2(off[:, 0], -off[:, 1]), math.pi)
-    shared = _shared_rows(table, n, i, j)
-    weight = np.concatenate([shared, shared[touch]])
-    angles = np.concatenate([best, normals])[weight > 0]
+    angles = np.concatenate([best, normals])
     theta = distinct(angles)
-    count = np.bincount(theta.searchsorted(angles), weights=weight[weight > 0], minlength=len(theta))
+    count = np.bincount(theta.searchsorted(angles), minlength=len(theta))
     theta = tried = theta[np.argsort(-count, kind="stable")]
     valid = table >= 0
     lab = np.arange(h)[:, None] * (m + 1) + np.where(valid, 0, np.arange(1, m + 1))
@@ -1060,89 +1043,64 @@ def _neighbourhoods(n: int, i, j):
     return table, hoods
 
 
-def _label_pairs(label, same: bool):
+def _label_pairs(label):
     """The pairs (i, j), i < j, in np.triu_indices order, of members whose
-    labels are equal (same) or differ."""
+    labels are equal."""
     for i in range(len(label) - 1):
-        j = np.flatnonzero((label[i + 1 :] == label[i]) == same) + (i + 1)
+        j = np.flatnonzero(label[i + 1 :] == label[i]) + (i + 1)
         yield from zip(itertools.repeat(i), j.tolist())
 
 
 class _PairLines(Mapping):
     """The certificates of a TS check: (i, j) -> SeparationCertificate for
-    every split pair i < j, in np.triu_indices order, each built on access.
+    every split pair i < j, in np.triu_indices order, all built in one
+    vectorized pass on the first read.
 
     From the directions u (U, 2) of _refine that split a label, with the
     members' intervals lo, hi and blocks ids (U, n) along each: a pair's
     line is the cut after the smaller of its two blocks along the first of
     them that puts the pair in different blocks, the first swept direction
-    that does. label (n,) holds the members' final labels, shared exactly by
-    the pairs that no line splits, which are absent. Memory is O(n U), and
-    one certificate per cut once built.
+    that does, and the pairs on one cut share its certificate. label (n,)
+    holds the members' final labels, shared exactly by the pairs that no
+    line splits, which are absent. Until the first read the mapping keeps
+    O(n U) numbers, and then one entry per split pair.
     """
 
     def __init__(self, label, u, lo, hi, ids):
-        self._label, self._u, self._lo, self._hi, self._ids = label, u, lo, hi, ids
-        self._paths = None
-        self._lines = {}
+        self._cuts = label, u, lo, hi, ids
+        self._lines = None
+
+    def _built(self) -> dict:
+        if self._lines is None:
+            label, u, lo, hi, ids = self._cuts
+            n = len(label)
+            i, j = np.triu_indices(n, 1)
+            keep = label[i] != label[j]
+            i, j = i[keep], j[keep]
+            self._lines, self._cuts = {}, None
+            if len(i):
+                f = (ids[:, i] != ids[:, j]).argmax(axis=0)
+                cut, which = np.unique(f * n + np.minimum(ids[f, i], ids[f, j]), return_inverse=True)
+                f, c = np.divmod(cut, n)
+                lines = _certificates(u[f], lo[f], hi[f], ids[f] <= c[:, None])
+                self._lines = dict(zip(zip(i.tolist(), j.tolist()), map(lines.__getitem__, which.tolist())))
+        return self._lines
 
     def __len__(self) -> int:
-        n = len(self._label)
-        size = np.unique(self._label, return_counts=True)[1]
-        return n * (n - 1) // 2 - int((size * (size - 1) // 2).sum())
+        return len(self._built())
 
     def __iter__(self):
-        return _label_pairs(self._label, same=False)
-
-    def _blocks(self, key):
-        """The blocks along u of the members of key, a split pair (i, j),
-        i < j, or None for any other key."""
-        if self._paths is None:
-            self._paths = self._ids.T.tolist()
-        try:
-            i, j = map(operator.index, key)
-        except (TypeError, ValueError):
-            return None
-        if 0 <= i < j < len(self._paths) and self._paths[i] != self._paths[j]:
-            return self._paths[i], self._paths[j]
-        return None
-
-    def __contains__(self, key) -> bool:
-        return self._blocks(key) is not None
+        return iter(self._built())
 
     def __getitem__(self, key) -> SeparationCertificate:
-        blocks = self._blocks(key)
-        if blocks is None:
-            raise KeyError(key)
-        for f, (x, y) in enumerate(zip(*blocks)):
-            if x != y:
-                break
-        line = self._lines.get((f, min(x, y)))
-        return self._cut(np.array([f]), np.array([min(x, y)]))[0] if line is None else line
-
-    def _cut(self, f, c) -> list[SeparationCertificate]:
-        """The certificates of the cuts after block c[q] along u[f[q]], those
-        not built yet in one _certificates call."""
-        keys = list(zip(f.tolist(), c.tolist()))
-        new = [q for q, key in enumerate(keys) if key not in self._lines]
-        if new:
-            fn, cn = f[new], c[new]
-            lines = _certificates(self._u[fn], self._lo[fn], self._hi[fn], self._ids[fn] <= cn[:, None])
-            self._lines.update(zip((keys[q] for q in new), lines))
-        return [self._lines[key] for key in keys]
+        try:
+            pair = tuple(map(operator.index, key))
+        except TypeError:
+            raise KeyError(key) from None
+        return self._built()[pair]
 
     def items(self):
-        """Every (pair, certificate), built in one vectorized pass."""
-        i, j = np.triu_indices(len(self._label), 1)
-        keep = self._label[i] != self._label[j]
-        i, j = i[keep], j[keep]
-        if not len(i):
-            return {}.items()
-        f = (self._ids[:, i] != self._ids[:, j]).argmax(axis=0)
-        n = len(self._label)
-        cut, which = np.unique(f * n + np.minimum(self._ids[f, i], self._ids[f, j]), return_inverse=True)
-        lines = self._cut(*np.divmod(cut, n))
-        return dict(zip(zip(i.tolist(), j.tolist()), map(lines.__getitem__, which.tolist()))).items()
+        return self._built().items()
 
 
 def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
@@ -1155,11 +1113,12 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     critical directions are swept only while two members still share a
     label. A free cut along any direction is a valid split, and a pair is
     refuted only after every critical direction, so the verdict is exact.
-    ``certificates`` is a read-only mapping: a split pair's line, the first
-    free cut splitting it, is built when it is looked up (_PairLines), so
-    the result keeps O(n) numbers per direction that split a label. No such
-    line splits a pair in unresolved, a refutation at tol (scaled by min(1,
-    extent of the packing)).
+    ``certificates`` is a read-only mapping of each split pair's line, the
+    first free cut splitting it; the lines are built in one pass on the
+    first read (_PairLines), and until then the result keeps O(n) numbers
+    per direction that split a label. No such line splits a pair in
+    unresolved, a refutation at tol (scaled by min(1, extent of the
+    packing)).
     """
     bodies = _as_bodies(bodies)
     n = len(bodies)
@@ -1171,7 +1130,7 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
         u, lo, hi, ids = (np.concatenate(x) for x in zip(*cuts))
     else:
         u, lo, hi, ids = (np.empty((0, 2)),) + (np.empty((0, 1, n), int),) * 3
-    unresolved = tuple(_label_pairs(lab[0], same=True)) if len(live) else ()
+    unresolved = tuple(_label_pairs(lab[0])) if len(live) else ()
     certificates = _PairLines(lab[0], u, lo[:, 0], hi[:, 0], ids[:, 0])
     return TSResult(not unresolved, certificates, unresolved, swept)
 
@@ -1179,7 +1138,7 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
 def tangency_pairs(bodies, tol: float = EPS) -> list[tuple[int, int]]:
     """Pairs of members at zero distance (touching, interiors disjoint), at
     tol scaled by min(1, extent of the packing)."""
-    _, t, (i, j, gaps, _, _) = _packing_pairs(bodies, tol)
+    _, t, (i, j, gaps, _) = _packing_pairs(bodies, tol)
     touch = gaps <= t
     return list(zip(i[touch].tolist(), j[touch].tolist()))
 
@@ -1209,7 +1168,7 @@ def is_rho_separable(
     members contained in the rho-enlarged copy around it is totally
     separable. Containment reduces to gauge distance at most rho - 1, so
     only the pairs of _translate_gauges with reach max(1, (rho - 1) / 2) get
-    a gauge, and only the pairs sharing a neighbourhood a clearance. The
+    a gauge, and only these near pairs a clearance (_refine). The
     members are priced through the reference K: a pair's clearance and arc
     read only the at most 2k vertices of K - K (_pair_table), not k^2
     feature differences. The neighbourhoods are the rows of one label
@@ -1227,15 +1186,13 @@ def is_rho_separable(
     n = len(cs)
     i, j, gauge = _translate_gauges(reference, cs, max(1.0, 0.5 * (rho - 1.0)), tol)
     edge = gauge <= rho - 1.0 + tol
-    i, j = i[edge], j[edge]
-    table, hoods = _neighbourhoods(n, i, j)
+    table, hoods = _neighbourhoods(n, i[edge], j[edge])
     if rho < 3.0:
         # neighbourhoods are singletons below rho = 3, nothing to separate
         return RhoSeparabilityResult(True, rho, None, hoods)
     pts, rad = _reference_features(reference)
     rows = _reference_table(reference)
     feats = pts[0] + cs[:, None, :], np.repeat(rad, n)
-    i, j = _row_pairs(table, n)
     t = _scaled_tol(*feats, tol)
     failing = _refine(feats, table, (i, j) + _pair_gaps(feats, i, j, rows), t, rows)[0].tolist()
     return RhoSeparabilityResult(not failing, rho, failing[0] if failing else None, hoods)

@@ -219,6 +219,18 @@ def test_lattice(capsys):
     assert payload["max_contacts"] == math.floor(3000.0 - sigma ** (-2.0 / 3.0) * 100.0)
 
 
+def test_lattice_takes_the_library_default_mode(capsys):
+    """Without --mode, d = 4 gives the Rogers bound from a sampled simplex
+    density, as packing.crystallization_bound does by default; the Hales
+    constant stays specific to d = 3."""
+    code, payload = run(["lattice", "--n", "30", "--d", "4", "--samples", "20000"], capsys)
+    assert code == 0 and payload["provenance"]["method"] == "monte-carlo"
+    sigma = payload["simplex_density"]["value"]
+    assert payload["max_contacts"] == packing.crystallization_bound(30, d=4, density=sigma)
+    code, _ = run(["lattice", "--n", "30", "--d", "4", "--mode", "hales"], capsys)
+    assert code == 3
+
+
 def test_kertesz(tmp_path, capsys):
     obj = {
         "box": {"lo": [0, 0, 0], "hi": [2, 2, 2]},

@@ -90,7 +90,7 @@ def test_area_bound_lattice_blocks(rng):
     for _ in range(8):
         ref = random_symmetric_polygon(rng)
         centers = ts_lattice_subset(rng, ref, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        rep = area_bound_check(ref, centers, check_ts=False)
+        rep = area_bound_check(ref, centers)
         assert rep.holds(tol=1e-7)
 
 

@@ -25,7 +25,7 @@ from helpers import (
     ts_lattice_subset,
     ts_reference,
 )
-from sepgeom.bodies import ConvexBody, GeometryError, HomothetFamily, _strict_hull
+from sepgeom.bodies import EPS, ConvexBody, GeometryError, HomothetFamily, _strict_hull, raw_support
 from sepgeom.covering import build_triangle_counterexample
 from sepgeom import separability
 from sepgeom.packing import contact_graph, polyomino_packing
@@ -38,6 +38,7 @@ from sepgeom.separability import (
     _near_pairs,
     _pair_gaps,
     _pair_table,
+    _scaled_tol,
     find_separating_hyperplane,
     is_ls_packing,
     is_non_separable,
@@ -613,12 +614,15 @@ def test_pair_gaps_match_plain_python(rng):
     for _ in range(60):
         bodies = _mixed_packing_family(rng, int(rng.integers(2, 8)))
         i, j = np.triu_indices(len(bodies), 1)
-        gaps, dirs, offs = _pair_gaps(_member_features(bodies), i, j)
+        gaps, dirs = _pair_gaps(_member_features(bodies), i, j)
         want = np.array([pair_clearance_reference(bodies[a], bodies[b]) for a, b in zip(i, j)])
         assert np.abs(gaps - want).max() <= 1e-12
         for p, (a, b) in enumerate(zip(i, j)):
-            # the returned line splits the pair with half the clearance
-            plane = Hyperplane(dirs[p], offs[p])
+            # the line along the returned direction, midway between the top
+            # of the first member and the bottom of the second, splits the
+            # pair with half the clearance
+            u = dirs[p]
+            plane = Hyperplane(u, 0.5 * (raw_support(bodies[a], u) - raw_support(bodies[b], -u)))
             assert separation_margin(plane, [bodies[a]], [bodies[b]]) == pytest.approx(
                 0.5 * gaps[p], abs=1e-12
             )
@@ -785,7 +789,7 @@ def test_ts_certificates_act_like_a_dict(rng, monkeypatch):
     items() and dict() give the keys reconstructed in plain Python from the
     unresolved pairs; a lookup gives the line that items() gives, and that
     line splits its pair with its margin. (j, i), unresolved pairs and any
-    other key raise KeyError."""
+    other key, one with a float entry too, raise KeyError."""
     calls = []
 
     def counted(*args):
@@ -815,7 +819,7 @@ def test_ts_certificates_act_like_a_dict(rng, monkeypatch):
         keys = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in res.unresolved]
         assert isinstance(certs, Mapping) and not isinstance(certs, dict), t
         assert len(certs) == len(keys) and list(certs) == keys and list(certs.keys()) == keys, t
-        # lookups first, each line built on access, then items() in one pass
+        # lookups first, then items(): every line is built in one pass on the first read
         looked = dict(certs)
         items = certs.items()
         assert list(looked) == keys and len(items) == len(keys) and [key for key, _ in items] == keys, t
@@ -829,7 +833,7 @@ def test_ts_certificates_act_like_a_dict(rng, monkeypatch):
             assert (i, j) in certs and (j, i) not in certs
             with pytest.raises(KeyError):
                 certs[j, i]
-        for key in list(res.unresolved) + [(0, n), (-1, 0), (0, 0), (n - 1, n), (0, 1, 2), "01", 0, (0.5, 1)]:
+        for key in list(res.unresolved) + [(0, n), (-1, 0), (0, 0), (n - 1, n), (0, 1, 2), "01", 0, (0.5, 1), (1.0, 2)]:
             assert key not in certs, (t, key)
             with pytest.raises(KeyError):
                 certs[key]
@@ -883,6 +887,59 @@ def test_rho_separability_matches_ts_of_each_neighbourhood(rng):
         apart = np.abs(np.remainder(few[:, None] - every[None, :] + 0.5 * math.pi, math.pi) - 0.5 * math.pi)
         assert max(apart.min(axis=0).max(), apart.min(axis=1).max()) <= 1e-12, t
     assert seen == {True, False}
+
+
+def test_rho_prices_only_its_near_pairs(rng, monkeypatch):
+    """At rho = 3 on a block of the lattice of a regular 12-gon,
+    is_rho_separable prices (_pair_gaps) at most the near pairs of
+    _translate_gauges, not every pair sharing a neighbourhood."""
+    ang = np.arange(12) * math.pi / 6.0
+    ref = ConvexBody.polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
+    centers = ts_lattice_subset(rng, ref, 12, 12)
+    priced = []
+    pair_gaps = separability._pair_gaps
+
+    def counted(feats, i, j, rows=None):
+        priced.append(len(i))
+        return pair_gaps(feats, i, j, rows)
+
+    monkeypatch.setattr(separability, "_pair_gaps", counted)
+    assert is_rho_separable(ref, centers, 3.0).separable
+    near = len(separability._translate_gauges(ref, centers, 1.0, EPS)[0])
+    assert 0 < sum(priced) <= near
+
+
+def test_rho_needs_no_clearance_of_a_pair_apart_by_less_than_tol(rng):
+    """A square of diameter 1e-3 in a 2 x 1420 block of its lattice, wider
+    than 1, so the cut tolerance t is about 1e-9 while gauges compare with
+    1e-9 itself. The last corner member, moved up or right by a clearance
+    inside (0, t], is no neighbour of the member below or left of it, and
+    not near it, but the two share a neighbourhood. is_rho_separable, which
+    prices the near pairs only, gives the verdict of _refine handed every
+    pair sharing a neighbourhood."""
+    side = 1e-3 / math.sqrt(2.0)
+    ref = ConvexBody.polygon(0.5 * side * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+    cols = 1420
+    grid = side * np.stack(np.meshgrid(np.arange(cols), np.arange(2.0)), axis=-1).reshape(-1, 2)
+    pts, rad = _member_features([ref])
+    rows = _pair_table(pts[0])
+    for t in range(6):
+        centers, up = grid.copy(), t % 2
+        centers[-1, up] += float(rng.uniform(0.1, 0.9)) * EPS
+        feats = pts[0] + centers[:, None, :], np.repeat(rad, len(centers))
+        tol = _scaled_tol(*feats, EPS)
+        apart = len(centers) - 1 - (cols if up else 1), len(centers) - 1
+        gap = _pair_gaps(feats, [apart[0]], [apart[1]], rows)[0][0]
+        assert 0.0 < gap <= tol, t
+        i, j, gauge = separability._translate_gauges(ref, centers, 1.0, EPS)
+        table, hoods = separability._neighbourhoods(len(centers), *(x[gauge <= 2.0 + EPS] for x in (i, j)))
+        a, b = separability._row_pairs(table, len(centers))
+        shared = set(zip(a.tolist(), b.tolist()))
+        assert apart in shared - set(zip(i.tolist(), j.tolist())), t
+        live = separability._refine(feats, table, (a, b) + _pair_gaps(feats, a, b, rows), tol, rows)[0]
+        res = is_rho_separable(ref, centers, 3.0)
+        assert (res.separable, res.failing_member) == (not len(live), int(live[0]) if len(live) else None), t
+        assert res.neighborhoods == hoods, t
 
 
 def _brute_near(lo, hi, tol: float) -> list:
