@@ -18,6 +18,7 @@ from .bodies import (
     ConvexBody,
     GeometryError,
     HomothetFamily,
+    _derived,
     _require_planar,
     polygon_facets,
 )
@@ -73,15 +74,18 @@ def _cover(family: HomothetFamily, center, ratio: float, normalized: float, meth
     _box_tol of the family: tol times min(1, extent of the family) plus the
     round-off of the family's largest coordinate."""
     viol = _containment_violation(family, center, ratio)
-    k = family.reference
-    if k.kind == "disk":
-        lo_k, hi_k = k.center - k.radius, k.center + k.radius
-    else:
-        lo_k, hi_k = k.vertices.min(axis=0), k.vertices.max(axis=0)
+    lo_k, hi_k = _derived(family.reference, "_bounding_box", _bounding_box)
     c, tau = family.centers, family.ratios[:, None]
     lo = (c + tau * lo_k).min(axis=0)
     hi = (c + tau * hi_k).max(axis=0)
     return CoverHomothet(center, ratio, normalized, method, bool(viol <= _box_tol(lo, hi, tol)), viol)
+
+
+def _bounding_box(k: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corner of the bounding box of K."""
+    if k.kind == "disk":
+        return k.center - k.radius, k.center + k.radius
+    return k.vertices.min(axis=0), k.vertices.max(axis=0)
 
 
 def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:

@@ -559,6 +559,54 @@ def _merge(comp: np.ndarray, i, j) -> np.ndarray:
             lab = lab[lab]
 
 
+def _reference_axes(body: ConvexBody) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit axes (m, 2) along which two homothets of a planar polygon or
+    segment reference meet exactly when their projections do, and per axis
+    the index of a vertex of the reference highest and lowest along it,
+    computed once per body: a polygon's edge normals, or a segment's normal
+    and its direction."""
+
+    def build(b):
+        v = b.vertices
+        if b.kind == "segment":
+            d = unit(v[1] - v[0])
+            axes = np.stack([perp(d), d])
+        else:
+            axes = polygon_facets(b)[0]
+        proj = v @ axes.T
+        return axes, proj.argmax(axis=0), proj.argmin(axis=0)
+
+    return _derived(body, "_reference_axes", build)
+
+
+def _meeting(reference: ConvexBody, pts: np.ndarray, rad: np.ndarray):
+    """meets(a, b): whether members a[p] and b[p] of a planar homothet
+    family of this reference, with member features pts and radii rad
+    (_homothet_features), meet, each pair flagged only when its facet
+    values are at most 0 (is_non_separable). Polygons and segments whose
+    bounding boxes are apart are not tested further."""
+    if reference.kind == "disk":
+        x, y = pts[:, 0].T.copy()
+
+        def meets(a, b):
+            return np.hypot(x[b] - x[a], y[b] - y[a]) <= rad[a] + rad[b]
+
+        return meets
+    (x_lo, y_lo), (x_hi, y_hi) = pts.min(axis=1).T.copy(), pts.max(axis=1).T.copy()
+    axes, top, bottom = _reference_axes(reference)
+    hi = pts[:, top, 0] * axes[:, 0] + pts[:, top, 1] * axes[:, 1]
+    lo = pts[:, bottom, 0] * axes[:, 0] + pts[:, bottom, 1] * axes[:, 1]
+
+    def meets(a, b):
+        out = (x_lo[b] <= x_hi[a]) & (x_lo[a] <= x_hi[b]) & (y_lo[b] <= y_hi[a]) & (y_lo[a] <= y_hi[b])
+        near = np.flatnonzero(out)
+        a, b = a[near], b[near]
+        out[near] = ((lo[b] <= hi[a]) & (lo[a] <= hi[b])).all(axis=1)
+        return out
+
+    return meets
+
+
 def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecision:
     """Decide whether no hyperplane splits the family while missing every member.
 
@@ -580,15 +628,37 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     along u are fixed by which S(A, B) and S(A, B) + pi hold u, which stays
     the same between consecutive ends of the S arcs taken mod pi, and a cut
     holds on an open set, so the gap at the midpoints between those ends
-    decides the question. ``directions_checked`` is at most c(c - 1) for c
-    components, and 0 when every S is empty. The arcs are built, and the
-    directions swept, in blocks of about _BLOCK entries; the components grow
-    block by block (_merge), and a block prices only its pairs not yet inside
-    one component, since no such pair is a cross pair. A planar
-    HomothetFamily is priced through its reference K with no member body: a
-    pair's arc reads only the vertices of tau_j K - tau_i K (_pair_table, at
-    most 2k differences, not k^2), and along u member i covers
-    c_i . u + tau_i [lo_K, hi_K], with K projected once.
+    decides the question; the witness is the cut at the first midpoint
+    where the gap is widest, from the sweep that found it.
+    ``directions_checked`` is at most c(c - 1) for c components, and 0 when
+    every S is empty. The arcs are built, and the directions swept, in
+    blocks of about _BLOCK entries; the components grow block by block
+    (_merge), and a block prices only its pairs not yet inside one
+    component, since no such pair is a cross pair.
+
+    A planar HomothetFamily is priced through its reference K with no
+    member body: a pair's arc reads only the vertices of tau_j K - tau_i K
+    (_pair_table, at most 2k differences, not k^2), and along u member i
+    covers c_i . u + tau_i [lo_K, hi_K], with K projected once. Members
+    that meet are never split, and they merge before any arc of their
+    block is priced: tau_i K + c_i meets tau_j K + c_j exactly when c_j -
+    c_i lies in tau_i K - tau_j K, a polygon whose edge normals are those
+    of K and -K, so the members meet exactly when their projections onto
+    every edge normal n of K meet (_reference_axes), and those projections
+    read h_K(n) and h_K(-n) only. The largest facet value, the largest gap
+    between the projections, is below the distance of the members outside
+    a vertex of tau_i K - tau_j K, so a pair merges at a facet value of at
+    most 0, never at most tol: the facet values carry a few ulps of the
+    largest coordinate, under the round-off in tol, and a touching pair
+    that they miss merges by its empty arc. Disks meet when their center
+    distance is at most their radius sum, compared as the arc compares it,
+    since support values along finitely many axes would only test a
+    polygon around each disk. For a segment reference tau_i K - tau_j K is
+    a segment: its normal alone bounds a strip, so the segment's direction
+    is an axis too. A family that the pairs that meet connect is NS with
+    no arc priced. A list of bodies has no reference to read supports
+    from, and prices every arc.
+
     ``samples`` only applies in dimension 3 and up, where directions are
     sampled and the decision is flagged approximate.
     """
@@ -601,28 +671,34 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         pts, rad, ref, ref_rad = _homothet_features(family)
         # a disk's one feature gives one difference either way
         table = _reference_table(family.reference) if ref.shape[1] > 1 else None
+        meets = _meeting(family.reference, pts, rad)
     else:
         pts, rad = _member_features(bodies)
-        table = None
+        table = meets = None
     sampled = pts.shape[2] != 2
     if sampled:
         t = tol
         dirs = np.vstack([fibonacci_sphere(max(samples, 1024)), candidate_directions(bodies)])
     else:
-        t = _scaled_tol(pts, rad, tol)
+        t = None
         # the pairs i < j in np.triu_indices order, at a fifth of its cost for small n
         i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
         lo, hi = np.empty(len(i)), np.empty(len(i))
         comp = np.arange(n)
         step = max(1, _BLOCK // (pts.shape[1] ** 2 if table is None else len(table)))
         for s in range(0, len(i), step):
-            q = slice(s, s + step)
-            if s:
-                # a pair inside one component so far is never a cross pair:
-                # its arc is not needed
-                q = s + np.flatnonzero(comp[i[q]] != comp[j[q]])
+            # a pair inside one component so far is never a cross pair: it
+            # needs neither the overlap test nor its arc
+            q = s + np.flatnonzero(comp[i[s : s + step]] != comp[j[s : s + step]])
+            if meets is not None and len(q):
+                meet = meets(i[q], j[q])
+                if meet.any():
+                    comp = _merge(comp, i[q[meet]], j[q[meet]])
+                    q = q[comp[i[q]] != comp[j[q]]]
             a, b = i[q], j[q]
             if len(a):
+                if t is None:
+                    t = _scaled_tol(pts, rad, tol)
                 lo[q], hi[q] = _arcs(_differences(pts, a, b, table), (rad[a] + rad[b] + t)[:, None])
                 never = ~(lo[q] < hi[q])
                 if never.any():
@@ -641,10 +717,15 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         key = np.minimum(ci[cross], cj[cross]) * c + np.maximum(ci[cross], cj[cross])
         order = np.argsort(key, kind="stable")
         cross, flip, key = cross[order], flip[order], key[order]
-        start = np.flatnonzero(np.diff(key, prepend=-1))
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        start = np.flatnonzero(new)
+        runs = np.empty_like(start)
+        runs[:-1] = start[1:] - start[:-1]
+        runs[-1] = len(key) - start[-1]
         lo_s = lo[cross] + math.pi * flip
         width = hi[cross] - lo[cross]
-        first = np.repeat(lo_s[start], np.diff(start, append=len(key)))
+        first = np.repeat(lo_s[start], runs)
         lo_s = first + np.remainder(lo_s - first + math.pi, TWO_PI) - math.pi
         s_lo = np.maximum.reduceat(lo_s, start)
         s_hi = np.minimum.reduceat(lo_s + width, start)
@@ -663,20 +744,23 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         return along + family.ratios * lo_k, along + family.ratios * hi_k
 
     # the widest gap along each direction, directions in blocks of about
-    # _BLOCK intervals, and the first direction where it is widest
-    widest = np.empty(len(dirs))
+    # _BLOCK intervals; the first direction where it is widest keeps its
+    # intervals and sweep for the witness
+    widest, best = -math.inf, None
     step = max(1, _BLOCK // n)
     for s in range(0, len(dirs), step):
-        widest[s : s + step] = sweep(*intervals(dirs[s : s + step]))[1].max(axis=1)
-    best = int(np.argmax(widest))
-    if not widest[best] > t:
+        lo, hi = intervals(dirs[s : s + step])
+        order, gaps = sweep(lo, hi)
+        row = gaps.max(axis=1)
+        k = int(np.argmax(row))
+        if row[k] > widest:
+            widest, best = float(row[k]), (s + k, lo[k], hi[k], order[k], gaps[k])
+    if not widest > t:
         return NSDecision(True, None, len(dirs), sampled)
-    u = dirs[best : best + 1]
-    lo, hi = intervals(u)
-    order, gaps = sweep(lo, hi)
+    k, lo, hi, order, gaps = best
     left = np.zeros((1, n), dtype=bool)
-    left[0, order[0, : int(gaps[0].argmax()) + 1]] = True
-    return NSDecision(False, _certificates(u, lo, hi, left)[0], len(dirs), sampled)
+    left[0, order[: int(gaps.argmax()) + 1]] = True
+    return NSDecision(False, _certificates(dirs[k : k + 1], lo[None], hi[None], left)[0], len(dirs), sampled)
 
 
 def is_sns(family, tol: float = EPS) -> SNSResult:

@@ -20,7 +20,7 @@ from sepgeom.separability import is_non_separable, is_rho_separable
 # the translate checks read the extents of its difference body
 DERIVED = {
     "_facets", "_symmetry_gap", "_member_features", "_pair_table",
-    "_difference_body", "_parallelogram",
+    "_difference_body", "_parallelogram", "_reference_axes", "_bounding_box",
 }
 
 

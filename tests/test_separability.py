@@ -16,6 +16,7 @@ from helpers import (
     ns_family,
     ns_pair_sweep,
     pair_clearance_reference,
+    point_inside,
     random_convex_polygon,
     random_reference,
     random_symmetric_polygon,
@@ -1073,3 +1074,149 @@ def test_homothet_path_matches_member_bodies(rng):
             assert (a.witness.left, a.witness.right) == (b.witness.left, b.witness.right), trial
             assert np.abs(a.witness.plane.normal - b.witness.plane.normal).max() <= 1e-12, trial
             assert a.witness.plane.offset == pytest.approx(b.witness.plane.offset, rel=1e-12, abs=1e-12)
+
+
+def _thin_polygon(rng) -> ConvexBody:
+    """A random polygon squeezed by a factor 1e-1 to 1e-4 across a random
+    direction, or a parallelogram sheared to an angle of 1e-1 to 1e-3."""
+    if rng.random() < 0.5:
+        a = float(rng.uniform(0.0, math.pi))
+        turn = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        squeeze = np.diag([1.0, 10.0 ** -rng.uniform(1.0, 4.0)])
+        return random_convex_polygon(rng, int(rng.integers(3, 9))).transform(turn @ squeeze @ turn.T)
+    s = 10.0 ** -rng.uniform(1.0, 3.0)
+    return ConvexBody.polygon([[0.0, 0.0], [1.0, s], [2.0, 3.0 * s], [1.0, 2.0 * s]])
+
+
+def _scaled_family(k: ConvexBody, centers, ratios, scale: float, shift: float) -> HomothetFamily:
+    """The family tau_i K + x_i scaled by scale about the origin, then moved by (shift, shift)."""
+    if k.kind == "disk":
+        k = ConvexBody.disk(k.center * scale, k.radius * scale)
+    elif scale != 1.0:
+        k = k.transform(scale * np.eye(2))
+    return HomothetFamily(k, centers * scale + shift, ratios)
+
+
+def test_overlap_step_merges_only_members_that_meet(rng):
+    """is_non_separable merges two homothets before pricing their arc when
+    their projections meet on every edge normal of K (disks: center
+    distance at most the radius sum). Each pair it flags meets up to the
+    round-off that tol carries (_scaled_tol at tol 0), so its arc is empty:
+    pair_separation is at most that round-off. It misses no pair that
+    overlaps by more. The pairs are drawn near touching, x_b = x_a + s (p -
+    q) with p in tau_a K, q in tau_b K and s around 1, or p and q vertices
+    and s = 1, and each is repeated scaled by 1e-6 and 1e6 and moved by
+    1e6."""
+    flagged = missed = 0
+    for trial in range(600):
+        kind = trial % 3
+        if kind == 0:
+            k = ConvexBody.disk(rng.normal(size=2) * 3.0, float(rng.uniform(0.3, 1.5)))
+        else:
+            k = random_convex_polygon(rng, int(rng.integers(3, 13))) if kind == 1 else _thin_polygon(rng)
+        ratios = rng.uniform(0.2, 1.5, 2)
+        if k.kind == "polygon" and trial % 2:
+            p, q = (r * k.vertices[rng.integers(len(k.vertices))] for r in ratios)
+            s = 1.0
+        else:
+            p, q = (r * point_inside(rng, k) for r in ratios)
+            s = float(rng.uniform(0.5, 1.5))
+        centers = np.array([[0.0, 0.0], s * (p - q)])
+        for scale, shift in ((1.0, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e6)):
+            fam = _scaled_family(k, centers, ratios, scale, shift)
+            pts, rad, _, _ = separability._homothet_features(fam)
+            meets = bool(separability._meeting(fam.reference, pts, rad)(np.array([0]), np.array([1]))[0])
+            gap = pair_separation(*fam.bodies())
+            round_off = _scaled_tol(pts, rad, 0.0)
+            if meets:
+                flagged += 1
+                assert gap <= round_off, (trial, scale, shift, gap, round_off)
+            else:
+                missed += gap <= 0.0
+                assert gap >= -round_off, (trial, scale, shift, gap, round_off)
+    assert flagged >= 1500 and missed <= flagged // 10, (flagged, missed)
+
+
+def _ns_heavy_families(rng):
+    """Families that the overlaps decide: chains where each member overlaps
+    an earlier one, off-origin disk chains, exactly touching unit-square
+    lattices (whole, or with a column moved off by 1e-3, then split), and
+    chains scaled by 1e-6 or moved by 1e6."""
+    square = ConvexBody.polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for trial in range(120):
+        kind = trial % 4
+        if kind == 0:
+            rows, cols = (int(v) for v in rng.integers(1, 6, 2))
+            centers = np.array([[x, y] for x in range(cols + 1) for y in range(rows)], dtype=float)
+            if trial % 8 == 4:
+                centers[centers[:, 0] == cols, 0] += 1e-3
+            yield HomothetFamily(square, centers)
+            continue
+        if kind == 1:
+            k = ConvexBody.disk(rng.normal(size=2) * 3.0, float(rng.uniform(0.5, 1.5)))
+        else:
+            k = random_convex_polygon(rng, int(rng.integers(3, 13))) if kind == 2 else _thin_polygon(rng)
+        fam = ns_family(rng, k, int(rng.integers(2, 41)))
+        yield fam
+        yield _scaled_family(k, fam.centers, fam.ratios, *((1e-6, 0.0) if trial % 2 else (1.0, 1e6)))
+
+
+def test_overlap_step_answers_as_every_arc(rng):
+    """On families that the overlaps decide, the homothet path (overlaps
+    first) and the list-of-bodies path (every arc priced) give the same
+    verdict, directions_checked and witness; a family that the overlaps
+    connect is NS with no direction swept."""
+    decided = 0
+    for fam in _ns_heavy_families(rng):
+        a, b = is_non_separable(fam), is_non_separable(fam.bodies())
+        assert (a.non_separable, a.directions_checked) == (b.non_separable, b.directions_checked)
+        assert (a.witness is None) == (b.witness is None)
+        if a.witness is not None:
+            assert (a.witness.left, a.witness.right) == (b.witness.left, b.witness.right)
+            assert np.abs(a.witness.plane.normal - b.witness.plane.normal).max() <= 1e-12
+            assert a.witness.plane.offset == pytest.approx(b.witness.plane.offset, rel=1e-12, abs=1e-12)
+        decided += a.non_separable and a.directions_checked == 0
+    assert decided >= 150
+
+
+def test_connected_overlaps_price_no_arc(rng, monkeypatch):
+    """A homothet family whose members that meet connect it is NS before
+    any arc is priced or the tolerance is scaled; a split one prices arcs
+    only across the components that the overlaps leave."""
+    fams = [ns_family(rng, k, 32) for k in (random_symmetric_polygon(rng, 12), ConvexBody.disk((1.0, 2.0), 1.0))]
+    fams.append(HomothetFamily(ConvexBody.segment((0.0, 0.0), (1.0, 0.0)), [[0.0, 0.0], [0.5, 0.0], [1.2, 0.0]]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arc priced")
+
+    with monkeypatch.context() as m:
+        m.setattr(separability, "_arcs", refuse)
+        m.setattr(separability, "_scaled_tol", refuse)
+        for fam in fams:
+            assert is_non_separable(fam) == separability.NSDecision(True, None, 0, False)
+    rows = []
+    arcs = separability._arcs
+    monkeypatch.setattr(separability, "_arcs", lambda p, rad: rows.append(len(p)) or arcs(p, rad))
+    k = random_symmetric_polygon(rng, 12)
+    halves = [ns_family(rng, k, 16) for _ in range(2)]
+    shift = 2.0 * (np.abs(halves[0].centers).max() + np.abs(halves[1].centers).max()) + 8.0 * np.abs(k.vertices).max()
+    fam = HomothetFamily(k, np.vstack([halves[0].centers, halves[1].centers + [shift, 0.0]]),
+                         np.concatenate([halves[0].ratios, halves[1].ratios]))
+    dec = is_non_separable(fam)
+    assert not dec.non_separable and set(dec.witness.left) in ({*range(16)}, {*range(16, 32)})
+    assert sum(rows) == 16 * 16
+
+
+def test_segment_references_answer_as_recorded():
+    """Segment references, whose two vertices are the only features: the
+    overlap step tests the segment's normal and its direction, so collinear
+    segments that are apart stay split. The answers are those recorded
+    before the overlap step."""
+    unit_x, tilted = ConvexBody.segment((0.0, 0.0), (1.0, 0.0)), ConvexBody.segment((0.0, 0.0), (1.0, 0.2))
+    apart = is_non_separable(HomothetFamily(unit_x, [[0.0, 0.0], [2.0, 0.0]]))
+    assert (apart.non_separable, apart.directions_checked) == (False, 2)
+    assert apart.witness.margin == pytest.approx(0.5, abs=1e-12)
+    assert is_non_separable(HomothetFamily(unit_x, [[0.0, 0.0], [0.5, 0.0]])).non_separable
+    three = is_non_separable(HomothetFamily(tilted, [[0.0, 0.0], [0.5, 0.0], [3.0, 3.0]]))
+    assert (three.non_separable, three.directions_checked) == (False, 6)
+    assert is_non_separable(HomothetFamily(tilted, [[0.0, 0.0], [0.5, 0.1]])).non_separable
