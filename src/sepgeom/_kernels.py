@@ -119,16 +119,18 @@ def collapse(m, c, w) -> tuple[float, np.ndarray]:
 
 
 def gap_profile(cx, cy, tau, hplus, hminus, cos_t, sin_t):
-    """Widest gap of a planar homothet family along each direction angle.
+    """The interval sweep of a planar homothet family along each direction.
 
     Member i projects onto u = (cos_t[k], sin_t[k]) as the interval
     [c_i . u - tau_i * hminus[k], c_i . u + tau_i * hplus[k]], where hplus
-    and hminus are the reference supports h_K(u) and h_K(-u). A positive
-    value certifies a strict separation perpendicular to u, a negative one
-    is an overlap depth: the union of the intervals is connected.
+    and hminus are the reference supports h_K(u) and h_K(-u). Returns the
+    intervals lo, hi (m, n) and their sweep, order and gaps: a positive gap
+    certifies a strict separation perpendicular to u, a negative one is an
+    overlap depth.
     """
     proj = np.outer(cos_t, cx) + np.outer(sin_t, cy)  # (m, n)
-    return sweep(proj - hminus[:, None] * tau, proj + hplus[:, None] * tau)[1].max(axis=-1)
+    lo, hi = proj - hminus[:, None] * tau, proj + hplus[:, None] * tau
+    return (lo, hi) + sweep(lo, hi)
 
 
 def simplex_covered(verts, uniform01):

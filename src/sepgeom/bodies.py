@@ -122,7 +122,8 @@ def _strict_hull(points: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """A convex body: planar disk, strictly convex CCW polygon, polytope,
-    or (flagged) degenerate segment.
+    or degenerate segment. Every kind is the hull of its feature points
+    grown by its radius (points, radius), which is 0 but for a disk.
 
     Degenerate bodies are only accepted by support evaluation, area and
     perimeter; everything else rejects them.
@@ -132,7 +133,6 @@ class ConvexBody:
     center: np.ndarray | None = None
     radius: float = 0.0
     vertices: np.ndarray | None = None
-    degenerate: bool = False
 
     @staticmethod
     def disk(center, radius: float) -> "ConvexBody":
@@ -169,23 +169,29 @@ class ConvexBody:
         verts = _finite([a, b], "segment endpoints")
         if np.linalg.norm(verts[1] - verts[0]) <= 0:
             raise GeometryError("segment endpoints coincide")
-        return ConvexBody(kind="segment", vertices=_freeze(verts), degenerate=True)
+        return ConvexBody(kind="segment", vertices=_freeze(verts))
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def points(self) -> np.ndarray:
+        """Feature points (k, d), read-only: a disk's center, else the vertices."""
+        return self.center[None, :] if self.kind == "disk" else self.vertices
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the body is a segment, the one kind not full-dimensional."""
+        return self.kind == "segment"
+
+    @property
     def dim(self) -> int:
-        if self.kind == "disk":
-            return 2
-        return int(self.vertices.shape[1])
+        return self.points.shape[1]
 
     def require_full_dimensional(self, op: str) -> None:
         if self.degenerate:
             raise GeometryError(f"{op}: not full-dimensional")
 
     def centroid(self) -> np.ndarray:
-        if self.kind == "disk":
-            return np.array(self.center)
         if self.kind == "polygon":
             # shoelace sums about the first vertex: about the origin they cancel
             # for polygons far from it
@@ -197,20 +203,19 @@ class ConvexBody:
             cx = ((x + xr) * cross).sum() / (6.0 * a)
             cy = ((y + yr) * cross).sum() / (6.0 * a)
             return v[0] + np.array([cx, cy])
-        return self.vertices.mean(axis=0)
+        return self.points.mean(axis=0)
 
     def translate(self, t) -> "ConvexBody":
         t = np.asarray(t, dtype=float)
         if self.kind == "disk":
             return ConvexBody.disk(self.center + t, self.radius)
-        return ConvexBody(
-            kind=self.kind, vertices=_freeze(self.vertices + t), degenerate=self.degenerate
-        )
+        return ConvexBody(kind=self.kind, vertices=_freeze(self.vertices + t))
 
-    def transform(self, matrix, t=(0.0, 0.0)) -> "ConvexBody":
-        """Apply x -> M x + t. Disks only admit similarities."""
+    def transform(self, matrix, t=None) -> "ConvexBody":
+        """Apply x -> M x + t, t the zero vector by default. Disks only admit
+        similarities."""
         m = np.asarray(matrix, dtype=float)
-        t = np.asarray(t, dtype=float)
+        t = np.zeros(self.dim) if t is None else np.asarray(t, dtype=float)
         if self.kind == "disk":
             s2 = np.abs(np.linalg.det(m))
             mtm = m.T @ m
@@ -220,7 +225,7 @@ class ConvexBody:
         verts = self.vertices @ m.T + t
         if self.kind == "polygon":
             return ConvexBody.polygon(verts)
-        return ConvexBody(kind=self.kind, vertices=_freeze(verts), degenerate=self.degenerate)
+        return ConvexBody(kind=self.kind, vertices=_freeze(verts))
 
     def is_origin_symmetric(self, tol: float = EPS) -> bool:
         """Whether the body equals its reflection in the origin: a disk
@@ -257,11 +262,12 @@ def _symmetry_gap(body: ConvexBody) -> tuple[float, float]:
 
 
 def raw_support(body: ConvexBody, u: np.ndarray) -> float:
-    """Support value h(u) without normalizing u (positively homogeneous)."""
+    """Support value h(u) = max(points . u) + radius |u| without normalizing
+    u (positively homogeneous)."""
     u = np.asarray(u, dtype=float)
-    if body.kind == "disk":
-        return float(body.center @ u + body.radius * np.linalg.norm(u))
-    return float((body.vertices @ u).max())
+    h = (body.points @ u).max()
+    # a body with no radius skips the norm, which keeps the sign of a zero
+    return float(h + body.radius * np.linalg.norm(u) if body.radius else h)
 
 
 def support(body: ConvexBody, u) -> float:
@@ -271,9 +277,8 @@ def support(body: ConvexBody, u) -> float:
 
 def support_batch(body: ConvexBody, dirs: np.ndarray) -> np.ndarray:
     """Support values for an (m, d) array of directions (not normalized)."""
-    if body.kind == "disk":
-        return dirs @ body.center + body.radius * np.linalg.norm(dirs, axis=1)
-    return (dirs @ body.vertices.T).max(axis=1)
+    h = (dirs @ body.points.T).max(axis=1)
+    return h + body.radius * np.linalg.norm(dirs, axis=1) if body.radius else h
 
 
 def _gauges(body: ConvexBody, deltas) -> np.ndarray:
@@ -347,7 +352,7 @@ class Homothet:
             return ConvexBody.disk(self.center + self.ratio * k.center, self.ratio * k.radius)
         # a positive ratio keeps the vertices strictly convex and counter-clockwise
         verts = _freeze(_finite(self.center + self.ratio * k.vertices, "homothet vertices"))
-        return ConvexBody(kind=k.kind, vertices=verts, degenerate=k.degenerate)
+        return ConvexBody(kind=k.kind, vertices=verts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,11 +388,13 @@ class HomothetFamily:
     def bodies(self) -> list[ConvexBody]:
         return [self.member(i).as_body() for i in range(len(self))]
 
-    def transform(self, matrix, t=(0.0, 0.0)) -> "HomothetFamily":
+    def transform(self, matrix, t=None) -> "HomothetFamily":
+        """Apply x -> M x + t to every member, t the zero vector by default."""
         m = np.asarray(matrix, dtype=float)
+        t = np.zeros(self.reference.dim) if t is None else np.asarray(t, dtype=float)
         return HomothetFamily(
             reference=self.reference.transform(m),
-            centers=self.centers @ m.T + np.asarray(t, dtype=float),
+            centers=self.centers @ m.T + t,
             ratios=np.array(self.ratios),
         )
 

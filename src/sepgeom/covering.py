@@ -54,9 +54,7 @@ def _containment_violation(family: HomothetFamily, center, ratio: float) -> floa
     """Largest signed protrusion of a member outside center + ratio*K, exact.
 
     For a polygon K every member is tested against every facet in one pass."""
-    k = family.reference
-    centers = np.asarray(family.centers, dtype=float)
-    ratios = np.asarray(family.ratios, dtype=float)
+    k, centers, ratios = family.reference, family.centers, family.ratios
     if k.kind == "disk":
         mem_c = centers + ratios[:, None] * k.center
         cov_c = center + ratio * k.center
@@ -83,9 +81,7 @@ def _cover(family: HomothetFamily, center, ratio: float, normalized: float, meth
 
 def _bounding_box(k: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper corner of the bounding box of K."""
-    if k.kind == "disk":
-        return k.center - k.radius, k.center + k.radius
-    return k.vertices.min(axis=0), k.vertices.max(axis=0)
+    return k.points.min(axis=0) - k.radius, k.points.max(axis=0) + k.radius
 
 
 def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
@@ -98,12 +94,9 @@ def goodman_goodman_cover(family: HomothetFamily, tol: float = EPS) -> CoverHomo
     _require_planar([k], "goodman_goodman_cover")
     if not k.is_origin_symmetric(1e-9):
         raise GeometryError("weighted-centroid cover requires an o-symmetric reference")
-    ratios = np.asarray(family.ratios, dtype=float)
-    centers = np.asarray(family.centers, dtype=float)
-    if (ratios <= 0).any():
-        raise GeometryError("homothety ratios must be positive")
+    ratios = family.ratios
     total = float(ratios.sum())
-    x = (ratios[:, None] * centers).sum(axis=0) / total
+    x = (ratios[:, None] * family.centers).sum(axis=0) / total
     return _cover(family, x, total, 1.0, "weighted-centroid", tol)
 
 
@@ -121,10 +114,7 @@ def min_cover_ratio(family: HomothetFamily, tol: float = EPS) -> CoverHomothet:
     k = family.reference
     _require_planar([k], "min_cover_ratio")
     k.require_full_dimensional("min_cover_ratio")
-    centers = np.asarray(family.centers, dtype=float)
-    ratios = np.asarray(family.ratios, dtype=float)
-    if (ratios <= 0).any():
-        raise GeometryError("homothety ratios must be positive")
+    centers, ratios = family.centers, family.ratios
     total = float(ratios.sum())
 
     if k.kind == "disk":

@@ -45,19 +45,14 @@ def polygon_perimeter(vertices: np.ndarray) -> float:
 
 
 def area(body: ConvexBody) -> float:
-    if body.degenerate:
-        return 0.0
-    if body.kind == "disk":
-        return math.pi * body.radius**2
-    return abs(polygon_area(body.vertices))
+    """Area of the hull of the feature points plus pi r^2: 0 for a segment."""
+    return abs(polygon_area(body.points)) + math.pi * body.radius**2
 
 
 def perimeter(body: ConvexBody) -> float:
-    if body.kind == "segment":
-        return 2.0 * float(np.linalg.norm(body.vertices[1] - body.vertices[0]))
-    if body.kind == "disk":
-        return TWO_PI * body.radius
-    return polygon_perimeter(body.vertices)
+    """Perimeter of the closed polygon through the feature points plus
+    2 pi r: twice the length of a segment."""
+    return polygon_perimeter(body.points) + TWO_PI * body.radius
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._kernels import fibonacci_sphere, sweep
+from ._kernels import fibonacci_sphere, gap_profile, sweep
 from .bodies import (
     EPS,
     ConvexBody,
@@ -126,31 +126,20 @@ def _as_bodies(family) -> list[ConvexBody]:
     return list(family)
 
 
-def _facet_normals(b: ConvexBody) -> np.ndarray:
-    """Outward edge normals of a polygon or segment, none for other bodies."""
-    if b.kind == "segment":
-        return unit(perp(b.vertices[1] - b.vertices[0]))[None, :]
-    return polygon_facets(b)[0] if b.kind == "polygon" else np.zeros((0, b.dim))
-
-
 def candidate_directions(family1, family2=None) -> np.ndarray:
-    """Unit directions that contain every locally optimal separation normal.
-
-    Stationary margins run along differences of feature points (disk
-    centers, vertices, _member_features) or along facet normals; all of
-    these are enumerated.
+    """The distinct unit differences of feature points (disk centers,
+    vertices, _member_features) of family2 less those of family1, or of
+    family1 with itself: directions that the sampled d >= 3 searches try
+    besides their sphere points. Margins are often best along some of them,
+    but the list does not hold every locally optimal normal.
     """
     f1 = _as_bodies(family1)
     f2 = f1 if family2 is None else _as_bodies(family2)
     pts1, pts2 = (_member_features(f)[0].reshape(-1, f1[0].dim) for f in (f1, f2))
-    normals = [_facet_normals(b) for b in (f1 if family2 is None else f1 + f2)]
     diffs = (pts2[None, :, :] - pts1[:, None, :]).reshape(-1, pts1.shape[1])
     lens = np.linalg.norm(diffs, axis=1)
     keep = lens > 1e-12
-    out = np.vstack([diffs[keep] / lens[keep, None]] + normals)
-    if len(out) == 0:
-        out = np.array([[1.0, 0.0]])
-    return distinct(out)
+    return distinct(diffs[keep] / lens[keep, None])
 
 
 def separation_margin(plane: Hyperplane, left_bodies, right_bodies) -> float:
@@ -169,18 +158,17 @@ def strictly_separates(plane, left_bodies, right_bodies, tol: float = EPS) -> bo
 
 
 def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
-    """Feature points per member, (n, k, 2), and each member's radius.
+    """Feature points per member, (n, k, d), and each member's radius
+    (ConvexBody.points, ConvexBody.radius).
 
-    Disks contribute their center, other bodies their vertices. Members with
-    fewer than k features repeat their first one, which leaves every max and
-    min over a member's features unchanged.
+    Members with fewer than k features repeat their first one, which leaves
+    every max and min over a member's features unchanged.
     """
-    feats = [b.center[None, :] if b.kind == "disk" else b.vertices for b in bodies]
+    feats = [b.points for b in bodies]
     pts = np.empty((len(feats), max(map(len, feats)), feats[0].shape[1]))
     for row, f in zip(pts, feats):
         row[: len(f)], row[len(f) :] = f, f[0]
-    rad = np.array([b.radius if b.kind == "disk" else 0.0 for b in bodies])
-    return pts, rad
+    return pts, np.array([b.radius for b in bodies])
 
 
 def _reference_features(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +177,9 @@ def _reference_features(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reference_table(body: ConvexBody) -> np.ndarray:
-    """_pair_table of a planar reference's features (_member_features: a
-    disk's center, a polygon's vertices), computed once per body."""
-    return _derived(
-        body, "_pair_table", lambda b: _pair_table(b.center[None, :] if b.kind == "disk" else b.vertices)
-    )
+    """_pair_table of a planar reference's feature points, computed once per
+    body."""
+    return _derived(body, "_pair_table", lambda b: _pair_table(b.points))
 
 
 def _difference_body(body: ConvexBody) -> ConvexBody:
@@ -736,12 +722,13 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         mids = np.remainder(mids + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
 
-    def intervals(u):
+    def profile(u):
         if not homothets:
-            return _project(u, pts, rad)
+            lo, hi = _project(u, pts, rad)
+            return (lo, hi) + sweep(lo, hi)
         lo_k, hi_k = _project(u, ref, ref_rad)
-        along = u[:, :1] * family.centers[:, 0] + u[:, 1:] * family.centers[:, 1]
-        return along + family.ratios * lo_k, along + family.ratios * hi_k
+        cx, cy = family.centers.T
+        return gap_profile(cx, cy, family.ratios, hi_k[:, 0], -lo_k[:, 0], u[:, 0], u[:, 1])
 
     # the widest gap along each direction, directions in blocks of about
     # _BLOCK intervals; the first direction where it is widest keeps its
@@ -749,8 +736,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     widest, best = -math.inf, None
     step = max(1, _BLOCK // n)
     for s in range(0, len(dirs), step):
-        lo, hi = intervals(dirs[s : s + step])
-        order, gaps = sweep(lo, hi)
+        lo, hi, order, gaps = profile(dirs[s : s + step])
         row = gaps.max(axis=1)
         k = int(np.argmax(row))
         if row[k] > widest:
@@ -868,8 +854,7 @@ def _translate_gauges(reference: ConvexBody, centers: np.ndarray, reach: float, 
 
 def _axis_extents(body: ConvexBody) -> np.ndarray:
     """Largest |<a, x>| over the body, one per row a of _AXES."""
-    feats = body.center[None, :] if body.kind == "disk" else body.vertices
-    return np.abs(feats @ _AXES.T).max(axis=0) + body.radius
+    return np.abs(body.points @ _AXES.T).max(axis=0) + body.radius
 
 
 def _x_units(shape) -> np.ndarray:

@@ -8,6 +8,16 @@ import numpy as np
 
 from .bodies import ConvexBody, HomothetFamily
 
+# the image width in pixels, the margin per unit of the drawing's extent, the
+# stroke width and dot radius per unit of the padded extent, the dot colour
+# and the rim segments of a cap
+PX = 640
+MARGIN = 0.06
+STROKE = 0.0035
+DOT = 0.008
+DOT_COLOR = "#d62728"
+RIM_SEGMENTS = 64
+
 
 def _fmt(x: float) -> str:
     s = f"{float(x):.6g}"
@@ -27,87 +37,73 @@ class Drawing:
         self._lo = np.minimum(self._lo, pts.min(axis=0) - pad)
         self._hi = np.maximum(self._hi, pts.max(axis=0) + pad)
 
-    def circle(self, center, radius: float, stroke="#1f77b4", fill="none",
-               dash: str | None = None, width: float | None = None) -> None:
+    def circle(self, center, radius: float, stroke="#1f77b4", dash: str | None = None) -> None:
         c = np.asarray(center, dtype=float)
         self._grow(c, radius)
-        self._shapes.append(("circle", {
-            "cx": c[0], "cy": c[1], "r": radius,
-            "stroke": stroke, "fill": fill, "dash": dash, "width": width,
-        }))
+        self._shapes.append(("circle", {"cx": c[0], "cy": c[1], "r": radius, "stroke": stroke, "dash": dash}))
 
-    def polygon(self, points, stroke="#1f77b4", fill="none",
-                dash: str | None = None, width: float | None = None) -> None:
+    def polygon(self, points, stroke="#1f77b4", dash: str | None = None) -> None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self._grow(pts)
-        self._shapes.append(("polygon", {
-            "points": pts, "stroke": stroke, "fill": fill, "dash": dash, "width": width,
-        }))
+        self._shapes.append(("polygon", {"points": pts, "stroke": stroke, "dash": dash}))
 
-    def polyline(self, points, stroke="#1f77b4",
-                 dash: str | None = None, width: float | None = None) -> None:
+    def polyline(self, points, stroke="#1f77b4", dash: str | None = None) -> None:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(pts) < 2:
             return
         self._grow(pts)
-        self._shapes.append(("polyline", {
-            "points": pts, "stroke": stroke, "fill": "none", "dash": dash, "width": width,
-        }))
+        self._shapes.append(("polyline", {"points": pts, "stroke": stroke, "dash": dash}))
 
-    def segment(self, a, b, stroke="#444444",
-                dash: str | None = None, width: float | None = None) -> None:
-        self.polyline(np.array([a, b], dtype=float), stroke=stroke, dash=dash, width=width)
+    def segment(self, a, b, stroke="#444444") -> None:
+        self.polyline(np.array([a, b], dtype=float), stroke=stroke)
 
-    def dot(self, p, color="#d62728", radius: float | None = None) -> None:
+    def dot(self, p) -> None:
         c = np.asarray(p, dtype=float)
         self._grow(c)
-        self._shapes.append(("dot", {"cx": c[0], "cy": c[1], "r": radius, "fill": color}))
+        self._shapes.append(("dot", {"cx": c[0], "cy": c[1]}))
 
     def body(self, body: ConvexBody, **kw) -> None:
         if body.kind == "disk":
             self.circle(body.center, body.radius, **kw)
         elif body.kind == "segment":
-            kw.pop("fill", None)
             self.polyline(body.vertices, **kw)
         else:
             self.polygon(body.vertices, **kw)
 
-    def to_svg(self, px: int = 640, margin: float = 0.06) -> str:
+    def to_svg(self) -> str:
         if not np.isfinite(self._lo).all():
             self._lo, self._hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         span = self._hi - self._lo
-        pad = margin * float(max(span.max(), 1e-9))
+        pad = MARGIN * float(max(span.max(), 1e-9))
         lo, hi = self._lo - pad, self._hi + pad
         w, h = hi - lo
         scale = max(w, h)
-        stroke_default = 0.0035 * scale
-        dot_default = 0.008 * scale
+        width = STROKE * scale
         # flip y so the viewBox y-axis points up in model terms
         head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{px}" '
-            f'height="{int(round(px * h / w))}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PX}" '
+            f'height="{int(round(PX * h / w))}" '
             f'viewBox="{_fmt(lo[0])} {_fmt(-hi[1])} {_fmt(w)} {_fmt(h)}">\n'
             '<g transform="scale(1,-1)">\n'
         )
         rows = []
         for tag, a in self._shapes:
-            width = a.get("width") or stroke_default
             dash = f' stroke-dasharray="{_fmt(4 * width)} {_fmt(3 * width)}"' if a.get("dash") else ""
             if tag == "circle":
                 rows.append(
                     f'<circle cx="{_fmt(a["cx"])}" cy="{_fmt(a["cy"])}" r="{_fmt(a["r"])}" '
-                    f'stroke="{a["stroke"]}" fill="{a["fill"]}" '
+                    f'stroke="{a["stroke"]}" fill="none" '
                     f'stroke-width="{_fmt(width)}"{dash}/>'
                 )
             elif tag == "dot":
                 rows.append(
                     f'<circle cx="{_fmt(a["cx"])}" cy="{_fmt(a["cy"])}" '
-                    f'r="{_fmt(a["r"] or dot_default)}" fill="{a["fill"]}" stroke="none"/>'
+                    f'r="{_fmt(DOT * scale)}" fill="{DOT_COLOR}" stroke="none"/>'
                 )
             else:
                 pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in a["points"])
                 rows.append(
-                    f'<{tag} points="{pts}" stroke="{a["stroke"]}" fill="{a["fill"]}" '
+                    f'<{tag} points="{pts}" stroke="{a["stroke"]}" fill="none" '
                     f'stroke-width="{_fmt(width)}" stroke-linejoin="round"{dash}/>'
                 )
         return head + "\n".join(rows) + "\n</g>\n</svg>\n"
@@ -128,26 +124,26 @@ def family_drawing(family: HomothetFamily, cover=None, contacts=None) -> Drawing
     return dr
 
 
-def _cap_rim(center: np.ndarray, radius: float, segments: int = 64) -> np.ndarray:
+def _cap_rim(center: np.ndarray, radius: float) -> np.ndarray:
     c = np.asarray(center, dtype=float)
     c = c / np.linalg.norm(c)
     a = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(c, a)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(c, e1)
-    th = np.linspace(0.0, 2.0 * math.pi, segments + 1)
+    th = np.linspace(0.0, 2.0 * math.pi, RIM_SEGMENTS + 1)
     return (
         math.cos(radius) * c[None, :]
         + math.sin(radius) * (np.cos(th)[:, None] * e1[None, :] + np.sin(th)[:, None] * e2[None, :])
     )
 
 
-def caps_drawing(caps, segments: int = 64) -> Drawing:
+def caps_drawing(caps) -> Drawing:
     """Orthographic view of spherical caps from +z; hidden arcs are dashed."""
     dr = Drawing()
     dr.circle((0.0, 0.0), 1.0, stroke="#888888")
     for cap in caps:
-        rim = _cap_rim(cap.center, cap.radius, segments)
+        rim = _cap_rim(cap.center, cap.radius)
         front = rim[:, 2] >= 0.0
         runs: list[list[int]] = []
         for k in range(len(rim)):

@@ -108,6 +108,17 @@ def test_check_ns_provenance_sampled_in_3d(tmp_path, capsys):
         assert payload["provenance"] == {"method": "direction-search", "samples": swept}
 
 
+def test_check_ns_three_dimensional_segments(tmp_path, capsys):
+    """Collinear unit segments in space that overlap are NS by the sampled
+    search."""
+    segs = write_json(tmp_path / "segs.json", {
+        "body": {"type": "segment", "vertices": [[0, 0, 0], [1, 0, 0]]},
+        "centers": [[0, 0, 0], [0.5, 0, 0]],
+    })
+    code, payload = run(["check-ns", segs], capsys)
+    assert code == 0 and payload["non_separable"] is True and payload["approximate"] is True
+
+
 def test_cover(chain_file, tmp_path, capsys):
     code, payload = run(["cover", chain_file], capsys)
     assert code == 0

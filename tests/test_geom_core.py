@@ -1,5 +1,6 @@
 """Bodies, support functions, sizes, parallelograms, Minkowski arithmetic."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -518,6 +519,37 @@ def test_degenerate_guards():
         size_report(seg)
     with pytest.raises(GeometryError):
         min_area_parallelogram(seg)
+
+
+def test_a_body_is_its_points_plus_a_radius():
+    """A disk's feature point is its center, a read-only view; every other
+    kind's are its vertices at radius 0. degenerate follows from the kind
+    and is no field."""
+    assert [f.name for f in dataclasses.fields(ConvexBody)] == ["kind", "center", "radius", "vertices"]
+    with pytest.raises(TypeError):
+        ConvexBody(kind="segment", vertices=np.eye(2), degenerate=True)
+    disk = ConvexBody.disk((0.5, -2.0), 1.25)
+    assert disk.points.shape == (1, 2) and disk.points.base is disk.center
+    assert not disk.points.flags.writeable
+    seg = ConvexBody.segment((0, 0, 0), (3, 4, 0))
+    for body in (disk, SQUARE, seg, ConvexBody.polytope(np.eye(3))):
+        assert body.degenerate is (body is seg)
+        assert body.dim == body.points.shape[1]
+    assert SQUARE.points is SQUARE.vertices and SQUARE.radius == 0.0
+    assert (area(seg), perimeter(seg)) == (0.0, 10.0)
+    assert area(disk) == math.pi * 1.25**2 and perimeter(disk) == 2.0 * math.pi * 1.25
+
+
+def test_transform_defaults_to_no_translation_in_any_dimension():
+    cube = ConvexBody.polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    assert (cube.transform(np.eye(3)).vertices == cube.vertices).all()
+    turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    fam = HomothetFamily(cube, [[0.0, 0.0, 0.0], [2.0, 1.0, 3.0]], [1.0, 0.5])
+    moved = fam.transform(turn)
+    assert moved.centers.tolist() == [[0.0, 0.0, 0.0], [-1.0, 2.0, 3.0]]
+    assert (moved.reference.vertices == cube.vertices @ turn.T).all()
+    assert fam.transform(turn, (1.0, 1.0, 1.0)).centers.tolist() == [[1.0, 1.0, 1.0], [0.0, 3.0, 4.0]]
+    assert (SQUARE.transform(np.eye(2)).vertices == SQUARE.vertices).all()
 
 
 def test_centroid_and_area_far_from_the_origin(rng):

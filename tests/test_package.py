@@ -59,7 +59,6 @@ def test_public_names_are_their_submodules_objects():
 # reasons but need no entry, since find_separating_hyperplane and
 # strictly_separates call them
 NO_LIBRARY_CALLER = {
-    "gap_profile": "verdictbench/tracing.py traces it as a layer",
     "strictly_separates": "tests re-check separation certificates with it",
     "circle_avoids_cap": "tests re-check cap circles with it",
 }

@@ -1220,3 +1220,27 @@ def test_segment_references_answer_as_recorded():
     three = is_non_separable(HomothetFamily(tilted, [[0.0, 0.0], [0.5, 0.0], [3.0, 3.0]]))
     assert (three.non_separable, three.directions_checked) == (False, 6)
     assert is_non_separable(HomothetFamily(tilted, [[0.0, 0.0], [0.5, 0.1]])).non_separable
+
+
+def test_three_dimensional_segments_are_decided():
+    """Segments in space are priced by their endpoints alone: two parallel
+    unit segments 2 apart along z are split along their offset, 1 clear of
+    each, and two that cross are NS."""
+    low, high = ConvexBody.segment((0, 0, 0), (1, 0, 0)), ConvexBody.segment((0, 0, 2), (1, 0, 2))
+    dec = is_non_separable([low, high])
+    assert not dec.non_separable and dec.approximate
+    assert {dec.witness.left, dec.witness.right} == {(0,), (1,)}
+    assert dec.witness.margin == pytest.approx(1.0, abs=1e-12)
+    cert = find_separating_hyperplane([low], [high])
+    assert cert is not None and strictly_separates(cert.plane, [low], [high])
+    assert cert.margin == pytest.approx(1.0, abs=1e-12)
+    assert kirchberger_reduce([low], [high]).separable
+    assert not is_sns([low, high]).is_sns
+
+    a, b = ConvexBody.segment((-1, 0, 0), (1, 0, 0)), ConvexBody.segment((0, -1, 0), (0, 1, 0))
+    dec = is_non_separable([a, b])
+    assert dec.non_separable and dec.witness is None and dec.approximate
+    assert find_separating_hyperplane([a], [b]) is None
+    red = kirchberger_reduce([a], [b])
+    assert not red.separable and red.witness == ((0,), (0,))
+    assert is_sns([a, b]) == separability.SNSResult(True, (0, 1))
