@@ -24,6 +24,12 @@ _EXPORTS = {
         "minkowski_norm",
         "support",
     ),
+    "bounds": (
+        "brute_force_lattice_contact",
+        "crystallization_bound",
+        "lattice_contact_bounds",
+        "separable_tammes",
+    ),
     "covering": (
         "build_triangle_counterexample",
         "facet_parallel_cover_check",
@@ -56,6 +62,7 @@ _EXPORTS = {
         "min_area_parallelogram",
         "mixed_area",
         "perimeter",
+        "separable_packing_density",
         "size_report",
     ),
     "packing": (
@@ -63,18 +70,14 @@ _EXPORTS = {
         "PlaneCut",
         "TranslatePacking",
         "area_bound_check",
-        "brute_force_lattice_contact",
         "contact_graph",
-        "crystallization_bound",
         "difference_body",
         "kertesz_check",
-        "lattice_contact_bounds",
         "minkowski_length",
         "oler_check",
         "polyomino_packing",
         "radon_mixed_area_check",
         "rogers_sigma",
-        "separable_packing_density",
         "simplex_vertices",
         "sns_perimeter_check",
         "three_disk_extrema",
@@ -104,7 +107,6 @@ _EXPORTS = {
         "enclosing_cap",
         "is_ts_cap_packing",
         "octahedral_packing",
-        "separable_tammes",
         "zones_cover_check",
     ),
 }

@@ -1,19 +1,98 @@
 """Shared numeric kernels and helpers, vectorized numpy but for one event loop.
 
-One home for the pieces several modules use: the interval sweep behind
-every gap computation over directions, the Fibonacci sphere of the sampled
-d >= 3 searches, the blocks of index triples behind the spherical support
-sets, the kinetic collapse of facet lines behind the exact cover and inradius,
-the homothet gap profile, the sample count of Rogers' simplex density and the
-pole margins of the spherical checks.
+One home for the pieces several modules use, so that each module imports
+only what it reads: ``measures`` and ``covering`` take their feature,
+projection and fan helpers from here, not from ``separability``, and
+nothing here imports ``bodies``. Here are the sort-based distinct values,
+the feature points of members, the tolerance of a bounding box, the
+projection of members onto directions, the interval sweep behind every gap
+computation over directions, the normal fans of polygons, the Fibonacci
+sphere of the sampled d = 3 searches, the blocks of index triples behind
+the spherical support sets, the kinetic collapse of facet lines behind the
+exact cover and inradius, the homothet gap profile, the sample count of
+Rogers' simplex density and the pole margins of the spherical checks.
 """
 
 import heapq
 import math
+import operator
 
 import numpy as np
 
-from .bodies import GeometryError
+from ._errors import GeometryError
+
+TWO_PI = 2.0 * math.pi
+# pair and projection temporaries are built in blocks of about this many entries
+_BLOCK = 1 << 16
+_MACHINE_EPS = np.finfo(float).eps
+# round-off allowed per unit of the largest |coordinate| in a tolerance
+_ROUND_OFF = 64.0 * float(_MACHINE_EPS)
+
+
+def distinct(a) -> np.ndarray:
+    """The distinct values of a 1-D array, or the distinct rows of a 2-D one,
+    sorted (rows lexicographically, first column first): np.unique(a), and
+    np.unique(a, axis=0), on values free of NaN.
+
+    np.unique without return flags, np.union1d and np.setdiff1d import
+    numpy.ma on first use (about 14 ms and 1.3 MB in a cold process). A 1-D
+    array is sorted as np.unique sorts it, so the result is the same to the
+    bit. Of rows equal but for the sign of a zero the first in a is kept,
+    where np.unique may keep another.
+    """
+    a = np.asarray(a)
+    if a.ndim == 1:
+        a = np.sort(a)
+        new = a[1:] != a[:-1]
+    else:
+        a = a[np.lexsort(a.T[::-1])]
+        new = (a[1:] != a[:-1]).any(axis=1)
+    return a[np.concatenate([[True], new])] if len(a) else a
+
+
+def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
+    """Feature points per member, (n, k, d), and each member's radius
+    (ConvexBody.points, ConvexBody.radius).
+
+    Members with fewer than k features repeat their first one, which leaves
+    every max and min over a member's features unchanged.
+    """
+    feats = [b.points for b in bodies]
+    pts = np.empty((len(feats), max(map(len, feats)), feats[0].shape[1]))
+    for row, f in zip(pts, feats):
+        row[: len(f)], row[len(f) :] = f, f[0]
+    return pts, np.array([b.radius for b in bodies])
+
+
+def _box_tol(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
+    """tol times min(1, longest side of the bounding box [lo, hi]), plus the
+    round-off of its largest |coordinate|, which outgrows tol alone above
+    unit extent."""
+    lo, hi = lo.tolist(), hi.tolist()
+    extent = max(map(operator.sub, hi, lo))
+    return tol * min(1.0, extent) + _ROUND_OFF * max(max(hi), -min(lo))
+
+
+def _project(u, pts, rad) -> tuple[np.ndarray, np.ndarray]:
+    """Intervals lo, hi, each (D, ...), of the members with features pts
+    (..., k, d) and radii rad (...) along the unit directions u (D, d).
+
+    Summed coordinate by coordinate, elementwise, so a direction's intervals
+    do not depend on the other directions; directions go in blocks of about
+    _BLOCK feature entries.
+    """
+    lo = np.empty((len(u),) + rad.shape)
+    hi = np.empty_like(lo)
+    v = u.reshape((len(u),) + (1,) * (pts.ndim - 1) + (u.shape[1],))
+    step = max(1, _BLOCK // pts[..., 0].size)
+    for s in range(0, len(u), step):
+        w = v[s : s + step]
+        proj = w[..., 0] * pts[..., 0]
+        for c in range(1, pts.shape[-1]):
+            proj += w[..., c] * pts[..., c]
+        lo[s : s + step] = proj.min(axis=-1) - rad
+        hi[s : s + step] = proj.max(axis=-1) + rad
+    return lo, hi
 
 
 def sweep(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,6 +109,21 @@ def sweep(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = order + (los.shape[-1] * np.arange(rows)).reshape(los.shape[:-1] + (1,))
     cover = np.maximum.accumulate(np.take(his, flat), axis=-1)
     return order, np.take(los, flat)[..., 1:] - cover[..., :-1]
+
+
+def _inward_rays(v: np.ndarray) -> np.ndarray:
+    """Angles of the inward edge normals of the counter-clockwise polygon v,
+    the rays of the normal fan of -v."""
+    edges = np.diff(v, axis=0, append=v[:1])
+    return np.arctan2(edges[:, 0], -edges[:, 1])
+
+
+def _fan_mids(*rays) -> np.ndarray:
+    """One angle inside each cell of the common refinement of the normal
+    fans with these rays: the midpoint after each distinct ray mod 2 pi, in
+    increasing order."""
+    ends = distinct(np.remainder(np.concatenate(rays), TWO_PI))
+    return 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
 
 
 def fibonacci_sphere(m: int) -> np.ndarray:

@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._errors import GeometryError
+from ._kernels import distinct
+
 EPS = 1e-9
 # first-order error of a cross product of differences of rounded
 # coordinates, per unit of largest |coordinate| times extent
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-
-
-class GeometryError(ValueError):
-    """Raised for invalid geometric input (degenerate, asymmetric, ...)."""
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -62,27 +61,6 @@ def unit(v) -> np.ndarray:
 def perp(v) -> np.ndarray:
     """Rotate a planar vector by +90 degrees."""
     return np.array([-v[1], v[0]], dtype=float)
-
-
-def distinct(a) -> np.ndarray:
-    """The distinct values of a 1-D array, or the distinct rows of a 2-D one,
-    sorted (rows lexicographically, first column first): np.unique(a), and
-    np.unique(a, axis=0), on values free of NaN.
-
-    np.unique without return flags, np.union1d and np.setdiff1d import
-    numpy.ma on first use (about 14 ms and 1.3 MB in a cold process). A 1-D
-    array is sorted as np.unique sorts it, so the result is the same to the
-    bit. Of rows equal but for the sign of a zero the first in a is kept,
-    where np.unique may keep another.
-    """
-    a = np.asarray(a)
-    if a.ndim == 1:
-        a = np.sort(a)
-        new = a[1:] != a[:-1]
-    else:
-        a = a[np.lexsort(a.T[::-1])]
-        new = (a[1:] != a[:-1]).any(axis=1)
-    return a[np.concatenate([[True], new])] if len(a) else a
 
 
 def _strict_hull(points: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Command line checks for separability, covering, packing, and density."""
+"""Command line checks for separability, covering, packing, and density.
+
+This module loads neither numpy nor ``bodies``: each subcommand imports
+what it reads when it runs (see the note above the subcommands).
+"""
 
 from __future__ import annotations
 
@@ -10,17 +14,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 
-import numpy as np
-
-from .bodies import (
-    ConvexBody,
-    GeometryError,
-    Homothet,
-    HomothetFamily,
-    body_from_json,
-    body_to_json,
-    family_from_json,
-)
+from ._errors import GeometryError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -37,7 +31,12 @@ def _load(path: str) -> dict:
         raise GeometryError(f"cannot read {path}: {exc}") from exc
 
 
-def _family(obj: dict) -> HomothetFamily:
+def _family(obj: dict):
+    """The HomothetFamily of an input object."""
+    import numpy as np
+
+    from .bodies import HomothetFamily, body_from_json, family_from_json
+
     if "members" in obj:
         return family_from_json(obj)
     if "body" in obj and "centers" in obj:
@@ -50,6 +49,8 @@ def _family(obj: dict) -> HomothetFamily:
 
 
 def _caps(obj: dict) -> list:
+    import numpy as np
+
     from .spherical import Cap
 
     try:
@@ -61,16 +62,15 @@ def _caps(obj: dict) -> list:
 
 def _jsonify(x):
     """x as JSON values. A report (a dataclass) gives its fields in order,
-    then the provenance it records, when it has one."""
+    then the provenance it records, when it has one. A numpy array or
+    scalar gives its .tolist(), Python values, with no numpy import here."""
     if is_dataclass(x):
         out = {f.name: _jsonify(getattr(x, f.name)) for f in fields(x)}
         if hasattr(x, "provenance"):
             out["provenance"] = _jsonify(x.provenance)
         return out
-    if isinstance(x, np.ndarray):
+    if hasattr(x, "tolist"):
         return x.tolist()
-    if isinstance(x, np.generic):
-        return x.item()
     if isinstance(x, Mapping):
         return {str(k): _jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -119,10 +119,13 @@ def _emit(args, report, drawing=None, by=None, **keys) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Each subcommand imports the submodules it reads, and no others, before it
-# reads its input: compiled first, their scratch memory is reused by the
-# numpy modules that building the input loads, which lowers a cold call's
-# peak RSS by up to 1.5 MB.
+# Each subcommand imports the submodules it reads, and no others, and numpy
+# only through them. A cold process with no bytecode cache compiles every
+# module it imports, so lattice and tammes, which read only the closed forms
+# of bounds, load no numpy, and density and cover load no separability.
+# The submodules come before the input is read: compiled first, their
+# scratch memory is reused by the numpy modules that building the input
+# loads, which lowers a cold call's peak RSS by up to 1.5 MB.
 
 
 def cmd_check_ns(args) -> int:
@@ -138,6 +141,7 @@ def cmd_check_ns(args) -> int:
 
 def cmd_cover(args) -> int:
     from . import covering
+    from .bodies import Homothet
 
     fam = _family(_load(args.input))
     gg = covering.goodman_goodman_cover(fam, tol=args.tolerance)
@@ -177,6 +181,8 @@ def cmd_rho_sep(args) -> int:
 
 
 def cmd_oler(args) -> int:
+    import numpy as np
+
     from . import packing
 
     obj = _load(args.input)
@@ -194,7 +200,10 @@ def cmd_oler(args) -> int:
     return EXIT_OK if rep.holds() else EXIT_VIOLATED
 
 
-def _named_body(name: str) -> ConvexBody:
+def _named_body(name: str):
+    """The ConvexBody that --body names."""
+    from .bodies import ConvexBody, body_from_json
+
     if name == "disk":
         return ConvexBody.disk((0.0, 0.0), 1.0)
     if name == "square":
@@ -207,55 +216,61 @@ def _named_body(name: str) -> ConvexBody:
 
 
 def cmd_density(args) -> int:
-    from . import packing
-    from .measures import area, min_area_parallelogram
+    from .bodies import body_to_json
+    from .measures import area, min_area_parallelogram, separable_packing_density
 
     body = _named_body(args.body)
     fit = min_area_parallelogram(body)
     _emit(args, {"body": body_to_json(body), "area": area(body), "pgram_area": fit.area,
-                 "separable_density": packing.separable_packing_density(body)}, by=fit)
+                 "separable_density": separable_packing_density(body)}, by=fit)
     return EXIT_OK
 
 
 def cmd_contact(args) -> int:
     from . import packing
+    from .bounds import crystallization_bound
 
     fam = _family(_load(args.input))
     g = packing.contact_graph(fam.reference, fam.centers, tol=args.tolerance)
     n = len(fam)
-    bound = packing.crystallization_bound(n) if n >= 1 else 0
+    bound = crystallization_bound(n) if n >= 1 else 0
     _emit(args, g, lambda svg: svg.family_drawing(fam, contacts=g.edges), n=n, contacts=g.count,
           square_lattice_bound=bound, within_bound=g.count <= bound)
     return EXIT_OK if g.count <= bound else EXIT_VIOLATED
 
 
 def cmd_lattice(args) -> int:
-    from . import packing
+    from . import bounds
 
-    lb = packing.lattice_contact_bounds(args.d, args.n)
+    lb = bounds.lattice_contact_bounds(args.d, args.n)
     payload: dict = {"n": args.n, "d": args.d, "lattice_bounds": lb}
     by = lb
     if args.d == 2:
-        payload["max_contacts"] = packing.crystallization_bound(args.n)
+        payload["max_contacts"] = bounds.crystallization_bound(args.n)
         if args.brute:
             if args.n > 12:
                 raise GeometryError("exhaustive search is limited to 12 cells")
-            by = packing.brute_force_lattice_contact(args.n)
+            by = bounds.brute_force_lattice_contact(args.n)
             payload["brute_force_max"] = by.max_contacts
             payload["polyomino_counts"] = by.counts
-    elif (args.mode or packing.crystallization_mode(args.d)) == "rogers":
-        by = packing.rogers_sigma(args.d, samples=args.samples, seed=args.seed)
+    elif (args.mode or bounds.crystallization_mode(args.d)) == "rogers":
+        # the one branch that samples, and so the one that loads numpy
+        from .packing import rogers_sigma
+
+        by = rogers_sigma(args.d, samples=args.samples, seed=args.seed)
         payload["simplex_density"] = by
-        payload["max_contacts"] = packing.crystallization_bound(
+        payload["max_contacts"] = bounds.crystallization_bound(
             args.n, d=args.d, mode="rogers", density=by.value
         )
     else:
-        payload["max_contacts"] = packing.crystallization_bound(args.n, d=args.d, mode="hales")
+        payload["max_contacts"] = bounds.crystallization_bound(args.n, d=args.d, mode="hales")
     _emit(args, payload, by=by)
     return EXIT_OK
 
 
 def cmd_kertesz(args) -> int:
+    import numpy as np
+
     from . import packing
 
     obj = _load(args.input)
@@ -326,9 +341,9 @@ def cmd_caps(args) -> int:
 
 
 def cmd_tammes(args) -> int:
-    from . import spherical
+    from .bounds import separable_tammes
 
-    _emit(args, spherical.separable_tammes(args.k))
+    _emit(args, separable_tammes(args.k))
     return EXIT_OK
 
 
@@ -350,6 +365,8 @@ def cmd_lambda_density(args) -> int:
 
 
 def cmd_extremal_3disks(args) -> int:
+    import numpy as np
+
     from . import packing
 
     rep = packing.three_disk_extrema()

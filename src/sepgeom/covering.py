@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import collapse, sweep
+from ._kernels import _box_tol, _project, collapse, sweep
 from .bodies import (
     EPS,
     ConvexBody,
@@ -29,7 +29,6 @@ from .measures import (
     hull_perimeter,
     perimeter,
 )
-from .separability import _box_tol, _project, is_non_separable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -201,6 +200,9 @@ def hadwiger_check(family, tol: float = EPS) -> HadwigerReport:
     The family must be planar and non-separable, otherwise the bounds do
     not apply and this raises. All three hull measures are exact.
     """
+    # the covers read no separability, so only this check loads it
+    from .separability import is_non_separable
+
     homothets = isinstance(family, HomothetFamily)
     bodies = family.bodies() if homothets else list(family)
     _require_planar(bodies, "hadwiger_check")

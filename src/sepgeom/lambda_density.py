@@ -13,7 +13,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .bodies import GeometryError
+from ._errors import GeometryError
 
 PI = math.pi
 

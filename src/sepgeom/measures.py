@@ -2,7 +2,8 @@
 
 Covers the classical quantities (area, perimeter, diameter, circumradius,
 inradius, minimal width, mean width), the smallest circumscribed
-parallelogram, mixed areas, and parallel-body areas.
+parallelogram and the separable packing density it gives, mixed areas, and
+parallel-body areas.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ from .bodies import (
     _derived,
     _freeze,
     _strict_hull,
-    distinct,
     polygon_facets,
     raw_support,
     support_batch,
 )
-from ._kernels import collapse
-from .separability import _BLOCK, _fan_mids, _inward_rays, _member_features
-
-TWO_PI = 2.0 * math.pi
+from ._kernels import _BLOCK, TWO_PI, _fan_mids, _inward_rays, _member_features, collapse, distinct
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -44,14 +41,24 @@ def polygon_perimeter(vertices: np.ndarray) -> float:
     return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
 
 
+def _require_flat(body: ConvexBody, op: str) -> None:
+    """Raise for a polytope, the one kind that lies in no plane (a segment
+    lies in one in any dimension)."""
+    if body.kind == "polytope":
+        raise GeometryError(f"{op} supports planar bodies only")
+
+
 def area(body: ConvexBody) -> float:
-    """Area of the hull of the feature points plus pi r^2: 0 for a segment."""
+    """Area of the hull of the feature points plus pi r^2: 0 for a segment.
+    A polytope raises GeometryError."""
+    _require_flat(body, "area")
     return abs(polygon_area(body.points)) + math.pi * body.radius**2
 
 
 def perimeter(body: ConvexBody) -> float:
     """Perimeter of the closed polygon through the feature points plus
-    2 pi r: twice the length of a segment."""
+    2 pi r: twice the length of a segment. A polytope raises GeometryError."""
+    _require_flat(body, "perimeter")
     return polygon_perimeter(body.points) + TWO_PI * body.radius
 
 
@@ -189,8 +196,7 @@ class SizeReport:
 
 def size_report(body: ConvexBody) -> SizeReport:
     body.require_full_dimensional("size_report")
-    if body.kind == "polytope":
-        raise GeometryError("size_report supports planar bodies")
+    _require_flat(body, "size_report")
     per = perimeter(body)
     if body.kind == "disk":
         r = body.radius
@@ -290,6 +296,16 @@ def _parallelogram(body: ConvexBody) -> ParallelogramFit:
     his = np.array([raw_support(body, n) for n in pair])
     los = np.array([-raw_support(body, -n) for n in pair])
     return ParallelogramFit(pair, los, his, float(areas[k1, k2]))
+
+
+def separable_packing_density(body: ConvexBody) -> float:
+    """Largest density of a totally separable packing by translates of K.
+
+    Equals area(K) divided by the area of the smallest parallelogram
+    circumscribed about K; a disk gives pi/4.
+    """
+    body.require_full_dimensional("packing density")
+    return area(body) / min_area_parallelogram(body).area
 
 
 # ---------------------------------------------------------------------------

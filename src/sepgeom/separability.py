@@ -16,7 +16,21 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._kernels import fibonacci_sphere, gap_profile, sweep
+from ._kernels import (
+    _BLOCK,
+    _MACHINE_EPS,
+    _ROUND_OFF,
+    TWO_PI,
+    _box_tol,
+    _fan_mids,
+    _inward_rays,
+    _member_features,
+    _project,
+    distinct,
+    fibonacci_sphere,
+    gap_profile,
+    sweep,
+)
 from .bodies import (
     EPS,
     ConvexBody,
@@ -28,14 +42,11 @@ from .bodies import (
     _gauges,
     _require_planar,
     _strict_hull,
-    distinct,
     perp,
     polygon_facets,
     raw_support,
     unit,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,7 @@ def _as_bodies(family) -> list[ConvexBody]:
 def candidate_directions(family1, family2=None) -> np.ndarray:
     """The distinct unit differences of feature points (disk centers,
     vertices, _member_features) of family2 less those of family1, or of
-    family1 with itself: directions that the sampled d >= 3 searches try
+    family1 with itself: directions that the sampled d = 3 searches try
     besides their sphere points. Margins are often best along some of them,
     but the list does not hold every locally optimal normal.
     """
@@ -155,20 +166,6 @@ def separation_margin(plane: Hyperplane, left_bodies, right_bodies) -> float:
 
 def strictly_separates(plane, left_bodies, right_bodies, tol: float = EPS) -> bool:
     return separation_margin(plane, left_bodies, right_bodies) > tol
-
-
-def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
-    """Feature points per member, (n, k, d), and each member's radius
-    (ConvexBody.points, ConvexBody.radius).
-
-    Members with fewer than k features repeat their first one, which leaves
-    every max and min over a member's features unchanged.
-    """
-    feats = [b.points for b in bodies]
-    pts = np.empty((len(feats), max(map(len, feats)), feats[0].shape[1]))
-    for row, f in zip(pts, feats):
-        row[: len(f)], row[len(f) :] = f, f[0]
-    return pts, np.array([b.radius for b in bodies])
 
 
 def _reference_features(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
@@ -204,51 +201,11 @@ def _symmetral(body: ConvexBody) -> ConvexBody:
     return ConvexBody(kind="polygon", vertices=_freeze(_strict_hull(v[rows[:, 1]] - v[rows[:, 0]])))
 
 
-_MACHINE_EPS = np.finfo(float).eps
-# round-off allowed per unit of the largest |coordinate| in a tolerance
-_ROUND_OFF = 64.0 * float(_MACHINE_EPS)
-
-
-def _box_tol(lo: np.ndarray, hi: np.ndarray, tol: float) -> float:
-    """tol times min(1, longest side of the bounding box [lo, hi]), plus the
-    round-off of its largest |coordinate|, which outgrows tol alone above
-    unit extent."""
-    lo, hi = lo.tolist(), hi.tolist()
-    extent = max(map(operator.sub, hi, lo))
-    return tol * min(1.0, extent) + _ROUND_OFF * max(max(hi), -min(lo))
-
-
 def _scaled_tol(pts: np.ndarray, rad: np.ndarray, tol: float) -> float:
     """_box_tol of the members' union."""
     hi = (pts.max(axis=1) + rad[:, None]).max(axis=0)
     lo = (pts.min(axis=1) - rad[:, None]).min(axis=0)
     return _box_tol(lo, hi, tol)
-
-
-# pair and projection temporaries are built in blocks of about this many entries
-_BLOCK = 1 << 16
-
-
-def _project(u, pts, rad) -> tuple[np.ndarray, np.ndarray]:
-    """Intervals lo, hi, each (D, ...), of the members with features pts
-    (..., k, d) and radii rad (...) along the unit directions u (D, d).
-
-    Summed coordinate by coordinate, elementwise, so a direction's intervals
-    do not depend on the other directions; directions go in blocks of about
-    _BLOCK feature entries.
-    """
-    lo = np.empty((len(u),) + rad.shape)
-    hi = np.empty_like(lo)
-    v = u.reshape((len(u),) + (1,) * (pts.ndim - 1) + (u.shape[1],))
-    step = max(1, _BLOCK // pts[..., 0].size)
-    for s in range(0, len(u), step):
-        w = v[s : s + step]
-        proj = w[..., 0] * pts[..., 0]
-        for c in range(1, pts.shape[-1]):
-            proj += w[..., c] * pts[..., c]
-        lo[s : s + step] = proj.min(axis=-1) - rad
-        hi[s : s + step] = proj.max(axis=-1) + rad
-    return lo, hi
 
 
 def _certificates(u, lo, hi, left) -> list[SeparationCertificate]:
@@ -279,21 +236,6 @@ def _differences(pts, i, j, table=None) -> np.ndarray:
         flat, i, j = pts.reshape(-1, d), np.asarray(i)[:, None] * k, np.asarray(j)[:, None] * k
         return np.take(flat, j + table[:, 1], axis=0) - np.take(flat, i + table[:, 0], axis=0)
     return (pts[j][:, None, :, :] - pts[i][:, :, None, :]).reshape(len(i), k * k, d)
-
-
-def _inward_rays(v: np.ndarray) -> np.ndarray:
-    """Angles of the inward edge normals of the counter-clockwise polygon v,
-    the rays of the normal fan of -v."""
-    edges = np.diff(v, axis=0, append=v[:1])
-    return np.arctan2(edges[:, 0], -edges[:, 1])
-
-
-def _fan_mids(*rays) -> np.ndarray:
-    """One angle inside each cell of the common refinement of the normal
-    fans with these rays: the midpoint after each distinct ray mod 2 pi, in
-    increasing order."""
-    ends = distinct(np.remainder(np.concatenate(rays), TWO_PI))
-    return 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
 
 
 def _pair_table(ref: np.ndarray) -> np.ndarray:
@@ -413,6 +355,13 @@ def _best_angle(p, r, lo: float, hi: float) -> float:
         seen.add(tuple(work))
 
 
+def _require_sampled(d: int) -> None:
+    """Raise unless the sampled search, whose sphere points are 3-D
+    (fibonacci_sphere), applies in dimension d."""
+    if d != 3:
+        raise GeometryError(f"the sampled search supports dimension 3 only, not {d}")
+
+
 def find_separating_hyperplane(
     family1,
     family2,
@@ -425,8 +374,9 @@ def find_separating_hyperplane(
     2 tol (tol scaled by min(1, extent of the two families)) form one arc,
     the intersection of the arcs of all feature pairs, and _best_angle finds
     the best margin on it from its finitely many critical angles.
-    ``samples`` only applies in dimension 3 and up, where the search is
-    sampled and None means no direction found, not a proof.
+    ``samples`` only applies in dimension 3, where the search is sampled
+    and None means no direction found, not a proof; dimension 4 and up
+    raise GeometryError (_require_sampled).
     """
     f1 = _as_bodies(family1)
     f2 = _as_bodies(family2)
@@ -442,6 +392,7 @@ def find_separating_hyperplane(
         theta = _best_angle(p, r, lo, hi)
         u = np.array([[math.cos(theta), math.sin(theta)]])
     else:
+        _require_sampled(f1[0].dim)
         thr = 2.0 * tol
         cand = candidate_directions(f1, f2)
         dirs = np.vstack([cand, -cand, fibonacci_sphere(max(samples, 1024))])
@@ -645,8 +596,9 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     no arc priced. A list of bodies has no reference to read supports
     from, and prices every arc.
 
-    ``samples`` only applies in dimension 3 and up, where directions are
-    sampled and the decision is flagged approximate.
+    ``samples`` only applies in dimension 3, where directions are sampled
+    and the decision is flagged approximate; dimension 4 and up raise
+    GeometryError (_require_sampled).
     """
     homothets = isinstance(family, HomothetFamily) and family.reference.dim == 2
     bodies = None if homothets else _as_bodies(family)
@@ -663,6 +615,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         table = meets = None
     sampled = pts.shape[2] != 2
     if sampled:
+        _require_sampled(pts.shape[2])
         t = tol
         dirs = np.vstack([fibonacci_sphere(max(samples, 1024)), candidate_directions(bodies)])
     else:

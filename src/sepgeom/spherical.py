@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bodies import GeometryError
+from ._errors import GeometryError
 from ._kernels import pole_margins, triple_blocks
 
 PI = math.pi
@@ -441,7 +441,7 @@ def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
 
 
 # ---------------------------------------------------------------------------
-# the two optimal cap packings and the separable Tammes table
+# the two optimal cap packings
 # ---------------------------------------------------------------------------
 
 
@@ -485,45 +485,3 @@ def cuboctahedral_packing() -> list[Cap]:
         sinr = 1.0 / float(np.linalg.norm(u))
         caps.append(Cap(u * sinr, math.asin(sinr)))
     return caps
-
-
-@dataclass(frozen=True)
-class TammesEntry:
-    k: int
-    radius: float | None
-    exact: bool
-    lower: float
-    upper: float
-    note: str
-
-    provenance: ClassVar[dict] = {"method": "closed-form"}
-
-
-_TAMMES_EXACT = {
-    2: PI / 2.0,
-    3: PI / 4.0,
-    4: PI / 4.0,
-    5: math.atan(0.75),
-    6: math.atan(0.75),
-    7: math.asin(1.0 / math.sqrt(3.0)),
-    8: math.asin(1.0 / math.sqrt(3.0)),
-}
-
-
-def separable_tammes(k: int) -> TammesEntry:
-    """Largest radius of k caps in a totally separable packing.
-
-    Known exactly through k = 8 (pairs share values: an odd k matches k + 1);
-    beyond that only bounds are available and the lower constant 0.793/sqrt(k)
-    is asymptotic.
-    """
-    if k < 2:
-        raise GeometryError("need k >= 2")
-    if k in _TAMMES_EXACT:
-        r = _TAMMES_EXACT[k]
-        return TammesEntry(k, r, True, r, r, "exact")
-    upper = math.acos(1.0 / (math.sqrt(2.0) * math.sin(k / (k - 2.0) * PI / 4.0)))
-    lower = 0.793 / math.sqrt(k)
-    return TammesEntry(
-        k, None, False, lower, upper, "lower bound asymptotic, valid for large k"
-    )

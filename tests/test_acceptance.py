@@ -23,6 +23,12 @@ from helpers import (
     ts_lattice_subset,
 )
 from sepgeom.bodies import ConvexBody
+from sepgeom.bounds import (
+    brute_force_lattice_contact,
+    crystallization_bound,
+    lattice_contact_bounds,
+    separable_tammes,
+)
 from sepgeom.covering import (
     build_triangle_counterexample,
     facet_parallel_cover_check,
@@ -40,19 +46,16 @@ from sepgeom.lambda_density import (
     short_leg_sphere,
     short_leg_sphere_inverse,
 )
+from sepgeom.measures import separable_packing_density
 from sepgeom.packing import (
     GuillotinePartition,
     _acute_branch,
     _obtuse_branch,
-    brute_force_lattice_contact,
-    crystallization_bound,
     kertesz_check,
-    lattice_contact_bounds,
     oler_check,
     polyomino_packing,
     radon_mixed_area_check,
     rogers_sigma,
-    separable_packing_density,
     sns_perimeter_check,
     three_disk_extrema,
     window_density,
@@ -68,7 +71,6 @@ from sepgeom.spherical import (
     cuboctahedral_packing,
     is_ts_cap_packing,
     octahedral_packing,
-    separable_tammes,
 )
 
 SQRT3 = math.sqrt(3.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import fresh_python, house7_centers
-from sepgeom import covering, lambda_density, packing, separability, spherical, svg
+from sepgeom import bounds, covering, lambda_density, packing, separability, spherical, svg
 from sepgeom.bodies import ConvexBody, HomothetFamily, body_from_json
 from sepgeom.cli import main
 from sepgeom.measures import min_area_parallelogram
@@ -117,6 +117,20 @@ def test_check_ns_three_dimensional_segments(tmp_path, capsys):
     })
     code, payload = run(["check-ns", segs], capsys)
     assert code == 0 and payload["non_separable"] is True and payload["approximate"] is True
+
+
+def test_check_ns_four_dimensional_family_is_refused(tmp_path, capsys):
+    """The sampled search has sphere points in 3-D only, so a family of
+    4-simplices exits 3 with a message, not 1 with a traceback."""
+    simplices = write_json(tmp_path / "simplices.json", {
+        "body": {"type": "polytope", "vertices": np.eye(4).tolist()},
+        "centers": [[0, 0, 0, 0], [5, 5, 5, 5]],
+    })
+    with pytest.raises(SystemExit) as ei:
+        main(["check-ns", simplices])
+    out, err = capsys.readouterr()
+    assert ei.value.code == 3 and out == ""
+    assert err == "error: the sampled search supports dimension 3 only, not 4\n"
 
 
 def test_cover(chain_file, tmp_path, capsys):
@@ -232,12 +246,12 @@ def test_lattice(capsys):
 
 def test_lattice_takes_the_library_default_mode(capsys):
     """Without --mode, d = 4 gives the Rogers bound from a sampled simplex
-    density, as packing.crystallization_bound does by default; the Hales
+    density, as bounds.crystallization_bound does by default; the Hales
     constant stays specific to d = 3."""
     code, payload = run(["lattice", "--n", "30", "--d", "4", "--samples", "20000"], capsys)
     assert code == 0 and payload["provenance"]["method"] == "monte-carlo"
     sigma = payload["simplex_density"]["value"]
-    assert payload["max_contacts"] == packing.crystallization_bound(30, d=4, density=sigma)
+    assert payload["max_contacts"] == bounds.crystallization_bound(30, d=4, density=sigma)
     code, _ = run(["lattice", "--n", "30", "--d", "4", "--mode", "hales"], capsys)
     assert code == 3
 
@@ -387,10 +401,10 @@ def _half_cube(obj):
         pytest.param(["density", "--body", "square"], None,
                      lambda o: min_area_parallelogram(ConvexBody.polygon(SQUARE)),
                      {"method": "edge-normal-pairs", **EXACT}, id="density"),
-        pytest.param(["lattice", "--n", "9"], None, lambda o: packing.lattice_contact_bounds(2, 9),
+        pytest.param(["lattice", "--n", "9"], None, lambda o: bounds.lattice_contact_bounds(2, 9),
                      {"method": "closed-form"}, id="lattice"),
         pytest.param(["lattice", "--n", "9", "--brute"], None,
-                     lambda o: packing.brute_force_lattice_contact(9),
+                     lambda o: bounds.brute_force_lattice_contact(9),
                      {"method": "brute-force"}, id="lattice-brute"),
         pytest.param(["lattice", "--n", "100", "--d", "3", "--mode", "rogers", "--samples", "2000",
                       "--seed", "5"], None, lambda o: packing.rogers_sigma(3, samples=2000, seed=5),
@@ -406,7 +420,7 @@ def _half_cube(obj):
         pytest.param(["caps", "IN", "--check", "cover"], BENT,
                      lambda o: spherical.cap_cover_check(_cap_list(o)),
                      {"method": "support-caps", **EXACT}, id="caps-cover"),
-        pytest.param(["tammes", "--k", "8"], None, lambda o: spherical.separable_tammes(8),
+        pytest.param(["tammes", "--k", "8"], None, lambda o: bounds.separable_tammes(8),
                      {"method": "closed-form"}, id="tammes"),
         pytest.param(["lambda-density", "--geometry", "euclidean", "--lam", "0.3"], None,
                      lambda o: lambda_density.density_bound_euclid(0.3),

@@ -540,6 +540,15 @@ def test_a_body_is_its_points_plus_a_radius():
     assert area(disk) == math.pi * 1.25**2 and perimeter(disk) == 2.0 * math.pi * 1.25
 
 
+def test_area_and_perimeter_refuse_a_polytope():
+    """A polytope lies in no plane: the unit cube raises instead of reading
+    the shoelace and the closed polyline of its vertex list (0.0 and 10.29)."""
+    cube = ConvexBody.polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    for measure in (area, perimeter, size_report):
+        with pytest.raises(GeometryError, match="planar bodies"):
+            measure(cube)
+
+
 def test_transform_defaults_to_no_translation_in_any_dimension():
     cube = ConvexBody.polytope([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     assert (cube.transform(np.eye(3)).vertices == cube.vertices).all()

@@ -12,11 +12,11 @@ import pytest
 import sepgeom
 from helpers import fresh_python
 
-# the public names, the same 88 the package bound when it imported every submodule
+# the public names: the 88 the package bound when it imported every submodule, and bounds
 PUBLIC = [
     'Cap', 'ConvexBody', 'GeometryError', 'GuillotinePartition', 'Homothet', 'HomothetFamily',
     'PlaneCut', 'TranslatePacking', 'Triangle', 'Zone', 'area', 'area_bound_check', 'bodies',
-    'body_from_json', 'body_to_json', 'brute_force_lattice_contact',
+    'body_from_json', 'body_to_json', 'bounds', 'brute_force_lattice_contact',
     'build_triangle_counterexample', 'cap_cover_check', 'caps_non_separable', 'contact_graph',
     'covering', 'crystallization_bound', 'cuboctahedral_packing', 'density_bound_euclid',
     'density_bound_hyper', 'density_bound_sphere', 'difference_body', 'enclosing_cap',
@@ -105,7 +105,7 @@ def test_cold_import_loads_no_submodule_and_resolves_every_name():
 
 
 # one sepgeom.cli.main call in a fresh interpreter: [exit code, loaded submodules,
-# whether scipy or numpy.ma was loaded]
+# whether scipy or numpy.ma was loaded, whether numpy was loaded]
 CLI_CALL = """
 import contextlib, io, json, sys
 from sepgeom import cli
@@ -116,7 +116,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:
         code = exc.code
 loaded = sorted(m[len("sepgeom."):] for m in sys.modules if m.startswith("sepgeom."))
-print(json.dumps([code, loaded, "scipy" in sys.modules or "numpy.ma" in sys.modules]))
+print(json.dumps([code, loaded, "scipy" in sys.modules or "numpy.ma" in sys.modules,
+                  "numpy" in sys.modules]))
 """
 
 DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 1.0}
@@ -129,10 +130,13 @@ CUT_CUBE = {"box": {"lo": [0, 0, 0], "hi": [2, 2, 2]},
             "balls": [{"center": [1.0, 1.0, 0.5], "r": 0.5}, {"center": [1.0, 1.0, 1.5], "r": 0.5}]}
 NAN_FAMILY = {"body": DISK, "centers": [[math.nan, 0.0], [2.0, 0.0]]}
 
-READER = {"cli", "bodies"}
-PLANAR = READER | {"_kernels", "separability"}
-PACKING = PLANAR | {"measures", "packing"}
-SPHERE = READER | {"_kernels", "spherical"}
+# the modules a call loads; only those beyond CLI and bounds load numpy
+CLI = {"cli", "_errors"}
+BOUNDS = CLI | {"bounds"}
+READER = CLI | {"bodies", "_kernels"}
+PLANAR = READER | {"separability"}
+PACKING = PLANAR | {"measures", "packing", "bounds"}
+SPHERE = CLI | {"_kernels", "spherical"}
 
 
 # argv, stdin, exit code, the submodules loaded
@@ -141,18 +145,18 @@ CLI_CASES = [
     (["verify-ts", "-"], GRID, 0, PLANAR),
     (["verify-ls", "-"], GRID, 0, PLANAR),
     (["rho-sep", "-", "--rho", "3"], GRID, 0, PLANAR),
-    (["cover", "-"], GRID, 0, PLANAR | {"covering", "measures"}),
+    (["cover", "-"], GRID, 0, READER | {"covering", "measures"}),
     (["oler", "-"], dict(GRID, loop=[0, 2, 8, 6]), 0, PACKING),
     (["contact", "-"], GRID, 0, PACKING),
-    (["density", "--body", "square"], None, 0, PACKING),
-    (["lattice", "--n", "9", "--brute"], None, 0, PACKING),
+    (["density", "--body", "square"], None, 0, READER | {"measures"}),
+    (["lattice", "--n", "9", "--brute"], None, 0, BOUNDS),
     (["kertesz", "-"], CUT_CUBE, 0, PACKING),
     (["extremal-3disks"], None, 0, PACKING),
     (["caps", "-"], OCTA, 0, SPHERE),
-    (["tammes", "--k", "8"], None, 0, SPHERE),
-    (["lambda-density", "--geometry", "euclidean", "--lam", "0.3"], None, 0, READER | {"lambda_density"}),
+    (["tammes", "--k", "8"], None, 0, BOUNDS),
+    (["lambda-density", "--geometry", "euclidean", "--lam", "0.3"], None, 0, CLI | {"lambda_density"}),
     (["lambda-density", "--geometry", "spherical", "--lam", "0.3", "--rho", "1.1"], None, 0,
-     READER | {"lambda_density"}),
+     CLI | {"lambda_density"}),
     (["check-ns", "-"], NAN_FAMILY, 3, PLANAR),
     (["check-ns", "-", "--format", "svg"], GRID, 0, PLANAR | {"svg"}),
 ]
@@ -162,11 +166,14 @@ CLI_CASES = [
                          ids=[" ".join(case[0]) + ("" if case[2] == 0 else " (bad input)") for case in CLI_CASES])
 def test_a_cli_call_loads_only_what_its_command_reads(argv, stdin, code, modules):
     """Each subcommand imports its own submodules: only svg output loads svg,
-    and only lambda-density loads lambda_density. None loads scipy, or
-    numpy.ma, which np.unique without return flags imports on first use."""
+    and only lambda-density loads lambda_density. lattice and tammes read
+    only bounds and load no numpy; density and cover load no separability.
+    None loads scipy, or numpy.ma, which np.unique without return flags
+    imports on first use."""
     run = fresh_python(CLI_CALL, json.dumps(argv), stdin=None if stdin is None else json.dumps(stdin))
     assert run.returncode == 0, run.stderr
-    got_code, loaded, heavy = json.loads(run.stdout)
+    got_code, loaded, heavy, numpy = json.loads(run.stdout)
     assert got_code == code
     assert set(loaded) == modules
     assert not heavy
+    assert numpy == bool(modules - BOUNDS)

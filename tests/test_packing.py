@@ -14,7 +14,8 @@ from helpers import (
     ts_lattice_subset,
 )
 from sepgeom.bodies import ConvexBody, GeometryError, _gauges, _strict_hull, minkowski_norm, polygon_facets
-from sepgeom.measures import area, min_area_parallelogram, minkowski_sum_polygons
+from sepgeom.bounds import brute_force_lattice_contact, crystallization_bound, lattice_contact_bounds
+from sepgeom.measures import area, min_area_parallelogram, minkowski_sum_polygons, separable_packing_density
 from sepgeom.packing import (
     GuillotinePartition,
     _cell_measures,
@@ -22,18 +23,14 @@ from sepgeom.packing import (
     PlaneCut,
     TranslatePacking,
     area_bound_check,
-    brute_force_lattice_contact,
     contact_graph,
-    crystallization_bound,
     difference_body,
     kertesz_check,
-    lattice_contact_bounds,
     minkowski_length,
     oler_check,
     polyomino_packing,
     radon_mixed_area_check,
     rogers_sigma,
-    separable_packing_density,
     simplex_vertices,
     sns_perimeter_check,
     three_disk_extrema,

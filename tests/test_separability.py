@@ -1222,6 +1222,21 @@ def test_segment_references_answer_as_recorded():
     assert is_non_separable(HomothetFamily(tilted, [[0.0, 0.0], [0.5, 0.1]])).non_separable
 
 
+def test_sampled_searches_refuse_dimension_four():
+    """The sampled searches draw their sphere points in 3-D, so two
+    4-simplices raise GeometryError in every search that reaches them, not a
+    numpy shape error."""
+    low = ConvexBody.polytope(np.eye(4))
+    high = low.translate(np.full(4, 5.0))
+    for search in (lambda: is_non_separable([low, high]),
+                   lambda: is_non_separable(HomothetFamily(low, [np.zeros(4), np.full(4, 5.0)])),
+                   lambda: find_separating_hyperplane([low], [high]),
+                   lambda: kirchberger_reduce([low], [high]),
+                   lambda: is_sns([low, high])):
+        with pytest.raises(GeometryError, match="dimension 3 only, not 4"):
+            search()
+
+
 def test_three_dimensional_segments_are_decided():
     """Segments in space are priced by their endpoints alone: two parallel
     unit segments 2 apart along z are split along their offset, 1 clear of

@@ -9,6 +9,7 @@ from helpers import pole_grid, random_cap_packing, tangent_cap_chain
 from sepgeom.bodies import GeometryError
 from sepgeom import spherical
 from sepgeom._kernels import fibonacci_sphere
+from sepgeom.bounds import separable_tammes
 from sepgeom.spherical import (
     Cap,
     Zone,
@@ -20,7 +21,6 @@ from sepgeom.spherical import (
     enclosing_cap,
     is_ts_cap_packing,
     octahedral_packing,
-    separable_tammes,
     zones_cover_check,
 )
 
