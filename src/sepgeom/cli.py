@@ -48,6 +48,14 @@ def _family(obj: dict):
     raise GeometryError('input needs either "members" or "body" plus "centers"')
 
 
+def _translates(obj: dict):
+    """The HomothetFamily of an input object whose members are translates."""
+    fam = _family(obj)
+    if not (fam.ratios == 1.0).all():
+        raise GeometryError("the members must be translates: every ratio must be 1")
+    return fam
+
+
 def _caps(obj: dict) -> list:
     import numpy as np
 
@@ -174,7 +182,7 @@ def cmd_verify_ls(args) -> int:
 def cmd_rho_sep(args) -> int:
     from . import separability
 
-    fam = _family(_load(args.input))
+    fam = _translates(_load(args.input))
     res = separability.is_rho_separable(fam.reference, fam.centers, args.rho, tol=args.tolerance)
     _emit(args, res, lambda svg: svg.family_drawing(fam))
     return EXIT_OK if res.separable else EXIT_VIOLATED
@@ -186,7 +194,7 @@ def cmd_oler(args) -> int:
     from . import packing
 
     obj = _load(args.input)
-    fam = _family(obj)
+    fam = _translates(obj)
     if "loop" not in obj:
         raise GeometryError('input needs a "loop" list of center indices')
     rep = packing.oler_check(fam.reference, fam.centers, obj["loop"], tol=args.tolerance)
@@ -196,8 +204,8 @@ def cmd_oler(args) -> int:
         dr.polygon(fam.centers[np.asarray(obj["loop"], dtype=int)], stroke="#d62728", dash="on")
         return dr
 
-    _emit(args, rep, drawing, holds=rep.holds())
-    return EXIT_OK if rep.holds() else EXIT_VIOLATED
+    _emit(args, rep, drawing)
+    return EXIT_OK if rep.holds else EXIT_VIOLATED
 
 
 def _named_body(name: str):
@@ -230,7 +238,7 @@ def cmd_contact(args) -> int:
     from . import packing
     from .bounds import crystallization_bound
 
-    fam = _family(_load(args.input))
+    fam = _translates(_load(args.input))
     g = packing.contact_graph(fam.reference, fam.centers, tol=args.tolerance)
     n = len(fam)
     bound = crystallization_bound(n) if n >= 1 else 0
@@ -332,9 +340,9 @@ def cmd_caps(args) -> int:
                 "center": rep.center,
                 "radius": rep.radius,
                 "slack": rep.slack,
-                "holds": rep.holds(),
+                "holds": rep.holds,
             }
-            if not rep.holds():
+            if not rep.holds:
                 rc = max(rc, EXIT_VIOLATED)
     _emit(args, payload, lambda svg: svg.caps_drawing(caps), by=by)
     return rc

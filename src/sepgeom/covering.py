@@ -31,6 +31,7 @@ from .measures import (
 )
 
 SQRT3 = math.sqrt(3.0)
+_HULL_SLACK = 1e-6  # round-off allowed in the Hadwiger hull bounds; tol is for the NS test
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,7 @@ class HadwigerReport:
     diameter_sum: float
     circumradius_hull: float
     circumradius_sum: float
+    holds: bool
 
     def slacks(self) -> tuple[float, float, float]:
         return (
@@ -189,9 +191,6 @@ class HadwigerReport:
             self.diameter_sum - self.diameter_hull,
             self.circumradius_sum - self.circumradius_hull,
         )
-
-    def holds(self, tol: float = 1e-6) -> bool:
-        return all(s >= -tol for s in self.slacks())
 
 
 def hadwiger_check(family, tol: float = EPS) -> HadwigerReport:
@@ -211,14 +210,10 @@ def hadwiger_check(family, tol: float = EPS) -> HadwigerReport:
     per_sum = sum(perimeter(b) for b in bodies)
     diam_sum = sum(hull_diameter([b]) for b in bodies)
     r_sum = sum(hull_circumradius([b])[1] for b in bodies)
-    return HadwigerReport(
-        perimeter_hull=hull_perimeter(bodies),
-        perimeter_sum=per_sum,
-        diameter_hull=hull_diameter(bodies),
-        diameter_sum=diam_sum,
-        circumradius_hull=hull_circumradius(bodies)[1],
-        circumradius_sum=r_sum,
-    )
+    per_hull, diam_hull = hull_perimeter(bodies), hull_diameter(bodies)
+    r_hull = hull_circumradius(bodies)[1]
+    holds = min(per_sum - per_hull, diam_sum - diam_hull, r_sum - r_hull) >= -_HULL_SLACK
+    return HadwigerReport(per_hull, per_sum, diam_hull, diam_sum, r_hull, r_sum, holds)
 
 
 @dataclass(frozen=True)
@@ -254,5 +249,5 @@ def facet_parallel_cover_check(family: HomothetFamily, tol: float = EPS) -> Face
         condition_holds=condition,
         cover=cover,
         bound=bound,
-        within_bound=cover.normalized <= bound + 1e-7,
+        within_bound=cover.normalized <= bound + tol,
     )

@@ -58,7 +58,7 @@ def translate_gauge(reference: ConvexBody, delta) -> float:
     disjoint, < 2 when their interiors overlap. For o-symmetric K this is the
     Minkowski norm |delta|_K.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = _finite(delta, "offset")
     return 2.0 * float(_gauges(difference_body(reference), delta[None, :])[0])
 
 
@@ -96,9 +96,9 @@ class TranslatePacking:
 
 def window_density(centers, radius: float, lo, hi) -> float:
     """Covered fraction of the window [lo, hi] for disks clipped to it."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    c = np.asarray(centers, dtype=float)
+    lo, hi = _finite(lo, "window corners"), _finite(hi, "window corners")
+    c = _finite(centers, "disk centers")
+    radius = float(_finite(radius, "disk radius"))
     box = float((hi - lo).prod())
     if box <= 0.0:
         raise GeometryError("window must have positive area")
@@ -125,9 +125,7 @@ class AreaBoundReport:
     pgram_area: float
     hull_area: float
     ts: TSResult
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.slack >= -tol
+    holds: bool
 
 
 def area_bound_check(reference: ConvexBody, centers, tol: float = EPS) -> AreaBoundReport:
@@ -138,8 +136,8 @@ def area_bound_check(reference: ConvexBody, centers, tol: float = EPS) -> AreaBo
     circumscribed parallelogram of K; if K or C is centrally symmetric the
     stronger bound (n-1) * pgram + area(K) applies.
     """
+    c = _finite(centers, "centers")
     reference.require_full_dimensional("area bound")
-    c = np.asarray(centers, dtype=float)
     n = len(c)
     ts = is_ts_packing([reference.translate(p) for p in c], tol)
     if not ts.is_ts:
@@ -166,7 +164,7 @@ def area_bound_check(reference: ConvexBody, centers, tol: float = EPS) -> AreaBo
         rhs = (n - 1) * pg + area(reference)
     else:
         rhs = (2.0 / 3.0) * (n - 1) * pg + area(reference) + hull_area / 3.0
-    return AreaBoundReport(n, lhs, rhs, lhs - rhs, symmetric, pg, hull_area, ts)
+    return AreaBoundReport(n, lhs, rhs, lhs - rhs, symmetric, pg, hull_area, ts, lhs - rhs >= -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def area_bound_check(reference: ConvexBody, centers, tol: float = EPS) -> AreaBo
 
 def minkowski_length(reference: ConvexBody, points, closed: bool = True) -> float:
     """Length of a polygonal path in the norm whose unit ball is K."""
-    pts = np.asarray(points, dtype=float)
+    pts = _finite(points, "path vertices")
     if pts.ndim != 2 or len(pts) == 0:
         raise GeometryError("path needs an (m, 2) array of vertices")
     steps = np.roll(pts, -1, axis=0) - pts if closed else pts[1:] - pts[:-1]
@@ -257,11 +255,9 @@ class OlerReport:
     lhs: float
     slack: float
     degenerate: bool
+    holds: bool
 
     provenance: ClassVar[dict] = {"method": "closed-form"}
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.slack >= -tol
 
 
 def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerReport:
@@ -307,7 +303,7 @@ def oler_check(reference: ConvexBody, centers, loop, tol: float = EPS) -> OlerRe
     pg = min_area_parallelogram(reference).area
     length = minkowski_length(reference, poly, closed=True)
     lhs = enclosed / pg + length / 4.0 + 1.0
-    return OlerReport(n, enclosed, length, pg, lhs, lhs - n, degenerate)
+    return OlerReport(n, enclosed, length, pg, lhs, lhs - n, degenerate, lhs - n >= -tol)
 
 
 @dataclass(frozen=True)
@@ -317,9 +313,7 @@ class MixedAreaReport:
     norm_length: float
     lhs: float
     slack: float
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.slack >= -tol
+    holds: bool
 
 
 def radon_mixed_area_check(reference: ConvexBody, q_vertices, tol: float = EPS) -> MixedAreaReport:
@@ -332,7 +326,7 @@ def radon_mixed_area_check(reference: ConvexBody, q_vertices, tol: float = EPS) 
     mx = mixed_area(q, reference)
     length = minkowski_length(reference, q.vertices, closed=True)
     lhs = 8.0 * mx / pg
-    return MixedAreaReport(mx, pg, length, lhs, lhs - length)
+    return MixedAreaReport(mx, pg, length, lhs, lhs - length, lhs - length >= -tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +388,7 @@ def sns_perimeter_check(centers, ordering=None, tol: float = EPS) -> ChainPerime
         slack=slack,
         mean_width=per / PI,
         mean_width_bound=2.0 + (4.0 * n - 4.0) / PI,
-        equality=abs(slack) <= 1e-9,
+        equality=abs(slack) <= tol,
     )
 
 

@@ -370,10 +370,10 @@ def find_separating_hyperplane(
 ) -> SeparationCertificate | None:
     """Best-margin hyperplane with family1 left of family2, None if margin <= tol.
 
-    In the plane the answer is exact. The directions with a gap above
-    2 tol (tol scaled by min(1, extent of the two families)) form one arc,
-    the intersection of the arcs of all feature pairs, and _best_angle finds
-    the best margin on it from its finitely many critical angles.
+    tol is scaled by min(1, extent of the two families) (_scaled_tol). In
+    the plane the answer is exact: the directions with a gap above 2 tol
+    form one arc, the intersection of the arcs of all feature pairs, and
+    _best_angle finds the best margin on it from its critical angles.
     ``samples`` only applies in dimension 3, where the search is sampled
     and None means no direction found, not a proof; dimension 4 and up
     raise GeometryError (_require_sampled).
@@ -384,8 +384,8 @@ def find_separating_hyperplane(
         raise GeometryError("separation needs a member on both sides")
     n1 = len(f1)
     pts, rad = _member_features(f1 + f2)
+    thr = 2.0 * _scaled_tol(pts, rad, tol)
     if f1[0].dim == 2:
-        thr = 2.0 * _scaled_tol(pts, rad, tol)
         lo, hi, p, r = _separating_arc(pts, rad, slice(0, n1), slice(n1, None), thr)
         if not lo < hi:
             return None
@@ -393,7 +393,6 @@ def find_separating_hyperplane(
         u = np.array([[math.cos(theta), math.sin(theta)]])
     else:
         _require_sampled(f1[0].dim)
-        thr = 2.0 * tol
         cand = candidate_directions(f1, f2)
         dirs = np.vstack([cand, -cand, fibonacci_sphere(max(samples, 1024))])
         lo, hi = _project(dirs, pts, rad)
@@ -404,9 +403,8 @@ def find_separating_hyperplane(
 
 def _separation_test(bodies, tol: float):
     """Decision-only test "members left strictly separable from members
-    right" for index lists into bodies, with the tolerance of the whole.
-
-    In the plane it only asks whether the separating arc is empty.
+    right" for index lists into bodies; in the plane at the tolerance of
+    the whole, asking only whether the separating arc is empty.
     """
     if bodies[0].dim == 2:
         pts, rad = _member_features(bodies)
@@ -441,18 +439,17 @@ def kirchberger_reduce(family1, family2, tol: float = EPS) -> KirchbergerResult:
     if not f1 or not f2:
         return KirchbergerResult(True, None, 0)
     d = f1[0].dim
+    n1, n = len(f1), len(f1) + len(f2)
     separable = _separation_test(f1 + f2, tol)
-    tagged = [(0, i) for i in range(len(f1))] + [(1, j) for j in range(len(f2))]
-    size = min(len(tagged), d + 2)
     checked = 0
-    for combo in itertools.combinations(range(len(tagged)), size):
-        idx1 = [tagged[c][1] for c in combo if tagged[c][0] == 0]
-        idx2 = [tagged[c][1] for c in combo if tagged[c][0] == 1]
-        if not idx1 or not idx2:
+    for combo in itertools.combinations(range(n), min(n, d + 2)):
+        left = [c for c in combo if c < n1]
+        right = [c for c in combo if c >= n1]
+        if not left or not right:
             continue  # one-sided subfamilies are separable outright
         checked += 1
-        if not separable(idx1, [len(f1) + j for j in idx2]):
-            return KirchbergerResult(False, (tuple(idx1), tuple(idx2)), checked)
+        if not separable(left, right):
+            return KirchbergerResult(False, (tuple(left), tuple(c - n1 for c in right)), checked)
     return KirchbergerResult(True, None, checked)
 
 
@@ -548,8 +545,8 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     """Decide whether no hyperplane splits the family while missing every member.
 
     A family is separable when some hyperplane disjoint from the union has
-    members strictly on both sides, with a gap above tol (in the plane, tol
-    scaled by min(1, extent of the family)).
+    members strictly on both sides, with a gap above tol scaled by
+    min(1, extent of the family) (_scaled_tol).
 
     Planar families are decided exactly. Member j lies above member i by a
     gap above tol along the directions of one open arc, at most pi wide
@@ -616,7 +613,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     sampled = pts.shape[2] != 2
     if sampled:
         _require_sampled(pts.shape[2])
-        t = tol
+        t = _scaled_tol(pts, rad, tol)
         dirs = np.vstack([fibonacci_sphere(max(samples, 1024)), candidate_directions(bodies)])
     else:
         t = None
@@ -797,6 +794,7 @@ def _translate_gauges(reference: ConvexBody, centers: np.ndarray, reach: float, 
     diff = _difference_body(reference)
     if centers.ndim != 2 or centers.shape[1] != 2:
         raise GeometryError("centers must be an (n, 2) array")
+    _finite(centers, "centers")
     h = 0.5 * reach * _derived(diff, "_axis_extents", _axis_extents)
     proj = centers @ _AXES.T
     i, j = _near_pairs(proj - h, proj + h, tol * float(h.max()))

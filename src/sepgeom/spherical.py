@@ -314,11 +314,9 @@ class CapCoverReport:
     radius: float
     slack: float
     split_check: SphericalSplitDecision
+    holds: bool
 
     provenance: ClassVar[dict] = {"method": "support-caps", "exact": True}
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.slack >= -tol
 
 
 def cap_cover_check(caps, tol: float = 1e-9) -> CapCoverReport:
@@ -335,7 +333,7 @@ def cap_cover_check(caps, tol: float = 1e-9) -> CapCoverReport:
     if total >= PI / 2.0:
         raise GeometryError("the cover bound needs total radius below pi/2")
     center, radius = enclosing_cap(caps, tol)
-    return CapCoverReport(total, center, radius, total - radius, dec)
+    return CapCoverReport(total, center, radius, total - radius, dec, total - radius >= -tol)
 
 
 @dataclass(frozen=True)
@@ -344,9 +342,7 @@ class ZoneCoverReport:
     covers: bool
     witness: np.ndarray | None
     slack: float
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return (not self.covers) or self.slack >= -tol
+    holds: bool
 
 
 # the zones cover the sphere when no point clears them all by more than this
@@ -370,7 +366,9 @@ def zones_cover_check(zones) -> ZoneCoverReport:
     margin, pole, _ = _best_pole(*_cap_arrays(caps), split=False)
     covers = margin <= _COVER_TOL
     total = float(sum(z.width for z in zones))
-    return ZoneCoverReport(total, covers, None if covers else pole, total - PI)
+    slack = total - PI
+    holds = not covers or slack >= -_COVER_TOL
+    return ZoneCoverReport(total, covers, None if covers else pole, slack, holds)
 
 
 # ---------------------------------------------------------------------------

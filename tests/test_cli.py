@@ -528,6 +528,19 @@ def test_three_dimensional_family_exits_3(command, tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize("command", [["contact"], ["rho-sep", "--rho", "3"], ["oler"]])
+def test_translate_commands_refuse_ratios_exit_3(command, tmp_path, capsys):
+    # disks of radius 3 at x = 0 and x = 2 overlap deeply; read as unit disks they touch
+    scaled = write_json(
+        tmp_path / "scaled.json",
+        {"body": DISK, "centers": [[0.0, 0.0], [2.0, 0.0]], "ratios": [3.0, 3.0], "loop": [0, 1]},
+    )
+    with pytest.raises(SystemExit) as ei:
+        main([command[0], scaled, *command[1:]])
+    assert ei.value.code == 3
+    assert "every ratio must be 1" in capsys.readouterr().err
+
+
 COLD_RUN = """
 import math, sys
 import numpy as np

@@ -1259,3 +1259,20 @@ def test_three_dimensional_segments_are_decided():
     red = kirchberger_reduce([a], [b])
     assert not red.separable and red.witness == ((0,), (0,))
     assert is_sns([a, b]) == separability.SNSResult(True, (0, 1))
+
+
+def test_three_dimensional_verdicts_do_not_change_with_scale():
+    """The sampled searches compare with tol scaled by min(1, extent of the
+    family) as the planar ones do: two unit cubes 0.5 apart are split, and
+    two touching ones are not, at every scale 2^k."""
+    unit_cube = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
+    for k in (-40, -20, 0, 20):
+        s = 2.0**k
+        cube = ConvexBody.polytope(s * unit_cube)
+        apart, touching = cube.translate((1.5 * s, 0.0, 0.0)), cube.translate((s, 0.0, 0.0))
+        cert = find_separating_hyperplane([cube], [apart])
+        assert cert is not None and cert.margin == pytest.approx(0.25 * s, rel=1e-12), k
+        dec = is_non_separable([cube, apart])
+        assert not dec.non_separable and dec.witness.margin == pytest.approx(0.25 * s, rel=1e-12), k
+        assert find_separating_hyperplane([cube], [touching]) is None, k
+        assert is_non_separable([cube, touching]).non_separable, k

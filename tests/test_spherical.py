@@ -372,7 +372,7 @@ def test_cap_cover_check_chain(rng):
         radii = 0.05 + 0.1 * rng.random(k)
         assert radii.sum() < math.pi / 2.0
         rep = cap_cover_check(tangent_cap_chain(rng, k, radii))
-        assert rep.holds()
+        assert rep.holds
         assert rep.split_check.non_separable
         assert rep.radius <= rep.total_radius + 1e-9
 
@@ -390,12 +390,12 @@ def test_zones_cover_check():
     w = math.asin(1.0 / math.sqrt(3.0))
     zones = [Zone(EX, w), Zone(EY, w), Zone(EZ, w)]
     rep = zones_cover_check(zones)
-    assert rep.covers and rep.holds()
+    assert rep.covers and rep.holds
     assert rep.slack == pytest.approx(6.0 * w - math.pi, abs=1e-12)
     rep = zones_cover_check([Zone(EZ, math.pi / 2.0)])
     assert rep.covers and rep.slack == pytest.approx(0.0, abs=1e-12)
     rep = zones_cover_check([Zone(EZ, 0.2)])
-    assert not rep.covers and rep.holds()
+    assert not rep.covers and rep.holds
     assert not Zone(EZ, 0.2).contains_point(rep.witness)
     # just narrower octant zones leave the corner directions uncovered
     zones = [Zone(EX, w - 1e-6), Zone(EY, w), Zone(EZ, w)]
