@@ -117,6 +117,23 @@ def _random_caps(sg, np, gen, n):
     return [sg.Cap(c, 0.01) for c in np.array([0.0, 0.0, 1.0]) + 0.5 * rng.normal(size=(n, 3))]
 
 
+def _mixed(sg, np, gen, n):
+    """(first, second): verdictbench's separable mixed_bodies instance of n
+    disks and polygons (random.Random(3)), its first two bodies on one side."""
+    bodies = [
+        sg.ConvexBody.disk(b[1], b[2]) if b[0] == "disk" else sg.ConvexBody.polygon(b[1])
+        for b in gen.mixed_bodies(random.Random(3), n, True)
+    ]
+    return bodies[:2], bodies[2:]
+
+
+def _two_chains(sg, np, gen, n):
+    """Two SNS chains of n / 2 unit disks each (random.Random(3)), 1e4 apart,
+    so the family is not SNS and every start is tried."""
+    chain = np.array(gen.sns_disk_chain(random.Random(3), n // 2))
+    return [sg.ConvexBody.disk(c, 1.0) for c in np.vstack([chain, chain + [1e4, 0.0]])]
+
+
 def _unpacked(path: str, *extra):
     """The call sepgeom.<path>(*arg, *extra) on a tuple input arg, for CALLS."""
     return lambda sg: lambda arg: functools.reduce(getattr, path.split("."), sg)(*arg, *extra)
@@ -169,6 +186,8 @@ CALLS = {
     "is_rho_separable/lattice-12gon-cold": ((16, 900), _lattice, _cold("is_rho_separable", 3.0)),
     "contact_graph/lattice-12gon-cold": ((16, 10000), _lattice, _cold("contact_graph")),
     "min_cover_ratio/ns-24gon-cold": ((8, 32), _homothets("poly", False), _cold("min_cover_ratio")),
+    "kirchberger_reduce/mixed": ((16, 48), _mixed, _unpacked("kirchberger_reduce")),
+    "is_sns/two-chains": ((16, 64), _two_chains, "is_sns"),
 }
 
 

@@ -6,7 +6,7 @@ projection and fan helpers from here, not from ``separability``, and
 nothing here imports ``bodies``. Here are the sort-based distinct values,
 the feature points of members, the tolerance of a bounding box, the
 projection of members onto directions, the interval sweep behind every gap
-computation over directions, the normal fans of polygons, the Fibonacci
+computation over directions, the cells of normal fans and arcs, the Fibonacci
 sphere of the sampled d = 3 searches, the blocks of index triples behind
 the spherical support sets, the kinetic collapse of facet lines behind the
 exact cover and inradius, the homothet gap profile, the sample count of
@@ -118,12 +118,12 @@ def _inward_rays(v: np.ndarray) -> np.ndarray:
     return np.arctan2(edges[:, 0], -edges[:, 1])
 
 
-def _fan_mids(*rays) -> np.ndarray:
-    """One angle inside each cell of the common refinement of the normal
-    fans with these rays: the midpoint after each distinct ray mod 2 pi, in
-    increasing order."""
-    ends = distinct(np.remainder(np.concatenate(rays), TWO_PI))
-    return 0.5 * (ends + np.append(ends[1:], ends[0] + TWO_PI))
+def _cells(angles, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct angles mod period, sorted, and the midpoint after each,
+    the last one past period: one angle inside each cell between them (of
+    the common refinement of normal fans, given their rays mod 2 pi)."""
+    ends = distinct(np.remainder(angles, period))
+    return ends, 0.5 * (ends + np.append(ends[1:], ends[:1] + period))
 
 
 def fibonacci_sphere(m: int) -> np.ndarray:

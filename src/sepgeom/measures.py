@@ -26,7 +26,7 @@ from .bodies import (
     raw_support,
     support_batch,
 )
-from ._kernels import _BLOCK, TWO_PI, _fan_mids, _inward_rays, _member_features, collapse, distinct
+from ._kernels import _BLOCK, TWO_PI, _cells, _inward_rays, _member_features, collapse, distinct
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -326,7 +326,7 @@ def minkowski_sum_polygons(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     one.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    mids = _fan_mids(_inward_rays(p), _inward_rays(q))
+    mids = _cells(np.concatenate([_inward_rays(p), _inward_rays(q)]), TWO_PI)[1]
     u = np.stack([np.cos(mids), np.sin(mids)], axis=1)
     rows = np.stack([(u @ p.T).argmin(axis=1), (u @ q.T).argmin(axis=1)], axis=1)
     # a cell thinner than rounding (near-parallel edges) can repeat its

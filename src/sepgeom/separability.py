@@ -22,7 +22,7 @@ from ._kernels import (
     _ROUND_OFF,
     TWO_PI,
     _box_tol,
-    _fan_mids,
+    _cells,
     _inward_rays,
     _member_features,
     _project,
@@ -251,16 +251,9 @@ def _pair_table(ref: np.ndarray) -> np.ndarray:
     """
     k = len(ref)
     rays = _inward_rays(ref)
-    mids = _fan_mids(rays, rays + math.pi)
+    mids = _cells(np.concatenate([rays, rays + math.pi]), TWO_PI)[1]
     proj = np.cos(mids)[:, None] * ref[:, 0] + np.sin(mids)[:, None] * ref[:, 1]
     return np.stack(np.divmod(distinct(proj.argmin(axis=1) * k + proj.argmax(axis=1)), k), axis=1)
-
-
-def _mod_pi(angles) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct angles mod pi, sorted, and the midpoint after each, the
-    last one past pi."""
-    ends = distinct(np.remainder(angles, math.pi))
-    return ends, 0.5 * (ends + np.append(ends[1:], ends[:1] + math.pi))
 
 
 def _arcs(p: np.ndarray, rad) -> tuple[np.ndarray, np.ndarray]:
@@ -288,28 +281,36 @@ def _arcs(p: np.ndarray, rad) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.where(feasible.all(axis=1), hi, lo)
 
 
-def _separating_arc(pts, rad, left, right, thr: float):
-    """Arc (lo, hi) of angles of unit u along which members ``right`` lie
-    more than thr above members ``left`` (pts, rad from _member_features).
+def _pair_arcs(pts, rad, i, j, thr: float, table=None) -> tuple[np.ndarray, np.ndarray]:
+    """Arc (lo, hi) of each member pair (i[p], j[p]), empty when lo >= hi:
+    the angles of unit u along which member j[p] lies more than thr above
+    member i[p] (_arcs of their _differences, over the rows of table if
+    given), in blocks of about _BLOCK feature differences."""
+    lo, hi = np.empty(len(i)), np.empty(len(i))
+    step = max(1, _BLOCK // (pts.shape[1] ** 2 if table is None else len(table)))
+    for s in range(0, len(i), step):
+        a, b = i[s : s + step], j[s : s + step]
+        lo[s : s + step], hi[s : s + step] = _arcs(_differences(pts, a, b, table), (rad[a] + rad[b] + thr)[:, None])
+    return lo, hi
 
-    Also returns the feature differences p = b - a and radius sums r that
-    give the gap along u as min(<u, p> - r).
-    """
-    # every feature of a left member against every feature of a right member,
-    # each feature taken as a member of its own
-    k = pts.shape[1]
-    i, j = (np.arange(len(pts) * k).reshape(-1, k)[side].ravel() for side in (left, right))
-    i, j = np.repeat(i, len(j)), np.tile(j, len(i))
-    p = _differences(pts.reshape(-1, 1, 2), i, j).reshape(-1, 2)
-    rad = np.repeat(rad, k)
-    r = rad[i] + rad[j]
-    lo, hi = _arcs(p[None], r[None] + thr)
-    return float(lo[0]), float(hi[0]), p, r
+
+def _meet(lo, width, start) -> tuple[np.ndarray, np.ndarray]:
+    """The intersection (lo, hi) of each run of open arcs (lo, lo + width),
+    each at most pi wide, run r holding arcs start[r] to start[r + 1] - 1;
+    empty when lo >= hi. Arcs that meet at u all start within pi below u,
+    so within pi of the run's first: unwrapped about it, they meet on the
+    line exactly where they meet on the circle, in one arc."""
+    first = np.zeros(len(lo), dtype=int)
+    first[start] = start
+    first = lo[np.maximum.accumulate(first)]
+    lo = first + np.remainder(lo - first + math.pi, TWO_PI) - math.pi
+    return np.maximum.reduceat(lo, start), np.minimum.reduceat(lo + width, start)
 
 
 def _best_angle(p, r, lo: float, hi: float) -> float:
     """The angle t in [lo, hi] where min_q(<u(t), p_q> - r_q) is largest,
-    every row positive on the arc (lo, hi) of _separating_arc.
+    every row positive on the arc (lo, hi), the meet of the rows' pair arcs
+    (find_separating_hyperplane).
 
     There each row is within pi/2 of its peak, the angle of p_q, so the rows
     and their minimum are strictly concave, and the maximum rests on at most
@@ -372,8 +373,9 @@ def find_separating_hyperplane(
 
     tol is scaled by min(1, extent of the two families) (_scaled_tol). In
     the plane the answer is exact: the directions with a gap above 2 tol
-    form one arc, the intersection of the arcs of all feature pairs, and
-    _best_angle finds the best margin on it from its critical angles.
+    form one arc, the meet (_meet) of the arcs of all member pairs across
+    the families (_pair_arcs), and _best_angle finds the best margin on it
+    from its critical angles.
     ``samples`` only applies in dimension 3, where the search is sampled
     and None means no direction found, not a proof; dimension 4 and up
     raise GeometryError (_require_sampled).
@@ -386,10 +388,13 @@ def find_separating_hyperplane(
     pts, rad = _member_features(f1 + f2)
     thr = 2.0 * _scaled_tol(pts, rad, tol)
     if f1[0].dim == 2:
-        lo, hi, p, r = _separating_arc(pts, rad, slice(0, n1), slice(n1, None), thr)
-        if not lo < hi:
+        i, j = np.repeat(np.arange(n1), len(f2)), np.tile(np.arange(n1, len(pts)), n1)
+        lo, hi = _pair_arcs(pts, rad, i, j, thr)
+        lo, hi = _meet(lo, hi - lo, [0])
+        if not lo[0] < hi[0]:
             return None
-        theta = _best_angle(p, r, lo, hi)
+        r = np.repeat(rad[i] + rad[j], pts.shape[1] ** 2)
+        theta = _best_angle(_differences(pts, i, j).reshape(-1, 2), r, float(lo[0]), float(hi[0]))
         u = np.array([[math.cos(theta), math.sin(theta)]])
     else:
         _require_sampled(f1[0].dim)
@@ -403,16 +408,24 @@ def find_separating_hyperplane(
 
 def _separation_test(bodies, tol: float):
     """Decision-only test "members left strictly separable from members
-    right" for index lists into bodies; in the plane at the tolerance of
-    the whole, asking only whether the separating arc is empty.
+    right" for index lists into bodies. In the plane it runs at the
+    tolerance of the whole and prices the arc of every member pair a < b
+    once (_pair_arcs), the arc of b above a turned by pi; a test gathers
+    its pairs' arcs, left member first, and asks whether they meet (_meet).
     """
     if bodies[0].dim == 2:
         pts, rad = _member_features(bodies)
-        thr = 2.0 * _scaled_tol(pts, rad, tol)
+        n = len(bodies)
+        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+        lo, hi = _pair_arcs(pts, rad, i, j, 2.0 * _scaled_tol(pts, rad, tol))
+        start, width = np.zeros((n, n)), np.zeros((n, n))
+        start[i, j], start[j, i] = lo, lo + math.pi
+        width[i, j] = width[j, i] = hi - lo
 
         def planar(left, right) -> bool:
-            lo, hi, _, _ = _separating_arc(pts, rad, left, right, thr)
-            return lo < hi
+            a, b = np.asarray(left)[:, None], np.asarray(right)
+            s_lo, s_hi = _meet(start[a, b].ravel(), width[a, b].ravel(), [0])
+            return bool(s_lo[0] < s_hi[0])
 
         return planar
     return lambda left, right: find_separating_hyperplane(
@@ -556,10 +569,8 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
     whole components of the never-split graph. One component means NS, with
     no direction swept. Otherwise, along u component B lies above component
     A exactly on S(A, B), the intersection of the arcs of all pairs across
-    them, oriented from A to B; open arcs at most pi wide meet in one arc
-    or none, so each S(A, B) is one arc, intersected on the line after
-    unwrapping each arc about the first one of its component pair. The cuts
-    along u are fixed by which S(A, B) and S(A, B) + pi hold u, which stays
+    them, oriented from A to B: one arc or none (_meet). The cuts along u
+    are fixed by which S(A, B) and S(A, B) + pi hold u, which stays
     the same between consecutive ends of the S arcs taken mod pi, and a cut
     holds on an open set, so the gap at the midpoints between those ends
     decides the question; the witness is the cut at the first midpoint
@@ -635,7 +646,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
             if len(a):
                 if t is None:
                     t = _scaled_tol(pts, rad, tol)
-                lo[q], hi[q] = _arcs(_differences(pts, a, b, table), (rad[a] + rad[b] + t)[:, None])
+                lo[q], hi[q] = _pair_arcs(pts, rad, a, b, t, table)
                 never = ~(lo[q] < hi[q])
                 if never.any():
                     comp = _merge(comp, a[never], b[never])
@@ -645,8 +656,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
             return NSDecision(True, None, 0, False)
         comp = (np.cumsum(root) - 1)[comp]
         # the arcs across components, all priced above, each oriented from the
-        # lower label to the higher, grouped by component pair and unwrapped
-        # about the group's first arc
+        # lower label to the higher and met per component pair
         ci, cj = comp[i], comp[j]
         cross = np.flatnonzero(ci != cj)
         flip = ci[cross] > cj[cross]
@@ -655,20 +665,11 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         cross, flip, key = cross[order], flip[order], key[order]
         new = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=new[1:])
-        start = np.flatnonzero(new)
-        runs = np.empty_like(start)
-        runs[:-1] = start[1:] - start[:-1]
-        runs[-1] = len(key) - start[-1]
-        lo_s = lo[cross] + math.pi * flip
-        width = hi[cross] - lo[cross]
-        first = np.repeat(lo_s[start], runs)
-        lo_s = first + np.remainder(lo_s - first + math.pi, TWO_PI) - math.pi
-        s_lo = np.maximum.reduceat(lo_s, start)
-        s_hi = np.minimum.reduceat(lo_s + width, start)
+        s_lo, s_hi = _meet(lo[cross] + math.pi * flip, hi[cross] - lo[cross], np.flatnonzero(new))
         some = s_lo < s_hi
         if not some.any():
             return NSDecision(True, None, 0, False)
-        _, mids = _mod_pi(np.concatenate([s_lo[some], s_hi[some]]))
+        _, mids = _cells(np.concatenate([s_lo[some], s_hi[some]]), math.pi)
         mids = np.remainder(mids + 0.5 * math.pi, math.pi) - 0.5 * math.pi
         dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
 
@@ -882,8 +883,10 @@ def _require_disjoint(i, j, overlap: np.ndarray) -> None:
 
 def _packing_pairs(bodies, tol: float):
     """_member_features of bodies, tol scaled to them (_scaled_tol), and their
-    near pairs (i, j) with the _pair_gaps data of each, raising unless their
-    interiors are disjoint."""
+    near pairs (i, j) with the _pair_gaps data of each, raising unless there
+    is a member and the interiors are disjoint."""
+    if len(bodies) == 0:
+        raise GeometryError("empty packing")
     _require_planar(bodies, "packing checks")
     feats = _member_features(bodies)
     t = _scaled_tol(*feats, tol)
@@ -927,19 +930,13 @@ def _critical_angles(pts, rad, i, j, best, rows=None) -> np.ndarray:
     members' edge normals and best, and the midpoints between them. With
     rows (_pair_table), the members are translates of one body: a pair's arc
     is that of its difference body's vertices, the differences at the rows,
-    and every member has the first one's edge normals. The arcs are built in
-    blocks of about _BLOCK feature differences."""
-    step = max(1, _BLOCK // (pts.shape[1] ** 2 if rows is None else len(rows)))
-    arcs = []
-    for s in range(0, len(i), step):
-        bi, bj = i[s : s + step], j[s : s + step]
-        lo, hi = _arcs(_differences(pts, bi, bj, rows), (rad[bi] + rad[bj])[:, None])
-        arc = lo < hi
-        arcs += [lo[arc], hi[arc]]
+    and every member has the first one's edge normals (_pair_arcs)."""
+    lo, hi = _pair_arcs(pts, rad, i, j, 0.0, rows)
+    arc = lo < hi
     members = distinct(np.concatenate([i, j])) if rows is None else i[:1]
     edges = (np.roll(pts, -1, axis=1) - pts)[members].reshape(-1, 2)
     normals = np.arctan2(-edges[:, 0], edges[:, 1])[(edges != 0.0).any(axis=1)]
-    ends, mids = _mod_pi(np.concatenate(arcs + [normals, best]))
+    ends, mids = _cells(np.concatenate([lo[arc], hi[arc], normals, best]), math.pi)
     return distinct(np.concatenate([ends, np.remainder(mids, math.pi)]))
 
 
@@ -1142,8 +1139,6 @@ def is_ts_packing(bodies, tol: float = EPS) -> TSResult:
     """
     bodies = _as_bodies(bodies)
     n = len(bodies)
-    if n == 0:
-        raise GeometryError("empty packing")
     feats, t, pairs = _packing_pairs(bodies, tol)
     live, lab, swept, cuts = _refine(feats, np.arange(n)[None, :], pairs, t)
     if cuts:
@@ -1170,8 +1165,6 @@ def is_ls_packing(bodies, tol: float = EPS) -> LSResult:
     whose row keeps two members on one label."""
     bodies = _as_bodies(bodies)
     n = len(bodies)
-    if n == 0:
-        raise GeometryError("empty packing")
     feats, t, pairs = _packing_pairs(bodies, tol)
     touch = pairs[2] <= t
     table, hoods = _neighbourhoods(n, pairs[0][touch], pairs[1][touch])

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._errors import GeometryError
-from ._kernels import pole_margins, triple_blocks
+from ._kernels import _ROUND_OFF, pole_margins, triple_blocks
 
 PI = math.pi
 _BLOCK = 1 << 18  # entries of a (candidates x caps or pairs) block
@@ -258,9 +258,9 @@ def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
 
     Exact: the best pole of every sign pattern is among _split_poles, so the
     family is separable exactly when one of them splits the centers with a
-    margin above tol. margin is the best split margin of all circles when
-    that exceeds -min sin r, and -inf, meaning at most -min sin r,
-    otherwise: below it the best candidate need not be the best circle.
+    margin above tol + _ROUND_OFF. margin is the best split margin of all
+    circles when that exceeds -min sin r, and -inf, meaning at most -min
+    sin r, otherwise: below it the best candidate need not be the best circle.
     """
     caps = list(caps)
     if len(caps) < 2:
@@ -271,6 +271,7 @@ def caps_non_separable(caps, tol: float = 1e-9) -> SphericalSplitDecision:
     centers, radii = _cap_arrays(caps)
     best, pole, count = _best_pole(centers, radii, split=True)
     margin = best if best > -math.sin(float(radii.min())) else -math.inf
+    tol += _ROUND_OFF
     return SphericalSplitDecision(best <= tol, pole if best > tol else None, margin, count)
 
 
@@ -283,15 +284,16 @@ def enclosing_cap(caps, tol: float = 1e-9) -> tuple[np.ndarray, float]:
     """Smallest cap containing every given cap.
 
     It rests on at most three of them (Welzl, 1991), so it is the smallest
-    of _enclosing_candidates that covers every cap within tol, the first
-    listed among equal radii. Each block is tested as it is drawn: only its
-    candidates strictly smaller than the best cap so far, in the order of
-    their radii, in chunks of _BLOCK // n rows, up to the first that covers.
-    So memory is O(n^2), as in the split checks.
+    of _enclosing_candidates that covers every cap within tol + _ROUND_OFF,
+    the first listed among equal radii. Each block is tested as it is drawn:
+    only its candidates strictly smaller than the best cap so far, in the
+    order of their radii, in chunks of _BLOCK // n rows, up to the first
+    that covers. So memory is O(n^2), as in the split checks.
     """
     centers, radii = _cap_arrays(list(caps))
     best_u, best_r = None, math.inf
     step = max(1, _BLOCK // len(radii))
+    tol += _ROUND_OFF
     for u, r in _enclosing_candidates(centers, radii):
         order = np.flatnonzero(r < best_r)
         order = order[np.argsort(r[order], kind="stable")]
@@ -323,7 +325,7 @@ def cap_cover_check(caps, tol: float = 1e-9) -> CapCoverReport:
     """No splitting circle and total radius below pi/2 force a small cover.
 
     The family must then fit in a single cap whose radius is at most the sum
-    of the radii.
+    of the radii; ``holds`` allows tol + _ROUND_OFF.
     """
     caps = list(caps)
     dec = caps_non_separable(caps, tol=tol)
@@ -333,7 +335,7 @@ def cap_cover_check(caps, tol: float = 1e-9) -> CapCoverReport:
     if total >= PI / 2.0:
         raise GeometryError("the cover bound needs total radius below pi/2")
     center, radius = enclosing_cap(caps, tol)
-    return CapCoverReport(total, center, radius, total - radius, dec, total - radius >= -tol)
+    return CapCoverReport(total, center, radius, total - radius, dec, total - radius >= -tol - _ROUND_OFF)
 
 
 @dataclass(frozen=True)
@@ -400,9 +402,11 @@ def is_ts_cap_packing(caps, tol: float = 1e-9) -> CapTSResult:
     last block, as the octahedral packing is by the poles resting on pairs
     (56 of 184; the cuboctahedral one needs its triples). A cap wider
     than pi/2 meets every great circle, so it refutes every pair. unresolved
-    is always empty; it stays for callers that read it.
+    is always empty; it stays for callers that read it. Overlap and
+    avoidance are judged at tol + _ROUND_OFF.
     """
     centers, radii = _cap_arrays(list(caps))
+    tol += _ROUND_OFF
     a = np.arange(len(centers))
     i, j = np.nonzero(a[:, None] < a)
     overlap = np.flatnonzero(_angles(centers[i], centers[j]) < radii[i] + radii[j] - tol)

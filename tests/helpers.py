@@ -432,7 +432,7 @@ def ns_pair_sweep(family, tol: float = 1e-9):
     pairs with an empty arc come from a plain union-find.
     """
     from sepgeom import separability as sp
-    from sepgeom._kernels import sweep
+    from sepgeom._kernels import _cells, sweep
 
     bodies = family.bodies() if isinstance(family, HomothetFamily) else list(family)
     n = len(bodies)
@@ -453,7 +453,7 @@ def ns_pair_sweep(family, tol: float = 1e-9):
     c = len({find(a) for a in range(n)})
     if not split.any():
         return True, 0, -math.inf, c
-    _, mids = sp._mod_pi(np.concatenate([lo[split], hi[split]]))
+    _, mids = _cells(np.concatenate([lo[split], hi[split]]), math.pi)
     dirs = np.stack([np.cos(mids), np.sin(mids)], axis=1)
     widest = float(sweep(*sp._project(dirs, pts, rad))[1].max())
     return not widest > t, len(dirs), widest, c

@@ -1,5 +1,6 @@
 """NS / SNS decisions, separation certificates, TS / LS / rho packings."""
 
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -282,6 +283,12 @@ def test_tangency_pairs_grid():
     grid = unit_disks([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0), (0.0, 5.0)])
     pairs = tangency_pairs(grid)
     assert set(pairs) == {(0, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("check", [tangency_pairs, is_ts_packing, is_ls_packing])
+def test_empty_packing_is_refused(check):
+    with pytest.raises(GeometryError, match="empty packing"):
+        check([])
 
 
 def test_homothet_family_input():
@@ -579,7 +586,12 @@ def test_best_angle_matches_a_scan_of_every_critical_angle(rng):
         shift = float(rng.uniform(2.0, 6.0)) * np.array([math.cos(ang), math.sin(ang)])
         bodies[n1:] = [b.translate(shift) for b in bodies[n1:]]
         pts, rad = _member_features(bodies)
-        lo, hi, p, r = separability._separating_arc(pts, rad, slice(0, n1), slice(n1, None), 0.0)
+        # every feature of a left member against every feature of a right
+        # member, one row of _arcs: the arc where the right side lies above
+        i, j = np.repeat(np.arange(n1), len(bodies) - n1), np.tile(np.arange(n1, len(bodies)), n1)
+        p = separability._differences(pts, i, j).reshape(-1, 2)
+        r = np.repeat(rad[i] + rad[j], pts.shape[1] ** 2)
+        lo, hi = (float(x[0]) for x in separability._arcs(p[None], r[None]))
         if not lo < hi:
             continue
         theta = separability._best_angle(p, r, lo, hi)
@@ -589,6 +601,102 @@ def test_best_angle_matches_a_scan_of_every_critical_angle(rng):
         assert abs(got - _critical_angle_scan(p, r, lo, hi)) <= 1e-12 * size
         compared += 1
     assert compared >= 40, compared
+
+
+def _flat_separation_test(bodies, tol: float = EPS):
+    """The planar separation test with one row of _arcs per subfamily: every
+    feature of a left member against every feature of a right member, each
+    feature taken as a member of its own, at the tolerance of the whole."""
+    pts, rad = _member_features(bodies)
+    thr = 2.0 * _scaled_tol(pts, rad, tol)
+    k = pts.shape[1]
+    flat, frad = pts.reshape(-1, 2), np.repeat(rad, k)
+
+    def separable(left, right) -> bool:
+        i, j = ((np.asarray(side)[:, None] * k + np.arange(k)).ravel() for side in (left, right))
+        i, j = np.repeat(i, len(j)), np.tile(j, len(i))
+        lo, hi = separability._arcs((flat[j] - flat[i])[None], (frad[i] + frad[j])[None] + thr)
+        return bool(lo[0] < hi[0])
+
+    return separable
+
+
+def _meet_family(rng, n: int):
+    """Random disks and polygons, split into two sides pulled apart,
+    overlapping at random, or touching (touching_packing), scaled by 1e-6, 1
+    or 1e6; and the kind drawn."""
+    kind = ("split", "overlapping", "touching")[int(rng.integers(3))]
+    if kind == "touching":
+        shapes = [ConvexBody.disk((0.0, 0.0), 1.0), random_convex_polygon(rng, int(rng.integers(3, 7)), 1.0)]
+        bodies = touching_packing(rng, shapes, n)
+    else:
+        bodies = []
+        for c in rng.uniform(0.0, 3.0, (n, 2)):
+            if rng.random() < 0.5:
+                bodies.append(ConvexBody.disk(c, float(rng.uniform(0.2, 0.6))))
+            else:
+                bodies.append(random_convex_polygon(rng, int(rng.integers(3, 7)), 0.6).translate(c))
+        if kind == "split":
+            ang = float(rng.uniform(0.0, 2.0 * math.pi))
+            shift = 6.0 * np.array([math.cos(ang), math.sin(ang)])
+            cut = int(rng.integers(1, n))
+            bodies[cut:] = [b.translate(shift) for b in bodies[cut:]]
+    scale = 10.0 ** float(rng.choice([-6.0, 0.0, 6.0]))
+    return [b.transform(scale * np.eye(2)) for b in bodies], kind
+
+
+def test_meet_of_pair_arcs_matches_one_arc_per_subfamily(rng, monkeypatch):
+    """_separation_test meets member-pair arcs priced once; on random planar
+    families it answers every subfamily as one _arcs row over the
+    subfamily's feature pairs does, and kirchberger_reduce and is_sns give
+    the verdicts, witnesses, counts and orderings of that row test. Neither
+    calls the direct separation: the reduction decides from its
+    subfamilies."""
+
+    def direct(*args, **kwargs):
+        raise AssertionError("the planar reduction called find_separating_hyperplane")
+
+    monkeypatch.setattr(separability, "find_separating_hyperplane", direct)
+    seen, verdicts = set(), set()
+    for _ in range(300):
+        bodies, kind = _meet_family(rng, int(rng.integers(3, 8)))
+        n = len(bodies)
+        if n < 2:
+            continue
+        flat, meet = _flat_separation_test(bodies), separability._separation_test(bodies, EPS)
+        for _ in range(10):
+            order = rng.permutation(n)
+            cut = int(rng.integers(1, n))
+            left, right = order[:cut].tolist(), order[cut:].tolist()
+            left, right = left[: int(rng.integers(1, len(left) + 1))], right[: int(rng.integers(1, len(right) + 1))]
+            assert meet(left, right) == flat(left, right), (kind, left, right)
+        n1 = int(rng.integers(1, n))
+        want, checked = (True, None), 0
+        for combo in itertools.combinations(range(n), min(n, 4)):
+            left, right = [c for c in combo if c < n1], [c for c in combo if c >= n1]
+            if left and right:
+                checked += 1
+                if not flat(left, right):
+                    want = (False, (tuple(left), tuple(c - n1 for c in right)))
+                    break
+        assert kirchberger_reduce(bodies[:n1], bodies[n1:]) == separability.KirchbergerResult(*want, checked)
+        sns = separability.SNSResult(False, None)
+        for start in range(n):
+            chosen, rest = [start], [k for k in range(n) if k != start]
+            while rest:
+                step = next((j for j in rest if not flat(chosen, [j])), None)
+                if step is None:
+                    break
+                chosen.append(step)
+                rest.remove(step)
+            if not rest:
+                sns = separability.SNSResult(True, tuple(chosen))
+                break
+        assert is_sns(bodies) == sns
+        seen.add(kind)
+        verdicts.add((want[0], sns.is_sns))
+    assert seen == {"split", "overlapping", "touching"}
+    assert {(True, False), (False, True)} <= verdicts, verdicts
 
 
 def _mixed_packing_family(rng, n: int) -> list:

@@ -100,15 +100,40 @@ def test_cuboctahedral_packing_is_ts():
     assert res.is_ts and res.refuted == ()
 
 
-def test_right_angle_chain_is_not_ts():
-    # caps 0 and 1 tangent along the equator, cap 2 attached to cap 1 at a
-    # right angle; the forced tangent circle of each touching pair crosses
-    # the cap around the corner, so both tangencies are refuted
+def test_octahedral_packing_at_tol_zero_answers_as_at_the_default():
+    """The tangent octant caps are a packing at tol = 0: the overlap and
+    avoidance tests carry round-off."""
+    caps = octahedral_packing()
+    zero, default = is_ts_cap_packing(caps, 0.0), is_ts_cap_packing(caps)
+    assert zero.is_ts and (zero.refuted, zero.poles_checked) == (default.refuted, default.poles_checked)
+    assert caps_non_separable(caps, 0.0) == caps_non_separable(caps)
+
+
+def test_cuboctahedral_packing_at_tol_zero_answers_as_at_the_default():
+    """Its separating circles touch caps, at a margin of round-off: TS with
+    no pair refuted, and no circle splits it by more than round-off."""
+    caps = cuboctahedral_packing()
+    zero = is_ts_cap_packing(caps, 0.0)
+    assert zero.is_ts and zero.refuted == () and zero.poles_checked == is_ts_cap_packing(caps).poles_checked
+    dec = caps_non_separable(caps, 0.0)
+    assert dec.non_separable and dec.pole is None
+    assert dec == caps_non_separable(caps)
+
+
+def _right_angle_chain() -> list:
+    """Caps 0 and 1 tangent along the equator, cap 2 attached to cap 1 at a
+    right angle."""
     r0, r1, r2 = 0.12, 0.10, 0.14
     c0 = np.array([math.cos(r0), -math.sin(r0), 0.0])
     c1 = np.array([math.cos(r1), math.sin(r1), 0.0])
     c2 = math.cos(r1 + r2) * c1 + math.sin(r1 + r2) * EZ
-    caps = [Cap(c0, r0), Cap(c1, r1), Cap(c2, r2)]
+    return [Cap(c0, r0), Cap(c1, r1), Cap(c2, r2)]
+
+
+def test_right_angle_chain_is_not_ts():
+    # the forced tangent circle of each touching pair crosses the cap
+    # around the corner, so both tangencies are refuted
+    caps = _right_angle_chain()
     res = is_ts_cap_packing(caps)
     assert not res.is_ts
     # the non-tangent pair around the corner has no separator either, and
@@ -364,6 +389,27 @@ def test_enclosing_cap_small_cases():
     assert r == pytest.approx(0.6, abs=1e-9)
     assert angular_distance(c, EZ) == pytest.approx(0.0, abs=1e-7)
     assert angular_distance(c, a.center) + a.radius <= r + 1e-9
+
+
+def test_enclosing_cap_at_tol_zero_finds_the_tight_cover():
+    """The smallest cap around the right-angle chain rests on caps that it
+    covers only to round-off; tol = 0 still finds it."""
+    caps = _right_angle_chain()
+    center, radius = enclosing_cap(caps, 0.0)
+    want_center, want_radius = enclosing_cap(caps)
+    assert radius == want_radius == pytest.approx(0.2920680052854174, abs=1e-15)
+    assert np.array_equal(center, want_center)
+    rep = cap_cover_check(caps, tol=0.0)
+    assert rep.holds and rep.radius == want_radius
+
+
+def test_cap_cover_check_equality_holds_at_tol_zero():
+    """Four caps of radius 0.1 tangent along the equator fit in a cap of
+    radius 0.4 exactly, the equality case; round-off puts it 1.1e-16 above
+    the total radius."""
+    caps = [Cap([math.cos(0.2 * k), math.sin(0.2 * k), 0.0], 0.1) for k in range(4)]
+    rep = cap_cover_check(caps, tol=0.0)
+    assert rep.holds and rep.slack == cap_cover_check(caps).slack
 
 
 def test_cap_cover_check_chain(rng):
