@@ -134,6 +134,22 @@ def _two_chains(sg, np, gen, n):
     return [sg.ConvexBody.disk(c, 1.0) for c in np.vstack([chain, chain + [1e4, 0.0]])]
 
 
+def _tetrahedra(sg, np, gen, n):
+    """(first, second): n unit corner tetrahedra 3 apart along x, the first
+    n / 2 on one side, so the families are split and every subfamily of
+    d + 2 = 5 members is tested."""
+    corner = np.vstack([np.zeros(3), np.eye(3)])
+    bodies = [sg.ConvexBody.polytope(corner + (3.0 * i, 0.0, 0.0)) for i in range(n)]
+    return bodies[: n // 2], bodies[n // 2 :]
+
+
+def _cube_chains(sg, np, gen, n):
+    """Two chains of n / 2 touching unit cubes along x, 1e3 apart along y,
+    so the family is not SNS and every start is tried."""
+    cube = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
+    return [sg.ConvexBody.polytope(cube + (i, y, 0.0)) for y in (0.0, 1e3) for i in range(n // 2)]
+
+
 def _unpacked(path: str, *extra):
     """The call sepgeom.<path>(*arg, *extra) on a tuple input arg, for CALLS."""
     return lambda sg: lambda arg: functools.reduce(getattr, path.split("."), sg)(*arg, *extra)
@@ -188,6 +204,8 @@ CALLS = {
     "min_cover_ratio/ns-24gon-cold": ((8, 32), _homothets("poly", False), _cold("min_cover_ratio")),
     "kirchberger_reduce/mixed": ((16, 48), _mixed, _unpacked("kirchberger_reduce")),
     "is_sns/two-chains": ((16, 64), _two_chains, "is_sns"),
+    "kirchberger_reduce/tetra3d": ((8, 16), _tetrahedra, _unpacked("kirchberger_reduce")),
+    "is_sns/cube-chains3d": ((8, 24), _cube_chains, "is_sns"),
 }
 
 

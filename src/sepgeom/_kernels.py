@@ -59,8 +59,11 @@ def _member_features(bodies) -> tuple[np.ndarray, np.ndarray]:
     """
     feats = [b.points for b in bodies]
     pts = np.empty((len(feats), max(map(len, feats)), feats[0].shape[1]))
-    for row, f in zip(pts, feats):
-        row[: len(f)], row[len(f) :] = f, f[0]
+    try:
+        for row, f in zip(pts, feats):
+            row[: len(f)], row[len(f) :] = f, f[0]
+    except ValueError:
+        raise GeometryError("members must share one dimension") from None
     return pts, np.array([b.radius for b in bodies])
 
 

@@ -69,14 +69,17 @@ def _cover(family: HomothetFamily, center, ratio: float, normalized: float, meth
            tol: float) -> CoverHomothet:
     """The cover center + ratio*K and its violation, the largest protrusion
     of a member. It contains every member when the violation is at most
-    _box_tol of the family: tol times min(1, extent of the family) plus the
-    round-off of the family's largest coordinate."""
+    _family_tol."""
     viol = _containment_violation(family, center, ratio)
+    return CoverHomothet(center, ratio, normalized, method, bool(viol <= _family_tol(family, tol)), viol)
+
+
+def _family_tol(family: HomothetFamily, tol: float) -> float:
+    """_box_tol of the family: tol times min(1, extent of the family) plus
+    the round-off of the family's largest coordinate."""
     lo_k, hi_k = _derived(family.reference, "_bounding_box", _bounding_box)
     c, tau = family.centers, family.ratios[:, None]
-    lo = (c + tau * lo_k).min(axis=0)
-    hi = (c + tau * hi_k).max(axis=0)
-    return CoverHomothet(center, ratio, normalized, method, bool(viol <= _box_tol(lo, hi, tol)), viol)
+    return _box_tol((c + tau * lo_k).min(axis=0), (c + tau * hi_k).max(axis=0), tol)
 
 
 def _bounding_box(k: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +244,7 @@ def facet_parallel_cover_check(family: HomothetFamily, tol: float = EPS) -> Face
     pts = family.centers[:, None, :] + family.ratios[:, None, None] * k.vertices
     lo, hi = _project(normals, pts, np.zeros(len(pts)))
     gaps = sweep(lo, hi)[1].max(axis=1).tolist() if len(pts) > 1 else [-math.inf] * len(normals)
-    condition = all(g <= tol for g in gaps)
+    condition = max(gaps) <= _family_tol(family, tol)
     cover = min_cover_ratio(family, tol)
     bound = (d + 1) / 2.0
     return FacetParallelReport(

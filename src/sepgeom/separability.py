@@ -48,6 +48,8 @@ from .bodies import (
     unit,
 )
 
+_SAMPLES = 4096  # sphere points of the sampled d = 3 searches by default
+
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -149,7 +151,8 @@ def candidate_directions(family1, family2=None) -> np.ndarray:
     pts1, pts2 = (_member_features(f)[0].reshape(-1, f1[0].dim) for f in (f1, f2))
     diffs = (pts2[None, :, :] - pts1[:, None, :]).reshape(-1, pts1.shape[1])
     lens = np.linalg.norm(diffs, axis=1)
-    keep = lens > 1e-12
+    # shorter than the features' round-off, a difference has no direction
+    keep = lens > _ROUND_OFF * max(np.abs(pts1).max(), np.abs(pts2).max())
     return distinct(diffs[keep] / lens[keep, None])
 
 
@@ -356,18 +359,19 @@ def _best_angle(p, r, lo: float, hi: float) -> float:
         seen.add(tuple(work))
 
 
-def _require_sampled(d: int) -> None:
-    """Raise unless the sampled search, whose sphere points are 3-D
-    (fibonacci_sphere), applies in dimension d."""
+def _sphere(d: int, samples: int) -> np.ndarray:
+    """At least 1024 sphere points (fibonacci_sphere) for the sampled search,
+    which applies in dimension 3 only: others raise GeometryError."""
     if d != 3:
         raise GeometryError(f"the sampled search supports dimension 3 only, not {d}")
+    return fibonacci_sphere(max(samples, 1024))
 
 
 def find_separating_hyperplane(
     family1,
     family2,
     tol: float = EPS,
-    samples: int = 4096,
+    samples: int = _SAMPLES,
 ) -> SeparationCertificate | None:
     """Best-margin hyperplane with family1 left of family2, None if margin <= tol.
 
@@ -376,9 +380,8 @@ def find_separating_hyperplane(
     form one arc, the meet (_meet) of the arcs of all member pairs across
     the families (_pair_arcs), and _best_angle finds the best margin on it
     from its critical angles.
-    ``samples`` only applies in dimension 3, where the search is sampled
-    and None means no direction found, not a proof; dimension 4 and up
-    raise GeometryError (_require_sampled).
+    ``samples`` only applies in d = 3, where the search is sampled and None
+    means no direction found, not a proof; d >= 4 raises GeometryError.
     """
     f1 = _as_bodies(family1)
     f2 = _as_bodies(family2)
@@ -397,9 +400,7 @@ def find_separating_hyperplane(
         theta = _best_angle(_differences(pts, i, j).reshape(-1, 2), r, float(lo[0]), float(hi[0]))
         u = np.array([[math.cos(theta), math.sin(theta)]])
     else:
-        _require_sampled(f1[0].dim)
-        cand = candidate_directions(f1, f2)
-        dirs = np.vstack([cand, -cand, fibonacci_sphere(max(samples, 1024))])
+        dirs = np.vstack([candidate_directions(f1, f2), _sphere(f1[0].dim, samples)])
         lo, hi = _project(dirs, pts, rad)
         u = dirs[[int(np.argmax(lo[:, n1:].min(axis=1) - hi[:, :n1].max(axis=1)))]]
     cert = _certificates(u, *_project(u, pts, rad), (np.arange(len(pts)) < n1)[None])[0]
@@ -408,29 +409,30 @@ def find_separating_hyperplane(
 
 def _separation_test(bodies, tol: float):
     """Decision-only test "members left strictly separable from members
-    right" for index lists into bodies. In the plane it runs at the
-    tolerance of the whole and prices the arc of every member pair a < b
-    once (_pair_arcs), the arc of b above a turned by pi; a test gathers
-    its pairs' arcs, left member first, and asks whether they meet (_meet).
-    """
-    if bodies[0].dim == 2:
-        pts, rad = _member_features(bodies)
-        n = len(bodies)
-        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-        lo, hi = _pair_arcs(pts, rad, i, j, 2.0 * _scaled_tol(pts, rad, tol))
-        start, width = np.zeros((n, n)), np.zeros((n, n))
-        start[i, j], start[j, i] = lo, lo + math.pi
-        width[i, j] = width[j, i] = hi - lo
+    right" for index lists into bodies, at the tolerance of the whole, each
+    member priced once. In the plane: the arc of every pair a < b
+    (_pair_arcs), b above a turned by pi, gathered per test, left member
+    first, and met (_meet). In d = 3: every member projected onto the
+    directions of is_non_separable, a superset of find_separating_hyperplane's."""
+    pts, rad = _member_features(bodies)
+    thr = 2.0 * _scaled_tol(pts, rad, tol)
+    if pts.shape[2] != 2:
+        dirs = np.vstack([_sphere(pts.shape[2], _SAMPLES), candidate_directions(bodies)])
+        lo, hi = (np.ascontiguousarray(a.T) for a in _project(dirs, pts, rad))
+        return lambda left, right: bool((lo[right].min(axis=0) - hi[left].max(axis=0)).max() > thr)
+    n = len(bodies)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    lo, hi = _pair_arcs(pts, rad, i, j, thr)
+    start, width = np.zeros((n, n)), np.zeros((n, n))
+    start[i, j], start[j, i] = lo, lo + math.pi
+    width[i, j] = width[j, i] = hi - lo
 
-        def planar(left, right) -> bool:
-            a, b = np.asarray(left)[:, None], np.asarray(right)
-            s_lo, s_hi = _meet(start[a, b].ravel(), width[a, b].ravel(), [0])
-            return bool(s_lo[0] < s_hi[0])
+    def planar(left, right) -> bool:
+        a, b = np.asarray(left)[:, None], np.asarray(right)
+        s_lo, s_hi = _meet(start[a, b].ravel(), width[a, b].ravel(), [0])
+        return bool(s_lo[0] < s_hi[0])
 
-        return planar
-    return lambda left, right: find_separating_hyperplane(
-        [bodies[i] for i in left], [bodies[j] for j in right], tol=tol, samples=0
-    ) is not None
+    return planar
 
 
 @dataclass(frozen=True)
@@ -554,7 +556,7 @@ def _meeting(reference: ConvexBody, pts: np.ndarray, rad: np.ndarray):
     return meets
 
 
-def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecision:
+def is_non_separable(family, samples: int = _SAMPLES, tol: float = EPS) -> NSDecision:
     """Decide whether no hyperplane splits the family while missing every member.
 
     A family is separable when some hyperplane disjoint from the union has
@@ -606,7 +608,7 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
 
     ``samples`` only applies in dimension 3, where directions are sampled
     and the decision is flagged approximate; dimension 4 and up raise
-    GeometryError (_require_sampled).
+    GeometryError (_sphere).
     """
     homothets = isinstance(family, HomothetFamily) and family.reference.dim == 2
     bodies = None if homothets else _as_bodies(family)
@@ -623,9 +625,8 @@ def is_non_separable(family, samples: int = 4096, tol: float = EPS) -> NSDecisio
         table = meets = None
     sampled = pts.shape[2] != 2
     if sampled:
-        _require_sampled(pts.shape[2])
         t = _scaled_tol(pts, rad, tol)
-        dirs = np.vstack([fibonacci_sphere(max(samples, 1024)), candidate_directions(bodies)])
+        dirs = np.vstack([_sphere(pts.shape[2], samples), candidate_directions(bodies)])
     else:
         t = None
         # the pairs i < j in np.triu_indices order, at a fifth of its cost for small n

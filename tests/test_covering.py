@@ -185,6 +185,21 @@ def test_facet_parallel_detects_gap():
         )
 
 
+def test_facet_parallel_condition_does_not_change_with_scale():
+    """The facet gaps compare with the family's tolerance, as the covers do:
+    two unit equilateral triangles 3 apart leave a gap and two touching ones
+    do not, at every scale 2^k, reference and centers scaled together."""
+    tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+    for k in (-40, -20, 0, 20):
+        s = 2.0**k
+        apart, touching = (
+            facet_parallel_cover_check(HomothetFamily(ConvexBody.polygon(s * tri), [(0.0, 0.0), (d * s, 0.0)], [1.0, 1.0]))
+            for d in (3.0, 1.0)
+        )
+        assert not apart.condition_holds and max(apart.facet_gaps) == pytest.approx(s * math.sqrt(3.0)), k
+        assert touching.condition_holds and touching.cover.contains_all, k
+
+
 def _highs_cover_ratio(fam) -> float:
     """The cover program as HiGHS solves it: every member vertex against every
     facet of K - g, over the cover's translate t' and ratio mu >= 0."""

@@ -41,6 +41,7 @@ from sepgeom.separability import (
     _pair_gaps,
     _pair_table,
     _scaled_tol,
+    candidate_directions,
     find_separating_hyperplane,
     is_ls_packing,
     is_non_separable,
@@ -1384,3 +1385,79 @@ def test_three_dimensional_verdicts_do_not_change_with_scale():
         assert not dec.non_separable and dec.witness.margin == pytest.approx(0.25 * s, rel=1e-12), k
         assert find_separating_hyperplane([cube], [touching]) is None, k
         assert is_non_separable([cube, touching]).non_separable, k
+
+
+# five tetrahedra that find_separating_hyperplane splits at margin 3.92e-3,
+# the first two on the left
+FIVE_TETRAHEDRA = [
+    [[-0.19, -0.304, 1.369], [0.52, 0.183, 2.056], [-0.155, 0.434, 1.44], [-0.042, 0.976, 1.919]],
+    [[0.068, 2.124, 2.045], [0.512, 1.838, 2.256], [0.662, 2.991, 1.917], [0.157, 1.797, 2.544]],
+    [[0.852, 0.332, 2.399], [0.563, -0.327, 2.204], [0.329, 0.256, 1.786], [0.991, 0.22, 1.838]],
+    [[2.567, 0.272, 0.594], [2.174, 0.101, 0.616], [2.961, 0.542, 0.14], [2.747, 0.887, 0.955]],
+    [[3.117, 1.737, -0.33], [2.595, 1.913, 0.318], [3.154, 2.019, 0.564], [2.308, 2.212, 1.013]],
+]
+
+
+def test_three_dimensional_reduction_reads_no_direct_test(monkeypatch):
+    """In d = 3 the separation test behind kirchberger_reduce and is_sns
+    projects each member once and never calls find_separating_hyperplane:
+    the five tetrahedra reduce separable, as the direct test splits them,
+    and of two chains of touching unit cubes 1e3 apart each chain is SNS
+    and the pair of chains is not, but is split by the reduction."""
+    bodies = [ConvexBody.polytope(t) for t in FIVE_TETRAHEDRA]
+    assert find_separating_hyperplane(bodies[:2], bodies[2:]).margin == pytest.approx(3.92e-3, abs=1e-5)
+
+    def direct(*args, **kwargs):
+        raise AssertionError("the d = 3 reduction called find_separating_hyperplane")
+
+    monkeypatch.setattr(separability, "find_separating_hyperplane", direct)
+    assert kirchberger_reduce(bodies[:2], bodies[2:]) == separability.KirchbergerResult(True, None, 1)
+    cube = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
+    chain = [ConvexBody.polytope(cube + (i, 0.0, 0.0)) for i in range(4)]
+    far = [b.translate((1e3, 0.0, 0.0)) for b in chain]
+    assert is_sns(chain) == separability.SNSResult(True, (0, 1, 2, 3))
+    assert is_sns(chain + far) == separability.SNSResult(False, None)
+    assert kirchberger_reduce(chain, far) == separability.KirchbergerResult(True, None, 56)
+    assert kirchberger_reduce(chain[:2], chain[2:]) == separability.KirchbergerResult(False, ((0, 1), (0, 1)), 1)
+
+
+def test_three_dimensional_reduction_splits_wherever_the_direct_test_does(rng):
+    """The d = 3 separation test reads every direction of
+    find_separating_hyperplane at its default, at the same threshold, so on
+    random families of 5-7 tetrahedra kirchberger_reduce is separable
+    wherever the direct test finds a plane."""
+    planes = 0
+    for _ in range(300):
+        n = int(rng.integers(5, 8))
+        bodies = [ConvexBody.polytope(c + 0.5 * rng.normal(size=(4, 3))) for c in rng.uniform(0.0, 3.0, (n, 3))]
+        n1 = int(rng.integers(1, n))
+        if find_separating_hyperplane(bodies[:n1], bodies[n1:]) is not None:
+            planes += 1
+            assert kirchberger_reduce(bodies[:n1], bodies[n1:]).separable
+    assert planes >= 50, planes
+
+
+def test_candidate_directions_do_not_change_with_scale():
+    """Feature differences are dropped below the round-off of the features,
+    not below an absolute length, so the candidate directions of two random
+    tetrahedra are the same to the bit at every scale 2^k."""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    want = candidate_directions([ConvexBody.polytope(a), ConvexBody.polytope(b)])
+    assert len(want) == 56
+    for k in (-45, -20, 0, 20):
+        got = candidate_directions([ConvexBody.polytope(2.0**k * a), ConvexBody.polytope(2.0**k * b)])
+        assert np.array_equal(got, want), k
+
+
+def test_mixed_dimensions_are_refused():
+    """Members of different dimensions are refused where their features are
+    built, not with a numpy broadcast error."""
+    disk = ConvexBody.disk((0.0, 0.0), 1.0)
+    cube = ConvexBody.polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    for search in (lambda: find_separating_hyperplane([disk], [cube]),
+                   lambda: is_non_separable([disk, cube]),
+                   lambda: kirchberger_reduce([disk], [cube]),
+                   lambda: is_sns([cube, disk])):
+        with pytest.raises(GeometryError, match="members must share one dimension"):
+            search()
